@@ -1,25 +1,32 @@
 """Data-parallel SEAL training over a sharded graph.
 
-:func:`train_data_parallel` runs the same optimization as
-:func:`repro.seal.train` with the per-step gradient work split across
-``K`` shards of a :class:`~repro.distributed.GraphPartition`. Each
-global mini-batch (drawn from the *same* shuffle stream the
-single-process trainer uses) is grouped by link owner; every shard
-computes the gradient of its group's loss scaled by ``n_shard /
-n_batch`` — so the ordered sum of shard losses *is* the batch's mean
-cross-entropy and the ordered sum of shard gradient slabs *is* the
-batch gradient — and one parent applies guard, clip and Adam exactly as
-the single-process loop would.
+:func:`train_data_parallel` runs :func:`repro.seal.train`'s own loop
+(:func:`repro.seal.trainer.train_with_step`) with a sharded gradient
+step in place of the local one. The loop keeps everything but the batch
+gradient — Adam, guard, clipping, evaluation, early stopping,
+callbacks, checkpoints, resume — so those rules are the same for both
+trainers by construction. Each global mini-batch comes from the *same*
+shuffle stream :func:`repro.seal.train` uses. The sharded step groups
+it by link owner and has every shard compute the gradient of its
+group's loss scaled by ``n_shard / n_batch``, so the ordered sum of
+shard losses *is* the batch's mean cross-entropy and the ordered sum of
+shard gradient slabs *is* the batch gradient. The step then reduces the
+slabs through a :class:`~repro.store.ParameterBuffer` in rank order and
+hands the gradient to the loop.
+
+This module keeps only what is particular to sharding: partitioning,
+the buffer, worker spawn and teardown, the barriers, worker-failure
+handling and the per-shard reports.
 
 Bit-identity contract
 ---------------------
 * ``num_shards=1, processes=0`` reproduces :func:`repro.seal.train`
   bit-for-bit (the ×1.0 loss scale is IEEE-exact).
 * ``processes=K`` (one OS process per shard, gradients exchanged
-  through a :class:`~repro.store.ParameterBuffer` with a barrier per
-  step) is bit-identical to ``processes=0`` with the same partition:
-  both modes run the same per-shard forward/backward on the same
-  shard-local graphs and the same strict-rank-order reduction.
+  through the buffer with a barrier per step) is bit-identical to
+  ``processes=0`` with the same partition: both modes run the same
+  per-shard forward/backward on the same shard-local graphs and the
+  same strict-rank-order reduction.
 * Any ``K`` is bit-identical to any other ``K`` *up to the grouping*:
   the per-step float sequence is partition-defined, so K=2 and K=4 of
   the same partition seed agree with each other through the K=1
@@ -34,11 +41,19 @@ Workers consume shard-local links through the existing
 shard's mmap graph (opened zero-copy; daemonic workers cannot nest a
 ``DataLoader`` pool, so extraction inside a worker is serial — the
 parallelism is across shards).
+
+``TrainResult.phase_seconds`` has :func:`repro.seal.train`'s keys. In
+process, each shard's forward and backward time lands in ``forward``
+and ``backward``, and the ordered reduce counts as backward. With
+``processes=K`` the shards run in the workers, so the parent's wait
+for them lands in ``data``; the per-shard times go to the
+``distributed.shard.step_seconds`` obs histogram.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 import tempfile
 import time
 from dataclasses import dataclass
@@ -49,30 +64,14 @@ import numpy as np
 
 from repro import obs
 from repro.data.loader import usable_cores
+from repro.nn.dtype import resolve_dtype, set_compute_dtype
 from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
-from repro.nn.optim import Adam, clip_grad_norm
 from repro.obs.callbacks import TrainingLogger
-from repro.seal.checkpoint import (
-    Checkpoint,
-    CheckpointConfig,
-    checkpoint_path,
-    prune_checkpoints,
-    save_checkpoint,
-)
+from repro.seal.checkpoint import CheckpointConfig
 from repro.seal.dataset import SEALDataset
-from repro.seal.evaluator import EvalResult, evaluate
 from repro.seal.results import TrainResult
-from repro.nn.dtype import FLOAT64, cast_module, compute_dtype, resolve_dtype, set_compute_dtype
-from repro.seal.trainer import (
-    NonFiniteLossError,
-    TrainConfig,
-    _resolve_callbacks,
-    _resume_from_checkpoint,
-    _snapshot,
-    _training_generators,
-    _update_phase_seconds,
-)
+from repro.seal.trainer import GradientStep, TrainConfig, train_with_step
 from repro.store.parambuf import CMD_ABORT, CMD_RUN, CMD_STOP, ParameterBuffer
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, derive, generator_state, restore_generator_state
@@ -112,33 +111,40 @@ def _load_params(named, values: Dict[str, np.ndarray]) -> None:
         p.data[...] = values[name]
 
 
-def _shard_step_grads(model: Module, dataset: SEALDataset, mine: np.ndarray, n_global: int):
+def _shard_step_grads(
+    model: Module,
+    dataset: SEALDataset,
+    mine: np.ndarray,
+    n_global: int,
+    watch: Optional[Stopwatch] = None,
+):
     """One shard's contribution to one global step.
 
     Returns ``(grads, loss, count)`` for :meth:`ParameterBuffer.put_grads`:
     the gradients of ``mean_CE(shard group) * (len(group) / n_global)``.
     Empty groups contribute ``(None, 0.0, 0)`` — a zero slab — and a
     non-finite shard loss ships ``None`` grads so the poison reaches the
-    parent only through the loss total the guard inspects.
+    parent only through the loss total the guard inspects. Forward and
+    backward time goes into ``watch``'s segments of those names.
     """
     if mine.size == 0:
         return None, 0.0, 0
     from repro.data.loader import collate_from_store
 
+    watch = watch or Stopwatch()
     dataset.ensure_many(mine)
     batch = collate_from_store(
         dataset.store, mine, edge_attr_dim=dataset.task.edge_attr_dim
     )
     labels = dataset.task.labels[mine]
-    for _, p in model.named_parameters():
-        p.grad = None
-    with obs.trace("forward"):
+    with watch.segment("forward"), obs.trace("forward"):
+        model.zero_grad()
         logits = model(batch)
         loss = cross_entropy(logits, labels) * (float(mine.size) / float(n_global))
     loss_val = float(loss.data)
     grads = None
     if np.isfinite(loss_val):
-        with obs.trace("backward"):
+        with watch.segment("backward"), obs.trace("backward"):
             loss.backward()
         grads = {name: p.grad for name, p in model.named_parameters()}
     return grads, loss_val, int(mine.size)
@@ -257,6 +263,180 @@ def _check_model_supported(model: Module, config: DistributedConfig) -> None:
             )
 
 
+class _ShardedStep(GradientStep):
+    """Owner grouping → per-shard gradients → ordered ``ParameterBuffer`` reduce.
+
+    In process, every shard's gradient is computed here in turn. With
+    workers, each worker computes its own shard's (barrier A: grads
+    ready); after the loop's optimizer step the parent publishes the
+    params and a command (barrier B: params ready), and after every
+    epoch a run/stop verdict (barrier E).
+    """
+
+    def __init__(
+        self,
+        model: Module,
+        dataset: SEALDataset,
+        partition: GraphPartition,
+        config: DistributedConfig,
+    ) -> None:
+        self.model = model
+        self.dataset = dataset
+        self.partition = partition
+        self.config = config
+        self.checkpoint_tags = {"num_shards": config.num_shards}
+        self.grad_seconds = np.zeros(config.num_shards)
+        self.links = np.zeros(config.num_shards, dtype=np.int64)
+        self.steps = np.zeros(config.num_shards, dtype=np.int64)
+        self.buffer: Optional[ParameterBuffer] = None
+        self.barrier = None
+        self.report_queue = None
+        self.workers: List = []
+        self.reports: List[dict] = []
+        self._tmp: Optional[tempfile.TemporaryDirectory] = None
+
+    def start(self, train_indices, sampler, shuffle_rng, start_epoch) -> None:
+        config, task = self.config, self.dataset.task
+        self.train_indices = train_indices
+        self.shuffle_rng = shuffle_rng
+        self.named = list(self.model.named_parameters())
+        spec = [(name, p.data.shape) for name, p in self.named]
+        if config.processes == 0:
+            self.buffer = ParameterBuffer.local(spec, config.num_shards)
+            self.shard_datasets = []
+            self.owned_masks = []
+            for shard in self.partition.shards:
+                self.shard_datasets.append(
+                    SEALDataset(shard_task(task, shard), rng=self.dataset.rng_seed)
+                )
+                mask = np.zeros(task.num_links, dtype=bool)
+                mask[shard.owned_links] = True
+                self.owned_masks.append(mask)
+            return
+        partition = self.partition
+        if any(not s.graph.is_mmap for s in partition.shards):
+            self._tmp = tempfile.TemporaryDirectory(prefix="repro-partition-")
+            partition.save(self._tmp.name)
+            partition = GraphPartition.open(self._tmp.name, mmap=True)
+        self.buffer = ParameterBuffer.create(spec, config.num_shards)
+        methods = mp.get_all_start_methods()
+        ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
+        self.barrier = ctx.Barrier(config.num_shards + 1)
+        self.report_queue = ctx.Queue()
+        self.buffer.put_params(_named_arrays(self.model))
+        self.buffer.set_command(CMD_RUN)
+        shuffle_state = generator_state(shuffle_rng)
+        for rank, shard in enumerate(partition.shards):
+            w = ctx.Process(
+                target=_worker_main,
+                args=(
+                    rank,
+                    self.model,
+                    shard_task(task, shard),
+                    shard.owned_links,
+                    train_indices,
+                    config,
+                    start_epoch,
+                    shuffle_state,
+                    self.buffer.meta,
+                    self.barrier,
+                    self.report_queue,
+                    self.dataset.rng_seed,
+                ),
+                daemon=True,
+                name=f"repro-shard-{rank}",
+            )
+            w.start()
+            self.workers.append(w)
+
+    def batches(self) -> Iterable:
+        perm = self.shuffle_rng.permutation(self.train_indices)
+        size = self.config.batch_size
+        return (perm[start : start + size] for start in range(0, len(perm), size))
+
+    def __call__(self, gbatch: np.ndarray, watch: Stopwatch) -> float:
+        if self.workers:
+            t0 = time.perf_counter()
+            self.barrier.wait(self.config.barrier_timeout)  # A: grads ready
+            obs.observe("distributed.barrier_wait_seconds", time.perf_counter() - t0)
+        else:
+            for rank, dataset in enumerate(self.shard_datasets):
+                mine = gbatch[self.owned_masks[rank][gbatch]]
+                t0 = time.perf_counter()
+                grads, loss, count = _shard_step_grads(
+                    self.model, dataset, mine, len(gbatch), watch
+                )
+                self.grad_seconds[rank] += time.perf_counter() - t0
+                self.links[rank] += int(mine.size)
+                self.steps[rank] += 1
+                self.buffer.put_grads(rank, grads, loss, count)
+        with watch.segment("backward"):
+            loss_val = self.buffer.reduce_loss()
+            if np.isfinite(loss_val):
+                reduced = self.buffer.reduce_grads()
+                for name, p in self.named:
+                    p.grad = reduced[name]
+        return loss_val
+
+    def after_step(self, abort: bool) -> None:
+        obs.count("distributed.steps")
+        if self.workers:
+            self.buffer.put_params(_named_arrays(self.model))
+            self.buffer.set_command(CMD_ABORT if abort else CMD_RUN)
+            self.barrier.wait(self.config.barrier_timeout)  # B: params ready
+
+    def after_epoch(self, last: bool) -> None:
+        if self.workers:
+            self.buffer.set_command(CMD_STOP if last else CMD_RUN)
+            self.barrier.wait(self.config.barrier_timeout)  # E: epoch verdict
+
+    def close(self) -> None:
+        if self.barrier is not None:
+            try:
+                self.barrier.abort()
+            except Exception:
+                pass
+        # Drain before joining: a worker exits only once its report has
+        # been flushed into the queue. A worker that failed or saw the
+        # barrier break reports at most an error, so stop once all exited.
+        deadline = time.monotonic() + 30.0
+        while len(self.reports) < len(self.workers) and time.monotonic() < deadline:
+            exited = not any(w.is_alive() for w in self.workers)
+            try:
+                self.reports.append(self.report_queue.get(timeout=0.1))
+            except queue.Empty:
+                if exited:
+                    break
+        for w in self.workers:
+            w.join(timeout=10.0)
+        for w in self.workers:
+            if w.is_alive():  # pragma: no cover - stuck worker
+                w.terminate()
+                w.join(timeout=10.0)
+        if self.buffer is not None:
+            self.buffer.close()
+        if self._tmp is not None:
+            self._tmp.cleanup()
+
+    def record(self) -> None:
+        """Fold worker reports into the per-shard totals and emit them."""
+        for report in self.reports:
+            if "error" in report:
+                continue
+            rank = int(report["rank"])
+            self.grad_seconds[rank] += float(report["grad_seconds"])
+            self.links[rank] += int(report["links"])
+            self.steps[rank] += int(report["steps"])
+        if obs.enabled():
+            for rank in range(self.config.num_shards):
+                obs.count("distributed.shard.links", int(self.links[rank]))
+                if self.steps[rank]:
+                    obs.observe(
+                        "distributed.shard.step_seconds",
+                        float(self.grad_seconds[rank] / self.steps[rank]),
+                    )
+
+
 def train_data_parallel(
     model: Module,
     dataset: SEALDataset,
@@ -272,8 +452,8 @@ def train_data_parallel(
 ) -> TrainResult:
     """Train ``model`` data-parallel over ``config.num_shards`` shards.
 
-    Mirrors :func:`repro.seal.train`'s semantics (guards, callbacks,
-    eval cadence, early stopping, checkpointing) with the gradient work
+    Runs :func:`repro.seal.train`'s loop (guards, callbacks, eval
+    cadence, early stopping, checkpointing) with the gradient work
     sharded. See the module docstring for the bit-identity contract.
 
     ``config.compute_dtype`` behaves as in :func:`repro.seal.train`:
@@ -291,42 +471,6 @@ def train_data_parallel(
         temporary directory first so workers open their shard graphs
         zero-copy.
     """
-    policy = resolve_dtype(config.compute_dtype)
-    if policy != FLOAT64:
-        cast_module(model, policy)
-    with compute_dtype(policy):
-        return _train_data_parallel_impl(
-            model,
-            dataset,
-            train_indices,
-            config,
-            partition=partition,
-            eval_indices=eval_indices,
-            rng=rng,
-            callbacks=callbacks,
-            verbose=verbose,
-            checkpoint=checkpoint,
-        )
-
-
-def _train_data_parallel_impl(
-    model: Module,
-    dataset: SEALDataset,
-    train_indices: Sequence[int],
-    config: DistributedConfig,
-    *,
-    partition: Optional[GraphPartition],
-    eval_indices: Optional[Sequence[int]],
-    rng: RngLike,
-    callbacks: Optional[Iterable[TrainingLogger]],
-    verbose: Union[bool, None],
-    checkpoint: Optional[CheckpointConfig],
-) -> TrainResult:
-    """Data-parallel loop body; runs under the already-active policy."""
-    if config.epochs <= 0:
-        raise ValueError("epochs must be positive")
-    if config.max_nonfinite_steps < 1:
-        raise ValueError("max_nonfinite_steps must be >= 1")
     if config.num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     if config.processes not in (0, config.num_shards):
@@ -340,20 +484,7 @@ def _train_data_parallel_impl(
             "weighted cross-entropy normalizes by the batch's weight sum, "
             "which does not decompose exactly across shard groups"
         )
-    if config.restore_best and eval_indices is None:
-        raise ValueError("restore_best requires eval_indices")
-    if config.patience is not None and eval_indices is None:
-        raise ValueError("patience (early stopping) requires eval_indices")
-    if config.patience is not None and config.patience < 1:
-        raise ValueError("patience must be >= 1")
-    train_indices = np.asarray(train_indices, dtype=np.int64)
-    if train_indices.size == 0:
-        raise ValueError(
-            "train_indices is empty — an epoch over zero batches would "
-            "silently record a 0.0 loss"
-        )
     _check_model_supported(model, config)
-
     task = dataset.task
     if partition is None:
         part_seed = int(derive(rng, "partition").integers(0, 2**31 - 1))
@@ -373,323 +504,36 @@ def _train_data_parallel_impl(
             f"partition covers {partition.num_links} links, "
             f"task has {task.num_links}"
         )
-
-    use_mp = config.processes > 0
-    if use_mp and usable_cores() < 2:
+    if config.processes > 0 and usable_cores() < 2:
         logger.warning(
             "processes=%d requested on a host with %d usable core(s); "
             "workers will timeshare one core",
             config.processes, usable_cores(),
         )
 
-    optimizer = Adam(
-        model.named_parameters(), lr=config.lr, weight_decay=config.weight_decay
-    )
-    cbs = _resolve_callbacks(callbacks, verbose, None)
-    shuffle_rng = derive(rng, "shuffle")
-    gens = _training_generators(model, None, shuffle_rng)
-    result = TrainResult()
-    watch = Stopwatch()
-    best_state = None
-    start_epoch = 0
-    last_written = 0
-    snapshot: Optional[Checkpoint] = None
-
-    ck = _resume_from_checkpoint(checkpoint, model, optimizer, gens, config.epochs)
-    if ck is not None:
-        ck_shards = ck.train_config.get("num_shards")
-        if ck_shards is not None and int(ck_shards) != config.num_shards:
-            logger.warning(
-                "resuming a %s-shard checkpoint with num_shards=%d — losses "
-                "remain correct but the float sequence is partition-defined",
-                ck_shards, config.num_shards,
-            )
-        result = ck.result
-        result.resumed_from_epoch = ck.epoch
-        best_state = ck.best_state
-        start_epoch = ck.epoch
-        last_written = ck.epoch
-        snapshot = ck
-        # Restore reduced working copies from the lossless float64
-        # masters carried in the optimizer state (see seal.trainer).
-        optimizer.sync_master_params()
-
-    # Resuming a run that had already early-stopped: nothing left to do
-    # (checked before spawning workers so none sit at a barrier forever).
-    halted = (
-        config.patience is not None
-        and result.best_epoch is not None
-        and start_epoch - 1 - result.best_epoch >= config.patience
-    )
-
-    tmp: Optional[tempfile.TemporaryDirectory] = None
-    workers: List = []
-    barrier = None
-    report_queue = None
-    reports: List[dict] = []
-    spec = [(name, p.data.shape) for name, p in model.named_parameters()]
-    named = list(model.named_parameters())
-    params = model.parameters()
-    max_norm = config.grad_clip if config.grad_clip is not None else np.inf
-
-    if use_mp and not halted:
-        if any(not s.graph.is_mmap for s in partition.shards):
-            tmp = tempfile.TemporaryDirectory(prefix="repro-partition-")
-            partition.save(tmp.name)
-            partition = GraphPartition.open(tmp.name, mmap=True)
-        buffer = ParameterBuffer.create(spec, config.num_shards)
-    else:
-        buffer = ParameterBuffer.local(spec, config.num_shards)
-
-    shard_tasks = [shard_task(task, s) for s in partition.shards]
-    shard_grad_seconds = np.zeros(config.num_shards)
-    shard_links = np.zeros(config.num_shards, dtype=np.int64)
-    shard_steps = np.zeros(config.num_shards, dtype=np.int64)
-
-    model.train()
-    for cb in cbs:
-        cb.on_train_begin(config, result)
-
-    def write_snapshot(snap: Checkpoint) -> None:
-        nonlocal last_written
-        save_checkpoint(checkpoint_path(checkpoint.dir, snap.epoch), snap)
-        prune_checkpoints(checkpoint.dir, checkpoint.keep_last)
-        last_written = snap.epoch
-
-    def make_snapshot(epoch: int) -> Checkpoint:
-        snap = _snapshot(epoch, model, optimizer, gens, result, best_state, config)
-        snap.train_config["num_shards"] = config.num_shards
-        return snap
-
-    if use_mp and not halted:
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-        barrier = ctx.Barrier(config.num_shards + 1)
-        report_queue = ctx.Queue()
-        buffer.put_params(_named_arrays(model))
-        buffer.set_command(CMD_RUN)
-        shuffle_state = generator_state(shuffle_rng)
-        for rank in range(config.num_shards):
-            w = ctx.Process(
-                target=_worker_main,
-                args=(
-                    rank,
-                    model,
-                    shard_tasks[rank],
-                    partition.shards[rank].owned_links,
-                    train_indices,
-                    config,
-                    start_epoch,
-                    shuffle_state,
-                    buffer.meta,
-                    barrier,
-                    report_queue,
-                    dataset.rng_seed,
-                ),
-                daemon=True,
-                name=f"repro-shard-{rank}",
-            )
-            w.start()
-            workers.append(w)
-        shard_datasets: List[Optional[SEALDataset]] = []
-        owned_masks: List[np.ndarray] = []
-    else:
-        shard_datasets = [SEALDataset(t, rng=dataset.rng_seed) for t in shard_tasks]
-        owned_masks = []
-        for shard in partition.shards:
-            mask = np.zeros(task.num_links, dtype=bool)
-            mask[shard.owned_links] = True
-            owned_masks.append(mask)
-
-    bad_streak = 0
+    step = _ShardedStep(model, dataset, partition, config)
     try:
-        for epoch in range(start_epoch, config.epochs):
-            if halted:
-                break
-            perm = shuffle_rng.permutation(train_indices)
-            epoch_losses: list = []
-            epoch_start = watch.totals["epoch"]
-            abort_exc: Optional[NonFiniteLossError] = None
-            with watch.segment("epoch"):
-                for start in range(0, len(perm), config.batch_size):
-                    gbatch = perm[start : start + config.batch_size]
-                    if use_mp:
-                        t0 = time.perf_counter()
-                        barrier.wait(config.barrier_timeout)  # A: grads ready
-                        obs.observe(
-                            "distributed.barrier_wait_seconds",
-                            time.perf_counter() - t0,
-                        )
-                    else:
-                        for rank in range(config.num_shards):
-                            mine = gbatch[owned_masks[rank][gbatch]]
-                            t0 = time.perf_counter()
-                            # _shard_step_grads traces forward/backward itself.
-                            with watch.segment("forward"):
-                                grads, loss, count = _shard_step_grads(
-                                    model, shard_datasets[rank], mine, len(gbatch)
-                                )
-                            shard_grad_seconds[rank] += time.perf_counter() - t0
-                            shard_links[rank] += int(mine.size)
-                            shard_steps[rank] += 1
-                            buffer.put_grads(rank, grads, loss, count)
-                    with watch.segment("optimizer"), obs.trace("optimizer"):
-                        loss_val = buffer.reduce_loss()
-                        step_ok = bool(np.isfinite(loss_val))
-                        grad_norm = None
-                        if step_ok:
-                            reduced = buffer.reduce_grads()
-                            for name, p in named:
-                                p.grad = reduced[name]
-                            grad_norm = clip_grad_norm(params, max_norm)
-                            step_ok = bool(np.isfinite(grad_norm))
-                        if step_ok:
-                            optimizer.step()
-                            epoch_losses.append(loss_val)
-                            bad_streak = 0
-                        else:
-                            bad_streak += 1
-                            result.nonfinite_steps += 1
-                            obs.count("train.nonfinite_steps")
-                            logger.warning(
-                                "non-finite step skipped at epoch %d (loss=%s, "
-                                "grad_norm=%s; %d consecutive)",
-                                epoch + 1, loss_val, grad_norm, bad_streak,
-                            )
-                            if bad_streak >= config.max_nonfinite_steps:
-                                abort_exc = NonFiniteLossError(
-                                    f"{bad_streak} consecutive non-finite steps "
-                                    f"at epoch {epoch + 1} (last loss={loss_val}, "
-                                    f"grad_norm={grad_norm}); weights are intact "
-                                    "up to the last finite step — check lr "
-                                    f"({config.lr}) and input features"
-                                )
-                    obs.count("distributed.steps")
-                    if use_mp:
-                        buffer.put_params(_named_arrays(model))
-                        buffer.set_command(CMD_ABORT if abort_exc else CMD_RUN)
-                        barrier.wait(config.barrier_timeout)  # B: params ready
-                    if abort_exc is not None:
-                        raise abort_exc
-            result.losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
-            result.epoch_seconds.append(watch.totals["epoch"] - epoch_start)
-            result.epochs_run = epoch + 1
-
-            if eval_indices is not None:
-                with watch.segment("eval"):
-                    epoch_eval: EvalResult = evaluate(
-                        model,
-                        dataset,
-                        eval_indices,
-                        batch_size=config.eval_batch_size,
-                        num_workers=config.num_workers,
-                    )
-                result.eval_auc.append(epoch_eval.auc)
-                result.eval_ap.append(epoch_eval.ap)
-                if (
-                    result.best_epoch is None
-                    or epoch_eval.auc > result.eval_auc[result.best_epoch]
-                ):
-                    result.best_epoch = epoch
-                    if config.restore_best:
-                        best_state = model.state_dict()
-            _update_phase_seconds(result, watch)
-            if checkpoint is not None:
-                snapshot = make_snapshot(epoch + 1)
-                if (epoch + 1) % checkpoint.every == 0 or epoch + 1 == config.epochs:
-                    write_snapshot(snapshot)
-            for cb in cbs:
-                cb.on_epoch_end(epoch, result)
-            stop = bool(
-                config.patience is not None
-                and result.best_epoch is not None
-                and epoch - result.best_epoch >= config.patience
-            )
-            if use_mp:
-                last = stop or epoch + 1 == config.epochs
-                buffer.set_command(CMD_STOP if last else CMD_RUN)
-                barrier.wait(config.barrier_timeout)  # E: epoch verdict
-            if stop:
-                logger.info(
-                    "early stop at epoch %d (best was %d)",
-                    epoch + 1, result.best_epoch + 1,
-                )
-                break
-        if use_mp and not halted:
-            reports = _drain_reports(report_queue, config.num_shards)
-    except (KeyboardInterrupt, NonFiniteLossError):
-        if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
-            write_snapshot(snapshot)
-        raise
+        result = train_with_step(
+            model,
+            dataset,
+            train_indices,
+            config,
+            step,
+            eval_indices=eval_indices,
+            rng=rng,
+            callbacks=callbacks,
+            verbose=verbose,
+            checkpoint=checkpoint,
+        )
     except BrokenBarrierError:
-        # A worker died or a barrier timed out: persist what completed,
-        # surface whatever the workers managed to report.
-        if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
-            write_snapshot(snapshot)
-        reports = _drain_reports(report_queue, config.num_shards, timeout=2.0)
-        errors = [r["error"] for r in reports if "error" in r]
+        # A worker died or a barrier timed out: the loop has persisted
+        # what completed; surface whatever the workers managed to report.
+        errors = [r["error"] for r in step.reports if "error" in r]
         detail = f": {'; '.join(errors)}" if errors else ""
         raise RuntimeError(
             f"distributed training aborted — a shard worker failed or a "
             f"barrier timed out after {config.barrier_timeout}s{detail}"
         ) from None
-    finally:
-        if use_mp:
-            if barrier is not None:
-                try:
-                    barrier.abort()
-                except Exception:
-                    pass
-            for w in workers:
-                w.join(timeout=10.0)
-            for w in workers:
-                if w.is_alive():  # pragma: no cover - stuck worker
-                    w.terminate()
-                    w.join(timeout=10.0)
-        buffer.close()
-        if tmp is not None:
-            tmp.cleanup()
-
-    for report in reports:
-        if "error" in report:
-            continue
-        rank = int(report["rank"])
-        shard_grad_seconds[rank] += float(report["grad_seconds"])
-        shard_links[rank] += int(report["links"])
-        shard_steps[rank] += int(report["steps"])
-    if obs.enabled():
-        for rank in range(config.num_shards):
-            obs.count("distributed.shard.links", int(shard_links[rank]))
-            if shard_steps[rank]:
-                obs.observe(
-                    "distributed.shard.step_seconds",
-                    float(shard_grad_seconds[rank] / shard_steps[rank]),
-                )
-
-    if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
-        write_snapshot(snapshot)
-    for cb in cbs:
-        cb.on_train_end(result)
-    if config.restore_best and best_state is not None:
-        model.load_state_dict(best_state)
-        logger.info(
-            "restored best epoch %d (auc=%.4f)", result.best_epoch + 1, result.best_auc
-        )
+    step.record()
     return result
 
-
-def _drain_reports(queue, expected: int, *, timeout: float = 30.0) -> List[dict]:
-    """Collect up to ``expected`` worker reports, bounded by ``timeout``."""
-    if queue is None:
-        return []
-    reports: List[dict] = []
-    deadline = time.monotonic() + timeout
-    while len(reports) < expected:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        try:
-            reports.append(queue.get(timeout=remaining))
-        except Exception:
-            break
-    return reports

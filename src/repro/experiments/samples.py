@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import render_series
 from repro.experiments.runner import ExperimentRunner
@@ -76,7 +77,7 @@ def format_sample_sweep(
 
 def main() -> None:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(description="Regenerate paper Figs 7-9")
-    parser.add_argument("--dataset", required=True)
+    parser.add_argument("--dataset", required=True, choices=dataset_names())
     parser.add_argument("--scale", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(

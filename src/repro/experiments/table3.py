@@ -71,7 +71,7 @@ def main() -> None:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(description="Regenerate paper Table III")
     parser.add_argument("--scale", type=float, default=0.5, help="dataset size multiplier")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--datasets", nargs="*", default=None)
+    parser.add_argument("--datasets", nargs="*", default=None, choices=dataset_names())
     parser.add_argument("--setting", choices=["default", "tuned"], default="tuned")
     args = parser.parse_args()
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)

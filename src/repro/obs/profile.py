@@ -535,12 +535,16 @@ def run_profile(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.datasets import dataset_names
+
     parser = argparse.ArgumentParser(
         prog="repro profile",
         description="Profile a small end-to-end SEAL workload and emit a "
         "phase-time breakdown as JSON.",
     )
-    parser.add_argument("--dataset", default="primekg", help="dataset loader name")
+    parser.add_argument(
+        "--dataset", default="primekg", choices=dataset_names(), help="dataset loader name"
+    )
     parser.add_argument("--scale", type=float, default=0.2, help="node-count multiplier")
     parser.add_argument("--targets", type=int, default=80, help="number of labeled links")
     parser.add_argument("--epochs", type=int, default=2, help="training epochs")

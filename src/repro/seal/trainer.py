@@ -11,6 +11,16 @@ attaches the default console callback. The forward/backward/optimizer
 phases are timed into the returned :class:`TrainResult` and traced via
 :mod:`repro.obs` when enabled.
 
+One loop
+--------
+:func:`train_with_step` is the only training loop. A
+:class:`GradientStep` fills every parameter's ``.grad`` with one batch's
+gradient and returns the batch loss; the loop does everything else.
+:func:`train` runs the local step (forward and backward of each
+:class:`~repro.data.DataLoader` batch); the data-parallel trainer
+(:func:`repro.distributed.train_data_parallel`) runs a sharded one, so
+both share every guard, resume and checkpoint rule by construction.
+
 Fault tolerance
 ---------------
 Two mechanisms keep the long multi-run sweeps (epoch traces, tuning
@@ -18,12 +28,13 @@ loops) alive:
 
 * ``checkpoint=CheckpointConfig(dir, every, keep_last)`` writes a
   resumable :class:`~repro.seal.checkpoint.Checkpoint` bundle every N
-  completed epochs — and always on the final epoch, an early stop, a
-  ``KeyboardInterrupt`` or a non-finite abort. A rerun with the same
-  config finds the newest bundle and continues **bit-identically** to an
-  uninterrupted run: same losses, same eval AUC/AP trace, same final
-  weights (model, name-keyed optimizer moments and the shuffle RNG
-  stream are all restored exactly).
+  completed epochs — and always on the final epoch, an early stop, or
+  when an exception (``KeyboardInterrupt``, a non-finite abort, a failed
+  shard worker) ends the run. A rerun with the same config finds the
+  newest bundle and continues **bit-identically** to an uninterrupted
+  run: same losses, same eval AUC/AP trace, same final weights (model,
+  name-keyed optimizer moments and the shuffle RNG stream are all
+  restored exactly).
 * A non-finite guard inspects every batch's loss and gradient norm.
   A NaN/inf step is *skipped* (the optimizer's moments never see the
   poison), counted into ``TrainResult.nonfinite_steps`` and the
@@ -35,10 +46,9 @@ loops) alive:
 
 from __future__ import annotations
 
-import warnings
+import copy
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,7 +86,9 @@ __all__ = [
     "TrainHistory",
     "TrainResult",
     "NonFiniteLossError",
+    "GradientStep",
     "train",
+    "train_with_step",
 ]
 
 logger = get_logger("seal.trainer")
@@ -117,43 +129,91 @@ class TrainConfig:
     compute_dtype: str = "float64"
 
 
-class _EpochCallbackAdapter:
-    """Wraps the legacy ``epoch_callback(epoch, history)`` hook."""
+class GradientStep:
+    """The batch-gradient half of training; :func:`train_with_step` does the rest.
 
-    def __init__(self, fn: Callable[[int, TrainResult], None]) -> None:
-        self._fn = fn
+    The loop calls :meth:`start` once, after any resume and only when
+    epochs remain. Each epoch it iterates :meth:`batches` and calls the
+    step on every batch, then :meth:`after_step` once the optimizer has
+    stepped or the guard has skipped the step. It calls
+    :meth:`after_epoch` once the epoch's evaluation and checkpoint are
+    done, and :meth:`close` however the loop ends.
+    """
 
-    def on_train_begin(self, config: TrainConfig, result: TrainResult) -> None:
-        pass
+    #: entries every checkpoint records in ``train_config``; resuming a
+    #: checkpoint that recorded another value logs a warning
+    checkpoint_tags: Dict[str, object] = {}
 
-    def on_epoch_end(self, epoch: int, result: TrainResult) -> None:
-        self._fn(epoch, result)
+    def start(self, train_indices: np.ndarray, sampler, shuffle_rng, start_epoch: int) -> None:
+        """Prepare to train ``train_indices`` in ``shuffle_rng``'s order from ``start_epoch``."""
+        raise NotImplementedError
 
-    def on_train_end(self, result: TrainResult) -> None:
-        pass
+    def batches(self) -> Iterable:
+        """The next epoch's batches, in training order."""
+        raise NotImplementedError
+
+    def __call__(self, batch, watch: Stopwatch) -> float:
+        """Set every parameter's ``.grad`` to ``batch``'s gradient; return its loss.
+
+        Forward and backward time goes into ``watch``'s segments of those
+        names. After a non-finite loss, ``.grad`` may be left unset.
+        """
+        raise NotImplementedError
+
+    def after_step(self, abort: bool) -> None:
+        """The parameters are final for this step; ``abort`` ends the run."""
+
+    def after_epoch(self, last: bool) -> None:
+        """The epoch is complete; ``last`` when no epoch follows it."""
+
+    def close(self) -> None:
+        """Release what :meth:`start` acquired; runs however the loop ends."""
 
 
-def _resolve_callbacks(
-    callbacks: Optional[Iterable[TrainingLogger]],
-    verbose: Union[bool, None],
-    epoch_callback: Optional[Callable[[int, TrainResult], None]],
-) -> list:
-    resolved = list(callbacks) if callbacks is not None else []
-    if verbose is True:
-        resolved.append(ConsoleLogger(emit=print))
-    elif verbose is None:
-        # Default behavior: epoch lines through the repro logger (visible
-        # after utils.logging.set_verbosity("INFO"), silent otherwise).
-        resolved.append(ConsoleLogger())
-    if epoch_callback is not None:
-        warnings.warn(
-            "epoch_callback= is deprecated; pass callbacks=[...] implementing "
-            "the repro.obs.TrainingLogger protocol instead",
-            DeprecationWarning,
-            stacklevel=3,
+class _LocalStep(GradientStep):
+    """Forward and backward of the whole batch, fed by a :class:`DataLoader`."""
+
+    def __init__(self, model: Module, dataset: SEALDataset, config: TrainConfig) -> None:
+        self.model = model
+        self.dataset = dataset
+        self.config = config
+        self.loader: Optional[DataLoader] = None
+        self.loss = None
+
+    def start(self, train_indices, sampler, shuffle_rng, start_epoch) -> None:
+        self.loader = DataLoader(
+            self.dataset,
+            train_indices,
+            self.config.batch_size,
+            sampler=sampler,
+            shuffle=True,
+            rng=shuffle_rng,
+            num_workers=self.config.num_workers,
+            prefetch_factor=self.config.prefetch_factor,
         )
-        resolved.append(_EpochCallbackAdapter(epoch_callback))
-    return resolved
+
+    def batches(self) -> Iterable:
+        return self.loader
+
+    def __call__(self, batch, watch: Stopwatch) -> float:
+        graphs, labels = batch
+        with watch.segment("forward"), obs.trace("forward"):
+            self.model.zero_grad()
+            logits = self.model(graphs)
+            # Rebinding frees the previous step's tape only once this
+            # forward has built its own. Freed any earlier, its memory goes
+            # back to the OS and is faulted in again every step (~15% of
+            # the step time of the Table III PrimeKG cell).
+            self.loss = cross_entropy(logits, labels, weight=self.config.class_weights)
+        loss_val = float(self.loss.data)
+        if np.isfinite(loss_val):
+            with watch.segment("backward"), obs.trace("backward"):
+                self.loss.backward()
+        return loss_val
+
+    def close(self) -> None:
+        if self.loader is not None:
+            self.loader.close()
 
 
 def _training_generators(model: Module, sampler, shuffle_rng) -> Dict[str, object]:
@@ -175,82 +235,6 @@ def _training_generators(model: Module, sampler, shuffle_rng) -> Dict[str, objec
     return gens
 
 
-def _resume_from_checkpoint(
-    checkpoint: Optional[CheckpointConfig],
-    model: Module,
-    optimizer: Adam,
-    gens: Dict[str, object],
-    total_epochs: int,
-) -> Optional[Checkpoint]:
-    """Restore the newest bundle under ``checkpoint.dir``, if any.
-
-    Loads model weights, name-keyed optimizer state and every registered
-    RNG stream in place, then returns the loaded :class:`Checkpoint` so
-    the caller can pick up its result/best-state bookkeeping. Returns
-    ``None`` when resuming is off or no bundle exists. Shared by
-    :func:`train` and the data-parallel trainer
-    (:func:`repro.distributed.train_data_parallel`), which resume
-    through the same bundle format.
-    """
-    if checkpoint is None or not checkpoint.resume:
-        return None
-    latest = latest_checkpoint(checkpoint.dir)
-    if latest is None:
-        return None
-    ck = load_checkpoint(latest)
-    model.load_state_dict(ck.model_state)
-    optimizer.load_state_dict(ck.optimizer_state)
-    for key, state in ck.rng_states.items():
-        gen = gens.get(key)
-        if gen is not None:
-            restore_generator_state(gen, state)
-    obs.count("checkpoint.resumes")
-    if obs.enabled():
-        obs.get_registry().gauge("checkpoint.resumed_from_epoch", ck.epoch)
-    logger.info(
-        "resumed from %s: %d/%d epochs already complete",
-        latest.name, ck.epoch, total_epochs,
-    )
-    return ck
-
-
-def _snapshot(
-    epoch: int,
-    model: Module,
-    optimizer: Adam,
-    gens: Dict[str, object],
-    result: TrainResult,
-    best_state,
-    config: TrainConfig,
-) -> Checkpoint:
-    """Deep-copied resumable state at an epoch boundary."""
-    snap_result = TrainResult(
-        losses=list(result.losses),
-        eval_auc=list(result.eval_auc),
-        eval_ap=list(result.eval_ap),
-        epoch_seconds=list(result.epoch_seconds),
-        best_epoch=result.best_epoch,
-        phase_seconds=dict(result.phase_seconds),
-        epochs_run=result.epochs_run,
-        nonfinite_steps=result.nonfinite_steps,
-    )
-    return Checkpoint(
-        epoch=epoch,
-        model_state=model.state_dict(),
-        optimizer_state=optimizer.state_dict(),
-        rng_states={k: generator_state(g) for k, g in gens.items()},
-        result=snap_result,
-        best_state=best_state if config.restore_best else None,
-        train_config={
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "lr": config.lr,
-            "weight_decay": config.weight_decay,
-            "compute_dtype": config.compute_dtype,
-        },
-    )
-
-
 def train(
     model: Module,
     dataset: SEALDataset,
@@ -262,7 +246,6 @@ def train(
     sampler: Optional[Sampler] = None,
     callbacks: Optional[Iterable[TrainingLogger]] = None,
     verbose: Union[bool, None] = None,
-    epoch_callback: Optional[Callable[[int, TrainResult], None]] = None,
     checkpoint: Optional[CheckpointConfig] = None,
 ) -> TrainResult:
     """Train ``model`` in place; returns the :class:`TrainResult`.
@@ -288,8 +271,6 @@ def train(
         routed through the ``repro.seal.trainer`` logger; ``True`` routes
         it to stdout via ``print``; ``False`` attaches no console
         callback at all.
-    epoch_callback: deprecated — legacy ``callback(epoch, result)`` hook,
-        adapted onto the callback list with a :class:`DeprecationWarning`.
     checkpoint: crash-safety policy. When set, resumable bundles are
         written into ``checkpoint.dir`` every ``checkpoint.every``
         epochs (and on interrupt/abort), and — unless
@@ -304,40 +285,66 @@ def train(
     one policy restores losslessly under another). ``"float64"`` (the
     default) is bit-identical to the pre-policy trainer.
     """
-    policy = resolve_dtype(config.compute_dtype)
-    if policy != FLOAT64:
-        cast_module(model, policy)
-    with compute_dtype(policy):
-        return _train_impl(
-            model,
-            dataset,
-            train_indices,
-            config,
-            eval_indices=eval_indices,
-            rng=rng,
-            sampler=sampler,
-            callbacks=callbacks,
-            verbose=verbose,
-            epoch_callback=epoch_callback,
-            checkpoint=checkpoint,
-        )
+    return train_with_step(
+        model,
+        dataset,
+        train_indices,
+        config,
+        _LocalStep(model, dataset, config),
+        eval_indices=eval_indices,
+        rng=rng,
+        sampler=sampler,
+        callbacks=callbacks,
+        verbose=verbose,
+        checkpoint=checkpoint,
+    )
 
 
-def _train_impl(
+def train_with_step(
     model: Module,
     dataset: SEALDataset,
     train_indices: Sequence[int],
     config: TrainConfig,
+    step: GradientStep,
     *,
+    eval_indices: Optional[Sequence[int]] = None,
+    rng: RngLike = 0,
+    sampler: Optional[Sampler] = None,
+    callbacks: Optional[Iterable[TrainingLogger]] = None,
+    verbose: Union[bool, None] = None,
+    checkpoint: Optional[CheckpointConfig] = None,
+) -> TrainResult:
+    """The training loop around ``step``; arguments as in :func:`train`.
+
+    Owns everything but the batch gradient: validation, the dtype
+    policy, Adam, callbacks, RNG registration, resume, the non-finite
+    guard with clipping and the optimizer step, evaluation, early
+    stopping, checkpoints and ``restore_best``.
+    """
+    policy = resolve_dtype(config.compute_dtype)
+    if policy != FLOAT64:
+        cast_module(model, policy)
+    with compute_dtype(policy):
+        return _train_loop(
+            model, dataset, train_indices, config, step,
+            eval_indices, rng, sampler, callbacks, verbose, checkpoint,
+        )
+
+
+def _train_loop(
+    model: Module,
+    dataset: SEALDataset,
+    train_indices: Sequence[int],
+    config: TrainConfig,
+    step: GradientStep,
     eval_indices: Optional[Sequence[int]],
     rng: RngLike,
     sampler: Optional[Sampler],
     callbacks: Optional[Iterable[TrainingLogger]],
     verbose: Union[bool, None],
-    epoch_callback: Optional[Callable[[int, TrainResult], None]],
     checkpoint: Optional[CheckpointConfig],
 ) -> TrainResult:
-    """Training loop body; runs under the already-active dtype policy."""
+    """Loop body of :func:`train_with_step`; runs under the active dtype policy."""
     if config.epochs <= 0:
         raise ValueError("epochs must be positive")
     if config.max_nonfinite_steps < 1:
@@ -357,7 +364,13 @@ def _train_impl(
         raise ValueError("patience (early stopping) requires eval_indices")
     if config.patience is not None and config.patience < 1:
         raise ValueError("patience must be >= 1")
-    cbs = _resolve_callbacks(callbacks, verbose, epoch_callback)
+    cbs = list(callbacks) if callbacks is not None else []
+    if verbose is True:
+        cbs.append(ConsoleLogger(emit=print))
+    elif verbose is None:
+        # Default behavior: epoch lines through the repro logger (visible
+        # after utils.logging.set_verbosity("INFO"), silent otherwise).
+        cbs.append(ConsoleLogger())
     shuffle_rng = derive(rng, "shuffle")
     gens = _training_generators(model, sampler, shuffle_rng)
     result = TrainResult()
@@ -367,33 +380,51 @@ def _train_impl(
     last_written = 0
     snapshot: Optional[Checkpoint] = None
 
-    ck = _resume_from_checkpoint(checkpoint, model, optimizer, gens, config.epochs)
-    if ck is not None:
-        result = ck.result
-        result.resumed_from_epoch = ck.epoch
-        best_state = ck.best_state
-        start_epoch = ck.epoch
-        last_written = ck.epoch
-        snapshot = ck
+    latest = None
+    if checkpoint is not None and checkpoint.resume:
+        latest = latest_checkpoint(checkpoint.dir)
+    if latest is not None:
+        ck = load_checkpoint(latest)
+        model.load_state_dict(ck.model_state)
+        optimizer.load_state_dict(ck.optimizer_state)
+        for key, state in ck.rng_states.items():
+            if key in gens:
+                restore_generator_state(gens[key], state)
         # A bundle saved under a reduced policy stores reduced working
         # copies in model_state but lossless float64 masters in the
         # optimizer state — restore parameters from the masters so a
         # policy change between save and resume loses nothing.
         optimizer.sync_master_params()
+        obs.count("checkpoint.resumes")
+        if obs.enabled():
+            obs.get_registry().gauge("checkpoint.resumed_from_epoch", ck.epoch)
+        logger.info(
+            "resumed from %s: %d/%d epochs already complete",
+            latest.name, ck.epoch, config.epochs,
+        )
+        for key, value in step.checkpoint_tags.items():
+            if ck.train_config.get(key, value) != value:
+                logger.warning(
+                    "resuming a checkpoint taken with %s=%s under %s=%s — losses "
+                    "remain correct but the float sequence differs from an "
+                    "uninterrupted run",
+                    key, ck.train_config[key], key, value,
+                )
+        result = ck.result
+        result.resumed_from_epoch = ck.epoch
+        best_state = ck.best_state
+        start_epoch = last_written = ck.epoch
+        snapshot = ck
+
+    epochs = range(start_epoch, config.epochs)
+    if (
+        config.patience is not None
+        and result.best_epoch is not None
+        and start_epoch - 1 - result.best_epoch >= config.patience
+    ):
+        epochs = range(0)  # resumed a run that had already stopped early
 
     model.train()
-
-    loader = DataLoader(
-        dataset,
-        train_indices,
-        config.batch_size,
-        sampler=sampler,
-        shuffle=True,
-        rng=shuffle_rng,
-        num_workers=config.num_workers,
-        prefetch_factor=config.prefetch_factor,
-    )
-
     for cb in cbs:
         cb.on_train_begin(config, result)
 
@@ -407,29 +438,18 @@ def _train_impl(
     params = model.parameters()
     max_norm = config.grad_clip if config.grad_clip is not None else np.inf
     try:
-        for epoch in range(start_epoch, config.epochs):
-            # Resuming mid-run after an early stop: don't train further.
-            if (
-                config.patience is not None
-                and result.best_epoch is not None
-                and epoch - 1 - result.best_epoch >= config.patience
-            ):
-                break
+        if epochs:
+            step.start(train_indices, sampler, shuffle_rng, start_epoch)
+        for epoch in epochs:
             epoch_losses: list = []
             epoch_start = watch.totals["epoch"]
             with watch.segment("epoch"):
-                for batch, labels in loader:
-                    with watch.segment("forward"), obs.trace("forward"):
-                        optimizer.zero_grad()
-                        logits = model(batch)
-                        loss = cross_entropy(logits, labels, weight=config.class_weights)
-                    loss_val = float(loss.data)
-                    step_ok = bool(np.isfinite(loss_val))
-                    grad_norm = None
-                    if step_ok:
-                        with watch.segment("backward"), obs.trace("backward"):
-                            loss.backward()
+                for batch in step.batches():
+                    loss_val = step(batch, watch)
+                    abort: Optional[NonFiniteLossError] = None
                     with watch.segment("optimizer"), obs.trace("optimizer"):
+                        step_ok = bool(np.isfinite(loss_val))
+                        grad_norm = None
                         if step_ok:
                             grad_norm = clip_grad_norm(params, max_norm)
                             step_ok = bool(np.isfinite(grad_norm))
@@ -447,13 +467,16 @@ def _train_impl(
                                 epoch + 1, loss_val, grad_norm, bad_streak,
                             )
                             if bad_streak >= config.max_nonfinite_steps:
-                                raise NonFiniteLossError(
+                                abort = NonFiniteLossError(
                                     f"{bad_streak} consecutive non-finite steps "
                                     f"at epoch {epoch + 1} (last loss={loss_val}, "
                                     f"grad_norm={grad_norm}); weights are intact "
                                     "up to the last finite step — check lr "
                                     f"({config.lr}) and input features"
                                 )
+                    step.after_step(abort is not None)
+                    if abort is not None:
+                        raise abort
             result.losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)
             result.epoch_seconds.append(watch.totals["epoch"] - epoch_start)
             result.epochs_run = epoch + 1
@@ -473,36 +496,58 @@ def _train_impl(
                     result.best_epoch = epoch
                     if config.restore_best:
                         best_state = model.state_dict()
-            _update_phase_seconds(result, watch)
+            # ``data`` is the epoch time outside the three compute phases:
+            # extraction, collation and queue waits. After a resume the
+            # breakdown covers the resumed process's share of the run only.
+            totals = watch.totals
+            compute = totals["forward"] + totals["backward"] + totals["optimizer"]
+            result.phase_seconds = {
+                "forward": totals["forward"],
+                "backward": totals["backward"],
+                "optimizer": totals["optimizer"],
+                "data": max(totals["epoch"] - compute, 0.0),
+                "eval": totals["eval"],
+                "total": totals["epoch"] + totals["eval"],
+            }
             if checkpoint is not None:
-                snapshot = _snapshot(
-                    epoch + 1, model, optimizer, gens, result, best_state, config
+                snapshot = Checkpoint(
+                    epoch=epoch + 1,
+                    model_state=model.state_dict(),
+                    optimizer_state=optimizer.state_dict(),
+                    rng_states={k: generator_state(g) for k, g in gens.items()},
+                    result=copy.deepcopy(result),
+                    best_state=best_state if config.restore_best else None,
+                    train_config={
+                        "epochs": config.epochs,
+                        "batch_size": config.batch_size,
+                        "lr": config.lr,
+                        "weight_decay": config.weight_decay,
+                        "compute_dtype": config.compute_dtype,
+                        **step.checkpoint_tags,
+                    },
                 )
                 if (epoch + 1) % checkpoint.every == 0 or epoch + 1 == config.epochs:
                     write_snapshot(snapshot)
             for cb in cbs:
                 cb.on_epoch_end(epoch, result)
-            if (
+            stop = (
                 config.patience is not None
                 and result.best_epoch is not None
                 and epoch - result.best_epoch >= config.patience
-            ):
+            )
+            step.after_epoch(stop or epoch + 1 == config.epochs)
+            if stop:
                 logger.info(
                     "early stop at epoch %d (best was %d)", epoch + 1, result.best_epoch + 1
                 )
                 break
-    except (KeyboardInterrupt, NonFiniteLossError):
-        # Crash-safety: persist the last completed epoch before unwinding
-        # so a rerun resumes instead of starting over.
+    finally:
+        step.close()
+        # Persist the last completed epoch however the loop ended — an
+        # early stop between cadence writes or an exception — so a rerun
+        # resumes instead of starting over.
         if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
             write_snapshot(snapshot)
-        raise
-    finally:
-        loader.close()
-    # The loop may have ended via an early-stop break between cadence
-    # writes; persist the final state so resume sees the whole run.
-    if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
-        write_snapshot(snapshot)
     for cb in cbs:
         cb.on_train_end(result)
     if config.restore_best and best_state is not None:
@@ -510,26 +555,3 @@ def _train_impl(
         logger.info("restored best epoch %d (auc=%.4f)", result.best_epoch + 1, result.best_auc)
     return result
 
-
-def _update_phase_seconds(result: TrainResult, watch: Stopwatch) -> None:
-    """Refresh the wall-time breakdown from the stopwatch totals.
-
-    ``data`` is everything inside the epoch loop that is not the three
-    compute phases — i.e. subgraph extraction + collation (and, with
-    ``num_workers > 0``, queue waits) served by the
-    :class:`~repro.data.DataLoader`. After a resume the breakdown covers
-    the resumed process's share of the run only.
-    """
-    forward = watch.totals["forward"]
-    backward = watch.totals["backward"]
-    optim = watch.totals["optimizer"]
-    epoch_total = watch.totals["epoch"]
-    eval_total = watch.totals["eval"]
-    result.phase_seconds = {
-        "forward": forward,
-        "backward": backward,
-        "optimizer": optim,
-        "data": max(epoch_total - forward - backward - optim, 0.0),
-        "eval": eval_total,
-        "total": epoch_total + eval_total,
-    }

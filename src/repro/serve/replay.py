@@ -213,13 +213,17 @@ def run_replay(
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.datasets import dataset_names
+
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Replay a scripted concurrent workload through the "
         "micro-batching scoring server and report latency/throughput "
         "against a single-shot baseline.",
     )
-    parser.add_argument("--dataset", default="primekg", help="dataset loader name")
+    parser.add_argument(
+        "--dataset", default="primekg", choices=dataset_names(), help="dataset loader name"
+    )
     parser.add_argument("--scale", type=float, default=0.12, help="node-count multiplier")
     parser.add_argument("--targets", type=int, default=60, help="number of labeled links")
     parser.add_argument("--epochs", type=int, default=1, help="training epochs (no --bundle)")

@@ -30,11 +30,15 @@ __all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.datasets import dataset_names
+
     p = argparse.ArgumentParser(
         prog="repro-stream",
         description="prequential streaming evaluation over a bundled dataset",
     )
-    p.add_argument("--dataset", default="primekg", help="bundled dataset name")
+    p.add_argument(
+        "--dataset", default="primekg", choices=dataset_names(), help="bundled dataset name"
+    )
     p.add_argument("--scale", type=float, default=0.15, help="graph size factor")
     p.add_argument(
         "--targets", type=int, default=60, help="labeled links for pre-training"

@@ -7,6 +7,8 @@ are skipped with a reason on single-core hosts
 timeshared).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,55 @@ class TestMultiProcess:
                 rng=5,
                 verbose=False,
             )
+
+
+class TestPhaseSeconds:
+    def test_in_process_times_forward_and_backward(self, task, split, dataset):
+        tr, _ = split
+        ref = train(
+            make_model(task), SEALDataset(task, rng=0), tr,
+            TrainConfig(epochs=1, batch_size=16, lr=3e-3), rng=5, verbose=False,
+        )
+        got = train_data_parallel(
+            make_model(task), dataset, tr,
+            dconfig(num_shards=1, processes=0, epochs=1), rng=5, verbose=False,
+        )
+        assert got.phase_seconds["forward"] > 0
+        assert got.phase_seconds["backward"] > 0
+        assert set(got.phase_seconds) == set(ref.phase_seconds)
+
+
+@pytest.mark.parametrize(
+    "trainer, config",
+    [
+        pytest.param(
+            train,
+            TrainConfig(epochs=5, batch_size=16, lr=1e-12, patience=1),
+            id="seal_train",
+        ),
+        pytest.param(
+            train_data_parallel,
+            dconfig(num_shards=2, processes=2, epochs=5, lr=1e-12, patience=1),
+            id="processes2",
+            marks=[pytest.mark.distributed, needs_multicore],
+        ),
+    ],
+)
+def test_resume_after_early_stop_trains_no_further(trainer, config, task, split, tmp_path):
+    """A learning rate too small to move the eval AUC makes ``patience=1``
+    stop the run early; rerunning it with more epochs must not resume it."""
+    tr, ev = split
+
+    def run(cfg):
+        return trainer(
+            make_model(task), SEALDataset(task, rng=0), tr, cfg,
+            eval_indices=ev, rng=5, verbose=False,
+            checkpoint=CheckpointConfig(dir=tmp_path, every=1),
+        )
+
+    first = run(config)
+    assert first.epochs_run < config.epochs
+    again = run(dataclasses.replace(config, epochs=8))
+    assert again.resumed_from_epoch == first.epochs_run
+    assert again.epochs_run == first.epochs_run
+    assert again.losses == first.losses

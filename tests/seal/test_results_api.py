@@ -143,17 +143,6 @@ class TestTrainResultApi:
         )
         assert capsys.readouterr().out == ""
 
-    def test_epoch_callback_deprecated_but_works(self, setup):
-        task, ds, tr, te = setup
-        calls = []
-        with pytest.warns(DeprecationWarning):
-            train(
-                small_model(ds, task), ds, tr,
-                TrainConfig(epochs=2, batch_size=8, lr=1e-3),
-                rng=0, epoch_callback=lambda e, h: calls.append(e),
-            )
-        assert calls == [0, 1]
-
 
 class TestCVResultApi:
     @pytest.fixture(scope="class")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets.primekg import load_primekg_like
 from repro.models import AMDGCNN
+from repro.obs.callbacks import TrainingCallback
 from repro.seal.dataset import SEALDataset, train_test_split_indices
 from repro.seal.evaluator import evaluate, predict_proba
 from repro.seal.trainer import TrainConfig, train
@@ -57,10 +58,15 @@ class TestTrain:
     def test_callback_invoked(self, small_setup):
         task, ds, tr, te = small_setup
         calls = []
+
+        class Recorder(TrainingCallback):
+            def on_epoch_end(self, epoch, result):
+                calls.append(epoch)
+
         model = small_model(ds, task)
         train(
             model, ds, tr, TrainConfig(epochs=2, batch_size=8, lr=1e-3),
-            rng=0, epoch_callback=lambda e, h: calls.append(e),
+            rng=0, callbacks=[Recorder()],
         )
         assert calls == [0, 1]
 

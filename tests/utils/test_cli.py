@@ -27,3 +27,22 @@ class TestCli:
         out = capsys.readouterr().out
         for name in ("PrimeKG", "OGBL-BioKG", "WordNet-18", "Cora"):
             assert name in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--dataset", "nope"],
+            ["stream", "--dataset", "nope"],
+            ["serve", "--dataset", "nope"],
+            ["epochs", "--dataset", "nope"],
+            ["samples", "--dataset", "nope"],
+            ["table3", "--datasets", "nope"],
+        ],
+    )
+    def test_unknown_dataset_is_a_usage_error(self, argv, capsys, monkeypatch):
+        # Some commands hand their arguments on through sys.argv.
+        monkeypatch.setattr("sys.argv", ["repro"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
