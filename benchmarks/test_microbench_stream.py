@@ -11,10 +11,10 @@ counterpart:
   matrices are asserted bit-identical first (the correctness contract),
   then both paths are timed. Acceptance: >= 3x.
 * ``snapshot_apply`` — driving a window of events into an epoch-versioned
-  CSR snapshot: ``StreamingGraph.apply`` + ``snapshot`` (append +
-  tombstone, CSR assembled from the incrementally maintained sorted
-  index) vs rebuilding the graph and its CSR from the full edge list
-  every window. Acceptance: the incremental path never loses (>= 1x).
+  CSR snapshot: ``StreamingGraph.apply`` + ``snapshot`` (one splice
+  per storage and CSR array, snapshot wraps the arrays without a copy)
+  vs rebuilding the graph and its CSR from the full edge list every
+  window. Acceptance: the incremental path never loses (>= 1x).
 
 Appends every run to ``results/BENCH_stream.json`` — the record
 ``scripts/check_bench.py --suite stream`` gates on.
@@ -174,7 +174,7 @@ def bench_snapshot_apply(records: List[Dict]) -> None:
     windows = list(events.windows(window))
 
     def incremental() -> int:
-        sg = StreamingGraph(graph, compact_every=4)
+        sg = StreamingGraph(graph)
         for batch in windows:
             sg.apply(batch)
             sg.snapshot().graph.csr()

@@ -28,9 +28,9 @@ through the per-link fallback, and the subgraph-store warm-hit rate;
 few coalesced requests through :mod:`repro.serve`) — request/pair
 counts, p50/p99 scoring latency, micro-batch occupancy, queue peak
 depth and score-cache hit rate; ``stream`` reports the temporal-KG leg
-(:mod:`repro.stream`) — events applied, snapshots/compactions, live
-edges vs tombstones, delta-aware invalidation counts (retired vs
-surviving vs rewarmed pairs) and the drift-metric summary;
+(:mod:`repro.stream`) — events applied, snapshots, live edges,
+delta-aware invalidation counts (retired vs surviving vs rewarmed
+pairs) and the drift-metric summary;
 ``checkpoint`` reports the crash-safety
 leg when ``--checkpoint-dir`` is set — bundle writes, bytes, write-time
 stats and (with ``--resume``) the epoch the run resumed from; ``store``
@@ -399,7 +399,6 @@ def run_profile(
             ),
         },
         "snapshots": counters.get("stream.snapshots", 0.0),
-        "compactions": counters.get("stream.compactions", 0.0),
         "graph": stream_graph.stats(),
         "invalidation": {
             "full_clears": counters.get("serve.cache.invalidations", 0.0),

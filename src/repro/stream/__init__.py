@@ -8,12 +8,13 @@ it without giving that assumption up *per snapshot*:
   generator (timestamped add-edge / invalidate-edge events carrying
   edge types, edge attributes and link labels).
 - :mod:`repro.stream.snapshot` — :class:`StreamingGraph`, an
-  incremental graph layer that applies events by append + tombstone and
-  emits **epoch-versioned CSR snapshots**: each snapshot is an ordinary
-  frozen :class:`repro.graph.Graph` (mmap-saveable through the
-  ``repro.store`` format) built without re-sorting the arc table, plus
-  a :class:`GraphDelta` naming exactly what changed since the previous
-  snapshot.
+  incremental graph layer whose state is the live snapshot's arrays
+  (storage plus CSR), rebuilt by one vectorized splice per array per
+  event window. It emits **epoch-versioned CSR snapshots** in O(1):
+  each is an ordinary frozen :class:`repro.graph.Graph` wrapping the
+  read-only state arrays (mmap-saveable through the ``repro.store``
+  format), plus a :class:`GraphDelta` naming exactly what changed since
+  the previous snapshot.
 - :mod:`repro.stream.prequential` — sliding-window training with
   prequential (test-then-train) evaluation driving the existing seal
   trainer/evaluator; a zero-mutation stream reproduces the offline

@@ -6,7 +6,7 @@ event stream and drives the model prequentially (test-then-train) over
 it with :func:`repro.stream.run_prequential`. Prints a JSON report:
 per-window accuracy, the offline-style aggregate metrics over every
 streamed link, drift signals, and the streaming-graph statistics
-(snapshots, live edges, tombstones, compactions).
+(snapshot version, live edges).
 
 Example::
 
@@ -71,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument(
-        "--compact-every", type=int, default=8, help="snapshots between compactions"
-    )
-    p.add_argument(
         "--snapshot-dir",
         default=None,
         help="persist every snapshot (mmap-openable) under this directory",
@@ -128,11 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         num_classes=task.num_classes,
         class_drift=args.class_drift,
     )
-    stream = StreamingGraph(
-        task.graph,
-        compact_every=args.compact_every,
-        snapshot_dir=args.snapshot_dir,
-    )
+    stream = StreamingGraph(task.graph, snapshot_dir=args.snapshot_dir)
     config = StreamConfig(
         window_size=args.window,
         eval_batch_size=args.eval_batch_size,

@@ -90,7 +90,7 @@ class TestOfflineEquivalence:
 class TestOnline:
     def test_mutating_run_trains_and_tracks_drift(self, task, model_seed):
         model = AMDGCNN(rng=5, **model_seed)
-        stream = StreamingGraph(task.graph, compact_every=2)
+        stream = StreamingGraph(task.graph)
         events = generate_events(
             task.graph,
             40,

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert_edges
 from repro.graph.structure import Graph
 from repro.stream import (
+    ADD_EDGE,
+    INVALIDATE_EDGE,
+    EventBatch,
     GraphDelta,
     StreamingGraph,
     events_from_links,
@@ -180,35 +185,203 @@ class TestApply:
             sg.apply(wrong)
 
 
-class TestCompaction:
-    def test_tombstones_compacted_on_schedule(self):
+class TestPhysicalRemoval:
+    def test_removals_are_physical_immediately(self):
         g = make_graph()
-        sg = StreamingGraph(g, compact_every=2)
+        sg = StreamingGraph(g)
         src, dst = g.edge_index
         kill = events_from_links(
             np.stack([src[:8:2], dst[:8:2]], axis=1),
             np.zeros(4, np.int64),
-            kind=1,
+            kind=INVALIDATE_EDGE,
             edge_attr=np.eye(4)[np.zeros(4, np.int64)],
         )
         sg.apply(kill.slice(0, 2))
         s1 = sg.snapshot()
-        assert sg.tombstones == 4  # 2 undirected edges = 4 arcs
+        assert s1.graph.num_edges == g.num_edges - 4  # 2 undirected edges = 4 arcs
+        assert sg.tombstones == 0 and sg.stats()["tombstone_arcs"] == 0
         sg.apply(kill.slice(2, 4))
-        s2 = sg.snapshot()  # version 2 -> compaction fires
-        assert sg.tombstones == 0
+        s2 = sg.snapshot()
         assert s2.graph.num_edges == g.num_edges - 8
-        assert s1.graph.num_edges == g.num_edges - 4
-
-    def test_eager_compaction_when_mostly_dead(self):
-        g = Graph.from_undirected(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
-        sg = StreamingGraph(g, compact_every=100)
-        kill = events_from_links(
-            np.array([[0, 1], [1, 2], [2, 3]]), np.zeros(3, np.int64), kind=1
-        )
-        sg.apply(kill)
-        sg.snapshot()  # 6 of 8 arcs dead >= quarter -> eager compact
         assert sg.tombstones == 0
+        assert s1.graph.num_edges == g.num_edges - 4  # the held snapshot kept its arcs
+
+    def test_one_way_arc_invalidation_changes_nothing(self):
+        """An invalidation removes both arc directions or neither: with
+        ``u->v`` live but no ``v->u``, the event is unmatched and the arc
+        stays — in this snapshot and after a later valid removal."""
+        import repro.obs as obs
+
+        g = Graph(3, [[0, 1, 2], [1, 2, 1]])
+        sg = StreamingGraph(g)
+        with obs.capture() as reg:
+            sg.apply(events_from_links(np.array([[0, 1]]), np.array([0]), kind=INVALIDATE_EDGE))
+        s1 = sg.snapshot()
+        assert reg.counters["stream.events.unmatched_invalidate"] == 1.0
+        assert s1.delta.is_empty
+        np.testing.assert_array_equal(s1.graph.edge_index, g.edge_index)
+        sg.apply(events_from_links(np.array([[1, 2]]), np.array([0]), kind=INVALIDATE_EDGE))
+        s2 = sg.snapshot()
+        np.testing.assert_array_equal(s2.delta.removed, [[1, 2]])
+        np.testing.assert_array_equal(s2.graph.edge_index, [[0], [1]])
+        np.testing.assert_array_equal(s2.graph.neighbors(0), [1])
+
+
+class Oracle:
+    """Reference replay: a Python list of arcs in insertion order.
+
+    Adds append both arc directions; an invalidation of ``(u, v)`` kills
+    the first live ``u->v`` and the first other live ``v->u`` arc, or
+    nothing when either is missing. :meth:`graph` builds a fresh
+    ``Graph`` whose CSR comes from ``GraphStorage.csr()``'s argsort.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        src, dst = base.edge_index
+        self.arcs = [
+            (int(s), int(d), int(t), tuple(a))
+            for s, d, t, a in zip(src, dst, base.edge_type, base.edge_attr)
+        ]
+
+    def apply(self, batch):
+        added, removed = [], []
+        rows = zip(batch.kinds, batch.pairs.tolist(), batch.edge_type, batch.edge_attr)
+        for kind, (u, v), t, a in rows:
+            if kind == ADD_EDGE:
+                self.arcs += [(u, v, int(t), tuple(a)), (v, u, int(t), tuple(a))]
+                added.append((u, v))
+        for kind, (u, v) in zip(batch.kinds, batch.pairs.tolist()):
+            if kind != INVALIDATE_EDGE:
+                continue
+            fwd = next((i for i, arc in enumerate(self.arcs) if arc[:2] == (u, v)), None)
+            bwd = next(
+                (i for i, arc in enumerate(self.arcs) if arc[:2] == (v, u) and i != fwd), None
+            )
+            if fwd is not None and bwd is not None:
+                for i in sorted((fwd, bwd), reverse=True):
+                    del self.arcs[i]
+                removed.append((u, v))
+        return added, removed
+
+    def graph(self):
+        width = self.base.edge_attr.shape[1]
+        return Graph(
+            self.base.num_nodes,
+            np.array([arc[:2] for arc in self.arcs], dtype=np.int64).reshape(-1, 2).T,
+            node_type=self.base.node_type,
+            edge_type=[arc[2] for arc in self.arcs],
+            edge_attr=np.array([arc[3] for arc in self.arcs]).reshape(-1, width),
+        )
+
+
+def snapshot_arrays(graph):
+    return [graph.edge_index, graph.edge_type, graph.edge_attr, graph.node_type, *graph.csr()]
+
+
+def assert_bytes_equal(got, want):
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def as_batch(events):
+    """``[(kind, u, v, type), ...]`` -> an ``EventBatch`` with one-hot attrs."""
+    kinds, pairs, types = (
+        np.array([e[0] for e in events], dtype=np.int8),
+        np.array([e[1:3] for e in events], dtype=np.int64).reshape(-1, 2),
+        np.array([e[3] for e in events], dtype=np.int64),
+    )
+    return EventBatch(
+        times=np.arange(len(events), dtype=np.float64),
+        kinds=kinds,
+        pairs=pairs,
+        edge_type=types,
+        labels=types,
+        edge_attr=np.eye(3)[types],
+    )
+
+
+def replay_against_oracle(base, windows):
+    """Every snapshot is byte-identical to the oracle's graph, held
+    snapshots never change, and their arrays refuse writes."""
+    sg, oracle = StreamingGraph(base), Oracle(base)
+    held = []
+    for window in windows:
+        batch = as_batch(window)
+        sg.apply(batch)
+        snap = sg.snapshot()
+        added, removed = oracle.apply(batch)
+        want = snapshot_arrays(oracle.graph())
+        assert_bytes_equal(snapshot_arrays(snap.graph), want)
+        if window:
+            np.testing.assert_array_equal(snap.delta.added, np.reshape(added, (-1, 2)))
+            np.testing.assert_array_equal(snap.delta.removed, np.reshape(removed, (-1, 2)))
+        else:  # a quiet stream hands back the previous snapshot
+            assert snap.version == (held[-1][0].version if held else 0)
+        held.append((snap, [a.copy() for a in want]))
+    for snap, want in held:
+        assert_bytes_equal(snapshot_arrays(snap.graph), want)
+        if snap.version == 0:
+            continue  # the base graph object itself
+        for arr in snapshot_arrays(snap.graph)[:3] + list(snap.graph.csr()):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+
+# (kind, u, v, type) with kind 0 = add, 1 = invalidate.
+event = st.tuples(
+    st.sampled_from([ADD_EDGE, INVALIDATE_EDGE]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 2),
+)
+
+
+class TestOracle:
+    """Snapshots are byte-identical to a naive replay's from-scratch graph."""
+
+    BASE_EDGES = np.array([[0, 1], [1, 2], [2, 2], [0, 1], [3, 4], [1, 4]])
+
+    def base(self, one_way=()):
+        """Five nodes with a self-loop, a duplicate edge and optional one-way arcs."""
+        sym = Graph.from_undirected(5, self.BASE_EDGES, edge_type=np.arange(6) % 3)
+        one_way = np.reshape(np.asarray(one_way, dtype=np.int64), (-1, 2))
+        etype = np.concatenate([sym.edge_type, np.zeros(len(one_way), np.int64)])
+        return Graph(
+            5,
+            np.concatenate([sym.edge_index, one_way.T], axis=1),
+            node_type=np.arange(5) % 2,
+            edge_type=etype,
+            edge_attr=np.eye(3)[etype],
+        )
+
+    @pytest.mark.parametrize(
+        "windows, one_way",
+        [
+            ([[(0, 0, 3, 1), (1, 0, 1, 0)], [(0, 0, 1, 2)]], ()),  # add, remove, re-add
+            ([[(0, 3, 0, 1), (1, 0, 3, 0)]], ()),  # add and retract in one batch
+            ([[(0, 1, 2, 0), (0, 2, 3, 1), (1, 1, 2, 0)]], ()),  # the old copy goes first
+            ([[(1, 2, 2, 0)], [(1, 2, 2, 0), (0, 2, 2, 1)]], ()),  # self-loops
+            ([[(1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 1, 0)]], ()),  # duplicates, one too many
+            ([[(1, 3, 4, 0), (1, 1, 4, 0)], [], [(1, 4, 3, 0)]], ()),  # removal-only, empty
+            ([[(1, i, j, 0) for i, j in BASE_EDGES], [(0, 0, 0, 0)]], ()),  # empty graph
+            (
+                [[(1, 0, 2, 0), (1, 2, 0, 0), (1, 4, 4, 0), (0, 4, 4, 1)], [(1, 4, 4, 0)]],
+                [[0, 2], [2, 0], [4, 4]],  # one-way arcs, a one-way self-arc
+            ),
+        ],
+    )
+    def test_named_cases(self, windows, one_way):
+        replay_against_oracle(self.base(one_way), windows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        windows=st.lists(st.lists(event, max_size=8), min_size=1, max_size=6),
+        one_way=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+    )
+    def test_random_windows(self, windows, one_way):
+        replay_against_oracle(self.base(one_way), windows)
 
 
 class TestPersistence:
