@@ -1,11 +1,11 @@
-"""Opt-in regression gates: planned kernels, batched extraction,
-micro-batched serving, the parallel loader at scale and K-process
-data-parallel training must never net-lose to their baselines.
+"""Opt-in regression gates: micro-batched serving, the parallel loader at
+scale, K-process data-parallel training, the float32 policy and the
+streaming paths must never net-lose to their baselines.
 
 Runs ``scripts/check_bench.py`` against the committed
-``results/BENCH_kernels.json`` / ``results/BENCH_extraction.json`` /
 ``results/BENCH_serve.json`` / ``results/BENCH_scale.json`` /
-``results/BENCH_distributed.json`` histories.
+``results/BENCH_distributed.json`` / ``results/BENCH_dtype.json`` /
+``results/BENCH_stream.json`` histories.
 Marked ``bench_gate`` and kept out of tier-1 (``testpaths``
 excludes ``benchmarks/``); select it with
 
@@ -24,10 +24,6 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_kernels.json"
-EXTRACTION_RESULTS = (
-    Path(__file__).resolve().parent.parent / "results" / "BENCH_extraction.json"
-)
 SERVE_RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_serve.json"
 SCALE_RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scale.json"
 DISTRIBUTED_RESULTS = (
@@ -39,64 +35,18 @@ import check_bench  # noqa: E402
 
 
 @pytest.mark.bench_gate
-def test_planned_kernels_have_not_regressed():
-    if not RESULTS.exists():
-        pytest.skip("no BENCH_kernels.json yet — run the kernels microbenchmark")
-    out = io.StringIO()
-    status = check_bench.check(RESULTS, min_geomean=1.0, out=out)
-    print(out.getvalue())
-    assert status == 0, out.getvalue()
-
-
-@pytest.mark.bench_gate
-def test_gate_fails_on_regression(tmp_path):
-    """The gate actually bites: a fabricated slowdown run must fail."""
-    bad = tmp_path / "BENCH_kernels.json"
-    bad.write_text(
-        '[{"benchmark": "segment_kernels", "unix_time": 0, "records": ['
-        '{"kernel": "segment_sum", "E": 20000, "tail": [8], "speedup": 0.5},'
-        '{"kernel": "segment_softmax", "E": 20000, "tail": [2], "speedup": 0.9}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.check(bad, min_geomean=1.0, out=out) == 1
-    assert "FAIL" in out.getvalue()
-
-
-@pytest.mark.bench_gate
 def test_gate_reports_missing_file(tmp_path):
     out = io.StringIO()
-    assert check_bench.check(tmp_path / "nope.json", out=out) == 1
+    assert check_bench.judge("serve", tmp_path / "nope.json", out=out) == 1
     assert "not found" in out.getvalue()
 
 
 @pytest.mark.bench_gate
-def test_batched_extraction_has_not_regressed():
-    if not EXTRACTION_RESULTS.exists():
-        pytest.skip(
-            "no BENCH_extraction.json yet — run the extraction microbenchmark"
-        )
-    out = io.StringIO()
-    status = check_bench.check_extraction(EXTRACTION_RESULTS, min_geomean=1.0, out=out)
-    print(out.getvalue())
-    assert status == 0, out.getvalue()
-
-
-@pytest.mark.bench_gate
-def test_extraction_gate_fails_below_break_even(tmp_path):
-    """The extraction gate bites: a fabricated net slowdown must fail."""
-    bad = tmp_path / "BENCH_extraction.json"
-    bad.write_text(
-        '[{"benchmark": "extraction", "unix_time": 0, "records": ['
-        '{"kernel": "batch_extraction", "num_nodes": 5000, "speedup": 0.8},'
-        '{"kernel": "frontier_gather", "gathered": 100000, "speedup": 5.0}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.check_extraction(bad, min_geomean=1.0, out=out) == 1
-    assert "FAIL" in out.getvalue()
-    # frontier_gather rides along in the file but must not rescue the
-    # gate — only batch_extraction records are judged.
+def test_results_override_needs_a_single_suite(tmp_path):
+    """One history file cannot stand in for every suite's history."""
+    with pytest.raises(SystemExit) as exc:
+        check_bench.main(["--suite", "all", "--results", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.bench_gate
@@ -104,7 +54,7 @@ def test_microbatched_serving_has_not_regressed():
     if not SERVE_RESULTS.exists():
         pytest.skip("no BENCH_serve.json yet — run the serve microbenchmark")
     out = io.StringIO()
-    status = check_bench.check_serve(SERVE_RESULTS, min_geomean=1.0, out=out)
+    status = check_bench.judge("serve", SERVE_RESULTS, out=out)
     print(out.getvalue())
     assert status == 0, out.getvalue()
 
@@ -120,7 +70,7 @@ def test_serve_gate_fails_below_break_even(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_serve(bad, min_geomean=1.0, out=out) == 1
+    assert check_bench.judge("serve", bad, out=out) == 1
     assert "FAIL" in out.getvalue()
 
 
@@ -129,7 +79,7 @@ def test_parallel_loader_has_not_regressed():
     if not SCALE_RESULTS.exists():
         pytest.skip("no BENCH_scale.json yet — run the store microbenchmark")
     out = io.StringIO()
-    status = check_bench.check_scale(SCALE_RESULTS, min_geomean=1.0, out=out)
+    status = check_bench.judge("scale", SCALE_RESULTS, out=out)
     print(out.getvalue())
     assert status == 0, out.getvalue()
 
@@ -145,7 +95,7 @@ def test_scale_gate_fails_below_break_even(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_scale(bad, min_geomean=1.0, out=out) == 1
+    assert check_bench.judge("scale", bad, out=out) == 1
     assert "FAIL" in out.getvalue()
     # mmap_open rides along in the file but must not rescue the gate —
     # only parallel_loader records are judged.
@@ -162,7 +112,7 @@ def test_scale_gate_skips_single_core_hosts(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_scale(lone, min_geomean=1.0, out=out) == 0
+    assert check_bench.judge("scale", lone, out=out) == 0
     assert "skipped" in out.getvalue()
 
 
@@ -177,7 +127,7 @@ def test_scale_gate_rejects_stale_single_core_records(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_scale(stale, min_geomean=1.0, out=out) == 1
+    assert check_bench.judge("scale", stale, out=out) == 1
     assert "refresh" in out.getvalue()
 
 
@@ -191,7 +141,7 @@ def test_scale_gate_fails_when_multicore_run_recorded_nothing(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_scale(empty, min_geomean=1.0, out=out) == 1
+    assert check_bench.judge("scale", empty, out=out) == 1
     assert "FAIL" in out.getvalue()
 
 
@@ -202,9 +152,7 @@ def test_data_parallel_throughput_has_not_regressed():
             "no BENCH_distributed.json yet — run the distributed microbenchmark"
         )
     out = io.StringIO()
-    status = check_bench.check_distributed(
-        DISTRIBUTED_RESULTS, min_speedup=1.5, out=out
-    )
+    status = check_bench.judge("distributed", DISTRIBUTED_RESULTS, out=out)
     print(out.getvalue())
     assert status == 0, out.getvalue()
 
@@ -221,7 +169,7 @@ def test_distributed_gate_fails_below_speedup_floor(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_distributed(bad, min_speedup=1.5, out=out) == 1
+    assert check_bench.judge("distributed", bad, out=out) == 1
     assert "FAIL" in out.getvalue()
 
 
@@ -234,7 +182,7 @@ def test_distributed_gate_skips_single_core_hosts(tmp_path):
         '"records": []}]'
     )
     out = io.StringIO()
-    assert check_bench.check_distributed(lone, min_speedup=1.5, out=out) == 0
+    assert check_bench.judge("distributed", lone, out=out) == 0
     assert "skipped" in out.getvalue()
 
 
@@ -246,7 +194,7 @@ def test_float32_speedup_has_not_regressed():
     if not DTYPE_RESULTS.exists():
         pytest.skip("no BENCH_dtype.json yet — run the dtype microbenchmark")
     out = io.StringIO()
-    status = check_bench.check_dtype(DTYPE_RESULTS, min_speedup=1.4, out=out)
+    status = check_bench.judge("dtype", DTYPE_RESULTS, out=out)
     print(out.getvalue())
     assert status == 0, out.getvalue()
 
@@ -262,7 +210,7 @@ def test_dtype_gate_judges_each_group_separately(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_dtype(bad, min_speedup=1.4, out=out) == 1
+    assert check_bench.judge("dtype", bad, out=out) == 1
     assert "train_epoch" in out.getvalue() and "FAIL" in out.getvalue()
 
 
@@ -276,7 +224,7 @@ def test_dtype_gate_fails_on_missing_group(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_dtype(partial, min_speedup=1.4, out=out) == 1
+    assert check_bench.judge("dtype", partial, out=out) == 1
     assert "no usable train_epoch" in out.getvalue()
 
 
@@ -290,9 +238,7 @@ def test_streaming_speedups_have_not_regressed():
     if not STREAM_RESULTS.exists():
         pytest.skip("no BENCH_stream.json yet — run the stream microbenchmark")
     out = io.StringIO()
-    status = check_bench.check_stream(
-        STREAM_RESULTS, min_delta_speedup=3.0, min_geomean=1.0, out=out
-    )
+    status = check_bench.judge("stream", STREAM_RESULTS, out=out)
     print(out.getvalue())
     assert status == 0, out.getvalue()
 
@@ -309,7 +255,7 @@ def test_stream_gate_judges_each_group_separately(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_stream(bad, min_delta_speedup=3.0, out=out) == 1
+    assert check_bench.judge("stream", bad, out=out) == 1
     assert "delta_rescoring" in out.getvalue() and "FAIL" in out.getvalue()
 
 
@@ -323,5 +269,5 @@ def test_stream_gate_fails_on_missing_group(tmp_path):
         "]}]"
     )
     out = io.StringIO()
-    assert check_bench.check_stream(partial, out=out) == 1
+    assert check_bench.judge("stream", partial, out=out) == 1
     assert "no usable snapshot_apply" in out.getvalue()

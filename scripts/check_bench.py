@@ -1,62 +1,40 @@
 #!/usr/bin/env python
 """Regression gate over the committed benchmark histories.
 
-Two suites, each judging the latest run of its history file:
+Each suite judges the latest run of its ``results/BENCH_<suite>.json``
+history, which its ``benchmarks/test_microbench_*.py`` appends to. The
+:data:`SUITES` table lists, per suite, the record groups judged and the
+floor each group's geomean speedup must stay at or above:
 
-* ``kernels`` — ``results/BENCH_kernels.json`` (appended by
-  ``benchmarks/test_microbench_kernels.py``): the geomean speedup of the
-  planned segment kernels over the ``np.add.at`` baseline across the
-  multi-column records at E >= 10k edges must stay >= the threshold
-  (default 1.0x — "plans never lose").
-* ``extraction`` — ``results/BENCH_extraction.json`` (appended by
-  ``benchmarks/test_microbench_extraction.py``): the geomean speedup of
-  batched cold-store extraction over the per-link oracle must stay >=
-  the threshold (default 1.0x — "the sweep never loses to the loop").
-* ``serve`` — ``results/BENCH_serve.json`` (appended by
-  ``benchmarks/test_microbench_serve.py``): the geomean speedup of
-  coalesced micro-batch serving over one-request-per-forward must stay
-  >= the threshold (default 1.0x — "coalescing never loses").
-* ``scale`` — ``results/BENCH_scale.json`` (appended by
-  ``benchmarks/test_microbench_store.py``): the ``parallel_loader``
-  speedup (2-worker warm over serial at 10⁵ nodes on an mmap graph)
-  must stay >= the threshold (default 1.0x — "parallel never loses").
-  The microbenchmark records ``parallel_loader`` only on hosts with
-  >= 2 usable cores; a run whose envelope says the host was
-  single-core therefore legitimately carries none, and the gate
-  reports "skipped" rather than judging scheduler noise. A
-  single-core-recorded ``parallel_loader`` record is stale data from
-  before that policy and fails the gate until the history is
-  refreshed.
-* ``stream`` — ``results/BENCH_stream.json`` (appended by
-  ``benchmarks/test_microbench_stream.py``): judged per kernel group —
-  ``delta_rescoring`` (re-scoring a warm working set after a small
-  graph delta with delta-aware invalidation vs a full cache clear) must
-  stay >= its floor (default 3.0x, the acceptance bar), and
-  ``snapshot_apply`` (incremental CSR snapshots vs rebuilding the graph
-  per window) must never lose (>= 1.0x).
-* ``dtype`` — ``results/BENCH_dtype.json`` (appended by
-  ``benchmarks/test_microbench_dtype.py``): the float32 compute-dtype
-  policy must beat the float64 default by >= the threshold (default
-  1.4x geomean) on *each* judged group separately — ``gat_fwd_bwd``
-  (the GATConv forward+backward hot loop) and ``train_epoch`` (one
-  full SEAL epoch). Judging groups separately stops a huge layer win
-  from hiding an end-to-end regression.
-* ``distributed`` — ``results/BENCH_distributed.json`` (appended by
-  ``benchmarks/test_microbench_distributed.py``): the
-  ``data_parallel_epoch`` throughput speedup (K-process sharded
-  training over the single-process reference) must stay >= the
-  threshold (default 1.5x at K=4). Same hardware policy as ``scale``:
-  single-core hosts record nothing and the gate reports "skipped".
+* ``serve`` — coalesced micro-batch serving over one request per
+  forward, every ``serve_*`` record (warm and cold): >= 1.0x.
+* ``scale`` — ``parallel_loader``, a 2-worker warm over serial at 10⁵
+  nodes on an mmap graph: >= 1.0x.
+* ``distributed`` — ``data_parallel_epoch``, K-process sharded training
+  over the single-process reference: >= 1.5x.
+* ``dtype`` — the float32 policy over float64 on ``gat_fwd_bwd`` (the
+  GATConv forward+backward) and on ``train_epoch``: >= 1.4x each.
+* ``stream`` — ``delta_rescoring`` (delta-aware invalidation over a
+  full cache clear): >= 3.0x; ``snapshot_apply`` (incremental snapshots
+  over a per-window rebuild): >= 1.0x.
 
-The microbenchmarks themselves assert the stronger >= 2x acceptance bar
-when they *record* a run; the gate only guards against net regressions.
+Each group is judged on its own, so a big win in one cannot hide a
+regression in another. Records whose speedup is ``null`` (a non-finite
+float) are skipped with a warning.
+
+``scale`` and ``distributed`` are multicore-only: their
+microbenchmarks record nothing on a host with fewer than 2 usable
+cores, so such a run is reported "skipped", not judged. A multi-core
+run without records, or a record stamped with < 2 cores (stale data
+from before that policy), fails until the history is refreshed.
+
+The microbenchmarks assert their stronger acceptance bars when they
+*record* a run; the gate only guards against net regressions.
 
 Usage:
     python scripts/check_bench.py
-        [--suite kernels|extraction|serve|scale|distributed|dtype|stream|all]
-        [--results PATH] [--min-geomean 1.0] [--min-edges 10000]
-        [--min-speedup 1.5] [--min-dtype-speedup 1.4]
-        [--min-stream-speedup 3.0]
+        [--suite serve|scale|distributed|dtype|stream|all]
+        [--results PATH]    # history override; needs a single suite
 
 Wired into pytest as the opt-in ``bench_gate`` marker
 (``benchmarks/test_bench_gate.py``); tier-1 never touches it.
@@ -69,469 +47,116 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
-_RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-DEFAULT_RESULTS = _RESULTS_DIR / "BENCH_kernels.json"
-DEFAULT_EXTRACTION_RESULTS = _RESULTS_DIR / "BENCH_extraction.json"
-DEFAULT_SERVE_RESULTS = _RESULTS_DIR / "BENCH_serve.json"
-DEFAULT_SCALE_RESULTS = _RESULTS_DIR / "BENCH_scale.json"
-DEFAULT_DISTRIBUTED_RESULTS = _RESULTS_DIR / "BENCH_distributed.json"
-DEFAULT_DTYPE_RESULTS = _RESULTS_DIR / "BENCH_dtype.json"
-DEFAULT_STREAM_RESULTS = _RESULTS_DIR / "BENCH_stream.json"
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-#: Kernel groups the dtype gate judges — each must clear the floor alone.
-DTYPE_GATE_KERNELS = ("gat_fwd_bwd", "train_epoch")
+
+class Suite(NamedTuple):
+    history: str  # file name under results/
+    groups: Tuple[Tuple[str, float], ...]  # (record group, floor); "x_*" is a prefix
+    multicore: bool = False  # recorded only on hosts with >= 2 usable cores
+
+
+SUITES = {
+    "serve": Suite("BENCH_serve.json", (("serve_*", 1.0),)),
+    "scale": Suite("BENCH_scale.json", (("parallel_loader", 1.0),), multicore=True),
+    "distributed": Suite(
+        "BENCH_distributed.json", (("data_parallel_epoch", 1.5),), multicore=True
+    ),
+    "dtype": Suite("BENCH_dtype.json", (("gat_fwd_bwd", 1.4), ("train_epoch", 1.4))),
+    "stream": Suite(
+        "BENCH_stream.json", (("delta_rescoring", 3.0), ("snapshot_apply", 1.0))
+    ),
+}
 
 
 def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _usable_speedups(records):
-    """Split gated records into usable speedups and a null count.
-
-    ``save_json`` writes non-finite floats (a zero-time baseline makes
-    the recorded speedup NaN/inf) as ``null``; those records can't be
-    judged, so the gate skips them but reports how many it dropped.
-    """
-    speedups, skipped = [], 0
-    for r in records:
-        if r.get("speedup") is None:
-            skipped += 1
-        else:
-            speedups.append(float(r["speedup"]))
-    return speedups, skipped
+def _in_group(record, group: str) -> bool:
+    kernel = str(record.get("kernel", ""))
+    return kernel.startswith(group[:-1]) if group.endswith("*") else kernel == group
 
 
-def gate_speedups(history, *, min_edges=10_000):
-    """The speedups the kernels gate judges: multi-column segment kernels
-    of the most recent run at E >= ``min_edges``."""
-    if not history:
-        raise ValueError("benchmark history is empty")
-    latest = history[-1]
-    records = [
-        r
-        for r in latest.get("records", [])
-        if r.get("kernel") in ("segment_sum", "segment_softmax")
-        and r.get("E", 0) >= min_edges
-        and r.get("tail")  # 1-D add.at has a fast path; plans are a wash there
-    ]
-    speedups, skipped = _usable_speedups(records)
-    if not speedups:
-        raise ValueError(
-            f"no usable multi-column segment records at E >= {min_edges} "
-            f"in latest run ({skipped} null-speedup records skipped)"
-        )
-    return speedups, latest, skipped
-
-
-def extraction_gate_speedups(history):
-    """The speedups the extraction gate judges: ``batch_extraction``
-    records of the most recent run (the ``frontier_gather`` microbench
-    rides along in the file but is not gated)."""
-    if not history:
-        raise ValueError("benchmark history is empty")
-    latest = history[-1]
-    records = [
-        r for r in latest.get("records", []) if r.get("kernel") == "batch_extraction"
-    ]
-    speedups, skipped = _usable_speedups(records)
-    if not speedups:
-        raise ValueError(
-            "no usable batch_extraction records in latest run "
-            f"({skipped} null-speedup records skipped)"
-        )
-    return speedups, latest, skipped
-
-
-def serve_gate_speedups(history):
-    """The speedups the serve gate judges: every ``serve_*`` coalescing
-    record (warm and cold) of the most recent run."""
-    if not history:
-        raise ValueError("benchmark history is empty")
-    latest = history[-1]
-    records = [
-        r
-        for r in latest.get("records", [])
-        if str(r.get("kernel", "")).startswith("serve_")
-    ]
-    speedups, skipped = _usable_speedups(records)
-    if not speedups:
-        raise ValueError(
-            "no usable serve_* records in latest run "
-            f"({skipped} null-speedup records skipped)"
-        )
-    return speedups, latest, skipped
-
-
-def _envelope_cores(latest):
+def _usable_cores(run) -> int:
     """Usable-core count stamped on a run's envelope (or its records)."""
-    cores = latest.get("usable_cores")
+    cores = run.get("usable_cores")
     if cores is None:
-        cores = max(
-            (r.get("usable_cores", 0) for r in latest.get("records", [])),
-            default=0,
-        )
+        cores = max((r.get("usable_cores", 0) for r in run.get("records", [])), default=0)
     return int(cores)
 
 
-def _check_conditional(results_path, *, kernel, label, hint, min_speedup, out):
-    """Gate a hardware-conditional kernel: judged only on multi-core hosts.
-
-    The microbenchmark records ``kernel`` only when >= 2 usable cores
-    are available, so "no records" on a single-core run is a skip, not
-    a failure; on a multi-core run it means the history is broken. A
-    record stamped with < 2 cores predates the record-only-multicore
-    policy and must be refreshed before it can be trusted.
-    """
-    path = Path(results_path)
+def judge(name: str, results_path=None, *, out=sys.stdout) -> int:
+    """Gate suite ``name``: 0 on pass or a legitimate skip, 1 on fail."""
+    suite = SUITES[name]
+    path = Path(results_path or RESULTS_DIR / suite.history)
     if not path.exists():
-        print(f"check_bench: {path} not found — run the {hint} "
+        print(f"check_bench: {path} not found — run the {name} "
               "microbenchmark first", file=out)
         return 1
     try:
         history = json.loads(path.read_text())
-        if not history:
-            raise ValueError("benchmark history is empty")
-    except (ValueError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"check_bench: unusable benchmark data: {exc}", file=out)
         return 1
-    latest = history[-1]
-    records = [r for r in latest.get("records", []) if r.get("kernel") == kernel]
-    stamp = latest.get("unix_time", "?")
-    if not records:
-        if _envelope_cores(latest) < 2:
-            print(
-                f"check_bench: run@{stamp}: single-core host recorded no "
-                f"{kernel} results — OK (skipped)", file=out,
-            )
-            return 0
-        print(
-            f"check_bench: FAIL — run@{stamp} has >= 2 usable cores but no "
-            f"{kernel} records; rerun the {hint} microbenchmark", file=out,
-        )
-        return 1
-    stale = [r for r in records if r.get("usable_cores", 0) < 2]
-    if stale:
-        print(
-            f"check_bench: FAIL — {len(stale)} {kernel} record(s) were "
-            "recorded on < 2 usable cores; such runs are no longer "
-            f"recorded — refresh the {hint} history", file=out,
-        )
-        return 1
-    speedups, skipped = _usable_speedups(records)
-    if not speedups:
-        print(f"check_bench: unusable benchmark data: all {len(records)} "
-              f"{kernel} records have null speedups", file=out)
-        return 1
-    gm = geomean(speedups)
-    print(
-        f"check_bench: run@{stamp}: geomean {label} speedup "
-        f"{gm:.2f}x over {len(speedups)} records {sorted(speedups)}", file=out,
-    )
-    if skipped:
-        print(
-            f"check_bench: WARNING — skipped {skipped} record(s) with null "
-            "(non-finite) speedup; rerun the microbenchmark", file=out,
-        )
-    if gm < min_speedup:
-        print(
-            f"check_bench: FAIL — geomean {gm:.2f}x below the "
-            f"{min_speedup:.2f}x floor: {label} regressed", file=out,
-        )
-        return 1
-    print("check_bench: OK", file=out)
-    return 0
-
-
-def check_scale(results_path, *, min_geomean=1.0, out=sys.stdout):
-    """Scale gate. Returns 0 on pass or legitimate single-core skip."""
-    return _check_conditional(
-        results_path,
-        kernel="parallel_loader",
-        label="parallel-loader",
-        hint="scale",
-        min_speedup=min_geomean,
-        out=out,
-    )
-
-
-def check_distributed(results_path, *, min_speedup=1.5, out=sys.stdout):
-    """Distributed gate. Returns 0 on pass or legitimate single-core skip."""
-    return _check_conditional(
-        results_path,
-        kernel="data_parallel_epoch",
-        label="data-parallel epoch throughput",
-        hint="distributed",
-        min_speedup=min_speedup,
-        out=out,
-    )
-
-
-def _run_gate(results_path, pick, label, hint, *, min_geomean, out):
-    path = Path(results_path)
-    if not path.exists():
-        print(f"check_bench: {path} not found — run the {hint} "
-              "microbenchmark first", file=out)
-        return 1
-    try:
-        history = json.loads(path.read_text())
-        speedups, latest, skipped = pick(history)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"check_bench: unusable benchmark data: {exc}", file=out)
-        return 1
-    gm = geomean(speedups)
-    stamp = latest.get("unix_time", "?")
-    print(
-        f"check_bench: run@{stamp}: geomean speedup {gm:.2f}x over "
-        f"{len(speedups)} records {sorted(speedups)}", file=out,
-    )
-    if skipped:
-        print(
-            f"check_bench: WARNING — skipped {skipped} record(s) with null "
-            "(non-finite) speedup; rerun the microbenchmark", file=out,
-        )
-    if gm < min_geomean:
-        print(
-            f"check_bench: FAIL — geomean {gm:.2f}x below the "
-            f"{min_geomean:.2f}x floor: {label} regressed", file=out,
-        )
-        return 1
-    print("check_bench: OK", file=out)
-    return 0
-
-
-def check(results_path, *, min_geomean=1.0, min_edges=10_000, out=sys.stdout):
-    """Kernels gate. Returns 0 on pass, 1 on fail (or data missing)."""
-    return _run_gate(
-        results_path,
-        lambda history: gate_speedups(history, min_edges=min_edges),
-        "planned kernels",
-        "kernels",
-        min_geomean=min_geomean,
-        out=out,
-    )
-
-
-def check_extraction(results_path, *, min_geomean=1.0, out=sys.stdout):
-    """Extraction gate. Returns 0 on pass, 1 on fail (or data missing)."""
-    return _run_gate(
-        results_path,
-        extraction_gate_speedups,
-        "batched extraction",
-        "extraction",
-        min_geomean=min_geomean,
-        out=out,
-    )
-
-
-def check_serve(results_path, *, min_geomean=1.0, out=sys.stdout):
-    """Serve gate. Returns 0 on pass, 1 on fail (or data missing)."""
-    return _run_gate(
-        results_path,
-        serve_gate_speedups,
-        "micro-batched serving",
-        "serve",
-        min_geomean=min_geomean,
-        out=out,
-    )
-
-
-def check_dtype(results_path, *, min_speedup=1.4, out=sys.stdout):
-    """Dtype gate: float32 over float64, per kernel group.
-
-    Unlike the geomean-over-everything gates, each group in
-    :data:`DTYPE_GATE_KERNELS` is judged on its own — the layer hot
-    loop speeding up 3x must not excuse a net-slower epoch. Returns 0
-    on pass, 1 on fail (or data missing).
-    """
-    path = Path(results_path)
-    if not path.exists():
-        print(f"check_bench: {path} not found — run the dtype "
-              "microbenchmark first", file=out)
-        return 1
-    try:
-        history = json.loads(path.read_text())
-        if not history:
-            raise ValueError("benchmark history is empty")
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"check_bench: unusable benchmark data: {exc}", file=out)
+    if not history:
+        print("check_bench: unusable benchmark data: history is empty", file=out)
         return 1
     latest = history[-1]
     stamp = latest.get("unix_time", "?")
     status = 0
-    for kernel in DTYPE_GATE_KERNELS:
-        records = [r for r in latest.get("records", []) if r.get("kernel") == kernel]
-        speedups, skipped = _usable_speedups(records)
+    for group, floor in suite.groups:
+        records = [r for r in latest.get("records", []) if _in_group(r, group)]
+        if suite.multicore and not records and _usable_cores(latest) < 2:
+            print(f"check_bench: run@{stamp}: single-core host recorded no "
+                  f"{group} results — OK (skipped)", file=out)
+            continue
+        stale = [r for r in records if r.get("usable_cores", 0) < 2]
+        if suite.multicore and stale:
+            print(f"check_bench: FAIL — {len(stale)} {group} record(s) were "
+                  "recorded on < 2 usable cores; such runs are no longer "
+                  f"recorded — refresh the {name} history", file=out)
+            status = 1
+            continue
+        speedups = [float(r["speedup"]) for r in records if r.get("speedup") is not None]
+        skipped = len(records) - len(speedups)
         if not speedups:
-            print(
-                f"check_bench: FAIL — run@{stamp} has no usable {kernel} "
-                f"records ({skipped} null-speedup records skipped); rerun "
-                "the dtype microbenchmark", file=out,
-            )
+            print(f"check_bench: FAIL — run@{stamp} has no usable {group} "
+                  f"records ({skipped} null-speedup records skipped); rerun "
+                  f"the {name} microbenchmark", file=out)
             status = 1
             continue
         gm = geomean(speedups)
-        print(
-            f"check_bench: run@{stamp}: geomean float32 {kernel} speedup "
-            f"{gm:.2f}x over {len(speedups)} records {sorted(speedups)}",
-            file=out,
-        )
+        print(f"check_bench: run@{stamp}: geomean {group} speedup {gm:.2f}x "
+              f"over {len(speedups)} records {sorted(speedups)}", file=out)
         if skipped:
-            print(
-                f"check_bench: WARNING — skipped {skipped} {kernel} record(s) "
-                "with null (non-finite) speedup; rerun the microbenchmark",
-                file=out,
-            )
-        if gm < min_speedup:
-            print(
-                f"check_bench: FAIL — geomean {gm:.2f}x below the "
-                f"{min_speedup:.2f}x floor: the float32 {kernel} win regressed",
-                file=out,
-            )
-            status = 1
-    if status == 0:
-        print("check_bench: OK", file=out)
-    return status
-
-
-def check_stream(results_path, *, min_delta_speedup=3.0, min_geomean=1.0,
-                 out=sys.stdout):
-    """Stream gate: per kernel group, like the dtype gate.
-
-    ``delta_rescoring`` carries the acceptance bar (delta-aware
-    invalidation must stay >= ``min_delta_speedup`` over the full
-    clear); ``snapshot_apply`` only has to never lose to the per-window
-    rebuild (>= ``min_geomean``). Returns 0 on pass, 1 on fail (or data
-    missing).
-    """
-    path = Path(results_path)
-    if not path.exists():
-        print(f"check_bench: {path} not found — run the stream "
-              "microbenchmark first", file=out)
-        return 1
-    try:
-        history = json.loads(path.read_text())
-        if not history:
-            raise ValueError("benchmark history is empty")
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"check_bench: unusable benchmark data: {exc}", file=out)
-        return 1
-    latest = history[-1]
-    stamp = latest.get("unix_time", "?")
-    status = 0
-    for kernel, floor in (
-        ("delta_rescoring", min_delta_speedup),
-        ("snapshot_apply", min_geomean),
-    ):
-        records = [r for r in latest.get("records", []) if r.get("kernel") == kernel]
-        speedups, skipped = _usable_speedups(records)
-        if not speedups:
-            print(
-                f"check_bench: FAIL — run@{stamp} has no usable {kernel} "
-                f"records ({skipped} null-speedup records skipped); rerun "
-                "the stream microbenchmark", file=out,
-            )
-            status = 1
-            continue
-        gm = geomean(speedups)
-        print(
-            f"check_bench: run@{stamp}: geomean {kernel} speedup "
-            f"{gm:.2f}x over {len(speedups)} records {sorted(speedups)}",
-            file=out,
-        )
-        if skipped:
-            print(
-                f"check_bench: WARNING — skipped {skipped} {kernel} record(s) "
-                "with null (non-finite) speedup; rerun the microbenchmark",
-                file=out,
-            )
+            print(f"check_bench: WARNING — skipped {skipped} {group} record(s) "
+                  "with null (non-finite) speedup; rerun the microbenchmark",
+                  file=out)
         if gm < floor:
-            print(
-                f"check_bench: FAIL — geomean {gm:.2f}x below the "
-                f"{floor:.2f}x floor: {kernel} regressed", file=out,
-            )
+            print(f"check_bench: FAIL — geomean {gm:.2f}x below the "
+                  f"{floor:.2f}x floor: {group} regressed", file=out)
             status = 1
     if status == 0:
         print("check_bench: OK", file=out)
     return status
 
 
-def main(argv=None):
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     parser.add_argument(
-        "--suite",
-        choices=(
-            "kernels", "extraction", "serve", "scale", "distributed",
-            "dtype", "stream", "all",
-        ),
-        default="kernels",
-    )
-    parser.add_argument("--results", default=None, help="history file override")
-    parser.add_argument("--min-geomean", type=float, default=1.0)
-    parser.add_argument("--min-edges", type=int, default=10_000)
-    parser.add_argument(
-        "--min-speedup", type=float, default=1.5,
-        help="distributed suite: floor on the K-process epoch-throughput "
-             "speedup (acceptance bar is 1.5x at K=4)",
-    )
-    parser.add_argument(
-        "--min-dtype-speedup", type=float, default=1.4,
-        help="dtype suite: floor on the float32-over-float64 geomean, "
-             "enforced per kernel group (gat_fwd_bwd and train_epoch)",
-    )
-    parser.add_argument(
-        "--min-stream-speedup", type=float, default=3.0,
-        help="stream suite: floor on delta-aware rescoring over the full "
-             "cache clear (snapshot_apply uses --min-geomean)",
+        "--results", default=None,
+        help="history file override for a single --suite",
     )
     args = parser.parse_args(argv)
-
-    status = 0
-    if args.suite in ("kernels", "all"):
-        status |= check(
-            args.results or DEFAULT_RESULTS,
-            min_geomean=args.min_geomean,
-            min_edges=args.min_edges,
-        )
-    if args.suite in ("extraction", "all"):
-        status |= check_extraction(
-            args.results if args.suite == "extraction" and args.results
-            else DEFAULT_EXTRACTION_RESULTS,
-            min_geomean=args.min_geomean,
-        )
-    if args.suite in ("serve", "all"):
-        status |= check_serve(
-            args.results if args.suite == "serve" and args.results
-            else DEFAULT_SERVE_RESULTS,
-            min_geomean=args.min_geomean,
-        )
-    if args.suite in ("scale", "all"):
-        status |= check_scale(
-            args.results if args.suite == "scale" and args.results
-            else DEFAULT_SCALE_RESULTS,
-            min_geomean=args.min_geomean,
-        )
-    if args.suite in ("distributed", "all"):
-        status |= check_distributed(
-            args.results if args.suite == "distributed" and args.results
-            else DEFAULT_DISTRIBUTED_RESULTS,
-            min_speedup=args.min_speedup,
-        )
-    if args.suite in ("dtype", "all"):
-        status |= check_dtype(
-            args.results if args.suite == "dtype" and args.results
-            else DEFAULT_DTYPE_RESULTS,
-            min_speedup=args.min_dtype_speedup,
-        )
-    if args.suite in ("stream", "all"):
-        status |= check_stream(
-            args.results if args.suite == "stream" and args.results
-            else DEFAULT_STREAM_RESULTS,
-            min_delta_speedup=args.min_stream_speedup,
-            min_geomean=args.min_geomean,
-        )
-    return status
+    if args.suite == "all" and args.results:
+        parser.error("--results needs a single --suite; 'all' reads each "
+                     "suite's own history")
+    names = SUITES if args.suite == "all" else (args.suite,)
+    return max([judge(name, args.results) for name in names])
 
 
 if __name__ == "__main__":

@@ -13,13 +13,11 @@ architecture adapted to per-link enclosing-subgraph workloads:
   objects. ``num_workers=N`` is bit-identical to ``num_workers=0``
   under the same seed.
 
-Every SEAL consumer — trainer, evaluator, inference, cross-validation,
-tuners, experiment runner — feeds from this layer;
-``SEALDataset.iter_batches``/``prepare()`` remain only as deprecated
-shims over it.
+Every SEAL consumer — trainer, evaluator, serving, cross-validation,
+tuners, experiment runner — feeds from this layer.
 """
 
-from repro.data.extraction import build_packed_sample, build_packed_samples
+from repro.data.extraction import build_packed_samples
 from repro.data.loader import DataLoader, collate_from_store, warm
 from repro.data.samplers import (
     Sampler,
@@ -42,6 +40,5 @@ __all__ = [
     "DataLoader",
     "collate_from_store",
     "warm",
-    "build_packed_sample",
     "build_packed_samples",
 ]

@@ -1,25 +1,24 @@
-"""Per-link and batched subgraph + feature construction.
+"""Batched subgraph + feature construction for SEAL samples.
 
-:func:`build_packed_sample` turns one link index into its packed SEAL
-sample (enclosing subgraph + node-attribute matrix);
-:func:`build_packed_samples` does the same for a whole batch of links
-through the batched extraction engine (:mod:`repro.graph.bulk`) — one
-multi-source BFS sweep and one columnar induce/label/pack pass instead
-of per-link Python — falling back to the per-link loop when batched
-extraction is disabled (``repro.graph.bulk.set_bulk_enabled(False)``).
+:func:`build_packed_samples` turns a batch of link indices into packed
+SEAL samples (enclosing subgraph + node-attribute matrix) through the
+batched extraction engine (:mod:`repro.graph.bulk`) — one multi-source
+BFS sweep and one columnar induce/label/pack pass instead of per-link
+Python.
 
-Either way, the extraction stream of link ``i`` is derived from the
-dataset seed *and the link index*, never from shared mutable state, so
-the same link produces bit-identical arrays no matter which process
-builds it, in what order, or in which batch grouping — the property the
-parallel :class:`repro.data.DataLoader` relies on to guarantee
-worker-count-independent results, now extended to "batched and per-link
-extraction are interchangeable" (asserted by
-``tests/graph/test_bulk_extraction.py``).
+The extraction stream of link ``i`` is derived from the dataset seed
+*and the link index*, never from shared mutable state, so the same link
+produces bit-identical arrays no matter which process builds it, in
+what order, or in which batch grouping — the property the parallel
+:class:`repro.data.DataLoader` relies on to guarantee
+worker-count-independent results. The samples are also bit-identical to
+per-link extraction with
+:func:`~repro.graph.subgraph.extract_enclosing_subgraph` (the oracle in
+``tests/oracles.py``).
 
 This module deliberately avoids importing :mod:`repro.seal.dataset`
 (which imports :mod:`repro.data`); it only needs the duck-typed task
-fields listed in :func:`build_packed_sample`.
+fields listed in :func:`build_packed_samples`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ import numpy as np
 
 from repro import obs
 from repro.data.store import PackedSubgraph
-from repro.graph.bulk import bulk_enabled, extract_enclosing_subgraphs
-from repro.graph.subgraph import extract_enclosing_subgraph
-from repro.seal.features import assemble_node_features, build_node_features
+from repro.graph.bulk import extract_enclosing_subgraphs
+from repro.seal.features import assemble_node_features
 from repro.seal.labeling import drnl_labels_from_distances
 from repro.utils.rng import RngLike, derive
 
-__all__ = ["build_packed_sample", "build_packed_samples"]
+__all__ = ["build_packed_samples"]
 
 
 def _link_rng(task, seed: RngLike, index: int):
@@ -54,56 +52,20 @@ def _link_rng(task, seed: RngLike, index: int):
     return derive(seed, "seal-extract", task.name, key)
 
 
-def build_packed_sample(task, seed: RngLike, index: int) -> PackedSubgraph:
-    """Extract link ``index`` of ``task`` into a :class:`PackedSubgraph`.
-
-    ``task`` is any object with the :class:`repro.seal.LinkTask` fields
-    ``graph``, ``pairs``, ``name``, ``num_hops``, ``subgraph_mode``,
-    ``max_subgraph_nodes`` and ``feature_config``.
-    """
-    u, v = task.pairs[index]
-    sub = extract_enclosing_subgraph(
-        task.graph,
-        int(u),
-        int(v),
-        k=task.num_hops,
-        mode=task.subgraph_mode,
-        max_nodes=task.max_subgraph_nodes,
-        rng=_link_rng(task, seed, index),
-    )
-    feats = build_node_features(sub, task.feature_config)
-    g = sub.graph
-    obs.count("extraction.fallback.links")
-    if getattr(task.graph, "is_mmap", False):
-        obs.count("store.mmap.extracted_links")
-    return PackedSubgraph(
-        index=int(index),
-        num_nodes=g.num_nodes,
-        num_edges=g.num_edges,
-        edge_index=g.edge_index,
-        features=feats,
-        node_type=g.node_type,
-        edge_type=g.edge_type,
-        edge_attr=g.edge_attr,
-        node_features=g.node_features,
-    )
-
-
 def build_packed_samples(
     task, seed: RngLike, indices: Sequence[int]
 ) -> List[PackedSubgraph]:
     """Extract a batch of links into :class:`PackedSubgraph` samples.
 
-    Bit-identical to ``[build_packed_sample(task, seed, i) for i in
-    indices]`` — with batched extraction enabled (the default) the whole
-    batch goes through one :func:`~repro.graph.bulk.extract_enclosing_subgraphs`
+    ``task`` is any object with the :class:`repro.seal.LinkTask` fields
+    ``graph``, ``pairs``, ``name``, ``num_hops``, ``subgraph_mode``,
+    ``max_subgraph_nodes`` and ``feature_config``. The whole batch goes
+    through one :func:`~repro.graph.bulk.extract_enclosing_subgraphs`
     sweep plus a single fused labeling/feature pass over the packed rows.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return []
-    if not bulk_enabled():
-        return [build_packed_sample(task, seed, int(i)) for i in indices]
 
     graph = task.graph
     config = task.feature_config

@@ -204,7 +204,7 @@ class DataLoader:
     Parameters
     ----------
     dataset: a :class:`~repro.seal.SEALDataset` (or any object exposing
-        ``task``, ``store``, ``rng_seed``, ``ensure(i)`` and
+        ``task``, ``store``, ``rng_seed``, ``ensure_many(indices)`` and
         ``adopt(sample)``).
     indices: link indices to serve (default: the whole dataset). Ignored
         when an explicit ``sampler`` is given.
@@ -340,8 +340,7 @@ class DataLoader:
 
         Uses a sequential pass independent of the sampler, so warming a
         shuffle loader does not consume its permutation stream. Parallel
-        loaders warm with the worker pool — the replacement for the
-        deprecated ``SEALDataset.prepare()`` that scales with cores.
+        loaders warm with the worker pool.
         """
         order = np.asarray(
             self.sampler.indices if indices is None else indices, dtype=np.int64
@@ -363,18 +362,9 @@ class DataLoader:
             yield from self._fill_serial(batches)
 
     def _fill_serial(self, batches: List[np.ndarray]) -> Iterator[np.ndarray]:
-        # Batch-level extraction when the dataset supports it (one
-        # multi-source sweep per batch); per-link loop otherwise.
-        ensure_many = getattr(self.dataset, "ensure_many", None)
-        if ensure_many is not None:
-            for batch_idx in batches:
-                ensure_many(batch_idx)
-                yield batch_idx
-            return
-        ensure = self.dataset.ensure
+        # One multi-source extraction sweep per batch.
         for batch_idx in batches:
-            for i in batch_idx:
-                ensure(int(i))
+            self.dataset.ensure_many(batch_idx)
             yield batch_idx
 
     def _task_payload(self) -> Tuple[object, Optional[str]]:
@@ -512,17 +502,18 @@ class DataLoader:
                     ring.release(slot)
                 pump()
             if self._pool_broken:
-                for i in needed:
-                    fresh.discard(i)
-                    self.dataset.ensure(i)
+                fresh.difference_update(needed)
+                self.dataset.ensure_many(needed)
             else:
+                # First access of a worker-extracted link was already
+                # counted as a miss by adopt(); later accesses are hits.
+                repeats = []
                 for i in needed:
-                    # First access of a worker-extracted link was already
-                    # counted as a miss by adopt(); later accesses are hits.
                     if i in fresh:
                         fresh.discard(i)
                     else:
-                        self.dataset.ensure(i)
+                        repeats.append(i)
+                self.dataset.ensure_many(repeats)
             yield batch_idx
 
     def _mark_broken(self) -> None:
@@ -533,8 +524,7 @@ class DataLoader:
 def warm(dataset, *, num_workers: int = 0, prefetch_factor: int = 2) -> None:
     """Eagerly extract every link of ``dataset`` into its store.
 
-    The drop-in replacement for the deprecated ``SEALDataset.prepare()``;
-    with ``num_workers > 0`` the extraction fans out over a worker pool.
+    With ``num_workers > 0`` the extraction fans out over a worker pool.
     """
     with DataLoader(
         dataset, num_workers=num_workers, prefetch_factor=prefetch_factor, batch_size=64

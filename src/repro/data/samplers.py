@@ -83,10 +83,9 @@ class SequentialSampler:
 class ShuffleSampler:
     """Freshly permute ``indices`` each epoch (seeded, reproducible).
 
-    The permutation stream advances across epochs exactly as the legacy
-    ``SEALDataset.iter_batches(shuffle=True, rng=gen)`` loop did, so a
-    trainer switching to this sampler reproduces its old batch order
-    bit-for-bit under the same seed.
+    One generator drives every epoch's permutation, so the epoch
+    sequence replays bit-for-bit under the same seed while consecutive
+    epochs still differ.
     """
 
     def __init__(self, indices: Sequence[int], batch_size: int, *, rng: RngLike = None):

@@ -1,13 +1,7 @@
 """Graph substrate: containers, traversal, enclosing subgraphs, batching."""
 
 from repro.graph.batch import GraphBatch, collate
-from repro.graph.bulk import (
-    BulkSubgraphs,
-    bulk_enabled,
-    extract_enclosing_subgraphs,
-    set_bulk_enabled,
-    use_bulk,
-)
+from repro.graph.bulk import BulkSubgraphs, extract_enclosing_subgraphs
 from repro.graph.generators import (
     barabasi_albert_edges,
     dedupe_edges,
@@ -47,9 +41,6 @@ __all__ = [
     "extract_enclosing_subgraph",
     "BulkSubgraphs",
     "extract_enclosing_subgraphs",
-    "bulk_enabled",
-    "set_bulk_enabled",
-    "use_bulk",
     "erdos_renyi_edges",
     "barabasi_albert_edges",
     "preferential_attachment_edges",

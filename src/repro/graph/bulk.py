@@ -28,16 +28,16 @@ three stages, each traced through :mod:`repro.obs`:
 The batched path is **bit-identical** to the per-link one — same node
 order (including the ``max_nodes`` rng tie-break), same edge order, same
 distances — which ``tests/graph/test_bulk_extraction.py`` asserts
-property-style. Like the segment-kernel plans, it is toggleable:
-``set_bulk_enabled(False)`` / the :class:`use_bulk` context manager
-force consumers (:func:`repro.data.extraction.build_packed_samples`)
-back onto the per-link oracle.
+property-style. It is the only extraction path of the SEAL data layer
+(:func:`repro.data.extraction.build_packed_samples`); the per-link
+function stays as the oracle and for models that work on one subgraph
+at a time (:mod:`repro.models.wlnm`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -46,60 +46,14 @@ from repro.graph.structure import Graph
 from repro.graph.traversal import _take_ragged, multi_source_bfs
 from repro.utils.rng import RngLike, ensure_rng
 
-__all__ = [
-    "BulkSubgraphs",
-    "extract_enclosing_subgraphs",
-    "bulk_enabled",
-    "set_bulk_enabled",
-    "use_bulk",
-]
+__all__ = ["BulkSubgraphs", "extract_enclosing_subgraphs"]
 
-
-# --------------------------------------------------------------------- #
-# global switch (the `use_plans` idiom from repro.nn.kernels)
-# --------------------------------------------------------------------- #
-
-_BULK_ENABLED = True
 
 #: Cap on the cells of any per-chunk ``(links, num_nodes)`` working
 #: matrix (distance rows, membership lookups). Batches whose footprint
 #: would exceed it are processed in link chunks — results are identical
 #: because every per-link quantity depends only on its own pair.
 _MAX_CELLS = 1 << 24
-
-
-def bulk_enabled() -> bool:
-    """Whether consumers should use batched extraction (True by default)."""
-    return _BULK_ENABLED
-
-
-def set_bulk_enabled(flag: bool) -> bool:
-    """Toggle batched extraction globally; returns the previous setting."""
-    global _BULK_ENABLED
-    previous = _BULK_ENABLED
-    _BULK_ENABLED = bool(flag)
-    return previous
-
-
-class use_bulk:
-    """Context manager pinning the batched-extraction switch.
-
-    >>> from repro.graph import bulk
-    >>> with bulk.use_bulk(False):
-    ...     bulk.bulk_enabled()
-    False
-    """
-
-    def __init__(self, flag: bool) -> None:
-        self._flag = bool(flag)
-        self._prev = True
-
-    def __enter__(self) -> "use_bulk":
-        self._prev = set_bulk_enabled(self._flag)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        set_bulk_enabled(self._prev)
 
 
 # --------------------------------------------------------------------- #

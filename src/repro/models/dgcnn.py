@@ -20,17 +20,15 @@ models is exactly the modification the paper proposes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from repro.graph.batch import GraphBatch
 from repro.nn import functional as F
-from repro.nn import kernels
 from repro.nn.conv import Conv1d, MaxPool1d
 from repro.nn.dense import Dropout, Linear
 from repro.nn.indexing import gather
-from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, ModuleList
 from repro.nn.tensor import Tensor, concatenate
 from repro.models.layers import GCNConv
@@ -116,15 +114,10 @@ class DGCNNBackbone(Module):
         self.lin2 = Linear(dense_dim, num_classes, rng=gen)
         self.num_classes = num_classes
 
-    @staticmethod
-    def _batch_plans(batch: GraphBatch) -> Optional[PlanCache]:
-        """The batch's plan cache, or None when plans are disabled."""
-        return batch.plans if kernels.plans_enabled() else None
-
     def node_embeddings(self, batch: GraphBatch) -> Tensor:
         """Concatenated per-node outputs of every graph-conv layer."""
         x = Tensor(batch.node_features)
-        plans = self._batch_plans(batch)
+        plans = batch.plans
         outs: List[Tensor] = []
         for conv in self.convs:
             x = F.tanh(conv(x, batch.edge_index, batch.edge_attr, plans=plans))
@@ -133,8 +126,7 @@ class DGCNNBackbone(Module):
 
     def forward(self, batch: GraphBatch) -> Tensor:
         """Per-graph class logits ``(num_graphs, num_classes)``."""
-        plans = self._batch_plans(batch)
-        node_plan = plans.node() if plans is not None else None
+        node_plan = batch.plans.node()
         z = self.node_embeddings(batch)  # (N, total_dim)
         pooled = self.sort_pool(z, batch.batch, batch.num_graphs, plan=node_plan)
         b = batch.num_graphs
@@ -146,11 +138,7 @@ class DGCNNBackbone(Module):
         if self.center_pool:
             # SEAL places the target endpoints at local indices 0 and 1 of
             # every subgraph; their batch offsets are the graph starts.
-            if node_plan is not None:
-                starts = node_plan.indptr[:-1]
-            else:
-                counts = batch.nodes_per_graph()
-                starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            starts = node_plan.indptr[:-1]
             centers = gather(z, np.stack([starts, starts + 1], axis=1).ravel())
             h = concatenate([h, centers.reshape(b, 2 * self.total_dim)], axis=1)
         h = F.relu(self.lin1(h))

@@ -27,7 +27,6 @@ from repro.nn.indexing import gather, segment_softmax, segment_sum
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
-from repro.models.layers import add_self_loops
 from repro.utils.rng import RngLike, as_generator
 
 __all__ = ["GATv2Conv", "GATv2DGCNN"]
@@ -95,17 +94,13 @@ class GATv2Conv(Module):
             raise ValueError(
                 f"edge_attr width {edge_attr.shape[1]} != edge_dim {self.edge_dim}"
             )
+        if plans is None:
+            plans = PlanCache(edge_index, n)
         if self.add_loops:
-            if plans is not None:
-                edge_index = plans.loop_edge_index()
-                edge_attr = plans.loop_edge_attr(edge_attr)
-            else:
-                edge_index, edge_attr = add_self_loops(edge_index, n, edge_attr)
-        if plans is not None:
-            src_plan = plans.src(loops=self.add_loops)
-            dst_plan = plans.dst(loops=self.add_loops)
-        else:
-            src_plan = dst_plan = None
+            edge_index = plans.loop_edge_index()
+            edge_attr = plans.loop_edge_attr(edge_attr)
+        src_plan = plans.src(loops=self.add_loops)
+        dst_plan = plans.dst(loops=self.add_loops)
         src, dst = edge_index
         e = edge_index.shape[1]
 

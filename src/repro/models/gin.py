@@ -61,8 +61,10 @@ class GINConv(Module):
         x = as_tensor(x)
         n = x.shape[0]
         src, dst = edge_index
-        src_plan = plans.src() if plans is not None else None
-        dst_plan = plans.dst() if plans is not None else None
+        if plans is None:
+            plans = PlanCache(edge_index, n)
+        src_plan = plans.src()
+        dst_plan = plans.dst()
         agg = segment_sum(gather(x, src, plan=src_plan), dst, n, plan=dst_plan)
         if self.eps is not None:
             h = x * (self.eps + 1.0) + agg

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.dtype import FLOAT64, get_compute_dtype
+from repro.nn.dtype import get_compute_dtype
 from repro.nn.indexing import gather, segment_softmax, segment_sum
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
@@ -89,23 +89,14 @@ class GCNConv(Module):
     ) -> Tensor:
         x = as_tensor(x)
         n = x.shape[0]
-        if plans is not None:
-            # Loop-augmented topology, degrees and normalization are pure
-            # functions of the batch — reuse them instead of rebuilding.
-            ei = plans.loop_edge_index()
-            src, dst = ei
-            coeff = plans.gcn_coeff()
-            src_plan = plans.src(loops=True)
-            dst_plan = plans.dst(loops=True)
-        else:
-            ei, _ = add_self_loops(edge_index, n)
-            src, dst = ei
-            deg = np.bincount(dst, minlength=n).astype(FLOAT64)
-            inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-            # Normalization computed in float64, then narrowed to the
-            # compute dtype once (matches the PlanCache.gcn_coeff cache).
-            coeff = (inv_sqrt[src] * inv_sqrt[dst]).astype(get_compute_dtype(), copy=False)
-            src_plan = dst_plan = None
+        if plans is None:
+            plans = PlanCache(edge_index, n)
+        # Loop-augmented topology, degrees and normalization are pure
+        # functions of the batch — reuse them instead of rebuilding.
+        src, dst = plans.loop_edge_index()
+        coeff = plans.gcn_coeff()
+        src_plan = plans.src(loops=True)
+        dst_plan = plans.dst(loops=True)
 
         h = x @ self.weight  # (N, out)
         messages = gather(h, src, plan=src_plan) * Tensor(coeff[:, None])
@@ -224,17 +215,13 @@ class GATConv(Module):
                 raise ValueError(
                     f"edge_attr width {edge_attr.shape[1]} != edge_dim {self.edge_dim}"
                 )
+        if plans is None:
+            plans = PlanCache(edge_index, n)
         if self.add_loops:
-            if plans is not None:
-                edge_index = plans.loop_edge_index()
-                edge_attr = plans.loop_edge_attr(edge_attr)
-            else:
-                edge_index, edge_attr = add_self_loops(edge_index, n, edge_attr)
-        if plans is not None:
-            src_plan = plans.src(loops=self.add_loops)
-            dst_plan = plans.dst(loops=self.add_loops)
-        else:
-            src_plan = dst_plan = None
+            edge_index = plans.loop_edge_index()
+            edge_attr = plans.loop_edge_attr(edge_attr)
+        src_plan = plans.src(loops=self.add_loops)
+        dst_plan = plans.dst(loops=self.add_loops)
         src, dst = edge_index
         e = edge_index.shape[1]
 

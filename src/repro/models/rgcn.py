@@ -28,7 +28,7 @@ import numpy as np
 from repro.models.dgcnn import DGCNNBackbone
 from repro.nn import init
 from repro.nn.dtype import get_compute_dtype
-from repro.nn.indexing import gather, segment_count, segment_sum
+from repro.nn.indexing import gather, segment_sum
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
@@ -89,8 +89,10 @@ class RGCNConv(Module):
         n = x.shape[0]
         src, dst = edge_index
         e = edge_index.shape[1]
-        src_plan = plans.src() if plans is not None else None
-        dst_plan = plans.dst() if plans is not None else None
+        if plans is None:
+            plans = PlanCache(edge_index, n)
+        src_plan = plans.src()
+        dst_plan = plans.dst()
         if edge_attr is None or edge_attr.shape[1] == 0:
             # No relation information: every edge uses the uniform mixture.
             edge_attr = np.full((e, self.num_relations), 1.0 / self.num_relations)
@@ -108,10 +110,7 @@ class RGCNConv(Module):
             term = hb * coeff[:, b].reshape(e, 1)
             messages = term if messages is None else messages + term
         agg = segment_sum(messages, dst, n, plan=dst_plan)
-        if dst_plan is not None:
-            degree = np.maximum(dst_plan.counts.astype(get_compute_dtype()), 1.0)[:, None]
-        else:
-            degree = np.maximum(segment_count(dst, n), 1.0)[:, None]
+        degree = np.maximum(dst_plan.counts.astype(get_compute_dtype()), 1.0)[:, None]
         out = x @ self.weight_self + agg * Tensor(1.0 / degree)
         if self.bias is not None:
             out = out + self.bias

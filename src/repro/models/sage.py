@@ -51,8 +51,10 @@ class SAGEConv(Module):
         x = as_tensor(x)
         n = x.shape[0]
         src, dst = edge_index
-        src_plan = plans.src() if plans is not None else None
-        dst_plan = plans.dst() if plans is not None else None
+        if plans is None:
+            plans = PlanCache(edge_index, n)
+        src_plan = plans.src()
+        dst_plan = plans.dst()
         nbr_mean = segment_mean(gather(x, src, plan=src_plan), dst, n, plan=dst_plan)
         out = x @ self.weight_self + nbr_mean @ self.weight_nbr
         if self.bias is not None:

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import kernels
 from repro.nn.indexing import gather
 from repro.nn.kernels import SegmentPlan
 from repro.nn.module import Module
@@ -43,8 +42,9 @@ def sort_pool(
     num_graphs: number of graphs ``B``.
     k: retained nodes per graph.
     plan: optional :class:`SegmentPlan` over ``(batch, num_graphs)`` —
-        supplies the per-graph counts/starts without re-deriving them.
-        The per-graph key sort is data-dependent and always recomputed.
+        supplies the per-graph counts/starts without re-deriving them
+        (built here when omitted). The per-graph key sort is
+        data-dependent and always recomputed.
     """
     x = as_tensor(x)
     if k <= 0:
@@ -58,14 +58,12 @@ def sort_pool(
     # Rows grouped by graph, descending key inside each graph. lexsort
     # sorts by last key first, so order: primary batch, secondary -key.
     order = np.lexsort((-key, batch))
-    plan = kernels.resolve_plan(plan)
-    if plan is not None:
-        plan.check(batch, num_graphs)
-        counts = plan.counts
-        starts = plan.indptr[:-1]
+    if plan is None:
+        plan = SegmentPlan(batch, num_graphs)
     else:
-        counts = np.bincount(batch, minlength=num_graphs)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        plan.check(batch, num_graphs)
+    counts = plan.counts
+    starts = plan.indptr[:-1]
 
     # Selection matrix (B, k): row indices into `order`, -1 where padded.
     offsets = np.arange(k)[None, :]

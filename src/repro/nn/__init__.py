@@ -21,13 +21,7 @@ from repro.nn.dtype import (
     set_compute_dtype,
 )
 from repro.nn.gradcheck import gradcheck, numeric_grad
-from repro.nn.kernels import (
-    PlanCache,
-    SegmentPlan,
-    plans_enabled,
-    set_plans_enabled,
-    use_plans,
-)
+from repro.nn.kernels import PlanCache, SegmentPlan
 from repro.nn.indexing import (
     gather,
     scatter_add,
@@ -42,13 +36,7 @@ from repro.nn.module import Module, ModuleList, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, LayerNorm
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer, StepLR, clip_grad_norm
 from repro.nn.tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack, where
-from repro.nn.workspace import (
-    Workspace,
-    global_workspace,
-    set_workspace_enabled,
-    use_workspace,
-    workspace_enabled,
-)
+from repro.nn.workspace import Workspace, global_workspace
 
 __all__ = [
     "dtype",
@@ -60,9 +48,6 @@ __all__ = [
     "workspace",
     "Workspace",
     "global_workspace",
-    "workspace_enabled",
-    "set_workspace_enabled",
-    "use_workspace",
     "Tensor",
     "as_tensor",
     "concatenate",
@@ -86,9 +71,6 @@ __all__ = [
     "kernels",
     "SegmentPlan",
     "PlanCache",
-    "plans_enabled",
-    "set_plans_enabled",
-    "use_plans",
     "gather",
     "scatter_add",
     "segment_sum",

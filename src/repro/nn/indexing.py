@@ -9,19 +9,20 @@ GNN layers in this library operate on a graph expressed as an edge list
 
 The backward passes are the duals: the gradient of ``segment_sum`` is a
 ``gather``, and the gradient of ``gather`` is a ``scatter_add`` — both
-vectorized with ``np.add.at`` / ``np.take`` per the HPC-Python guides (no
-Python-level loops over edges).
+vectorized (no Python-level loops over edges).
 
 ``segment_softmax`` implements the per-destination normalization of GAT
 attention coefficients with a numerically stable per-segment max shift.
 
-Every op accepts an optional ``plan`` — a precomputed
-:class:`~repro.nn.kernels.SegmentPlan` over its index array. With a plan
-the scatter-style reductions run as contiguous kernels (bincount / CSR
-matmul / sorted ``reduceat``, see :mod:`repro.nn.kernels`) that are
-bit-identical to the ``np.add.at`` fallback used when ``plan`` is
-``None`` or plans are globally disabled. The fallback stays in place as
-the oracle the planned paths are validated against.
+Every scatter-style reduction runs through a
+:class:`~repro.nn.kernels.SegmentPlan` over its index array: contiguous
+kernels (bincount / CSR matmul / sorted ``reduceat``, see
+:mod:`repro.nn.kernels`) bit-identical to an unbuffered, in-order
+scatter (the reference ops in ``tests/oracles.py``).
+Callers that reuse an index pass its precomputed plan as ``plan=``; an op
+called without one builds a one-shot plan itself. ``gather`` only needs
+its plan in the backward pass, so it builds it lazily there and no-grad
+forwards pay nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import kernels
 from repro.nn import workspace as _ws
 from repro.nn.dtype import FLOAT64, get_compute_dtype
 from repro.nn.kernels import SegmentPlan
@@ -56,13 +56,13 @@ def _check_index(index: np.ndarray) -> np.ndarray:
     return index
 
 
-def _active_plan(
+def _plan(
     plan: Optional[SegmentPlan], index: np.ndarray, num_segments: int
-) -> Optional[SegmentPlan]:
-    """Validate and return the plan to use (None when globally disabled)."""
-    plan = kernels.resolve_plan(plan)
-    if plan is not None:
-        plan.check(index, num_segments)
+) -> SegmentPlan:
+    """``plan`` checked against ``(index, num_segments)``, or a fresh one."""
+    if plan is None:
+        return SegmentPlan(index, num_segments)
+    plan.check(index, num_segments)
     return plan
 
 
@@ -75,8 +75,8 @@ def gather(
     ----------
     x: Tensor of shape ``(N, ...)``.
     index: integer array of shape ``(M,)`` with values in ``[0, N)``.
-    plan: optional :class:`SegmentPlan` over ``(index, N)`` — routes the
-        backward scatter-add through the planned kernel.
+    plan: optional :class:`SegmentPlan` over ``(index, N)`` for the
+        backward scatter-add; built on first backward when omitted.
 
     Returns
     -------
@@ -88,15 +88,12 @@ def gather(
     # fancy indexing for 2-D+ operands; identical elements either way.
     out = np.take(x.data, index, axis=0)
     shape = x.data.shape
-    plan = _active_plan(plan, index, shape[0])
+    if plan is not None:
+        plan.check(index, shape[0])
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        if plan is not None:
-            buf = _ws.grad_buffer((shape[0],) + g.shape[1:], g.dtype)
-            return plan.segment_sum(g, out=buf)
-        full = _ws.grad_buffer((shape[0],) + g.shape[1:], g.dtype, zero=True)
-        np.add.at(full, index, g)
-        return full
+        buf = _ws.grad_buffer((shape[0],) + g.shape[1:], g.dtype)
+        return _plan(plan, index, shape[0]).segment_sum(g, out=buf)
 
     return Tensor._from_op(out, (x,), (vjp,), "gather")
 
@@ -142,12 +139,7 @@ def segment_sum(
         raise ValueError("index length must match the leading dim of x")
     if index.size and (index.min() < 0 or index.max() >= num_segments):
         raise ValueError("index out of range for num_segments")
-    plan = _active_plan(plan, index, num_segments)
-    if plan is not None:
-        out = plan.segment_sum(x.data)
-    else:
-        out = np.zeros((num_segments,) + x.data.shape[1:], dtype=x.data.dtype)
-        np.add.at(out, index, x.data)
+    out = _plan(plan, index, num_segments).segment_sum(x.data)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         buf = _ws.grad_buffer((index.size,) + g.shape[1:], g.dtype)
@@ -170,12 +162,9 @@ def segment_mean(
     plan: Optional[SegmentPlan] = None,
 ) -> Tensor:
     """Segmented mean; empty segments yield zero (not NaN)."""
+    plan = _plan(plan, _check_index(index), num_segments)
     sums = segment_sum(x, index, num_segments, plan=plan)
-    active = kernels.resolve_plan(plan)
-    if active is not None:
-        counts = np.maximum(active.counts.astype(FLOAT64), 1.0)
-    else:
-        counts = np.maximum(segment_count(index, num_segments).astype(FLOAT64), 1.0)
+    counts = np.maximum(plan.counts.astype(FLOAT64), 1.0)
     counts = counts.reshape((num_segments,) + (1,) * (sums.ndim - 1))
     return sums * Tensor(1.0 / counts)
 
@@ -190,27 +179,19 @@ def segment_max(
 ) -> Tensor:
     """Segmented max; empty segments are filled with ``fill``.
 
-    Gradient flows to (one of) the argmax rows of each segment — ties are
-    broken toward the first occurrence, matching ``np.maximum.at`` + argmax
-    reconstruction.
+    Gradient is split equally among the rows achieving each segment's max
+    (a valid, deterministic subgradient).
     """
     x = as_tensor(x)
     index = _check_index(index)
     data = x.data
-    plan = _active_plan(plan, index, num_segments)
-    if plan is not None:
-        out = plan.segment_max(data)
-        empty = plan.empty
-    else:
-        out = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype)
-        np.maximum.at(out, index, data)
-        # One bincount instead of an np.isin allocation-and-scan per call.
-        empty = np.bincount(index, minlength=num_segments) == 0
-    if empty.any():
-        out[empty] = fill
+    plan = _plan(plan, index, num_segments)
+    out = plan.segment_max(data)
+    if plan.empty.any():
+        out[plan.empty] = fill
 
-    # Identify, per (segment, feature) cell, the first edge row achieving
-    # the max — gradient routes only there (subgradient choice).
+    # Identify, per (segment, feature) cell, the rows achieving the max —
+    # gradient routes only there (subgradient choice).
     is_max = data == out[index]
 
     def vjp(g: np.ndarray) -> np.ndarray:
@@ -218,11 +199,7 @@ def segment_max(
         gathered = g[index]
         # For duplicate maxima in a segment, split gradient equally: this
         # is a valid subgradient and keeps the op deterministic.
-        if plan is not None:
-            counts = plan.segment_sum(is_max.astype(data.dtype))
-        else:
-            counts = np.zeros_like(out)
-            np.add.at(counts, index, is_max.astype(data.dtype))
+        counts = plan.segment_sum(is_max.astype(data.dtype))
         denom = np.where(counts[index] > 0, counts[index], 1.0)
         grad[is_max] = (gathered / denom)[is_max]
         return grad
@@ -248,7 +225,8 @@ def segment_softmax(
     index: segment (destination node) of each row, shape ``(E,)``.
     num_segments: number of segments ``N``.
     plan: optional :class:`SegmentPlan` over ``(index, N)`` — the max
-        shift, the normalizer and the backward reduction all reuse it.
+        shift, the normalizer and the backward reduction all reuse it
+        (built once here when omitted).
 
     Returns
     -------
@@ -258,29 +236,13 @@ def segment_softmax(
     logits = as_tensor(logits)
     index = _check_index(index)
     data = logits.data
-    plan = _active_plan(plan, index, num_segments)
-    if plan is not None:
-        # Fused sorted-domain kernel (bit-identical — see SegmentPlan).
-        out = plan.segment_softmax(data)
-    else:
-        # Per-segment max for numerical stability (constant wrt gradient).
-        seg_max = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype)
-        np.maximum.at(seg_max, index, data)
-        seg_max[~np.isfinite(seg_max)] = 0.0  # empty segments
-        expd = np.exp(data - seg_max[index])
-        denom = np.zeros_like(seg_max)
-        np.add.at(denom, index, expd)
-        denom = np.where(denom > 0, denom, 1.0)
-        out = expd / denom[index]
+    plan = _plan(plan, index, num_segments)
+    # Fused sorted-domain kernel (bit-identical — see SegmentPlan).
+    out = plan.segment_softmax(data)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         # d softmax: out * (g - sum_segment(g * out))
-        weighted = g * out
-        if plan is not None:
-            seg_dot = plan.segment_sum(weighted)
-        else:
-            seg_dot = np.zeros((num_segments,) + g.shape[1:], dtype=g.dtype)
-            np.add.at(seg_dot, index, weighted)
+        seg_dot = plan.segment_sum(g * out)
         buf = _ws.grad_buffer(g.shape, g.dtype)
         np.subtract(g, seg_dot[index], out=buf)
         np.multiply(out, buf, out=buf)

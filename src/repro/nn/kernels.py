@@ -27,11 +27,11 @@ and then implements each reduction as a contiguous kernel over the plan:
   sequential C loop); n-D operands through one CSR × dense matmul
   (sequential per-row accumulation). Both visit the addends of each
   segment in original row order, so the results are **bit-identical**
-  to the ``np.add.at`` fallback — same floats, same rounding. (The
+  to an ``np.add.at`` scatter — same floats, same rounding. (The
   textbook ``np.add.reduceat`` spelling is *not* used for sums because
   its pairwise summation associates differently from ``np.add.at`` in
-  the last ulp; determinism across the planned/fallback switch is a
-  hard requirement here.)
+  the last ulp; bit-identity with the scatter reference is a hard
+  requirement here.)
 * ``segment_max``: sort + ``np.maximum.reduceat`` over the plan
   (max is exactly associative, so sorted reduction is bit-safe).
 
@@ -39,80 +39,23 @@ The plan costs one ``argsort`` + ``bincount``; callers amortize it via
 :class:`PlanCache` (memoized per :class:`~repro.graph.batch.GraphBatch`,
 carried across epochs by :class:`~repro.data.store.SubgraphStore`).
 
-``set_plans_enabled(False)`` / the :class:`use_plans` context manager
-globally force every op back onto the ``np.add.at`` fallback — the
-oracle the planned kernels are validated against in ``tests/nn``.
+These kernels are the only implementation of the segment ops. The
+``np.add.at`` reference versions they are validated against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro import obs
 from repro.nn import workspace as _ws
 from repro.nn.dtype import FLOAT64, get_compute_dtype
 
-try:  # scipy ships with the repo's dependencies, but stay importable without it
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised via _segment_sum_nd fallback
-    _sparse = None
-
-__all__ = [
-    "SegmentPlan",
-    "PlanCache",
-    "plans_enabled",
-    "set_plans_enabled",
-    "use_plans",
-    "resolve_plan",
-]
-
-
-# --------------------------------------------------------------------- #
-# global switch
-# --------------------------------------------------------------------- #
-
-_PLANS_ENABLED = True
-
-
-def plans_enabled() -> bool:
-    """Whether ops honor ``plan=`` arguments (True by default)."""
-    return _PLANS_ENABLED
-
-
-def set_plans_enabled(flag: bool) -> bool:
-    """Toggle planned kernels globally; returns the previous setting."""
-    global _PLANS_ENABLED
-    previous = _PLANS_ENABLED
-    _PLANS_ENABLED = bool(flag)
-    return previous
-
-
-class use_plans:
-    """Context manager pinning the planned-kernel switch.
-
-    >>> from repro.nn import kernels
-    >>> with kernels.use_plans(False):
-    ...     kernels.plans_enabled()
-    False
-    """
-
-    def __init__(self, flag: bool) -> None:
-        self._flag = bool(flag)
-        self._prev = True
-
-    def __enter__(self) -> "use_plans":
-        self._prev = set_plans_enabled(self._flag)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        set_plans_enabled(self._prev)
-
-
-def resolve_plan(plan):
-    """The plan to actually use: ``None`` when plans are globally disabled."""
-    return plan if _PLANS_ENABLED else None
+__all__ = ["SegmentPlan", "PlanCache"]
 
 
 def _as_compute(data: np.ndarray) -> np.ndarray:
@@ -224,12 +167,10 @@ class SegmentPlan:
         Cached per dtype — a float64 matrix would upcast a float32
         operand through the matmul, defeating the compute policy.
         """
-        if _sparse is None:
-            return None
         dtype = np.dtype(dtype)
         matrix = self._matrix.get(dtype.str)
         if matrix is None:
-            matrix = self._matrix[dtype.str] = _sparse.csr_matrix(
+            matrix = self._matrix[dtype.str] = sparse.csr_matrix(
                 (
                     np.ones(self.size, dtype=dtype),
                     self.order.astype(np.int32),
@@ -280,7 +221,7 @@ class SegmentPlan:
                 )
             elif data.ndim == 1:
                 # bincount accumulates in float64 — that would round
-                # differently from the float32 ``np.add.at`` fallback, so
+                # differently from a float32 ``np.add.at`` scatter, so
                 # reduced precision keeps bit-identity via the CSR path.
                 result = self.segment_sum(data.reshape(self.size, 1)).reshape(
                     self.num_segments
@@ -288,18 +229,7 @@ class SegmentPlan:
             else:
                 flat = np.ascontiguousarray(data.reshape(self.size, -1))
                 matrix = self._scatter_matrix(data.dtype)
-                if matrix is not None:
-                    result = (matrix @ flat).reshape((self.num_segments,) + tail)
-                else:  # no scipy: per-column bincount over a contiguous layout
-                    cols = np.ascontiguousarray(flat.T)
-                    result = np.empty(
-                        (self.num_segments, flat.shape[1]), dtype=data.dtype
-                    )
-                    for j in range(flat.shape[1]):
-                        result[:, j] = np.bincount(
-                            self.index, weights=cols[j], minlength=self.num_segments
-                        )
-                    result = result.reshape((self.num_segments,) + tail)
+                result = (matrix @ flat).reshape((self.num_segments,) + tail)
             if out is not None:
                 np.copyto(out, result)
                 return out
@@ -331,16 +261,14 @@ class SegmentPlan:
         """Segment-sorted view of ``data`` plus the pooled scratch to release.
 
         When the index is presorted this is ``(data, None)`` — zero copies.
-        Otherwise the permutation lands in a workspace buffer (when the
-        pool is enabled) that the caller must hand back after use.
+        Otherwise the permutation lands in a workspace buffer that the
+        caller must hand back after use.
         """
         if self.is_sorted:
             return data, None
-        if _ws.workspace_enabled():
-            buf = _ws.global_workspace().acquire(data.shape, data.dtype)
-            np.take(data, self.order, axis=0, out=buf)
-            return buf, buf
-        return np.take(data, self.order, axis=0), None
+        buf = _ws.global_workspace().acquire(data.shape, data.dtype)
+        np.take(data, self.order, axis=0, out=buf)
+        return buf, buf
 
     def _sorted_segment_sum(self, data: np.ndarray) -> np.ndarray:
         """Per-segment sums of *already segment-sorted* rows.
@@ -364,28 +292,17 @@ class SegmentPlan:
                 self.num_segments
             )
         flat = np.ascontiguousarray(data.reshape(self.size, -1))
-        matrix = self._sorted_scatter_matrix(data.dtype)
-        if matrix is not None:
-            out = matrix @ flat
-        else:  # no scipy: per-column bincount over a contiguous layout
-            cols = np.ascontiguousarray(flat.T)
-            out = np.empty((self.num_segments, flat.shape[1]), dtype=data.dtype)
-            for j in range(flat.shape[1]):
-                out[:, j] = np.bincount(
-                    self._sorted_index, weights=cols[j], minlength=self.num_segments
-                )
+        out = self._sorted_scatter_matrix(data.dtype) @ flat
         return out.reshape((self.num_segments,) + tail)
 
     def _sorted_scatter_matrix(self, dtype):
         """CSR summing *presorted* rows per segment, cached per dtype."""
-        if _sparse is None:
-            return None
         if self.is_sorted:
             return self._scatter_matrix(dtype)
         dtype = np.dtype(dtype)
         matrix = self._sorted_matrix.get(dtype.str)
         if matrix is None:
-            matrix = self._sorted_matrix[dtype.str] = _sparse.csr_matrix(
+            matrix = self._sorted_matrix[dtype.str] = sparse.csr_matrix(
                 (
                     np.ones(self.size, dtype=dtype),
                     np.arange(self.size, dtype=np.int32),
@@ -398,14 +315,14 @@ class SegmentPlan:
     def segment_softmax(
         self, data: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Fused per-segment softmax, bit-identical to the scatter fallback.
+        """Fused per-segment softmax, bit-identical to the scatter reference.
 
         Runs entirely in the segment-sorted domain — one permutation in,
         ``maximum.reduceat`` for the stability shift, ``np.repeat`` (by
         segment counts) instead of per-row fancy gathers to broadcast the
         per-segment max and normalizer, and one inverse permutation out.
         The normalizer sum goes through :meth:`_sorted_segment_sum`, so
-        every float matches the ``np.maximum.at``/``np.add.at`` fallback
+        every float matches the ``np.maximum.at``/``np.add.at`` reference
         exactly: max is exactly associative, the elementwise steps see
         identical operands, and the sums accumulate in identical order.
         """

@@ -23,8 +23,8 @@ with a free-list pool keyed by ``(shape, dtype)``:
   ``repro.nn.kernels``).
 
 Reuse never changes numerics: a recycled buffer is always fully
-overwritten (or explicitly zeroed) before use, so the float64 default
-stays bit-identical with the arena on or off. Hit/miss counts feed the
+overwritten (or explicitly zeroed) before use, so a backward drawing from
+a warm pool is bit-identical to one on a cold (empty) pool. Hit/miss counts feed the
 ``nn.workspace.*`` observability counters and the profile CLI's
 ``dtype`` section.
 """
@@ -32,8 +32,7 @@ stays bit-identical with the arena on or off. Hit/miss counts feed the
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +42,6 @@ __all__ = [
     "Workspace",
     "GradArena",
     "global_workspace",
-    "workspace_enabled",
-    "set_workspace_enabled",
-    "use_workspace",
     "grad_buffer",
     "current_arena",
     "open_arena",
@@ -147,27 +143,6 @@ def global_workspace() -> Workspace:
     return _POOL
 
 
-def workspace_enabled() -> bool:
-    return getattr(_state, "enabled", True)
-
-
-def set_workspace_enabled(flag: bool) -> bool:
-    """Enable/disable pooling for this thread; returns the previous flag."""
-    previous = workspace_enabled()
-    _state.enabled = bool(flag)
-    return previous
-
-
-@contextmanager
-def use_workspace(flag: bool) -> Iterator[None]:
-    """Scoped enable/disable — handy for A/B-ing allocation behavior."""
-    previous = set_workspace_enabled(flag)
-    try:
-        yield
-    finally:
-        _state.enabled = previous
-
-
 class GradArena:
     """Per-backward ownership tracker over the shared pool.
 
@@ -215,13 +190,13 @@ def current_arena() -> Optional[GradArena]:
 
 
 def open_arena() -> Optional[GradArena]:
-    """Begin a donation scope for a backward pass (None when disabled).
+    """Begin a donation scope for a backward pass.
 
     Backward passes do not nest on one thread, so a second open while
     one is active simply declines (returns None) and the outer arena
     keeps collecting.
     """
-    if not workspace_enabled() or current_arena() is not None:
+    if current_arena() is not None:
         return None
     arena = GradArena(_POOL)
     _state.arena = arena

@@ -22,8 +22,8 @@ worker results when ``--workers N`` is set); ``cache`` is the
 extraction-free; ``kernels`` reports the segment-plan engine — plans
 built, plan-cache hit rates (per-batch and store-level) and per-kernel
 timers; ``extraction`` reports the batched extraction engine — per-stage
-timers (BFS sweep / induce / label / pack), links processed batched vs
-through the per-link fallback, and the subgraph-store warm-hit rate;
+timers (BFS sweep / induce / label / pack), links extracted and the
+subgraph-store warm-hit rate;
 ``serve`` reports the deployment leg (the workload ends by serving a
 few coalesced requests through :mod:`repro.serve`) — request/pair
 counts, p50/p99 scoring latency, micro-batch occupancy, queue peak
@@ -328,18 +328,11 @@ def run_profile(
             )
         },
     }
-    batched_links = counters.get("extraction.batched.links", 0.0)
-    fallback_links = counters.get("extraction.fallback.links", 0.0)
-    extracted_links = batched_links + fallback_links
     warm_hits = counters.get("seal.cache.hits", 0.0)
     warm_misses = counters.get("seal.cache.misses", 0.0)
     warm_lookups = warm_hits + warm_misses
     extraction_report = {
-        "links": {
-            "batched": batched_links,
-            "fallback": fallback_links,
-            "batched_fraction": batched_links / extracted_links if extracted_links else 0.0,
-        },
+        "links": {"batched": counters.get("extraction.batched.links", 0.0)},
         "store_warm": {
             "hits": warm_hits,
             "misses": warm_misses,

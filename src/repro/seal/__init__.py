@@ -19,7 +19,6 @@ from repro.seal.cross_validation import (
 )
 from repro.seal.evaluator import EvalResult, evaluate, predict_proba
 from repro.seal.results import TrainResult
-from repro.seal.inference import classify_pairs
 from repro.seal.tasks import make_link_classification_task, make_link_prediction_task
 from repro.seal.features import (
     FeatureConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "EvalResult",
     "evaluate",
     "predict_proba",
-    "classify_pairs",
     "kfold_indices",
     "cross_validate",
     "CVResult",

@@ -9,16 +9,14 @@ matrix, caching the results in a packed
 Batch serving lives in :mod:`repro.data`: a
 :class:`~repro.data.DataLoader` drives extraction (optionally across a
 worker pool) and collates store slices into
-:class:`~repro.graph.batch.GraphBatch` objects. The old
-``iter_batches``/``prepare`` methods remain as deprecated shims over
-that layer.
+:class:`~repro.graph.batch.GraphBatch` objects; :func:`repro.data.warm`
+fills the whole store up front.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,29 +242,15 @@ class SEALDataset:
     # ------------------------------------------------------------------ #
     # extraction into the store
     # ------------------------------------------------------------------ #
-    def ensure(self, i: int) -> None:
-        """Make sure link ``i`` is in the store (extracting on a miss)."""
-        if i in self.store:
-            self._hits += 1
-            obs.count("seal.cache.hits")
-            return
-        from repro.data.extraction import build_packed_sample
-
-        self._misses += 1
-        obs.count("seal.cache.misses")
-        with obs.trace("extraction"):
-            sample = build_packed_sample(self.task, self._rng_seed, i)
-        self.store.put(sample)
-
     def ensure_many(self, indices: Sequence[int]) -> None:
         """Make sure every link of ``indices`` is in the store.
 
         Cache misses are extracted together through the batched engine
         (:func:`repro.data.extraction.build_packed_samples` — one
         multi-source BFS sweep per batch instead of per-link traversals),
-        producing arrays bit-identical to :meth:`ensure` link by link.
-        Hit/miss accounting matches the sequential loop: every index
-        already stored (or repeated within the call) counts as a hit.
+        producing arrays bit-identical to per-link extraction. Every index
+        already stored (or repeated within the call) counts as a cache
+        hit, every extracted one as a miss.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
@@ -305,7 +289,7 @@ class SEALDataset:
         Materializes a :class:`Graph` view over the packed store slices —
         use the store/loader directly in hot loops.
         """
-        self.ensure(int(i))
+        self.ensure_many([int(i)])
         s = self.store.get(int(i))
         g = Graph(
             s.num_nodes,
@@ -336,7 +320,7 @@ class SEALDataset:
         self._misses = 0
 
     # ------------------------------------------------------------------ #
-    # batching (thin wrapper + deprecated shims over repro.data)
+    # batching (thin wrapper over repro.data)
     # ------------------------------------------------------------------ #
     def batch(self, indices: Sequence[int]) -> Tuple[GraphBatch, np.ndarray]:
         """Collate the given links into one batch; returns (batch, labels)."""
@@ -348,40 +332,3 @@ class SEALDataset:
             self.store, indices, edge_attr_dim=self.task.edge_attr_dim
         )
         return batch, self.task.labels[indices]
-
-    def prepare(self, indices: Optional[Sequence[int]] = None) -> None:
-        """Deprecated: use :func:`repro.data.warm` / ``DataLoader.warm()``."""
-        warnings.warn(
-            "SEALDataset.prepare() is deprecated; use repro.data.warm(dataset) "
-            "or repro.data.DataLoader(...).warm() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.data.loader import DataLoader
-
-        DataLoader(self, batch_size=64).warm(indices)
-
-    def iter_batches(
-        self,
-        indices: Sequence[int],
-        batch_size: int,
-        *,
-        shuffle: bool = False,
-        rng: RngLike = None,
-    ) -> Iterator[Tuple[GraphBatch, np.ndarray]]:
-        """Deprecated: use :class:`repro.data.DataLoader`.
-
-        Kept as a thin shim — it builds a serial ``DataLoader`` with the
-        equivalent sampler, so batch contents and ordering are unchanged.
-        """
-        warnings.warn(
-            "SEALDataset.iter_batches() is deprecated; use "
-            "repro.data.DataLoader(dataset, indices, batch_size, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.data.loader import DataLoader
-
-        return iter(
-            DataLoader(self, indices, batch_size, shuffle=shuffle, rng=rng)
-        )

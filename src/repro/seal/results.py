@@ -5,18 +5,12 @@
 are the stability contract downstream tooling (exporters, dashboards,
 tuners) programs against; the two evaluation results are frozen so a
 result can be shared, cached and compared without defensive copies.
-
-Dict-style access (``result["auc"]``, ``result.keys()``, iteration) is
-kept as a deprecated compatibility shim for callers written against the
-old untyped-dict returns — every mapping-protocol touch raises a
-:class:`DeprecationWarning` pointing at the attribute spelling.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -29,56 +23,8 @@ __all__ = [
 ]
 
 
-class _MappingCompatMixin:
-    """Deprecated dict-protocol facade over a dataclass's fields."""
-
-    def _warn_mapping(self, how: str) -> None:
-        warnings.warn(
-            f"dict-style {how} on {type(self).__name__} is deprecated; "
-            "use attribute access instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def _mapping_keys(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(self))
-
-    def __getitem__(self, key: str) -> Any:
-        self._warn_mapping(f"access (result[{key!r}])")
-        if key in self._mapping_keys():
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def __contains__(self, key: object) -> bool:
-        self._warn_mapping("membership test")
-        return key in self._mapping_keys()
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn_mapping("iteration")
-        return iter(self._mapping_keys())
-
-    def __len__(self) -> int:
-        return len(self._mapping_keys())
-
-    def keys(self) -> Tuple[str, ...]:
-        self._warn_mapping("keys()")
-        return self._mapping_keys()
-
-    def values(self) -> Tuple[Any, ...]:
-        self._warn_mapping("values()")
-        return tuple(getattr(self, k) for k in self._mapping_keys())
-
-    def items(self) -> Tuple[Tuple[str, Any], ...]:
-        self._warn_mapping("items()")
-        return tuple((k, getattr(self, k)) for k in self._mapping_keys())
-
-    def get(self, key: str, default: Any = None) -> Any:
-        self._warn_mapping(f"get({key!r})")
-        return getattr(self, key) if key in self._mapping_keys() else default
-
-
 @dataclass(frozen=True)
-class EvalResult(_MappingCompatMixin):
+class EvalResult:
     """Evaluation summary for one model on one link set.
 
     ``auc`` is the macro one-vs-rest AUC (the stable summary used for the
@@ -109,7 +55,7 @@ class EvalResult(_MappingCompatMixin):
 
 
 @dataclass(frozen=True)
-class CVResult(_MappingCompatMixin):
+class CVResult:
     """Per-fold evaluations plus aggregate statistics.
 
     ``fold_seconds`` records each fold's train+eval wall-time; the
@@ -140,7 +86,7 @@ CrossValidationResult = CVResult
 
 
 @dataclass
-class TrainResult(_MappingCompatMixin):
+class TrainResult:
     """Per-epoch traces and phase wall-times collected during training.
 
     Mutable by design: :func:`repro.seal.train` grows the traces epoch by

@@ -6,10 +6,9 @@ spec (class name + constructor kwargs, recovered from the live module),
 the :class:`~repro.seal.features.FeatureConfig`, the extraction settings
 the model was trained under, and the class names. Saved as a single
 ``.npz`` through the same atomic meta-npz idiom training checkpoints use
-(:func:`repro.seal.checkpoint.write_meta_npz`), so construction goes
-from six hand-copied keyword arguments — the old ``classify_pairs``
-calling convention, where any mismatch silently produced wrong-width
-features — to one file.
+(:func:`repro.seal.checkpoint.write_meta_npz`), so a scorer is built
+from one file instead of six hand-copied keyword arguments, where any
+mismatch would silently produce wrong-width features.
 
 The architecture spec is captured, not pickled: a registry maps each
 supported classifier to a function that derives its constructor kwargs

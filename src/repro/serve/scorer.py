@@ -1,10 +1,9 @@
 """Typed link scoring: ``ScoreRequest`` → ``LinkScorer`` → ``ScoreResult``.
 
 :class:`LinkScorer` is the one scoring path — the in-process server and
-the offline callers (the profile CLI, the deprecated ``classify_pairs``
-shim) all go through it, so there is exactly one place where extraction
-settings, feature recipes and the model meet. Three properties it
-guarantees:
+the offline callers (the profile CLI, the benchmarks) all go through it,
+so there is exactly one place where extraction settings, feature recipes
+and the model meet. Three properties it guarantees:
 
 * **Compatibility is checked up front.** A bundle whose feature recipe
   or edge-attribute width disagrees with the supplied graph raises

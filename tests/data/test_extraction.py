@@ -1,21 +1,21 @@
-"""Packed-sample extraction: batched engine vs per-link fallback.
+"""Packed-sample extraction: batched engine vs the per-link oracle.
 
-:func:`repro.data.extraction.build_packed_samples` routes through the
-batched engine (:mod:`repro.graph.bulk`) by default and through per-link
-:func:`build_packed_sample` calls when the engine is toggled off. The two
-must produce bit-identical :class:`PackedSubgraph` samples — including
-DRNL labels, assembled node features and edge attributes — regardless of
-how the batch is grouped.
+:func:`repro.data.extraction.build_packed_samples` routes every batch
+through the batched engine (:mod:`repro.graph.bulk`). It must produce
+:class:`PackedSubgraph` samples bit-identical to per-link extraction
+(:func:`tests.oracles.build_packed_sample`) — including DRNL labels,
+assembled node features and edge attributes — regardless of how the
+batch is grouped.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.data.extraction import build_packed_sample, build_packed_samples
+from repro.data.extraction import build_packed_samples
 from repro.datasets.primekg import load_primekg_like
-from repro.graph.bulk import use_bulk
 from repro.seal.dataset import SEALDataset
+from tests.oracles import build_packed_sample
 
 
 @pytest.fixture(scope="module")
@@ -39,17 +39,8 @@ class TestBatchedVsFallback:
     def test_bit_identical_to_per_link(self, task):
         indices = np.arange(task.num_links)
         batched = build_packed_samples(task, 7, indices)
-        with use_bulk(False):
-            fallback = [build_packed_sample(task, 7, int(i)) for i in indices]
-        assert_samples_equal(batched, fallback)
-
-    def test_toggle_routes_through_fallback(self, task):
-        indices = np.arange(6)
-        with obs.capture() as registry:
-            with use_bulk(False):
-                build_packed_samples(task, 7, indices)
-        assert registry.counters.get("extraction.fallback.links") == 6.0
-        assert "extraction.batched.links" not in registry.counters
+        per_link = [build_packed_sample(task, 7, int(i)) for i in indices]
+        assert_samples_equal(batched, per_link)
 
     def test_batch_grouping_is_invisible(self, task):
         # Per-link rng streams are keyed by (seed, link index), so the
@@ -70,9 +61,8 @@ class TestEnsureMany:
         bulk_ds = SEALDataset(task, rng=7)
         bulk_ds.ensure_many(np.arange(task.num_links))
         serial_ds = SEALDataset(task, rng=7)
-        with use_bulk(False):
-            for i in range(task.num_links):
-                serial_ds.ensure(i)
+        for i in range(task.num_links):
+            serial_ds.store.put(build_packed_sample(task, 7, i))
         for i in range(task.num_links):
             assert_samples_equal([bulk_ds.store.get(i)], [serial_ds.store.get(i)])
 

@@ -1,7 +1,6 @@
-"""DataLoader: parallel == serial bit-identity, fallback, shims, warm."""
+"""DataLoader: parallel == serial bit-identity, fallback, warm."""
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -249,8 +248,7 @@ class TestCollateFromStore:
 
         ds = fresh_dataset(task)
         idx = np.arange(10)
-        for i in idx:
-            ds.ensure(int(i))
+        ds.ensure_many(idx)
         with obs.capture() as registry:
             b1 = collate_from_store(ds.store, idx, edge_attr_dim=task.edge_attr_dim)
             b2 = collate_from_store(ds.store, idx, edge_attr_dim=task.edge_attr_dim)
@@ -266,8 +264,7 @@ class TestCollateFromStore:
 
     def test_plan_cache_is_bounded_and_cleared(self, task):
         ds = fresh_dataset(task)
-        for i in range(12):
-            ds.ensure(i)
+        ds.ensure_many(np.arange(12))
         ds.store.plan_cache_limit = 3
         for i in range(8):
             collate_from_store(
@@ -289,27 +286,3 @@ class TestStratifiedLoader:
             served.extend(labels.tolist())
             assert batch.num_graphs == len(labels)
         assert len(served) == task.num_links
-
-
-class TestDeprecatedShims:
-    def test_prepare_warns_and_fills(self, task):
-        ds = fresh_dataset(task)
-        with pytest.warns(DeprecationWarning, match="repro.data.warm"):
-            ds.prepare()
-        assert ds.cache_info().size == task.num_links
-
-    def test_iter_batches_warns_and_matches_loader(self, task):
-        ds = fresh_dataset(task)
-        with pytest.warns(DeprecationWarning, match="repro.data.DataLoader"):
-            legacy = [
-                (b.edge_index.copy(), lb.copy())
-                for b, lb in ds.iter_batches(np.arange(20), 6)
-            ]
-        modern = [
-            (b.edge_index.copy(), lb.copy())
-            for b, lb in DataLoader(fresh_dataset(task), np.arange(20), 6)
-        ]
-        assert len(legacy) == len(modern)
-        for (ea, la), (eb, lb) in zip(legacy, modern):
-            np.testing.assert_array_equal(ea, eb)
-            np.testing.assert_array_equal(la, lb)

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from repro.graph import bulk
-from repro.graph.bulk import (
-    bulk_enabled,
-    extract_enclosing_subgraphs,
-    set_bulk_enabled,
-    use_bulk,
-)
+from repro.graph.bulk import extract_enclosing_subgraphs
 from repro.graph.generators import barabasi_albert_edges, erdos_renyi_edges
 from repro.graph.structure import Graph
 from repro.graph.subgraph import extract_enclosing_subgraph
@@ -181,23 +176,3 @@ class TestContract:
             extract_enclosing_subgraphs(tiny_graph, np.array([[0, 1]]), mode="both")
         with pytest.raises(ValueError):
             extract_enclosing_subgraphs(tiny_graph, np.array([[0, 1]]), k=0)
-
-
-class TestToggle:
-    def test_default_on(self):
-        assert bulk_enabled()
-
-    def test_set_returns_previous(self):
-        assert set_bulk_enabled(False) is True
-        try:
-            assert not bulk_enabled()
-        finally:
-            set_bulk_enabled(True)
-
-    def test_context_manager_restores(self):
-        with use_bulk(False):
-            assert not bulk_enabled()
-            with use_bulk(True):
-                assert bulk_enabled()
-            assert not bulk_enabled()
-        assert bulk_enabled()

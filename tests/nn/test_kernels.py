@@ -1,12 +1,14 @@
 """Segment-kernel engine: plan invariants, bit-identity vs the np.add.at
-oracle (forward AND backward), gradchecks on the planned paths, and the
-plan caches (per-batch and store-level)."""
+oracles in ``tests/oracles.py`` (forward AND backward, float64 and
+float32), gradchecks on the planned paths, and the plan caches."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.nn import kernels
+from repro.nn.dtype import compute_dtype
 from repro.nn.gradcheck import gradcheck
 from repro.nn.indexing import (
     gather,
@@ -15,8 +17,9 @@ from repro.nn.indexing import (
     segment_softmax,
     segment_sum,
 )
-from repro.nn.kernels import PlanCache, SegmentPlan, use_plans
-from repro.nn.tensor import Tensor
+from repro.nn.kernels import PlanCache, SegmentPlan
+from repro.nn.tensor import Tensor, no_grad
+from tests import oracles
 
 
 def randn(*shape, seed=0):
@@ -27,6 +30,15 @@ def randn(*shape, seed=0):
 # single-edge segments (3), duplicated rows, and unsorted order.
 IDX = np.array([2, 0, 2, 5, 0, 3, 5, 5])
 NSEG = 6
+
+
+#: name -> (library op, np.add.at reference op)
+SEGMENT_OPS = {
+    "sum": (segment_sum, oracles.segment_sum),
+    "max": (segment_max, oracles.segment_max),
+    "softmax": (segment_softmax, oracles.segment_softmax),
+    "mean": (segment_mean, oracles.segment_mean),
+}
 
 
 def backward_grad(op, x, *, plan, seed=9):
@@ -77,110 +89,126 @@ class TestSegmentPlanInvariants:
 
 
 class TestBitIdentityForward:
-    """Planned kernels must produce the exact same floats as np.add.at."""
+    """Planned kernels must produce the exact same floats as np.add.at —
+    with a caller-supplied plan and with the one-shot plan an op builds."""
+
+    DTYPE = "float64"
+
+    def check(self, op, ref, data, index, num_segments, **kw):
+        with compute_dtype(self.DTYPE):
+            x = Tensor(data)
+            oracle = ref(x, index, num_segments, **kw).data
+            assert oracle.dtype == np.dtype(self.DTYPE)
+            for plan in (SegmentPlan(index, num_segments), None):
+                planned = op(x, index, num_segments, plan=plan, **kw).data
+                np.testing.assert_array_equal(planned, oracle)
 
     @pytest.mark.parametrize("tail", [(), (1,), (7,), (2, 3)])
     def test_segment_sum(self, tail):
-        x = Tensor(randn(len(IDX), *tail, seed=3))
-        plan = SegmentPlan(IDX, NSEG)
-        planned = segment_sum(x, IDX, NSEG, plan=plan).data
-        with use_plans(False):
-            oracle = segment_sum(x, IDX, NSEG, plan=plan).data
-        np.testing.assert_array_equal(planned, oracle)
+        self.check(segment_sum, oracles.segment_sum, randn(len(IDX), *tail, seed=3), IDX, NSEG)
 
     @pytest.mark.parametrize("tail", [(), (4,)])
     def test_segment_max(self, tail):
-        x = Tensor(randn(len(IDX), *tail, seed=4))
-        plan = SegmentPlan(IDX, NSEG)
-        planned = segment_max(x, IDX, NSEG, fill=-1.5, plan=plan).data
-        with use_plans(False):
-            oracle = segment_max(x, IDX, NSEG, fill=-1.5, plan=plan).data
-        np.testing.assert_array_equal(planned, oracle)
+        x = randn(len(IDX), *tail, seed=4)
+        self.check(segment_max, oracles.segment_max, x, IDX, NSEG, fill=-1.5)
 
     @pytest.mark.parametrize("tail", [(), (3,)])
     def test_segment_softmax(self, tail):
-        logits = Tensor(randn(len(IDX), *tail, seed=5))
-        plan = SegmentPlan(IDX, NSEG)
-        planned = segment_softmax(logits, IDX, NSEG, plan=plan).data
-        with use_plans(False):
-            oracle = segment_softmax(logits, IDX, NSEG, plan=plan).data
-        np.testing.assert_array_equal(planned, oracle)
+        x = randn(len(IDX), *tail, seed=5)
+        self.check(segment_softmax, oracles.segment_softmax, x, IDX, NSEG)
 
     def test_segment_mean(self):
-        x = Tensor(randn(len(IDX), 3, seed=6))
-        plan = SegmentPlan(IDX, NSEG)
-        planned = segment_mean(x, IDX, NSEG, plan=plan).data
-        with use_plans(False):
-            oracle = segment_mean(x, IDX, NSEG, plan=plan).data
-        np.testing.assert_array_equal(planned, oracle)
+        self.check(segment_mean, oracles.segment_mean, randn(len(IDX), 3, seed=6), IDX, NSEG)
 
     def test_single_edge_segments_only(self):
         idx = np.array([2, 0, 1])
-        plan = SegmentPlan(idx, 3)
-        x = Tensor(randn(3, 2, seed=7))
-        planned = segment_softmax(x, idx, 3, plan=plan).data
+        with compute_dtype(self.DTYPE):
+            planned = segment_softmax(Tensor(randn(3, 2, seed=7)), idx, 3).data
         np.testing.assert_array_equal(planned, np.ones((3, 2)))
 
-    def test_no_scipy_fallback_matches(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_sparse", None)
-        plan = SegmentPlan(IDX, NSEG)
-        data = randn(len(IDX), 5, seed=8)
-        oracle = np.zeros((NSEG, 5))
-        np.add.at(oracle, IDX, data)
-        np.testing.assert_array_equal(plan.segment_sum(data), oracle)
+
+class TestBitIdentityForwardFloat32(TestBitIdentityForward):
+    """The same contract under the float32 compute policy."""
+
+    DTYPE = "float32"
 
 
 class TestBitIdentityBackward:
     """The planned VJPs must match the np.add.at VJPs bit for bit."""
 
+    DTYPE = "float64"
+
+    def grads(self, op, ref, data, index, num_segments):
+        """Input gradients through the oracle, the planned op and the
+        planned op on its own one-shot plan."""
+        out = []
+        with compute_dtype(self.DTYPE):
+            for fn, plan in ((ref, None), (op, SegmentPlan(index, num_segments)), (op, None)):
+                x = Tensor(data.copy(), requires_grad=True)
+                out.append(backward_grad(fn, x, plan=plan))
+        assert out[0].dtype == np.dtype(self.DTYPE)
+        return out
+
     @pytest.mark.parametrize("tail", [(), (7,), (2, 3)])
     def test_gather_backward(self, tail):
-        plan = SegmentPlan(IDX, NSEG)
+        oracle, *planned = self.grads(
+            lambda x, plan: gather(x, IDX, plan=plan),
+            lambda x, plan: oracles.gather(x, IDX),
+            randn(NSEG, *tail, seed=1),
+            IDX,
+            NSEG,
+        )
+        for g in planned:
+            np.testing.assert_array_equal(g, oracle)
 
-        def op(x, plan):
-            return gather(x, IDX, plan=plan)
-
-        x1 = Tensor(randn(NSEG, *tail, seed=1), requires_grad=True)
-        x2 = Tensor(x1.data.copy(), requires_grad=True)
-        g_planned = backward_grad(op, x1, plan=plan)
-        with use_plans(False):
-            g_oracle = backward_grad(op, x2, plan=plan)
-        np.testing.assert_array_equal(g_planned, g_oracle)
-
-    @pytest.mark.parametrize(
-        "op",
-        [
-            lambda x, plan: segment_sum(x, IDX, NSEG, plan=plan),
-            lambda x, plan: segment_max(x, IDX, NSEG, plan=plan),
-            lambda x, plan: segment_softmax(x, IDX, NSEG, plan=plan),
-            lambda x, plan: segment_mean(x, IDX, NSEG, plan=plan),
-        ],
-        ids=["sum", "max", "softmax", "mean"],
-    )
+    @pytest.mark.parametrize("which", ["sum", "max", "softmax", "mean"])
     @pytest.mark.parametrize("tail", [(), (4,)])
-    def test_segment_ops_backward(self, op, tail):
-        plan = SegmentPlan(IDX, NSEG)
-        x1 = Tensor(randn(len(IDX), *tail, seed=2), requires_grad=True)
-        x2 = Tensor(x1.data.copy(), requires_grad=True)
-        g_planned = backward_grad(op, x1, plan=plan)
-        with use_plans(False):
-            g_oracle = backward_grad(op, x2, plan=plan)
-        np.testing.assert_array_equal(g_planned, g_oracle)
+    def test_segment_ops_backward(self, which, tail):
+        op, ref = SEGMENT_OPS[which]
+        oracle, *planned = self.grads(
+            lambda x, plan: op(x, IDX, NSEG, plan=plan),
+            lambda x, plan: ref(x, IDX, NSEG),
+            randn(len(IDX), *tail, seed=2),
+            IDX,
+            NSEG,
+        )
+        for g in planned:
+            np.testing.assert_array_equal(g, oracle)
 
     def test_max_duplicate_maxima_split_identically(self):
         idx = np.array([0, 0, 0, 1])
         data = np.array([2.0, 2.0, 1.0, 3.0])  # tie in segment 0
-        plan = SegmentPlan(idx, 2)
+        oracle, *planned = self.grads(
+            lambda x, plan: segment_max(x, idx, 2, plan=plan),
+            lambda x, plan: oracles.segment_max(x, idx, 2),
+            data,
+            idx,
+            2,
+        )
+        for g in planned:
+            np.testing.assert_array_equal(g, oracle)
 
-        def op(x, plan):
-            return segment_max(x, idx, 2, plan=plan)
 
-        x1 = Tensor(data.copy(), requires_grad=True)
-        x2 = Tensor(data.copy(), requires_grad=True)
-        g_planned = backward_grad(op, x1, plan=plan)
-        with use_plans(False):
-            g_oracle = backward_grad(op, x2, plan=plan)
-        np.testing.assert_array_equal(g_planned, g_oracle)
+class TestBitIdentityBackwardFloat32(TestBitIdentityBackward):
+    """The same contract under the float32 compute policy."""
+
+    DTYPE = "float32"
+
+
+class TestOneShotPlans:
+    def test_gather_builds_its_plan_only_for_backward(self):
+        x = Tensor(randn(NSEG, 3, seed=16), requires_grad=True)
+        with obs.capture() as registry:
+            with no_grad():
+                gather(x, IDX)
+        assert "kernels.plan.built" not in registry.counters
+        with obs.capture() as registry:
+            gather(x, IDX).sum().backward()
+        assert registry.counters["kernels.plan.built"] == 1.0
+
+    def test_planless_op_validates_its_index(self):
+        with pytest.raises(ValueError):
+            segment_softmax(Tensor(randn(2, seed=17)), np.array([0, 5]), 3)
 
 
 class TestPlannedGradchecks:
@@ -212,23 +240,6 @@ class TestPlannedGradchecks:
         gradcheck(
             lambda a: (segment_softmax(a, IDX, NSEG, plan=plan) ** 2).sum(), [logits]
         )
-
-
-class TestGlobalToggle:
-    def test_use_plans_restores_previous_state(self):
-        assert kernels.plans_enabled()
-        with use_plans(False):
-            assert not kernels.plans_enabled()
-            with use_plans(True):
-                assert kernels.plans_enabled()
-            assert not kernels.plans_enabled()
-        assert kernels.plans_enabled()
-
-    def test_resolve_plan_none_when_disabled(self):
-        plan = SegmentPlan(IDX, NSEG)
-        assert kernels.resolve_plan(plan) is plan
-        with use_plans(False):
-            assert kernels.resolve_plan(plan) is None
 
 
 class TestPlanCache:
@@ -284,8 +295,26 @@ class TestPlanCache:
         np.testing.assert_array_equal(with_batch.node().counts, [2, 2])
 
 
+def make_conv(which):
+    from repro.models.gatv2 import GATv2Conv
+    from repro.models.gin import GINConv
+    from repro.models.layers import GATConv, GCNConv
+    from repro.models.rgcn import RGCNConv
+    from repro.models.sage import SAGEConv
+
+    return {
+        "gcn": lambda: GCNConv(5, 4, rng=0),
+        "gat": lambda: GATConv(5, 4, heads=2, edge_dim=3, rng=0),
+        "gatv2": lambda: GATv2Conv(5, 4, heads=2, edge_dim=3, rng=0),
+        "gin": lambda: GINConv(5, 4, rng=0),
+        "sage": lambda: SAGEConv(5, 4, rng=0),
+        "rgcn": lambda: RGCNConv(5, 4, num_relations=3, num_bases=2, rng=0),
+    }[which]()
+
+
 class TestConvBitIdentity:
-    """GCNConv / GATConv: planned forward+backward == unplanned, bitwise."""
+    """Conv layers, sort pooling and a whole training run: planned
+    forward+backward == the np.add.at reference ops, bitwise."""
 
     def make_graph(self, n=9, e=24, attr_dim=3, seed=31):
         gen = np.random.default_rng(seed)
@@ -303,27 +332,35 @@ class TestConvBitIdentity:
         grads = {name: p.grad.copy() for name, p in conv.named_parameters()}
         return out.data, xt.grad.copy(), grads
 
+    def assert_runs_equal(self, a, b):
+        (out_a, xg_a, pg_a), (out_b, xg_b, pg_b) = a, b
+        np.testing.assert_array_equal(out_a, out_b)
+        np.testing.assert_array_equal(xg_a, xg_b)
+        assert pg_a.keys() == pg_b.keys()
+        for name in pg_a:
+            np.testing.assert_array_equal(pg_a[name], pg_b[name], err_msg=name)
+
     @pytest.mark.parametrize("which", ["gcn", "gat"])
     def test_planned_equals_unplanned(self, which):
-        from repro.models.layers import GATConv, GCNConv
-
+        conv = make_conv(which)
         ei, x, attr = self.make_graph()
-        if which == "gcn":
-            conv = GCNConv(5, 4, rng=0)
-        else:
-            conv = GATConv(5, 4, heads=2, edge_dim=3, rng=0)
-        plans = PlanCache(ei, x.shape[0])
-        out_p, xg_p, pg_p = self.run_conv(conv, x, ei, attr, plans)
-        out_o, xg_o, pg_o = self.run_conv(conv, x, ei, attr, None)
-        np.testing.assert_array_equal(out_p, out_o)
-        np.testing.assert_array_equal(xg_p, xg_o)
-        assert pg_p.keys() == pg_o.keys()
-        for name in pg_p:
-            np.testing.assert_array_equal(pg_p[name], pg_o[name])
+        planned = self.run_conv(conv, x, ei, attr, PlanCache(ei, x.shape[0]))
+        with oracles.reference_ops():
+            reference = self.run_conv(conv, x, ei, attr, None)
+        self.assert_runs_equal(planned, reference)
+
+    @pytest.mark.parametrize("which", ["gcn", "gat", "gatv2", "gin", "sage", "rgcn"])
+    def test_no_plans_equals_plan_cache(self, which):
+        """A layer given no ``plans`` builds its own and runs the same path."""
+        conv = make_conv(which)
+        ei, x, attr = self.make_graph()
+        given = self.run_conv(conv, x, ei, attr, PlanCache(ei, x.shape[0]))
+        self.assert_runs_equal(self.run_conv(conv, x, ei, attr, None), given)
 
     def test_trained_weights_identical_plans_on_vs_off(self):
-        """End-to-end oracle: same loss curve and weights either way
-        (mirrors tests/data/test_loader.py's worker-count bit-identity)."""
+        """End-to-end oracle: same loss curve and weights on the planned
+        kernels and on the reference ops (mirrors
+        tests/data/test_loader.py's worker-count bit-identity)."""
         from repro.datasets.primekg import load_primekg_like
         from repro.models import AMDGCNN
         from repro.seal.dataset import SEALDataset, train_test_split_indices
@@ -331,36 +368,36 @@ class TestConvBitIdentity:
 
         task = load_primekg_like(scale=0.12, num_targets=40, rng=0)
 
-        def run(enabled):
-            with use_plans(enabled):
-                ds = SEALDataset(task, rng=7)
-                tr, te = train_test_split_indices(
-                    task.num_links, 0.3, labels=task.labels, rng=0
-                )
-                model = AMDGCNN(
-                    ds.feature_width,
-                    task.num_classes,
-                    edge_dim=task.edge_attr_dim,
-                    heads=2,
-                    hidden_dim=8,
-                    num_conv_layers=2,
-                    sort_k=6,
-                    dropout=0.0,
-                    rng=1,
-                )
-                result = train(
-                    model,
-                    ds,
-                    tr,
-                    TrainConfig(epochs=2, batch_size=8, lr=1e-3),
-                    eval_indices=te,
-                    rng=5,
-                    verbose=False,
-                )
+        def run():
+            ds = SEALDataset(task, rng=7)
+            tr, te = train_test_split_indices(
+                task.num_links, 0.3, labels=task.labels, rng=0
+            )
+            model = AMDGCNN(
+                ds.feature_width,
+                task.num_classes,
+                edge_dim=task.edge_attr_dim,
+                heads=2,
+                hidden_dim=8,
+                num_conv_layers=2,
+                sort_k=6,
+                dropout=0.0,
+                rng=1,
+            )
+            result = train(
+                model,
+                ds,
+                tr,
+                TrainConfig(epochs=2, batch_size=8, lr=1e-3),
+                eval_indices=te,
+                rng=5,
+                verbose=False,
+            )
             return result, model.state_dict()
 
-        on_result, on_state = run(True)
-        off_result, off_state = run(False)
+        on_result, on_state = run()
+        with oracles.reference_ops():
+            off_result, off_state = run()
         assert on_result.losses == off_result.losses
         assert on_result.eval_auc == off_result.eval_auc
         assert on_state.keys() == off_state.keys()
@@ -371,8 +408,19 @@ class TestConvBitIdentity:
         from repro.models.sort_pool import sort_pool
 
         batch = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
-        x = Tensor(randn(9, 4, seed=32), requires_grad=True)
+        data = randn(9, 4, seed=32)
         plan = SegmentPlan(batch, 3)
-        planned = sort_pool(x, batch, 3, k=3, plan=plan).data
-        oracle = sort_pool(x, batch, 3, k=3).data
-        np.testing.assert_array_equal(planned, oracle)
+        runs = []
+        for kw, ops in (
+            ({"plan": plan}, nullcontext()),
+            ({}, nullcontext()),
+            ({}, oracles.reference_ops()),
+        ):
+            x = Tensor(data.copy(), requires_grad=True)
+            with ops:
+                out = sort_pool(x, batch, 3, k=3, **kw)
+                (out * Tensor(randn(*out.shape, seed=33))).sum().backward()
+            runs.append((out.data, x.grad))
+        for out, grad in runs[1:]:
+            np.testing.assert_array_equal(out, runs[0][0])
+            np.testing.assert_array_equal(grad, runs[0][1])

@@ -1,0 +1,167 @@
+"""Reference implementations the library's hot paths are checked against.
+
+The library runs every hot op through exactly one implementation: the
+segment ops through :class:`repro.nn.kernels.SegmentPlan` kernels and
+SEAL extraction through the batched sweep of :mod:`repro.graph.bulk`.
+The straightforward versions those replaced live here, test-only, as the
+oracles of the bit-identity tests:
+
+* :func:`gather`, :func:`segment_sum`, :func:`segment_mean`,
+  :func:`segment_max` and :func:`segment_softmax` — the ops spelled with
+  unbuffered ``np.add.at`` / ``np.maximum.at`` scatters, forward and
+  backward. They take (and ignore) ``plan=`` so they drop in anywhere.
+* :func:`reference_ops` — swaps those ops into every ``repro`` module
+  that imported the library versions, so a whole layer, model or
+  training run can be replayed on the reference path.
+* :func:`build_packed_sample` — per-link SEAL extraction through
+  :func:`repro.graph.subgraph.extract_enclosing_subgraph`.
+"""
+
+from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from typing import Iterator
+
+import numpy as np
+
+from repro.data.extraction import _link_rng
+from repro.data.store import PackedSubgraph
+from repro.graph.subgraph import extract_enclosing_subgraph
+from repro.nn import indexing
+from repro.nn.tensor import Tensor, as_tensor
+from repro.seal.features import build_node_features
+
+
+def gather(x, index, *, plan=None) -> Tensor:
+    x = as_tensor(x)
+    index = np.asarray(index)
+    shape = x.data.shape
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        full = np.zeros((shape[0],) + g.shape[1:], dtype=g.dtype)
+        np.add.at(full, index, g)
+        return full
+
+    return Tensor._from_op(np.take(x.data, index, axis=0), (x,), (vjp,), "gather")
+
+
+def segment_sum(x, index, num_segments, *, plan=None) -> Tensor:
+    x = as_tensor(x)
+    index = np.asarray(index)
+    out = np.zeros((num_segments,) + x.data.shape[1:], dtype=x.data.dtype)
+    np.add.at(out, index, x.data)
+    return Tensor._from_op(
+        out, (x,), (lambda g: np.take(g, index, axis=0),), "segment_sum"
+    )
+
+
+def segment_mean(x, index, num_segments, *, plan=None) -> Tensor:
+    sums = segment_sum(x, index, num_segments)
+    counts = np.maximum(np.bincount(index, minlength=num_segments), 1.0)
+    counts = counts.reshape((num_segments,) + (1,) * (sums.ndim - 1))
+    return sums * Tensor(1.0 / counts)
+
+
+def segment_max(x, index, num_segments, fill=0.0, *, plan=None) -> Tensor:
+    x = as_tensor(x)
+    index = np.asarray(index)
+    data = x.data
+    out = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype)
+    np.maximum.at(out, index, data)
+    out[np.bincount(index, minlength=num_segments) == 0] = fill
+    is_max = data == out[index]
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        counts = np.zeros_like(out)
+        np.add.at(counts, index, is_max.astype(data.dtype))
+        denom = np.where(counts[index] > 0, counts[index], 1.0)
+        grad = np.zeros(data.shape, dtype=data.dtype)
+        grad[is_max] = (g[index] / denom)[is_max]
+        return grad
+
+    return Tensor._from_op(out, (x,), (vjp,), "segment_max")
+
+
+def segment_softmax(logits, index, num_segments, *, plan=None) -> Tensor:
+    logits = as_tensor(logits)
+    index = np.asarray(index)
+    data = logits.data
+    seg_max = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype)
+    np.maximum.at(seg_max, index, data)
+    seg_max[~np.isfinite(seg_max)] = 0.0
+    expd = np.exp(data - seg_max[index])
+    denom = np.zeros_like(seg_max)
+    np.add.at(denom, index, expd)
+    denom = np.where(denom > 0, denom, 1.0)
+    out = expd / denom[index]
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        seg_dot = np.zeros((num_segments,) + g.shape[1:], dtype=g.dtype)
+        np.add.at(seg_dot, index, g * out)
+        return out * (g - seg_dot[index])
+
+    return Tensor._from_op(out, (logits,), (vjp,), "segment_softmax")
+
+
+_REFERENCE_OPS = {
+    "gather": gather,
+    "segment_sum": segment_sum,
+    "segment_mean": segment_mean,
+    "segment_max": segment_max,
+    "segment_softmax": segment_softmax,
+}
+
+
+@contextmanager
+def reference_ops() -> Iterator[None]:
+    """Run every ``repro`` segment op on its ``np.add.at`` reference.
+
+    Modules bind the ops at import (``from repro.nn.indexing import
+    gather``), so each binding of a library op is replaced, then restored.
+    """
+    library = {name: getattr(indexing, name) for name in _REFERENCE_OPS}
+    patched = []
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for name, op in library.items():
+            if getattr(module, name, None) is op:
+                patched.append((module, name, op))
+                setattr(module, name, _REFERENCE_OPS[name])
+    try:
+        yield
+    finally:
+        for module, name, op in patched:
+            setattr(module, name, op)
+
+
+def build_packed_sample(task, seed, index: int) -> PackedSubgraph:
+    """Link ``index`` of ``task`` extracted on its own, as a packed sample.
+
+    Uses the same per-link rng stream as
+    :func:`repro.data.extraction.build_packed_samples`, which must return
+    bit-identical samples.
+    """
+    u, v = task.pairs[index]
+    sub = extract_enclosing_subgraph(
+        task.graph,
+        int(u),
+        int(v),
+        k=task.num_hops,
+        mode=task.subgraph_mode,
+        max_nodes=task.max_subgraph_nodes,
+        rng=_link_rng(task, seed, index),
+    )
+    g = sub.graph
+    return PackedSubgraph(
+        index=int(index),
+        num_nodes=g.num_nodes,
+        num_edges=g.num_edges,
+        edge_index=g.edge_index,
+        features=build_node_features(sub, task.feature_config),
+        node_type=g.node_type,
+        edge_type=g.edge_type,
+        edge_attr=g.edge_attr,
+        node_features=g.node_features,
+    )

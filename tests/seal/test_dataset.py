@@ -7,7 +7,7 @@ from repro.graph.generators import erdos_renyi_edges
 from repro.graph.structure import Graph
 from repro.seal.dataset import LinkTask, SEALDataset, train_test_split_indices
 from repro.seal.features import FeatureConfig
-from repro.data import warm
+from repro.data import DataLoader, warm
 
 
 def make_task(num_targets=20, seed=0, **overrides):
@@ -140,20 +140,20 @@ class TestSEALDataset:
         assert batch.num_graphs == 3
         assert batch.edge_attr.shape[1] == 3
 
-    def test_iter_batches_covers_all(self):
+    def test_loader_covers_all(self):
         ds = SEALDataset(make_task(), rng=0)
         seen = 0
-        for batch, labels in ds.iter_batches(np.arange(20), 6):
+        for batch, labels in DataLoader(ds, np.arange(20), 6):
             seen += len(labels)
             assert batch.num_graphs == len(labels)
         assert seen == 20
 
-    def test_iter_batches_shuffle_deterministic(self):
+    def test_loader_shuffle_deterministic(self):
         ds = SEALDataset(make_task(), rng=0)
         runs = []
         for _ in range(2):
             labels_order = []
-            for _, labels in ds.iter_batches(np.arange(20), 7, shuffle=True, rng=3):
+            for _, labels in DataLoader(ds, np.arange(20), 7, shuffle=True, rng=3):
                 labels_order.extend(labels.tolist())
             runs.append(labels_order)
         assert runs[0] == runs[1]
@@ -161,4 +161,4 @@ class TestSEALDataset:
     def test_invalid_batch_size(self):
         ds = SEALDataset(make_task(), rng=0)
         with pytest.raises(ValueError):
-            list(ds.iter_batches(np.arange(5), 0))
+            DataLoader(ds, np.arange(5), 0)

@@ -1,105 +1,38 @@
-"""Inference API on unlabeled pairs."""
+"""Classifying unlabeled pairs with a caller-held model via LinkScorer."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_primekg_like
 from repro.models import AMDGCNN
-from repro.seal import (
-    SEALDataset,
-    TrainConfig,
-    classify_pairs,
-    train,
-    train_test_split_indices,
-)
-from repro.data import warm
+from repro.serve import LinkScorer, ModelBundle
 
 
 @pytest.fixture(scope="module")
-def trained():
-    task = load_primekg_like(scale=0.12, num_targets=60, rng=0)
-    ds = SEALDataset(task, rng=0)
-    tr, te = train_test_split_indices(task.num_links, 0.3, labels=task.labels, rng=0)
-    warm(ds)
+def held():
+    task = load_primekg_like(scale=0.12, num_targets=40, rng=0)
     model = AMDGCNN(
-        ds.feature_width, task.num_classes, edge_dim=task.edge_attr_dim,
-        heads=2, hidden_dim=16, num_conv_layers=2, sort_k=10, dropout=0.0, rng=1,
+        task.feature_config.width, task.num_classes, edge_dim=task.edge_attr_dim,
+        heads=2, hidden_dim=16, num_conv_layers=2, sort_k=10, dropout=0.5, rng=1,
     )
-    train(model, ds, tr, TrainConfig(epochs=3, batch_size=8, lr=3e-3), rng=1)
-    return task, ds, model, te
+    return task, model, ModelBundle.from_model(model, task, task_name="inference")
 
 
 class TestClassifyPairs:
-    def test_matches_evaluator_pipeline(self, trained):
-        """classify_pairs on the test links equals predict_proba."""
-        task, ds, model, te = trained
-        from repro.seal import predict_proba
-
-        direct = predict_proba(model, ds, te)
-        via_api = classify_pairs(
-            model,
-            task.graph,
-            task.pairs[te],
-            task.feature_config,
-            edge_attr_dim=task.edge_attr_dim,
-            num_hops=task.num_hops,
-            subgraph_mode=task.subgraph_mode,
-            max_subgraph_nodes=task.max_subgraph_nodes,
-            rng=0,
-        )
-        assert via_api.shape == direct.shape
-        np.testing.assert_allclose(via_api.sum(axis=1), 1.0, atol=1e-9)
-        # Predictions agree on the vast majority of links (subsampling
-        # of capped subgraphs uses a different stream, so allow slack).
-        agree = (via_api.argmax(1) == direct.argmax(1)).mean()
-        assert agree > 0.8
-
-    def test_novel_pairs(self, trained):
-        """Pairs never seen as targets still classify (no labels needed)."""
-        task, ds, model, te = trained
-        gen = np.random.default_rng(0)
-        drugs = np.nonzero(task.graph.node_type == 0)[0]
-        diseases = np.nonzero(task.graph.node_type == 1)[0]
-        novel = np.stack(
-            [gen.choice(drugs, size=7), gen.choice(diseases, size=7)], axis=1
-        )
-        probs = classify_pairs(
-            model,
-            task.graph,
-            novel,
-            task.feature_config,
-            edge_attr_dim=task.edge_attr_dim,
-        )
-        assert probs.shape == (7, task.num_classes)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_restores_mode(self, trained):
-        task, ds, model, te = trained
+    def test_restores_mode(self, held):
+        """Scoring evaluates the caller's own model and hands it back in train mode."""
+        task, model, bundle = held
+        scorer = LinkScorer(bundle, task.graph, model=model, cache_scores=False)
+        assert scorer.model is model
         model.train()
-        classify_pairs(
-            model, task.graph, task.pairs[:3], task.feature_config,
-            edge_attr_dim=task.edge_attr_dim,
-        )
+        probs = scorer.score(task.pairs[:3]).probs
         assert model.training
+        model.eval()
+        np.testing.assert_array_equal(scorer.score(task.pairs[:3]).probs, probs)
 
-    def test_pair_shape_validation(self, trained):
-        task, ds, model, te = trained
-        with pytest.raises(ValueError):
-            classify_pairs(model, task.graph, np.array([1, 2, 3]), task.feature_config)
-
-    def test_deprecated_shim_matches_scorer(self, trained):
-        """classify_pairs warns and returns exactly LinkScorer's probs."""
-        task, ds, model, te = trained
-        from repro.serve import LinkScorer, ModelBundle
-        from repro.utils.rng import derive
-
-        with pytest.warns(DeprecationWarning, match="LinkScorer"):
-            shim = classify_pairs(
-                model, task.graph, task.pairs[:5], task.feature_config,
-                edge_attr_dim=task.edge_attr_dim, num_hops=task.num_hops,
-                subgraph_mode=task.subgraph_mode,
-                max_subgraph_nodes=task.max_subgraph_nodes, rng=3,
-            )
-        bundle = ModelBundle.from_model(model, task, task_name="inference")
-        scorer = LinkScorer(bundle, task.graph, rng=derive(3, "inference"))
-        np.testing.assert_array_equal(shim, scorer.score(task.pairs[:5]).probs)
+    def test_pair_shape_validation(self, held):
+        task, model, bundle = held
+        scorer = LinkScorer(bundle, task.graph, model=model)
+        for bad in (np.array([1, 2, 3]), np.zeros((2, 3), dtype=np.int64)):
+            with pytest.raises(ValueError):
+                scorer.score(bad)

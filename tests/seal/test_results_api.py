@@ -1,7 +1,7 @@
 """Typed result API: EvalResult/CVResult/TrainResult, callbacks, cache_info.
 
-Covers the API-redesign contract: frozen result dataclasses with
-deprecated dict-style access, the trainer's callback protocol and
+Covers the API-redesign contract: frozen, attribute-only result
+dataclasses, the trainer's callback protocol and
 ``verbose=`` shim, the dataset cache counters, and the determinism
 guarantee that instrumentation must not perturb training.
 """
@@ -18,7 +18,7 @@ from repro.seal import CacheInfo, CVResult, EvalResult, TrainResult, cross_valid
 from repro.seal.dataset import SEALDataset, train_test_split_indices
 from repro.seal.evaluator import evaluate
 from repro.seal.trainer import TrainConfig, train
-from repro.data import warm
+from repro.data import DataLoader, warm
 
 
 @pytest.fixture(scope="module")
@@ -57,33 +57,6 @@ class TestEvalResultApi:
     def test_has_timings(self, result):
         assert result.timings["total_s"] >= result.timings["predict_s"] >= 0.0
         assert "metrics_s" in result.timings
-
-    def test_mapping_getitem_warns_and_matches_attrs(self, result):
-        with pytest.warns(DeprecationWarning):
-            assert result["auc"] == result.auc
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(result["confusion"], result.confusion)
-
-    def test_mapping_keys_and_iteration_warn(self, result):
-        with pytest.warns(DeprecationWarning):
-            keys = result.keys()
-        assert "auc" in keys and "probs" in keys and "timings" in keys
-        with pytest.warns(DeprecationWarning):
-            assert set(iter(result)) == set(keys)
-        with pytest.warns(DeprecationWarning):
-            assert "auc" in result
-
-    def test_mapping_get_and_items(self, result):
-        with pytest.warns(DeprecationWarning):
-            assert result.get("ap") == result.ap
-        with pytest.warns(DeprecationWarning):
-            assert result.get("nope", 42) == 42
-        with pytest.warns(DeprecationWarning):
-            assert dict(result.items())["accuracy"] == result.accuracy
-
-    def test_unknown_key_raises(self, result):
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
-            result["nope"]
 
     def test_attribute_access_does_not_warn(self, result, recwarn):
         _ = result.auc, result.ap, result.summary()
@@ -174,10 +147,6 @@ class TestCVResultApi:
         assert 0.0 <= summary["auc_mean"] <= 1.0
         assert cv_result.metric("ap").shape == (3,)
 
-    def test_mapping_access_warns(self, cv_result):
-        with pytest.warns(DeprecationWarning):
-            assert cv_result["fold_results"] == cv_result.fold_results
-
 
 class TestCacheInfo:
     def test_counts_hits_and_misses(self):
@@ -216,7 +185,7 @@ class TestCacheInfo:
         task = load_primekg_like(scale=0.12, num_targets=20, rng=0)
         ds = SEALDataset(task, rng=0)
         for epoch in range(3):  # fresh rng each epoch, like a real train loop
-            for _ in ds.iter_batches(np.arange(20), 6, shuffle=True, rng=epoch):
+            for _ in DataLoader(ds, np.arange(20), 6, shuffle=True, rng=epoch):
                 pass
         assert ds.cache_info().misses == 20  # extracted exactly once each
 

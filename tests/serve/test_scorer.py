@@ -7,6 +7,7 @@ import repro.obs as obs
 from repro.datasets import load_primekg_like
 from repro.graph.structure import Graph
 from repro.models import AMDGCNN
+from repro.seal import SEALDataset, predict_proba
 from repro.serve import CompatibilityError, LinkScorer, ModelBundle, ScoreRequest
 
 
@@ -71,6 +72,28 @@ class TestScore:
                 rows[link] = res.probs[j]
         got = np.stack([rows[i] for i in range(16)])
         np.testing.assert_array_equal(got, reference)
+
+    def test_matches_evaluator_pipeline(self, bundle, task):
+        """On the task's own links the scorer equals the offline evaluator.
+
+        No subgraph here reaches ``max_subgraph_nodes``, so the two
+        extraction streams (keyed on pair content vs link index) never
+        subsample and both paths see identical subgraphs.
+        """
+        idx = np.arange(task.num_links)
+        direct = predict_proba(bundle.build_model(), SEALDataset(task, rng=5), idx)
+        served = scorer_for(bundle, task).score(task.pairs[idx]).probs
+        np.testing.assert_allclose(served, direct, rtol=0, atol=1e-12)
+
+    def test_novel_pairs(self, bundle, task):
+        """Pairs never seen as targets still classify (no labels needed)."""
+        gen = np.random.default_rng(0)
+        drugs = np.nonzero(task.graph.node_type == 0)[0]
+        diseases = np.nonzero(task.graph.node_type == 1)[0]
+        novel = np.stack([gen.choice(drugs, size=7), gen.choice(diseases, size=7)], axis=1)
+        probs = scorer_for(bundle, task).score(novel).probs
+        assert probs.shape == (7, task.num_classes)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_store_grows_past_initial_capacity(self, bundle, task):
         sc = scorer_for(bundle, task, initial_capacity=4)
