@@ -12,9 +12,10 @@ the mechanism that lets AM-DGCNN exploit link information (paper §II-A,
 §III-C).
 
 Both layers operate on a batched edge list (``repro.graph.GraphBatch``),
-with all message passing expressed through ``gather`` / ``segment_sum`` /
-``segment_softmax`` so the entire mini-batch is processed in a handful of
-vectorized ops.
+so the entire mini-batch is processed in a handful of vectorized ops:
+``GCNConv`` through ``gather`` / ``segment_sum``, ``GATConv`` through the
+fused :func:`~repro.nn.attention.gat_edge_pass` (logits, segment softmax
+and weighted segment sum as one tape node).
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.dtype import get_compute_dtype
-from repro.nn.indexing import gather, segment_softmax, segment_sum
+from repro.nn.attention import gat_edge_pass
+from repro.nn.indexing import gather, segment_sum
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
@@ -220,31 +221,21 @@ class GATConv(Module):
         if self.add_loops:
             edge_index = plans.loop_edge_index()
             edge_attr = plans.loop_edge_attr(edge_attr)
-        src_plan = plans.src(loops=self.add_loops)
-        dst_plan = plans.dst(loops=self.add_loops)
-        src, dst = edge_index
-        e = edge_index.shape[1]
-
-        h = (x @ self.weight).reshape(n, self.heads, self.channels)  # (N, H, C)
-        # Node contributions to the logits, precomputed per node then
-        # gathered per arc (cheaper than per-arc projection).
-        alpha_src = (h * self.att_src).sum(axis=2)  # (N, H)
-        alpha_dst = (h * self.att_dst).sum(axis=2)  # (N, H)
-        logits = gather(alpha_src, src, plan=src_plan) + gather(
-            alpha_dst, dst, plan=dst_plan
-        )  # (E, H)
         he = None
         if self.edge_dim > 0:
-            he = (Tensor(edge_attr) @ self.edge_weight).reshape(e, self.heads, self.channels)
-            logits = logits + (he * self.att_edge).sum(axis=2)
-        logits = F.leaky_relu(logits, self.negative_slope)
-        alpha = segment_softmax(logits, dst, n, plan=dst_plan)  # (E, H)
-
-        content = gather(h, src, plan=src_plan)  # (E, H, C)
-        if he is not None and self.edge_in_message:
-            content = content + he
-        messages = content * alpha.reshape(e, self.heads, 1)  # (E, H, C)
-        out = segment_sum(messages, dst, n, plan=dst_plan).reshape(n, self.out_dim)
+            he = Tensor(edge_attr) @ self.edge_weight  # (E, out)
+        out = gat_edge_pass(
+            x @ self.weight,
+            self.att_src,
+            self.att_dst,
+            edge_index,
+            src_plan=plans.src(loops=self.add_loops),
+            dst_plan=plans.dst(loops=self.add_loops),
+            he=he,
+            att_edge=self.att_edge,
+            edge_in_message=self.edge_in_message,
+            negative_slope=self.negative_slope,
+        )
         if self.bias is not None:
             out = out + self.bias
         return out

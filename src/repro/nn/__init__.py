@@ -11,6 +11,7 @@ from repro.nn import functional
 from repro.nn import init
 from repro.nn import kernels
 from repro.nn import workspace
+from repro.nn.attention import gat_edge_pass
 from repro.nn.conv import Conv1d, MaxPool1d
 from repro.nn.dense import MLP, Dropout, Linear
 from repro.nn.dtype import (
@@ -78,6 +79,7 @@ __all__ = [
     "segment_max",
     "segment_softmax",
     "segment_count",
+    "gat_edge_pass",
     "cross_entropy",
     "nll_loss",
     "bce_with_logits",

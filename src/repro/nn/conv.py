@@ -36,6 +36,30 @@ def _window_indices(length: int, kernel: int, stride: int) -> np.ndarray:
     return starts[:, None] + np.arange(kernel)[None, :]
 
 
+def _col2im(windows: np.ndarray, length: int, stride: int, dtype) -> np.ndarray:
+    """Sum ``(B, C, L_out, K)`` window gradients back onto ``(B, C, length)``.
+
+    The adjoint of the im2col gather, bit-identical to ``np.add.at`` of
+    the windows into zeros. Taps ``[j*stride, (j+1)*stride)`` of every
+    window land on distinct positions, so each such group is one strided
+    slice add into a ``(rows, stride)`` view of the output. Visiting the
+    groups from the last tap to the first adds each position's windows
+    in window order — the order ``np.add.at`` visits them — and starting
+    from zeros turns a lone ``-0.0`` into ``+0.0`` just as it does. With
+    ``kernel <= stride`` (DGCNN's first conv and its pool) there is one
+    group: a single strided write.
+    """
+    b, c, l_out, kernel = windows.shape
+    groups = -(-kernel // stride)
+    rows = max(l_out + groups - 1, -(-length // stride))
+    out = np.zeros((b, c, rows, stride), dtype=dtype)
+    for j in reversed(range(groups)):
+        taps = windows[..., j * stride : (j + 1) * stride]
+        out[:, :, j : j + l_out, : taps.shape[-1]] += taps
+    out = out.reshape(b, c, rows * stride)
+    return out if rows * stride == length else np.ascontiguousarray(out[..., :length])
+
+
 class Conv1d(Module):
     """1-D convolution over ``(batch, channels, length)`` tensors.
 
@@ -95,9 +119,7 @@ class Conv1d(Module):
         def vjp_cols(g2: np.ndarray) -> np.ndarray:
             # g2: (B*L_out, C*K) -> scatter back into (B, C, L)
             g4 = g2.reshape(b, l_out, c, self.kernel_size).transpose(0, 2, 1, 3)
-            gx = np.zeros_like(data)
-            np.add.at(gx, (slice(None), slice(None), idx), g4)
-            return gx
+            return _col2im(g4, length, self.stride, data.dtype)
 
         cols_t = Tensor._from_op(cols, (x,), (vjp_cols,), "im2col")
         out = cols_t @ self.weight  # (B*L_out, out)
@@ -141,14 +163,12 @@ class MaxPool1d(Module):
         arg = windows.argmax(axis=-1)  # (B, C, L_out)
         out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 
-        flat_pos = idx[np.arange(idx.shape[0])[None, None, :], arg]  # (B, C, L_out)
-
         def vjp(g: np.ndarray) -> np.ndarray:
-            gx = np.zeros_like(data)
-            bi = np.arange(b)[:, None, None]
-            ci = np.arange(c)[None, :, None]
-            np.add.at(gx, (bi, ci, flat_pos), g)
-            return gx
+            # Route each window's gradient to its argmax tap, then fold
+            # the windows back like Conv1d's im2col adjoint.
+            g4 = np.zeros(arg.shape + (self.kernel_size,), dtype=data.dtype)
+            np.put_along_axis(g4, arg[..., None], g[..., None], axis=-1)
+            return _col2im(g4, length, self.stride, data.dtype)
 
         return Tensor._from_op(out, (x,), (vjp,), "maxpool1d")
 

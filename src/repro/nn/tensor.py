@@ -16,9 +16,13 @@ Only operations needed by the AM-DGCNN stack are provided, but each is a
 general ndarray op with full broadcasting support; gradients for every op
 are verified against finite differences in ``tests/nn/``.
 
-Design notes (per the HPC-Python guides): all VJPs are vectorized — no
-Python loops over elements — and reuse ``np.add.at`` / fancy indexing for
-scatter-style backward passes.
+Design notes: all VJPs are vectorized — no Python loops over elements.
+Scatter-style backward passes run on the
+:class:`~repro.nn.kernels.SegmentPlan` kernels or strided slice adds;
+the one unbuffered ``np.add.at`` left is :meth:`Tensor.__getitem__`'s
+VJP, whose arbitrary index has no plan to reuse. An op may also record
+one node for a whole fused program with VJPs that share one backward
+(see :mod:`repro.nn.attention`).
 """
 
 from __future__ import annotations

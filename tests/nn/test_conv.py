@@ -1,11 +1,14 @@
-"""Conv1d / MaxPool1d: values vs naive reference, gradients, geometry."""
+"""Conv1d / MaxPool1d: values vs naive reference, gradients, geometry, and
+the scatter-free backward vs the ``np.add.at`` oracles."""
 
 import numpy as np
 import pytest
 
 from repro.nn.conv import Conv1d, MaxPool1d
+from repro.nn.dtype import compute_dtype
 from repro.nn.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
+from tests import oracles
 
 
 def randn(*shape, seed=0):
@@ -110,3 +113,67 @@ class TestMaxPool1d:
     def test_requires_3d(self):
         with pytest.raises(ValueError):
             MaxPool1d(2)(Tensor(randn(3, 3)))
+
+
+def signed_zeros(arr, seed):
+    """``arr`` with a quarter of its entries replaced by ``+0.0`` / ``-0.0``."""
+    gen = np.random.default_rng(seed)
+    arr = arr.copy()
+    arr[gen.random(arr.shape) < 0.25] = np.where(gen.random() < 0.5, 0.0, -0.0)
+    arr.flat[::7] = -0.0
+    return arr
+
+
+def assert_bytes_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()  # distinguishes -0.0 from +0.0
+
+
+#: (kernel, stride, length): overlapping, non-overlapping (DGCNN's conv1
+#: and pool), stride > kernel, and uncovered tails.
+GEOMETRIES = [(5, 1, 12), (6, 2, 15), (4, 2, 11), (3, 3, 9), (3, 3, 11), (2, 5, 13), (1, 1, 4)]
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("kernel,stride,length", GEOMETRIES)
+class TestScatterFreeBackward:
+    """The strided col2im is byte-identical to the ``np.add.at`` scatters
+    in ``tests/oracles.py``, signed zeros included."""
+
+    def test_col2im(self, kernel, stride, length, dtype):
+        from repro.nn.conv import _col2im
+
+        l_out = (length - kernel) // stride + 1
+        windows = signed_zeros(randn(2, 3, l_out, kernel, seed=kernel), seed=stride)
+        windows = windows.astype(dtype)
+        assert_bytes_equal(
+            _col2im(windows, length, stride, windows.dtype),
+            oracles.col2im(windows, length, stride, windows.dtype),
+        )
+
+    def test_conv1d_input_grad(self, kernel, stride, length, dtype, monkeypatch):
+        from repro.nn import conv as conv_mod
+
+        with compute_dtype(dtype):
+            conv = Conv1d(3, 4, kernel_size=kernel, stride=stride, rng=0)
+            x_data = randn(2, 3, length, seed=length)
+            w = signed_zeros(randn(2, 4, conv.out_length(length), seed=1), seed=2)
+
+            def input_grad():
+                x = Tensor(x_data, requires_grad=True)
+                (conv(x) * Tensor(w)).sum().backward()
+                return x.grad
+
+            planned = input_grad()
+            monkeypatch.setattr(conv_mod, "_col2im", oracles.col2im)
+            assert_bytes_equal(planned, input_grad())
+
+    def test_maxpool1d_input_grad(self, kernel, stride, length, dtype):
+        with compute_dtype(dtype):
+            pool = MaxPool1d(kernel, stride=stride)
+            # Rounded values force ties, so overlapping windows share maxima.
+            x = Tensor(np.round(randn(2, 3, length, seed=length)), requires_grad=True)
+            g = signed_zeros(randn(2, 3, pool.out_length(length), seed=3), seed=4)
+            g = g.astype(dtype)
+            pool(x).backward(g)
+            assert_bytes_equal(x.grad, oracles.maxpool1d_grad(x.data, g, kernel, stride))

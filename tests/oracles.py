@@ -10,9 +10,16 @@ oracles of the bit-identity tests:
   :func:`segment_max` and :func:`segment_softmax` — the ops spelled with
   unbuffered ``np.add.at`` / ``np.maximum.at`` scatters, forward and
   backward. They take (and ignore) ``plan=`` so they drop in anywhere.
-* :func:`reference_ops` — swaps those ops into every ``repro`` module
-  that imported the library versions, so a whole layer, model or
-  training run can be replayed on the reference path.
+* :func:`gat_edge_pass` — the GAT edge pass as the op chain
+  :func:`repro.nn.attention.gat_edge_pass` fuses, built from the ops
+  above; it takes (and ignores) the same plans.
+* :func:`col2im` and :func:`maxpool1d_grad` — the ``np.add.at``
+  backward scatters of :class:`repro.nn.conv.Conv1d` and
+  :class:`repro.nn.conv.MaxPool1d`.
+* :func:`reference_ops` — swaps the segment ops and :func:`gat_edge_pass`
+  into every ``repro`` module that imported the library versions, so a
+  whole layer, model or training run can be replayed on the reference
+  path.
 * :func:`build_packed_sample` — per-link SEAL extraction through
   :func:`repro.graph.subgraph.extract_enclosing_subgraph`.
 """
@@ -28,7 +35,7 @@ import numpy as np
 from repro.data.extraction import _link_rng
 from repro.data.store import PackedSubgraph
 from repro.graph.subgraph import extract_enclosing_subgraph
-from repro.nn import indexing
+from repro.nn import attention, indexing
 from repro.nn.tensor import Tensor, as_tensor
 from repro.seal.features import build_node_features
 
@@ -104,31 +111,97 @@ def segment_softmax(logits, index, num_segments, *, plan=None) -> Tensor:
     return Tensor._from_op(out, (logits,), (vjp,), "segment_softmax")
 
 
+def gat_edge_pass(
+    h,
+    att_src,
+    att_dst,
+    edge_index,
+    *,
+    src_plan=None,
+    dst_plan=None,
+    he=None,
+    att_edge=None,
+    edge_in_message=True,
+    negative_slope=0.2,
+) -> Tensor:
+    """The op chain ``GATConv`` ran before its edge pass was fused."""
+    src, dst = edge_index
+    n = h.shape[0]
+    e = src.shape[0]
+    _, heads, channels = att_src.shape
+    h = h.reshape(n, heads, channels)
+    alpha_src = (h * att_src).sum(axis=2)
+    alpha_dst = (h * att_dst).sum(axis=2)
+    logits = gather(alpha_src, src) + gather(alpha_dst, dst)
+    if he is not None:
+        he = he.reshape(e, heads, channels)
+        logits = logits + (he * att_edge).sum(axis=2)
+    alpha = segment_softmax(logits.leaky_relu(negative_slope), dst, n)
+    content = gather(h, src)
+    if he is not None and edge_in_message:
+        content = content + he
+    messages = content * alpha.reshape(e, heads, 1)
+    return segment_sum(messages, dst, n).reshape(n, heads * channels)
+
+
+def _windows(length, kernel, stride):
+    l_out = (length - kernel) // stride + 1
+    return np.arange(l_out)[:, None] * stride + np.arange(kernel)[None, :]
+
+
+def col2im(windows, length, stride, dtype) -> np.ndarray:
+    """Conv1d's im2col adjoint: ``np.add.at`` of ``(B, C, L_out, K)``
+    window gradients into zeros of ``(B, C, length)``."""
+    b, c, _, kernel = windows.shape
+    out = np.zeros((b, c, length), dtype=dtype)
+    np.add.at(out, (slice(None), slice(None), _windows(length, kernel, stride)), windows)
+    return out
+
+
+def maxpool1d_grad(data, g, kernel, stride) -> np.ndarray:
+    """MaxPool1d's input gradient: ``g`` scattered onto each window's argmax."""
+    b, c, length = data.shape
+    idx = _windows(length, kernel, stride)
+    arg = data[:, :, idx].argmax(axis=-1)
+    pos = idx[np.arange(idx.shape[0])[None, None, :], arg]
+    out = np.zeros_like(data)
+    np.add.at(out, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], pos), g)
+    return out
+
+
+#: library module -> {name: reference op}
 _REFERENCE_OPS = {
-    "gather": gather,
-    "segment_sum": segment_sum,
-    "segment_mean": segment_mean,
-    "segment_max": segment_max,
-    "segment_softmax": segment_softmax,
+    indexing: {
+        "gather": gather,
+        "segment_sum": segment_sum,
+        "segment_mean": segment_mean,
+        "segment_max": segment_max,
+        "segment_softmax": segment_softmax,
+    },
+    attention: {"gat_edge_pass": gat_edge_pass},
 }
 
 
 @contextmanager
 def reference_ops() -> Iterator[None]:
-    """Run every ``repro`` segment op on its ``np.add.at`` reference.
+    """Run every ``repro`` segment op and GAT edge pass on its reference.
 
     Modules bind the ops at import (``from repro.nn.indexing import
     gather``), so each binding of a library op is replaced, then restored.
     """
-    library = {name: getattr(indexing, name) for name in _REFERENCE_OPS}
+    swaps = [
+        (name, getattr(library, name), reference)
+        for library, ops in _REFERENCE_OPS.items()
+        for name, reference in ops.items()
+    ]
     patched = []
     for module in list(sys.modules.values()):
         if not getattr(module, "__name__", "").startswith("repro"):
             continue
-        for name, op in library.items():
+        for name, op, reference in swaps:
             if getattr(module, name, None) is op:
                 patched.append((module, name, op))
-                setattr(module, name, _REFERENCE_OPS[name])
+                setattr(module, name, reference)
     try:
         yield
     finally:
