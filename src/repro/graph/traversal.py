@@ -33,10 +33,9 @@ def _take_ragged(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
     A single ``np.repeat`` of the per-run base offsets (``starts`` minus
     the exclusive cumsum of ``counts``) added to one ``np.arange`` — the
     previous spelling repeated ``starts`` and the cumsum separately, an
-    extra O(total) temporary and subtraction per BFS level (the
-    ``frontier_gather`` records in ``results/BENCH_extraction.json``
-    hold the measured delta; a boundary-scatter cumsum variant was also
-    tried and loses to both at every frontier size).
+    extra O(total) temporary and subtraction per BFS level (a
+    boundary-scatter cumsum variant was also tried and loses to both at
+    every frontier size).
     """
     total = int(counts.sum())
     if total == 0:

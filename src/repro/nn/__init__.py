@@ -10,7 +10,6 @@ from repro.nn import dtype
 from repro.nn import functional
 from repro.nn import init
 from repro.nn import kernels
-from repro.nn import workspace
 from repro.nn.attention import gat_edge_pass
 from repro.nn.conv import Conv1d, MaxPool1d
 from repro.nn.dense import MLP, Dropout, Linear
@@ -37,7 +36,6 @@ from repro.nn.module import Module, ModuleList, Parameter, Sequential
 from repro.nn.norm import BatchNorm1d, LayerNorm
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer, StepLR, clip_grad_norm
 from repro.nn.tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack, where
-from repro.nn.workspace import Workspace, global_workspace
 
 __all__ = [
     "dtype",
@@ -46,9 +44,6 @@ __all__ = [
     "set_compute_dtype",
     "resolve_dtype",
     "cast_module",
-    "workspace",
-    "Workspace",
-    "global_workspace",
     "Tensor",
     "as_tensor",
     "concatenate",

@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn import workspace as _ws
 from repro.nn.dtype import FLOAT64, get_compute_dtype
 from repro.nn.kernels import SegmentPlan
 from repro.nn.tensor import Tensor, as_tensor
@@ -92,8 +91,7 @@ def gather(
         plan.check(index, shape[0])
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        buf = _ws.grad_buffer((shape[0],) + g.shape[1:], g.dtype)
-        return _plan(plan, index, shape[0]).segment_sum(g, out=buf)
+        return _plan(plan, index, shape[0]).segment_sum(g)
 
     return Tensor._from_op(out, (x,), (vjp,), "gather")
 
@@ -142,8 +140,7 @@ def segment_sum(
     out = _plan(plan, index, num_segments).segment_sum(x.data)
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        buf = _ws.grad_buffer((index.size,) + g.shape[1:], g.dtype)
-        return np.take(g, index, axis=0, out=buf)
+        return np.take(g, index, axis=0)
 
     return Tensor._from_op(out, (x,), (vjp,), "segment_sum")
 
@@ -195,7 +192,7 @@ def segment_max(
     is_max = data == out[index]
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        grad = _ws.grad_buffer(data.shape, data.dtype, zero=True)
+        grad = np.zeros(data.shape, dtype=data.dtype)
         gathered = g[index]
         # For duplicate maxima in a segment, split gradient equally: this
         # is a valid subgradient and keeps the op deterministic.
@@ -243,9 +240,6 @@ def segment_softmax(
     def vjp(g: np.ndarray) -> np.ndarray:
         # d softmax: out * (g - sum_segment(g * out))
         seg_dot = plan.segment_sum(g * out)
-        buf = _ws.grad_buffer(g.shape, g.dtype)
-        np.subtract(g, seg_dot[index], out=buf)
-        np.multiply(out, buf, out=buf)
-        return buf
+        return out * (g - seg_dot[index])
 
     return Tensor._from_op(out, (logits,), (vjp,), "segment_softmax")

@@ -52,7 +52,6 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.nn import workspace as _ws
 from repro.nn.dtype import FLOAT64, get_compute_dtype
 
 __all__ = ["SegmentPlan", "PlanCache"]
@@ -197,78 +196,43 @@ class SegmentPlan:
             self._inverse = inverse
         return self._inverse
 
-    def segment_sum(
-        self, data: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Per-segment sums, bit-identical to the ``np.add.at`` scatter.
-
-        ``out`` (shape ``(N,) + data.shape[1:]``, matching dtype) receives
-        the result when given — callers on the tape pass workspace
-        buffers so steady-state backwards reuse rather than allocate.
-        The values are identical either way.
-        """
+    def segment_sum(self, data: np.ndarray) -> np.ndarray:
+        """Per-segment sums, bit-identical to the ``np.add.at`` scatter."""
         with obs.trace("kernel.segment_sum"):
             data = _as_compute(data)
             tail = data.shape[1:]
             if self.size == 0:
-                if out is not None:
-                    out.fill(0)
-                    return out
                 return np.zeros((self.num_segments,) + tail, dtype=data.dtype)
             if data.ndim == 1 and data.dtype == FLOAT64:
-                result = np.bincount(
+                return np.bincount(
                     self.index, weights=data, minlength=self.num_segments
                 )
-            elif data.ndim == 1:
+            if data.ndim == 1:
                 # bincount accumulates in float64 — that would round
                 # differently from a float32 ``np.add.at`` scatter, so
                 # reduced precision keeps bit-identity via the CSR path.
-                result = self.segment_sum(data.reshape(self.size, 1)).reshape(
+                return self.segment_sum(data.reshape(self.size, 1)).reshape(
                     self.num_segments
                 )
-            else:
-                flat = np.ascontiguousarray(data.reshape(self.size, -1))
-                matrix = self._scatter_matrix(data.dtype)
-                result = (matrix @ flat).reshape((self.num_segments,) + tail)
-            if out is not None:
-                np.copyto(out, result)
-                return out
-            return result
+            flat = np.ascontiguousarray(data.reshape(self.size, -1))
+            matrix = self._scatter_matrix(data.dtype)
+            return (matrix @ flat).reshape((self.num_segments,) + tail)
 
-    def segment_max(
-        self, data: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def segment_max(self, data: np.ndarray) -> np.ndarray:
         """Per-segment maxima via sort + ``np.maximum.reduceat``.
 
         Empty segments are ``-inf`` — callers apply their own fill.
-        ``out`` receives the result in place when given.
         """
         with obs.trace("kernel.segment_max"):
             data = _as_compute(data)
-            if out is None:
-                out = np.empty((self.num_segments,) + data.shape[1:], dtype=data.dtype)
-            out.fill(-np.inf)
+            out = np.full(
+                (self.num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype
+            )
             if self.size:
-                sorted_data, scratch = self._take_sorted_scratch(data)
                 out[self.nonempty] = np.maximum.reduceat(
-                    sorted_data, self.starts, axis=0
+                    self.take_sorted(data), self.starts, axis=0
                 )
-                if scratch is not None:
-                    _ws.global_workspace().release(scratch)
             return out
-
-    def _take_sorted_scratch(self, data: np.ndarray):
-        """Segment-sorted view of ``data`` plus the pooled scratch to release.
-
-        When the index is presorted this is ``(data, None)`` — zero copies.
-        Otherwise the permutation lands in a workspace buffer that the
-        caller must hand back after use.
-        """
-        if self.is_sorted:
-            return data, None
-        buf = _ws.global_workspace().acquire(data.shape, data.dtype)
-        np.take(data, self.order, axis=0, out=buf)
-        return buf, buf
 
     def _sorted_segment_sum(self, data: np.ndarray) -> np.ndarray:
         """Per-segment sums of *already segment-sorted* rows.
@@ -312,9 +276,7 @@ class SegmentPlan:
             )
         return matrix
 
-    def segment_softmax(
-        self, data: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def segment_softmax(self, data: np.ndarray) -> np.ndarray:
         """Fused per-segment softmax, bit-identical to the scatter reference.
 
         Runs entirely in the segment-sorted domain — one permutation in,
@@ -329,9 +291,6 @@ class SegmentPlan:
         with obs.trace("kernel.segment_softmax"):
             data = _as_compute(data)
             if self.size == 0:
-                if out is not None:
-                    out.fill(0)
-                    return out
                 return np.zeros_like(data)
             if data.ndim == 1:
                 # 1-D ufunc.at has a fast indexed loop in NumPy >= 1.24;
@@ -342,11 +301,8 @@ class SegmentPlan:
                 expd = np.exp(data - seg_max[self.index])
                 denom = self.segment_sum(expd)
                 denom = np.where(denom > 0, denom, 1.0)
-                if out is not None:
-                    np.divide(expd, denom[self.index], out=out)
-                    return out
                 return expd / denom[self.index]
-            sorted_data, scratch = self._take_sorted_scratch(data)
+            sorted_data = self.take_sorted(data)
             live_counts = self.counts[self.nonempty]
             seg_max = np.maximum.reduceat(sorted_data, self.starts, axis=0)
             seg_max[~np.isfinite(seg_max)] = 0.0  # all-(-inf)/nan segments
@@ -356,20 +312,12 @@ class SegmentPlan:
             expd = np.repeat(seg_max, live_counts, axis=0)
             np.subtract(sorted_data, expd, out=expd)
             np.exp(expd, out=expd)
-            if scratch is not None:
-                _ws.global_workspace().release(scratch)
             denom = self._sorted_segment_sum(expd)[self.nonempty]
             denom = np.where(denom > 0, denom, 1.0)
             out_sorted = np.repeat(denom, live_counts, axis=0)
             np.divide(expd, out_sorted, out=out_sorted)
             if self.is_sorted:
-                if out is not None:
-                    np.copyto(out, out_sorted)
-                    return out
                 return out_sorted
-            if out is not None:
-                np.take(out_sorted, self.inverse_order(), axis=0, out=out)
-                return out
             return np.take(out_sorted, self.inverse_order(), axis=0)
 
 

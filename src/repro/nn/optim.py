@@ -292,5 +292,8 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     if np.isfinite(total) and total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:
-            p.grad *= scale
+            # Rebind, never scale in place: one VJP may hand the same array
+            # to several leaves (``a + b``), or it may be the caller's own
+            # ``backward(grad)`` array.
+            p.grad = p.grad * scale
     return total

@@ -32,7 +32,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn import workspace as _ws
 from repro.nn.dtype import coerce as _coerce_dtype, get_compute_dtype
 
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
@@ -229,64 +228,23 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        # Gradient-buffer donation: interior grads live exactly until every
-        # consumer VJP has run, so a retired buffer can be recycled for the
-        # next same-shaped gradient instead of hitting the allocator. The
-        # arena only ever pools buffers it allocated itself, and a buffer
-        # survives if a VJP returned a view of it (alias escapes the tape)
-        # or it became a leaf ``.grad`` (ownership moves to the caller).
-        # In-place accumulation computes the same ``prev + contrib`` values,
-        # so the pass stays bit-identical with the arena on or off.
-        arena = _ws.open_arena()
-        try:
-            grads: dict[int, np.ndarray] = {id(self): grad}
-            for node in reversed(topo):
-                g = grads.pop(id(node), None)
-                if g is None:
-                    continue
-                if node._parents:
-                    g_escaped = False
-                    for parent, vjp in zip(node._parents, node._vjps):
-                        if vjp is None or not parent.requires_grad:
-                            continue
-                        contrib = vjp(g)
-                        if contrib is g or contrib.base is g:
-                            g_escaped = True
-                        key = id(parent)
-                        prev = grads.get(key)
-                        if prev is None:
-                            grads[key] = contrib
-                            continue
-                        mergeable = prev.shape == contrib.shape and prev.dtype == contrib.dtype
-                        if arena is not None and mergeable and arena.owns(prev) and prev is not g:
-                            np.add(prev, contrib, out=prev)
-                            if contrib is not g:
-                                arena.retire(contrib)
-                        elif arena is not None and mergeable:
-                            acc = arena.alloc(prev.shape, prev.dtype)
-                            np.add(prev, contrib, out=acc)
-                            grads[key] = acc
-                            if prev is not g:
-                                arena.retire(prev)
-                            if contrib is not g:
-                                arena.retire(contrib)
-                        else:
-                            grads[key] = prev + contrib
-                    if arena is not None:
-                        if g_escaped:
-                            arena.disown(g)
-                        else:
-                            arena.retire(g)
-                elif node.grad is None:
-                    node.grad = g
-                    if arena is not None:
-                        arena.disown(g)
-                else:
-                    node.grad = node.grad + g
-                    if arena is not None:
-                        arena.retire(g)
-        finally:
-            _ws.close_arena(arena)
+        grads: dict[int, np.ndarray] = {id(self): grad}
+        for node in reversed(topo):
+            g = grads.pop(id(node), None)
+            if g is None:
+                continue
+            if node._parents:
+                for parent, vjp in zip(node._parents, node._vjps):
+                    if vjp is None or not parent.requires_grad:
+                        continue
+                    contrib = vjp(g)
+                    key = id(parent)
+                    prev = grads.get(key)
+                    grads[key] = contrib if prev is None else prev + contrib
+            elif node.grad is None:
+                node.grad = g
+            else:
+                node.grad = node.grad + g
         # Interior tensors that were targets of retained grads:
         # (we only keep leaf grads, matching torch defaults)
 
@@ -516,7 +474,7 @@ class Tensor:
         shape = self.data.shape
 
         def vjp(g: np.ndarray) -> np.ndarray:
-            full = _ws.grad_buffer(shape, g.dtype, zero=True)
+            full = np.zeros(shape, dtype=g.dtype)
             np.add.at(full, idx, g)
             return full
 

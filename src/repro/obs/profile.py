@@ -108,7 +108,7 @@ def run_profile(
 
     ``compute_dtype`` selects the precision policy for training, eval
     and serving; the report's ``dtype`` section shows the active policy
-    and the workspace arena's pooling stats. With ``track_memory`` the
+    and whether float64 master weights are kept. With ``track_memory`` the
     workload runs under :mod:`tracemalloc` and the ``memory`` section
     adds per-leg Python allocation peaks (slower; the peak-RSS line is
     reported regardless).
@@ -122,7 +122,6 @@ def run_profile(
     from repro.data.loader import usable_cores
     from repro.datasets import load_dataset
     from repro.nn import dtype as nn_dtype
-    from repro.nn import workspace as nn_workspace
     from repro.store import has_task, load_task, save_task
     from repro.models import AMDGCNN
     from repro.seal import (
@@ -449,11 +448,9 @@ def run_profile(
             "count": shard_step_hist.count if shard_step_hist else 0,
         },
     }
-    ws_stats = nn_workspace.global_workspace().stats()
     dtype_report = {
         "compute_dtype": str(policy),
         "master_weights": policy != nn_dtype.FLOAT64,
-        "workspace": ws_stats,
     }
     if track_memory:
         tracemalloc.stop()
@@ -526,6 +523,21 @@ def run_profile(
     }
 
 
+def _number_at_least(kind, low, *, strict: bool = False):
+    """argparse ``type=`` for a number ``>= low`` (``> low`` if ``strict``)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.datasets import dataset_names
 
@@ -537,20 +549,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--dataset", default="primekg", choices=dataset_names(), help="dataset loader name"
     )
-    parser.add_argument("--scale", type=float, default=0.2, help="node-count multiplier")
+    parser.add_argument(
+        "--scale",
+        type=_number_at_least(float, 0.0, strict=True),
+        default=0.2,
+        help="node-count multiplier",
+    )
     parser.add_argument("--targets", type=int, default=80, help="number of labeled links")
-    parser.add_argument("--epochs", type=int, default=2, help="training epochs")
-    parser.add_argument("--batch-size", type=int, default=16, help="training batch size")
+    parser.add_argument(
+        "--epochs", type=_number_at_least(int, 1), default=2, help="training epochs"
+    )
+    parser.add_argument(
+        "--batch-size", type=_number_at_least(int, 1), default=16, help="training batch size"
+    )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_number_at_least(int, 0),
         default=0,
         help="extraction worker processes (0 = serial; results are identical)",
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_number_at_least(int, 0),
         default=0,
         help="train data-parallel over K graph shards (K >= 2; K worker "
         "processes on multi-core hosts, in-process otherwise — results "
@@ -597,6 +618,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--csv", metavar="PATH", help="also write the metrics snapshot as CSV to PATH"
     )
     args = parser.parse_args(argv)
+    if args.shards == 1:
+        parser.error("argument --shards: must be 0 (off) or >= 2, got 1")
+    if args.resume and args.checkpoint_dir is None:
+        parser.error("argument --resume: needs --checkpoint-dir")
 
     kwargs: Dict[str, Any] = dict(
         dataset=args.dataset,

@@ -149,6 +149,26 @@ class TestClipGradNorm:
         x.grad = np.array([np.nan, 0.0])
         assert np.isnan(clip_grad_norm([x], max_norm=1.0))
 
+    def test_shared_grad_array_scaled_once(self):
+        # ``a + b`` hands the same gradient array to both leaves; an
+        # in-place scale would hit it once per leaf.
+        a = Parameter(np.ones(3))
+        b = Parameter(np.ones(3))
+        ((a + b) * Tensor(np.array([3.0, 4.0, 0.0]))).sum().backward()
+        pre = clip_grad_norm([a, b], max_norm=1.0)
+        assert pre == pytest.approx(np.sqrt(50.0))
+        total = np.sqrt((a.grad**2).sum() + (b.grad**2).sum())
+        assert total == pytest.approx(1.0)
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_callers_backward_grad_left_untouched(self):
+        a = Parameter(np.zeros(2))
+        seed = np.array([30.0, 40.0])
+        (a + 0.0).backward(seed)
+        clip_grad_norm([a], max_norm=1.0)
+        np.testing.assert_array_equal(seed, [30.0, 40.0])
+        np.testing.assert_allclose(a.grad, [0.6, 0.8])
+
 
 @pytest.mark.fault
 class TestStateDict:

@@ -1,11 +1,16 @@
 """Autograd core: construction, arithmetic, broadcasting, backward."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from repro.models.layers import GATConv
+from repro.nn.losses import cross_entropy
 from repro.nn.tensor import (
     Tensor,
     as_tensor,
@@ -20,6 +25,18 @@ from repro.nn.gradcheck import gradcheck
 
 def randn(*shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
+
+
+def _gat_step(seed=0, n=13, e=40):
+    """One forward+backward of a fresh GATConv; returns the layer."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 4))
+    ei = rng.integers(0, n, size=(2, e))
+    ea = rng.normal(size=(e, 3))
+    labels = rng.integers(0, 4, size=n)
+    layer = GATConv(4, 4, heads=2, edge_dim=3, rng=5)
+    cross_entropy(layer(Tensor(x), ei, edge_attr=ea), labels).backward()
+    return layer
 
 
 class TestConstruction:
@@ -108,6 +125,31 @@ class TestBackwardMechanics:
         except ValueError:
             pass
         assert is_grad_enabled()
+
+    def test_later_backward_leaves_earlier_leaf_grads_unchanged(self):
+        layer = _gat_step(seed=0)
+        grads = {k: p.grad for k, p in layer.named_parameters()}
+        frozen = {k: g.copy() for k, g in grads.items()}
+        _gat_step(seed=1)
+        for name in frozen:
+            np.testing.assert_array_equal(grads[name], frozen[name], err_msg=name)
+
+    def test_backward_keeps_no_memory_between_batch_shapes(self):
+        # Every SEAL batch has its own (N, E); nothing the backward
+        # allocates for one shape may outlive it.
+        tracemalloc.start()
+        try:
+            _gat_step(seed=0)
+            gc.collect()
+            baseline = tracemalloc.get_traced_memory()[0]
+            shapes = [(60, 240), (90, 380), (45, 170), (120, 500)]
+            for seed, (n, e) in enumerate(shapes, 1):
+                _gat_step(seed=seed, n=n, e=e)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - baseline
+                assert grown < 8 * 1024, f"(N, E) = {(n, e)}: +{grown} bytes"
+        finally:
+            tracemalloc.stop()
 
 
 class TestArithmeticGradients:

@@ -164,3 +164,22 @@ class TestCliSmoke:
     def test_profile_in_help(self, capsys):
         assert main(["--help"]) == 0
         assert "profile" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--batch-size", "0"], "--batch-size: must be >= 1"),
+            (["--epochs", "-1"], "--epochs: must be >= 1"),
+            (["--workers", "-1"], "--workers: must be >= 0"),
+            (["--scale", "0"], "--scale: must be > 0.0"),
+            (["--scale", "nan"], "--scale: must be > 0.0"),
+            (["--shards", "1"], "--shards: must be 0 (off) or >= 2"),
+            (["--resume"], "--resume: needs --checkpoint-dir"),
+        ],
+        ids=["batch-size", "epochs", "workers", "scale", "scale-nan", "shards", "resume"],
+    )
+    def test_bad_arguments_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
