@@ -1,11 +1,10 @@
-"""Opt-in regression gates: micro-batched serving, the parallel loader at
-scale, K-process data-parallel training, the float32 policy and the
-streaming paths must never net-lose to their baselines.
+"""Opt-in regression gates: the parallel loader at scale, K-process
+data-parallel training, the float32 policy and the streaming paths must
+never net-lose to their baselines.
 
 Runs ``scripts/check_bench.py`` against the committed
-``results/BENCH_serve.json`` / ``results/BENCH_scale.json`` /
-``results/BENCH_distributed.json`` / ``results/BENCH_dtype.json`` /
-``results/BENCH_stream.json`` histories.
+``results/BENCH_scale.json`` / ``results/BENCH_distributed.json`` /
+``results/BENCH_dtype.json`` / ``results/BENCH_stream.json`` histories.
 Marked ``bench_gate`` and kept out of tier-1 (``testpaths``
 excludes ``benchmarks/``); select it with
 
@@ -24,7 +23,6 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SERVE_RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_serve.json"
 SCALE_RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scale.json"
 DISTRIBUTED_RESULTS = (
     Path(__file__).resolve().parent.parent / "results" / "BENCH_distributed.json"
@@ -37,7 +35,7 @@ import check_bench  # noqa: E402
 @pytest.mark.bench_gate
 def test_gate_reports_missing_file(tmp_path):
     out = io.StringIO()
-    assert check_bench.judge("serve", tmp_path / "nope.json", out=out) == 1
+    assert check_bench.judge("dtype", tmp_path / "nope.json", out=out) == 1
     assert "not found" in out.getvalue()
 
 
@@ -47,31 +45,6 @@ def test_results_override_needs_a_single_suite(tmp_path):
     with pytest.raises(SystemExit) as exc:
         check_bench.main(["--suite", "all", "--results", str(tmp_path / "x.json")])
     assert exc.value.code == 2
-
-
-@pytest.mark.bench_gate
-def test_microbatched_serving_has_not_regressed():
-    if not SERVE_RESULTS.exists():
-        pytest.skip("no BENCH_serve.json yet — run the serve microbenchmark")
-    out = io.StringIO()
-    status = check_bench.judge("serve", SERVE_RESULTS, out=out)
-    print(out.getvalue())
-    assert status == 0, out.getvalue()
-
-
-@pytest.mark.bench_gate
-def test_serve_gate_fails_below_break_even(tmp_path):
-    """The serve gate bites: a fabricated net slowdown must fail."""
-    bad = tmp_path / "BENCH_serve.json"
-    bad.write_text(
-        '[{"benchmark": "serve", "unix_time": 0, "records": ['
-        '{"kernel": "serve_warm_coalesce", "requests": 32, "speedup": 0.7},'
-        '{"kernel": "serve_cold_coalesce", "requests": 32, "speedup": 0.9}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.judge("serve", bad, out=out) == 1
-    assert "FAIL" in out.getvalue()
 
 
 @pytest.mark.bench_gate

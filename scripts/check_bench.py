@@ -6,8 +6,6 @@ history, which its ``benchmarks/test_microbench_*.py`` appends to. The
 :data:`SUITES` table lists, per suite, the record groups judged and the
 floor each group's geomean speedup must stay at or above:
 
-* ``serve`` — coalesced micro-batch serving over one request per
-  forward, every ``serve_*`` record (warm and cold): >= 1.0x.
 * ``scale`` — ``parallel_loader``, a 2-worker warm over serial at 10⁵
   nodes on an mmap graph: >= 1.0x.
 * ``distributed`` — ``data_parallel_epoch``, K-process sharded training
@@ -33,7 +31,7 @@ The microbenchmarks assert their stronger acceptance bars when they
 
 Usage:
     python scripts/check_bench.py
-        [--suite serve|scale|distributed|dtype|stream|all]
+        [--suite scale|distributed|dtype|stream|all]
         [--results PATH]    # history override; needs a single suite
 
 Wired into pytest as the opt-in ``bench_gate`` marker
@@ -59,7 +57,6 @@ class Suite(NamedTuple):
 
 
 SUITES = {
-    "serve": Suite("BENCH_serve.json", (("serve_*", 1.0),)),
     "scale": Suite("BENCH_scale.json", (("parallel_loader", 1.0),), multicore=True),
     "distributed": Suite(
         "BENCH_distributed.json", (("data_parallel_epoch", 1.5),), multicore=True

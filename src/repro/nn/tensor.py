@@ -84,6 +84,33 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+# Output widths that are a multiple of this, and left operands of at
+# least this many rows, are where BLAS GEMM rounds a row the same way
+# whatever the other rows are (probed on OpenBLAS, fp64 and fp32).
+_GEMM_BLOCK = 16
+
+
+def _row_invariant_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D operands, each output row independent of the rest.
+
+    The path depends only on ``b``'s shape, never on ``a``'s row count,
+    so a row's bits do not change with how many rows ride along or where
+    it sits. BLAS alone does not give that: an output width outside the
+    GEMM kernel's column blocks, a single row (gemv) or a few rows at a
+    large inner dimension each round differently. Narrow outputs are
+    therefore reduced row by row; every other product is a GEMM whose
+    left operand is zero-padded to at least ``_GEMM_BLOCK`` rows.
+    """
+    if b.shape[1] % _GEMM_BLOCK:
+        return (a[:, :, None] * b).sum(1)
+    m = a.shape[0]
+    if m >= _GEMM_BLOCK:
+        return a @ b
+    padded = np.zeros((_GEMM_BLOCK, a.shape[1]), dtype=a.dtype)
+    padded[:m] = a
+    return (padded @ b)[:m]
+
+
 class Tensor:
     """A NumPy-backed array with reverse-mode autodiff.
 
@@ -333,7 +360,7 @@ class Tensor:
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = as_tensor(other)
         a, b = self.data, other.data
-        out = a @ b
+        out = _row_invariant_matmul(a, b) if a.ndim == b.ndim == 2 else a @ b
         if a.ndim == 2 and b.ndim == 2:
             vjps = (lambda g: g @ b.T, lambda g: a.T @ g)
         elif a.ndim == 1 and b.ndim == 2:

@@ -523,23 +523,9 @@ def run_profile(
     }
 
 
-def _number_at_least(kind, low, *, strict: bool = False):
-    """argparse ``type=`` for a number ``>= low`` (``> low`` if ``strict``)."""
-
-    def parse(text: str):
-        value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}"
-            )
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names the type in its errors
-    return parse
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.datasets import dataset_names
+    from repro.utils.cli import number_at_least
 
     parser = argparse.ArgumentParser(
         prog="repro profile",
@@ -551,27 +537,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--scale",
-        type=_number_at_least(float, 0.0, strict=True),
+        type=number_at_least(float, 0.0, strict=True),
         default=0.2,
         help="node-count multiplier",
     )
-    parser.add_argument("--targets", type=int, default=80, help="number of labeled links")
     parser.add_argument(
-        "--epochs", type=_number_at_least(int, 1), default=2, help="training epochs"
+        "--targets", type=number_at_least(int, 1), default=80, help="number of labeled links"
     )
     parser.add_argument(
-        "--batch-size", type=_number_at_least(int, 1), default=16, help="training batch size"
+        "--epochs", type=number_at_least(int, 1), default=2, help="training epochs"
+    )
+    parser.add_argument(
+        "--batch-size", type=number_at_least(int, 1), default=16, help="training batch size"
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--workers",
-        type=_number_at_least(int, 0),
+        type=number_at_least(int, 0),
         default=0,
         help="extraction worker processes (0 = serial; results are identical)",
     )
     parser.add_argument(
         "--shards",
-        type=_number_at_least(int, 0),
+        type=number_at_least(int, 0),
         default=0,
         help="train data-parallel over K graph shards (K >= 2; K worker "
         "processes on multi-core hosts, in-process otherwise — results "

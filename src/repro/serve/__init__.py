@@ -8,7 +8,7 @@ missing links in a live knowledge graph. Three layers:
   offline caller is constructed from.
 * :class:`LinkScorer` — the typed scoring facade
   (:class:`ScoreRequest` → :class:`ScoreResult`), shared by every
-  scoring path. Fixed-width forwards and content-keyed extraction
+  scoring path. Row-invariant forwards and content-keyed extraction
   streams make its probabilities bitwise independent of how requests
   are grouped; a ``(pair, graph_version)`` score cache with explicit
   :meth:`LinkScorer.invalidate` reuses answers until the graph changes.

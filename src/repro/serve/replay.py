@@ -214,6 +214,7 @@ def run_replay(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.datasets import dataset_names
+    from repro.utils.cli import number_at_least
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -224,21 +225,46 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--dataset", default="primekg", choices=dataset_names(), help="dataset loader name"
     )
-    parser.add_argument("--scale", type=float, default=0.12, help="node-count multiplier")
-    parser.add_argument("--targets", type=int, default=60, help="number of labeled links")
-    parser.add_argument("--epochs", type=int, default=1, help="training epochs (no --bundle)")
+    parser.add_argument(
+        "--scale",
+        type=number_at_least(float, 0.0, strict=True),
+        default=0.12,
+        help="node-count multiplier",
+    )
+    parser.add_argument(
+        "--targets", type=number_at_least(int, 1), default=60, help="number of labeled links"
+    )
+    parser.add_argument(
+        "--epochs", type=number_at_least(int, 1), default=1, help="training epochs (no --bundle)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--bundle", default=None, help="load this ModelBundle .npz")
     parser.add_argument(
         "--save-bundle", default=None, help="write the bundle used to this path"
     )
-    parser.add_argument("--clients", type=int, default=4, help="concurrent client threads")
-    parser.add_argument("--requests", type=int, default=8, help="requests per client")
-    parser.add_argument("--pairs", type=int, default=4, help="pairs per request")
-    parser.add_argument("--micro-batch", type=int, default=16, help="fixed forward width")
-    parser.add_argument("--queue-depth", type=int, default=64, help="admission cap")
     parser.add_argument(
-        "--deadline-ms", type=float, default=None, help="per-request latency budget"
+        "--clients", type=number_at_least(int, 1), default=4, help="concurrent client threads"
+    )
+    parser.add_argument(
+        "--requests", type=number_at_least(int, 1), default=8, help="requests per client"
+    )
+    parser.add_argument(
+        "--pairs", type=number_at_least(int, 1), default=4, help="pairs per request"
+    )
+    parser.add_argument(
+        "--micro-batch",
+        type=number_at_least(int, 1),
+        default=16,
+        help="at most this many rows per forward",
+    )
+    parser.add_argument(
+        "--queue-depth", type=number_at_least(int, 1), default=64, help="admission cap"
+    )
+    parser.add_argument(
+        "--deadline-ms",
+        type=number_at_least(float, 0.0, strict=True),
+        default=None,
+        help="per-request latency budget",
     )
     parser.add_argument(
         "--smoke", action="store_true", help="CI-sized replay; overrides size flags"

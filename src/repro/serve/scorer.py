@@ -9,15 +9,15 @@ and the model meet. Three properties it guarantees:
   or edge-attribute width disagrees with the supplied graph raises
   :class:`CompatibilityError` at construction, not a shape error five
   layers into the forward pass.
-* **Scores are composition-independent, bitwise.** Every forward pass
-  runs at a fixed micro-batch width (requests padded cyclically), and a
+* **Scores are composition-independent, bitwise.** Every layer of the
+  forward computes a graph's row from that graph alone: the matrix
+  products follow :class:`~repro.nn.tensor.Tensor`'s row-invariant rule
+  (a path chosen by the weight's shape, never by the row count), and a
   pair's extraction stream is keyed on the pair *content*, not on
   arrival order. A pair therefore gets bit-identical probabilities
-  whether it is scored alone, inside a coalesced micro-batch, or after a
-  cache hit — the property the server's coalescing relies on.
-  (NumPy's BLAS-backed matmul rounds the same row differently for
-  different batch row-counts; pinning the row-count removes the last
-  composition-dependent stage.)
+  whether it is scored alone, inside a coalesced micro-batch, at any
+  position in it, or after a cache hit — the property the server's
+  coalescing relies on. Forwards carry only the requested rows.
 * **Work is reused.** Extracted subgraphs live in a growing
   :class:`~repro.data.store.SubgraphStore` (bulk extraction engine, plan
   cache and all), and final probabilities are memoized per
@@ -230,9 +230,9 @@ class LinkScorer:
         up front (:class:`CompatibilityError` on any disagreement).
     model: optional pre-built module sharing the bundle's weights —
         skips :meth:`ModelBundle.build_model` (the live-training case).
-    micro_batch: fixed forward width. Every forward pass runs exactly
-        this many subgraphs (short chunks padded cyclically), which is
-        what makes scores bitwise independent of request coalescing.
+    micro_batch: at most this many subgraphs per forward pass. It bounds
+        a forward's memory, not its results: scores are bitwise the same
+        at any width.
     cache_scores: memoize probabilities per ``(pair, graph_version)``.
     rng: override for the bundle's extraction seed (``None`` = bundle's).
     compute_dtype: precision policy for extraction + forward passes
@@ -253,11 +253,8 @@ class LinkScorer:
         rng: Optional[RngLike] = None,
         compute_dtype: Optional[str] = None,
     ):
-        if micro_batch < 2:
-            # A 1-row forward takes BLAS's gemv path, which rounds
-            # differently from the gemm path — composition independence
-            # needs at least two rows.
-            raise ValueError("micro_batch must be >= 2")
+        if micro_batch < 1:
+            raise ValueError("micro_batch must be >= 1")
         _validate_compatibility(bundle, graph)
         self.bundle = bundle
         self.graph = graph
@@ -479,12 +476,11 @@ class LinkScorer:
     # ------------------------------------------------------------------ #
     # scoring
     # ------------------------------------------------------------------ #
-    def _forward_probs(self, slots: List[int]) -> np.ndarray:
-        """Probabilities for distinct uncached slots, fixed-width forwards.
+    def _forward_probs(self, slots: np.ndarray) -> np.ndarray:
+        """Probabilities for distinct uncached slots.
 
-        Chunks of ``micro_batch`` slots run one forward each; a short
-        chunk is padded by cycling its own members, so every forward has
-        exactly ``micro_batch`` graph rows regardless of load.
+        Chunks of at most ``micro_batch`` slots run one forward each;
+        each row's bits do not depend on the chunk it rides in.
         """
         B = self.micro_batch
         # Probabilities ship to callers in float64 regardless of policy.
@@ -493,15 +489,10 @@ class LinkScorer:
         with no_grad(), _dtype.compute_dtype(self.compute_dtype):
             for lo in range(0, len(slots), B):
                 chunk = slots[lo : lo + B]
-                reps = -(-B // len(chunk))  # ceil
-                padded = (chunk * reps)[:B]
                 obs.observe("serve.batch.occupancy", len(chunk) / B)
-                batch = collate_from_store(
-                    self.store, np.asarray(padded, dtype=np.int64), edge_attr_dim=edge_dim
-                )
+                batch = collate_from_store(self.store, chunk, edge_attr_dim=edge_dim)
                 with obs.trace("forward"):
-                    probs = F.softmax(self.model(batch), axis=-1).data
-                out[lo : lo + len(chunk)] = probs[: len(chunk)]
+                    out[lo : lo + len(chunk)] = F.softmax(self.model(batch), axis=-1).data
         return out
 
     def score(self, pairs, *, request_id: Optional[str] = None) -> ScoreResult:
@@ -509,8 +500,9 @@ class LinkScorer:
 
         Duplicate pairs are scored once; cached pairs are answered from
         the score cache; the rest are extracted (batched) and run
-        through fixed-width forwards. The returned rows are bit-identical
-        no matter how pairs are grouped into requests.
+        through forwards of at most ``micro_batch`` rows. The returned
+        rows are bit-identical no matter how pairs are grouped into
+        requests or ordered within one.
         """
         t0 = time.perf_counter()
         pairs = _as_pairs(pairs)
@@ -542,7 +534,7 @@ class LinkScorer:
                     self._ensure_extracted(slots)
                     extract_s = time.perf_counter() - te
                     tf = time.perf_counter()
-                    fresh_probs = self._forward_probs([int(s) for s in slots])
+                    fresh_probs = self._forward_probs(slots)
                     forward_s = time.perf_counter() - tf
                     for key, row in zip(fresh, fresh_probs):
                         self._cache[key] = row.copy()

@@ -5,8 +5,9 @@ a thread-safe submission queue. A single worker thread drains the queue,
 drops requests whose deadline already passed (*before* any extraction is
 spent on them), concatenates the survivors' pairs into one
 :meth:`LinkScorer.score` call — one batched extraction sweep, shared
-plan-cache hits, fixed-width forwards — and slices the coalesced result
-back into per-request :class:`~repro.serve.ScoreResult` rows. Because
+plan-cache hits, forwards of up to ``micro_batch`` rows — and slices
+the coalesced result back into per-request
+:class:`~repro.serve.ScoreResult` rows. Because
 the scorer's forwards are composition-independent, coalescing changes
 latency and throughput but never a single bit of any probability.
 

@@ -31,6 +31,7 @@ __all__ = ["main"]
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.datasets import dataset_names
+    from repro.utils.cli import number_at_least
 
     p = argparse.ArgumentParser(
         prog="repro-stream",
@@ -39,17 +40,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dataset", default="primekg", choices=dataset_names(), help="bundled dataset name"
     )
-    p.add_argument("--scale", type=float, default=0.15, help="graph size factor")
     p.add_argument(
-        "--targets", type=int, default=60, help="labeled links for pre-training"
+        "--scale",
+        type=number_at_least(float, 0.0, strict=True),
+        default=0.15,
+        help="graph size factor",
+    )
+    p.add_argument(
+        "--targets",
+        type=number_at_least(int, 1),
+        default=60,
+        help="labeled links for pre-training",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--events", type=int, default=150, help="stream length")
+    p.add_argument(
+        "--events", type=number_at_least(int, 0), default=150, help="stream length"
+    )
     p.add_argument(
         "--add-fraction",
-        type=float,
+        type=number_at_least(float, 0.0),
         default=0.85,
-        help="fraction of add (vs invalidate) events",
+        help="fraction of add (vs invalidate) events, at most 1",
     )
     p.add_argument(
         "--class-drift",
@@ -57,19 +68,30 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.5,
         help="label-distribution drift strength over the stream",
     )
-    p.add_argument("--window", type=int, default=25, help="events per window")
-    p.add_argument("--eval-batch-size", type=int, default=8)
     p.add_argument(
-        "--pretrain-epochs", type=int, default=1, help="epochs on the base task"
+        "--window", type=number_at_least(int, 1), default=25, help="events per window"
+    )
+    p.add_argument("--eval-batch-size", type=number_at_least(int, 1), default=8)
+    p.add_argument(
+        "--pretrain-epochs",
+        type=number_at_least(int, 0),
+        default=1,
+        help="epochs on the base task",
     )
     p.add_argument(
-        "--train-epochs", type=int, default=1, help="epochs per stream window"
+        "--train-epochs",
+        type=number_at_least(int, 0),
+        default=1,
+        help="epochs per stream window",
     )
     p.add_argument(
-        "--train-window", type=int, default=100, help="sliding training buffer"
+        "--train-window",
+        type=number_at_least(int, 1),
+        default=100,
+        help="sliding training buffer",
     )
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=number_at_least(int, 1), default=8)
+    p.add_argument("--lr", type=number_at_least(float, 0.0, strict=True), default=1e-3)
     p.add_argument(
         "--snapshot-dir",
         default=None,
@@ -80,7 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.add_fraction > 1.0:
+        parser.error(f"argument --add-fraction: must be <= 1.0, got {args.add_fraction}")
     from repro import obs
     from repro.datasets import load_dataset
     from repro.models import AMDGCNN

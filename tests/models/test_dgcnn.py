@@ -128,3 +128,41 @@ class TestEdgeAttributePathway:
         batch = make_batch(edge_attr_dim=0)
         model = AMDGCNN(5, 2, edge_dim=0, heads=2, hidden_dim=8, sort_k=4, rng=0)
         assert model(batch).shape == (3, 2)
+
+
+class TestRowInvariance:
+    def test_tuned_primekg_logits_do_not_depend_on_batch_company(self):
+        """A graph's logits are the same bits alone, in subsets or rotated.
+
+        The tuned primekg AM-DGCNN (hidden 64, sort_k 110, 3 classes) on
+        real SEAL subgraphs: every product, including the width-1 sort
+        key, ``lin1``'s long one and the 3-wide head, must keep each
+        graph's row independent of the graphs batched with it.
+        """
+        from repro.datasets import load_dataset
+        from repro.experiments.config import TUNED_HPARAMS, build_model
+        from repro.nn.tensor import no_grad
+        from repro.seal import SEALDataset
+
+        task = load_dataset("primekg", scale=0.12, rng=0, num_targets=40)
+        ds = SEALDataset(task, rng=0)
+        hp = TUNED_HPARAMS["primekg"]["am_dgcnn"]
+        model = build_model(
+            "am_dgcnn", ds.feature_width, task.num_classes, task.edge_attr_dim, hp, rng=0
+        )
+        assert (model.sort_k, model.lin2.out_features) == (110, 3)
+        model.eval()
+
+        def logits(indices):
+            with no_grad():
+                return model(ds.batch(indices)[0]).data
+
+        idx = np.arange(24)
+        full = logits(idx)
+        for i in idx:
+            np.testing.assert_array_equal(logits([i])[0], full[i], err_msg=f"graph {i} alone")
+        for lo in range(0, len(idx), 3):
+            np.testing.assert_array_equal(
+                logits(idx[lo : lo + 3]), full[lo : lo + 3], err_msg=f"group at {lo}"
+            )
+        np.testing.assert_array_equal(logits(np.roll(idx, 5)), np.roll(full, 5, axis=0))

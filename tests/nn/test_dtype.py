@@ -355,20 +355,23 @@ class TestAdamMasterWeights:
 # float64 bit-identity pin
 # --------------------------------------------------------------------- #
 
-# Captured from the seed engine (pre-dtype-policy) by running the exact
-# computation below and hashing every array. The default float64 path
-# must keep reproducing these bytes forever.
+# Captured by running the exact computation below and hashing every
+# array. First taken from the seed engine (pre-dtype-policy); re-taken
+# once when 2-D products became row-invariant, because this GATConv
+# (width 6) and GCNConv (width 3) have output widths that now take the
+# row-local reduction instead of GEMM (the loss kept its bits). The
+# default float64 path must keep reproducing these bytes.
 PIN_LOSS_HEX = "0x1.1eebc7c875e1fp+0"
-PIN_OUT_DIGEST = "de4cee31c7e8db2b"
+PIN_OUT_DIGEST = "b6cd8f39803def28"
 PIN_PARAMS = {
-    "att_dst": ("bdcd40e1cc4c2fe9", "873931af91c07d65"),
-    "att_edge": ("2c396653b8e242ea", "3e2e289baca0d0bf"),
-    "att_src": ("fcff56d0d5383e35", "85708781f6b0857d"),
-    "bias": ("3db75ac4f6a57608", "2b36456e95a43365"),
-    "edge_weight": ("e9912d118fc83a7e", "c7fd24cc275b4deb"),
+    "att_dst": ("509e00f76a5372ab", "9f69d64fa61c5d3e"),
+    "att_edge": ("2c396653b8e242ea", "f211173f45d0404a"),
+    "att_src": ("fcff56d0d5383e35", "68bf936ecf96d61e"),
+    "bias": ("97640dd61aba5fdf", "58f64fef93893149"),
+    "edge_weight": ("5d9ba51da1a48a2e", "7213007f195e65d5"),
     "gcn.bias": ("a84cd63a1eb90ba8", "610fd1694fc16e6d"),
-    "gcn.weight": ("281b14552077228a", "a2a5163cc2f09a3d"),
-    "weight": ("f293b3bfdf92efc1", "9accf2b93af0c357"),
+    "gcn.weight": ("9e9b01d752f17799", "4c7c812412044a31"),
+    "weight": ("083c58ae1a707743", "1a932bb8d92a595d"),
 }
 
 

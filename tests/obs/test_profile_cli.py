@@ -173,10 +173,13 @@ class TestCliSmoke:
             (["--workers", "-1"], "--workers: must be >= 0"),
             (["--scale", "0"], "--scale: must be > 0.0"),
             (["--scale", "nan"], "--scale: must be > 0.0"),
+            (["--targets", "0"], "--targets: must be >= 1"),
             (["--shards", "1"], "--shards: must be 0 (off) or >= 2"),
             (["--resume"], "--resume: needs --checkpoint-dir"),
         ],
-        ids=["batch-size", "epochs", "workers", "scale", "scale-nan", "shards", "resume"],
+        ids=[
+            "batch-size", "epochs", "workers", "scale", "scale-nan", "targets", "shards", "resume",
+        ],
     )
     def test_bad_arguments_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

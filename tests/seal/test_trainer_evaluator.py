@@ -92,6 +92,17 @@ class TestEvaluate:
         assert probs.shape == (len(te), task.num_classes)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_probs_do_not_depend_on_batch_size(self, small_setup):
+        """Each link's probabilities are the same bits at any batch size."""
+        task, ds, tr, te = small_setup
+        model = small_model(ds, task)
+        idx = np.arange(task.num_links)
+        reference = predict_proba(model, ds, idx, batch_size=64)
+        for batch_size in (7, 16):
+            np.testing.assert_array_equal(
+                predict_proba(model, ds, idx, batch_size=batch_size), reference
+            )
+
     def test_eval_restores_training_mode(self, small_setup):
         task, ds, tr, te = small_setup
         model = small_model(ds, task)

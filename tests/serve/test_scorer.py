@@ -83,7 +83,7 @@ class TestScore:
         idx = np.arange(task.num_links)
         direct = predict_proba(bundle.build_model(), SEALDataset(task, rng=5), idx)
         served = scorer_for(bundle, task).score(task.pairs[idx]).probs
-        np.testing.assert_allclose(served, direct, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(served, direct)
 
     def test_novel_pairs(self, bundle, task):
         """Pairs never seen as targets still classify (no labels needed)."""
@@ -197,7 +197,10 @@ class TestCompatibilityGate:
 
     def test_micro_batch_floor(self, bundle, task):
         with pytest.raises(ValueError):
-            LinkScorer(bundle, task.graph, micro_batch=1)
+            LinkScorer(bundle, task.graph, micro_batch=0)
+        one = scorer_for(bundle, task, micro_batch=1).score(task.pairs[:20]).probs
+        wide = scorer_for(bundle, task, micro_batch=16).score(task.pairs[:20]).probs
+        np.testing.assert_array_equal(one, wide)
 
 
 class TestScoreRequest:

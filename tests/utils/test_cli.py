@@ -46,3 +46,33 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--smoke", "--micro-batch", "0"], "--micro-batch: must be >= 1"),
+            (["serve", "--scale", "-1"], "--scale: must be > 0.0"),
+            (["serve", "--targets", "0"], "--targets: must be >= 1"),
+            (["serve", "--epochs", "0"], "--epochs: must be >= 1"),
+            (["serve", "--clients", "0"], "--clients: must be >= 1"),
+            (["serve", "--pairs", "0"], "--pairs: must be >= 1"),
+            (["serve", "--queue-depth", "0"], "--queue-depth: must be >= 1"),
+            (["serve", "--deadline-ms", "nan"], "--deadline-ms: must be > 0.0"),
+            (["stream", "--window", "0"], "--window: must be >= 1"),
+            (["stream", "--scale", "-1"], "--scale: must be > 0.0"),
+            (["stream", "--targets", "0"], "--targets: must be >= 1"),
+            (["stream", "--events", "-1"], "--events: must be >= 0"),
+            (["stream", "--add-fraction", "2"], "--add-fraction: must be <= 1.0"),
+            (["stream", "--eval-batch-size", "0"], "--eval-batch-size: must be >= 1"),
+            (["stream", "--train-epochs", "-1"], "--train-epochs: must be >= 0"),
+            (["stream", "--train-window", "0"], "--train-window: must be >= 1"),
+            (["stream", "--batch-size", "0"], "--batch-size: must be >= 1"),
+            (["stream", "--lr", "0"], "--lr: must be > 0.0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_bad_numbers_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
