@@ -38,8 +38,10 @@ either way.
 
 Loader phases are traced through :mod:`repro.obs` as ``extraction``
 (serial misses), ``queue-wait`` (parent blocked on worker results) and
-``collate``, which is what ``python -m repro profile --workers N``
-reports as the loader breakdown.
+``collate``. While the parent's obs is enabled, each worker chunk is
+recorded into a fresh registry whose delta travels back with the chunk's
+result and is merged by the parent, so extraction done in workers is
+counted like extraction done in-process.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import copy
 import os
 from collections import deque
+from contextlib import nullcontext
 from multiprocessing import TimeoutError as MpTimeoutError
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -92,6 +95,9 @@ _WORKER_RING: Optional[SampleRing] = None
 
 def _worker_init(payload: tuple) -> None:
     global _WORKER_STATE, _WORKER_RING
+    # A forked worker inherits the parent's registry and enabled flag;
+    # it records only inside the per-chunk capture of _worker_extract.
+    obs.disable()
     task, graph_path, seed, ring_meta = payload
     if graph_path is not None:
         from repro.graph.structure import Graph
@@ -101,7 +107,7 @@ def _worker_init(payload: tuple) -> None:
     _WORKER_RING = None if ring_meta is None else SampleRing.attach(*ring_meta)
 
 
-def _worker_extract(chunk: List[int], slot: int = -1):
+def _worker_extract(chunk: List[int], slot: int, record: bool):
     """Extract a chunk of links inside a worker process.
 
     Uses the batched engine (one multi-source BFS sweep per chunk);
@@ -111,17 +117,20 @@ def _worker_extract(chunk: List[int], slot: int = -1):
     With a ring slot assigned (``slot >= 0``) the samples are packed
     into shared memory and only a descriptor returns; a chunk too big
     for its slot — or a loader without a ring — returns the samples by
-    value (the pickle fallback).
+    value (the pickle fallback). With ``record`` the chunk's metrics
+    return too, as a registry delta (``None`` otherwise).
     """
     from repro.data.extraction import build_packed_samples
 
     task, seed = _WORKER_STATE
-    samples = build_packed_samples(task, seed, chunk)
+    with obs.capture() if record else nullcontext() as registry:
+        samples = build_packed_samples(task, seed, chunk)
+    delta = None if registry is None else registry.delta()
     if slot >= 0 and _WORKER_RING is not None:
         header = _WORKER_RING.write(slot, samples)
         if header is not None:
-            return ("shm", slot, header)
-    return ("pkl", slot, samples)
+            return ("shm", slot, header, delta)
+    return ("pkl", slot, samples, delta)
 
 
 def collate_from_store(
@@ -229,13 +238,11 @@ class DataLoader:
         declaring the pool hung and falling back to serial extraction
         (a *hung* — not dead — worker would otherwise block the epoch
         forever). ``None`` waits unboundedly.
-    use_ring: move worker results through a shared-memory
-        :class:`~repro.store.SampleRing` instead of pickling them
-        through the pool's result pipe. Purely an optimization — any
-        chunk that does not fit its slot falls back to the pickle path.
-    ring_slot_bytes: capacity of each ring slot (default 4 MiB; the
-        ring holds ``num_workers * prefetch_factor`` slots, one per
-        in-flight chunk).
+    ring_slot_bytes: capacity of each slot of the shared-memory
+        :class:`~repro.store.SampleRing` that worker results travel
+        through (default 4 MiB; the ring holds ``num_workers *
+        prefetch_factor`` slots, one per in-flight chunk). A chunk that
+        does not fit its slot falls back to the pickle path.
     """
 
     def __init__(
@@ -252,7 +259,6 @@ class DataLoader:
         chunk_size: Optional[int] = None,
         force_workers: bool = False,
         worker_timeout: Optional[float] = 60.0,
-        use_ring: bool = True,
         ring_slot_bytes: int = 4 << 20,
     ):
         if num_workers < 0:
@@ -287,7 +293,6 @@ class DataLoader:
         self.prefetch_factor = int(prefetch_factor)
         self.chunk_size = chunk_size
         self.worker_timeout = worker_timeout
-        self.use_ring = bool(use_ring)
         self.ring_slot_bytes = int(ring_slot_bytes)
         self._pool = None
         self._pool_broken = False
@@ -386,7 +391,7 @@ class DataLoader:
         return light, str(path)
 
     def _ensure_ring(self) -> Optional[SampleRing]:
-        if self._ring is None and self.use_ring and not self._ring_broken:
+        if self._ring is None and not self._ring_broken:
             slots = self.num_workers * self.prefetch_factor
             try:
                 self._ring = SampleRing.create(slots, self.ring_slot_bytes)
@@ -447,12 +452,16 @@ class DataLoader:
             while chunks and len(pending) < max_inflight:
                 slot = -1 if ring is None else ring.acquire()
                 pending.append(
-                    pool.apply_async(_worker_extract, (chunks.popleft(), slot))
+                    pool.apply_async(
+                        _worker_extract, (chunks.popleft(), slot, obs.enabled())
+                    )
                 )
 
         def decode(payload):
             """Worker result -> (samples, slot to release or None)."""
-            kind, slot, body = payload
+            kind, slot, body, delta = payload
+            if delta is not None:
+                obs.merge(delta)
             slot = slot if slot >= 0 else None
             if kind == "shm":
                 obs.count("store.ring.batches")

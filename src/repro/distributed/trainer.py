@@ -46,8 +46,11 @@ parallelism is across shards).
 process, each shard's forward and backward time lands in ``forward``
 and ``backward``, and the ordered reduce counts as backward. With
 ``processes=K`` the shards run in the workers, so the parent's wait
-for them lands in ``data``; the per-shard times go to the
-``distributed.shard.step_seconds`` obs histogram.
+for them lands in ``data``. Either way every shard step records
+``distributed.shard.step_seconds`` and ``distributed.shard.links`` through
+:mod:`repro.obs`; while the parent's obs is enabled, each worker records
+into its own registry and sends it with its final report, and the parent
+merges it (so the workers' phases appear in the parent's registry).
 """
 
 from __future__ import annotations
@@ -127,26 +130,28 @@ def _shard_step_grads(
     parent only through the loss total the guard inspects. Forward and
     backward time goes into ``watch``'s segments of those names.
     """
-    if mine.size == 0:
-        return None, 0.0, 0
-    from repro.data.loader import collate_from_store
+    t0 = time.perf_counter()
+    grads, loss_val = None, 0.0
+    if mine.size:
+        from repro.data.loader import collate_from_store
 
-    watch = watch or Stopwatch()
-    dataset.ensure_many(mine)
-    batch = collate_from_store(
-        dataset.store, mine, edge_attr_dim=dataset.task.edge_attr_dim
-    )
-    labels = dataset.task.labels[mine]
-    with watch.segment("forward"), obs.trace("forward"):
-        model.zero_grad()
-        logits = model(batch)
-        loss = cross_entropy(logits, labels) * (float(mine.size) / float(n_global))
-    loss_val = float(loss.data)
-    grads = None
-    if np.isfinite(loss_val):
-        with watch.segment("backward"), obs.trace("backward"):
-            loss.backward()
-        grads = {name: p.grad for name, p in model.named_parameters()}
+        watch = watch or Stopwatch()
+        dataset.ensure_many(mine)
+        batch = collate_from_store(
+            dataset.store, mine, edge_attr_dim=dataset.task.edge_attr_dim
+        )
+        labels = dataset.task.labels[mine]
+        with watch.segment("forward"), obs.trace("forward"):
+            model.zero_grad()
+            logits = model(batch)
+            loss = cross_entropy(logits, labels) * (float(mine.size) / float(n_global))
+        loss_val = float(loss.data)
+        if np.isfinite(loss_val):
+            with watch.segment("backward"), obs.trace("backward"):
+                loss.backward()
+            grads = {name: p.grad for name, p in model.named_parameters()}
+    obs.count("distributed.shard.links", int(mine.size))
+    obs.observe("distributed.shard.step_seconds", time.perf_counter() - t0)
     return grads, loss_val, int(mine.size)
 
 
@@ -163,6 +168,7 @@ def _worker_main(
     barrier,
     report_queue,
     dataset_rng: RngLike,
+    record: bool,
 ) -> None:
     """Shard worker: replicate the global batch schedule, push gradients.
 
@@ -170,17 +176,20 @@ def _worker_main(
     shuffle stream as the parent (restored from ``shuffle_state``), so
     each global batch is reconstructed locally and filtered to owned
     links without any index traffic. Per step: write grads →
-    barrier A → barrier B → read command + fresh params.
+    barrier A → barrier B → read command + fresh params. With ``record``
+    (the parent's obs is enabled) the worker's metrics go into a fresh
+    registry whose delta rides in the final report.
     """
     buffer = ParameterBuffer.attach(buffer_meta)
     # The dtype policy is thread-local state and does not survive the
     # spawn — re-activate it so the replica's tape matches the parent's.
     # The shared ParameterBuffer itself stays float64 regardless.
     set_compute_dtype(resolve_dtype(config.compute_dtype))
-    grad_seconds = 0.0
-    barrier_seconds = 0.0
-    links = 0
-    steps = 0
+    obs.set_registry(obs.MetricsRegistry())
+    if record:
+        obs.enable()
+    else:
+        obs.disable()
     try:
         gen = np.random.default_rng(0)
         restore_generator_state(gen, shuffle_state)
@@ -197,18 +206,12 @@ def _worker_main(
             for start in range(0, len(perm), batch_size):
                 gbatch = perm[start : start + batch_size]
                 mine = gbatch[owned_mask[gbatch]]
-                t0 = time.perf_counter()
                 grads, loss, count = _shard_step_grads(
                     model, dataset, mine, len(gbatch)
                 )
-                grad_seconds += time.perf_counter() - t0
                 buffer.put_grads(rank, grads, loss, count)
-                links += int(mine.size)
-                steps += 1
-                t0 = time.perf_counter()
                 barrier.wait(config.barrier_timeout)  # A: grads ready
                 barrier.wait(config.barrier_timeout)  # B: params ready
-                barrier_seconds += time.perf_counter() - t0
                 if buffer.get_command() == CMD_ABORT:
                     stop = True
                     break
@@ -218,15 +221,7 @@ def _worker_main(
             barrier.wait(config.barrier_timeout)  # E: epoch verdict
             if buffer.get_command() == CMD_STOP:
                 break
-        report_queue.put(
-            {
-                "rank": rank,
-                "steps": steps,
-                "links": links,
-                "grad_seconds": grad_seconds,
-                "barrier_seconds": barrier_seconds,
-            }
-        )
+        report_queue.put({"rank": rank, "metrics": obs.get_registry().delta()})
     except BrokenBarrierError:
         # Parent aborted (its exception propagates there) — exit quietly.
         pass
@@ -285,9 +280,7 @@ class _ShardedStep(GradientStep):
         self.partition = partition
         self.config = config
         self.checkpoint_tags = {"num_shards": config.num_shards}
-        self.grad_seconds = np.zeros(config.num_shards)
-        self.links = np.zeros(config.num_shards, dtype=np.int64)
-        self.steps = np.zeros(config.num_shards, dtype=np.int64)
+        self.finished = False
         self.buffer: Optional[ParameterBuffer] = None
         self.barrier = None
         self.report_queue = None
@@ -342,6 +335,7 @@ class _ShardedStep(GradientStep):
                     self.barrier,
                     self.report_queue,
                     self.dataset.rng_seed,
+                    obs.enabled(),
                 ),
                 daemon=True,
                 name=f"repro-shard-{rank}",
@@ -362,13 +356,9 @@ class _ShardedStep(GradientStep):
         else:
             for rank, dataset in enumerate(self.shard_datasets):
                 mine = gbatch[self.owned_masks[rank][gbatch]]
-                t0 = time.perf_counter()
                 grads, loss, count = _shard_step_grads(
                     self.model, dataset, mine, len(gbatch), watch
                 )
-                self.grad_seconds[rank] += time.perf_counter() - t0
-                self.links[rank] += int(mine.size)
-                self.steps[rank] += 1
                 self.buffer.put_grads(rank, grads, loss, count)
         with watch.segment("backward"):
             loss_val = self.buffer.reduce_loss()
@@ -389,9 +379,14 @@ class _ShardedStep(GradientStep):
         if self.workers:
             self.buffer.set_command(CMD_STOP if last else CMD_RUN)
             self.barrier.wait(self.config.barrier_timeout)  # E: epoch verdict
+        self.finished = last
 
     def close(self) -> None:
-        if self.barrier is not None:
+        # A clean run leaves the barrier alone: aborting it while the
+        # workers are still waking from the final barrier breaks their
+        # wait, and they exit without reporting. Any other exit aborts at
+        # once, so a failing run never waits out the drain.
+        if self.barrier is not None and not self.finished:
             try:
                 self.barrier.abort()
             except Exception:
@@ -407,6 +402,9 @@ class _ShardedStep(GradientStep):
             except queue.Empty:
                 if exited:
                     break
+        for report in self.reports:
+            if "metrics" in report:
+                obs.merge(report["metrics"])
         for w in self.workers:
             w.join(timeout=10.0)
         for w in self.workers:
@@ -417,24 +415,6 @@ class _ShardedStep(GradientStep):
             self.buffer.close()
         if self._tmp is not None:
             self._tmp.cleanup()
-
-    def record(self) -> None:
-        """Fold worker reports into the per-shard totals and emit them."""
-        for report in self.reports:
-            if "error" in report:
-                continue
-            rank = int(report["rank"])
-            self.grad_seconds[rank] += float(report["grad_seconds"])
-            self.links[rank] += int(report["links"])
-            self.steps[rank] += int(report["steps"])
-        if obs.enabled():
-            for rank in range(self.config.num_shards):
-                obs.count("distributed.shard.links", int(self.links[rank]))
-                if self.steps[rank]:
-                    obs.observe(
-                        "distributed.shard.step_seconds",
-                        float(self.grad_seconds[rank] / self.steps[rank]),
-                    )
 
 
 def train_data_parallel(
@@ -534,6 +514,5 @@ def train_data_parallel(
             f"distributed training aborted — a shard worker failed or a "
             f"barrier timed out after {config.barrier_timeout}s{detail}"
         ) from None
-    step.record()
     return result
 

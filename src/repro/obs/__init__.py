@@ -27,6 +27,7 @@ from repro.obs.callbacks import (
 )
 from repro.obs.export import load_csv, load_json, to_csv, to_json, write_csv, write_json
 from repro.obs.registry import (
+    HISTOGRAM_RELATIVE_ERROR,
     HistogramSummary,
     MetricsRegistry,
     capture,
@@ -36,6 +37,7 @@ from repro.obs.registry import (
     enabled,
     gauge,
     get_registry,
+    merge,
     observe,
     set_registry,
     trace,
@@ -44,6 +46,7 @@ from repro.obs.registry import (
 __all__ = [
     "MetricsRegistry",
     "HistogramSummary",
+    "HISTOGRAM_RELATIVE_ERROR",
     "get_registry",
     "set_registry",
     "enable",
@@ -53,6 +56,7 @@ __all__ = [
     "count",
     "observe",
     "gauge",
+    "merge",
     "capture",
     "to_json",
     "write_json",

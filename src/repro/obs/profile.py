@@ -1,7 +1,8 @@
 """``python -m repro profile`` — end-to-end phase-time breakdown.
 
 Runs a small but complete SEAL workload (dataset generation → subgraph
-extraction → training with per-epoch evaluation → inference) under
+extraction → training with per-epoch evaluation → inference → serving a
+few coalesced requests → a short streaming leg) under
 :class:`repro.obs.capture` and prints where the time went:
 
 .. code-block:: bash
@@ -12,51 +13,38 @@ extraction → training with per-epoch evaluation → inference) under
     python -m repro profile --smoke --shards 4    # sharded data-parallel
     python -m repro profile --smoke --csv out.csv --json out.json
 
-The JSON report's ``phases`` section is the per-leaf breakdown
-(``extraction`` / ``collate`` / ``forward`` / ``backward`` /
-``optimizer`` / ``eval`` / ``inference``), aggregated across nesting;
-``loader`` isolates the data-loading phases (``extraction`` /
-``collate`` / ``queue-wait`` — the last one is the parent blocking on
-worker results when ``--workers N`` is set); ``cache`` is the
-:meth:`SEALDataset.cache_info` view proving the second epoch onward is
-extraction-free; ``kernels`` reports the segment-plan engine — plans
-built, plan-cache hit rates (per-batch and store-level) and per-kernel
-timers; ``extraction`` reports the batched extraction engine — per-stage
-timers (BFS sweep / induce / label / pack), links extracted and the
-subgraph-store warm-hit rate;
-``serve`` reports the deployment leg (the workload ends by serving a
-few coalesced requests through :mod:`repro.serve`) — request/pair
-counts, p50/p99 scoring latency, micro-batch occupancy, queue peak
-depth and score-cache hit rate; ``stream`` reports the temporal-KG leg
-(:mod:`repro.stream`) — events applied, snapshots, live edges,
-delta-aware invalidation counts (retired vs surviving vs rewarmed
-pairs) and the drift-metric summary;
-``checkpoint`` reports the crash-safety
-leg when ``--checkpoint-dir`` is set — bundle writes, bytes, write-time
-stats and (with ``--resume``) the epoch the run resumed from; ``store``
-reports the zero-copy storage layer (:mod:`repro.store`) — mmap vs full
-graph opens, links extracted off mapped pages, shared-memory ring
-batches/fallbacks/occupancy and whether workers got the graph by path
-or by pickle.
+The JSON report is a generic view of the run's metrics registry:
+
+* ``phases`` — seconds and calls per leaf phase (``extraction`` /
+  ``collate`` / ``forward`` / ``backward`` / ``optimizer`` / ``eval`` /
+  ``inference`` / ``kernel.*`` / ``extract.*`` / ...), aggregated across
+  nesting;
+* ``metrics`` — every counter, gauge and histogram summary, grouped by
+  the first dotted segment of its name (``serve``, ``kernels``,
+  ``distributed``, ...) and keyed by its full name, plus a derived
+  ``<stem>.hit_rate`` for every ``<stem>.hits`` / ``<stem>.misses``
+  counter pair;
+* ``snapshot`` — the raw registry snapshot (what ``--csv`` writes).
+
+Worker processes (``--workers N`` loader workers, ``--shards K`` shard
+workers) record into their own registries and the parent merges them,
+so their phases and metrics count like in-process ones. Merged phase
+seconds are summed across processes, so with workers they can exceed
+wall time.
+
+Beside the registry the report carries run facts: ``workload`` (the
+sizes, ``graph_source``, the shard ``processes`` actually started and
+``checkpoint_dir``), ``cores`` (physical vs usable), ``warnings`` (any
+requested parallelism the host cannot deliver), the ``train`` / ``eval``
+results, the dataset ``cache``, the ``dtype`` policy and ``memory``.
 
 With ``--shards K`` (K >= 2) the training leg runs through
-:func:`repro.distributed.train_data_parallel`: the graph is partitioned
-into K shards and trained data-parallel — with K worker processes when
-the host has >= 2 usable cores, in-process otherwise (numerically
-identical either way) — and the report gains a ``distributed`` section
-(partition cut/halo stats, per-shard step timers, barrier wait times,
-global step count). With real worker processes the forward/backward
-work happens inside the workers, so ``phases`` reflects the parent
-(reduce + optimizer) and the per-shard gradient time shows up as
-``distributed.shard_step_seconds`` instead. The ``cores`` section reports physical vs usable
-CPU cores, and ``warnings`` lists any requested parallelism
-(``--workers`` / ``--shards``) the host cannot actually deliver.
-
-With ``--graph-dir DIR`` the workload runs against a saved on-disk task:
-the first run generates the synthetic dataset and saves it under DIR
-(:func:`repro.store.save_task`), reruns mmap it back instead of
-regenerating — which exercises the whole mmap read path end to end and
-makes repeated profiles of large graphs start in milliseconds.
+:func:`repro.distributed.train_data_parallel` — with K worker processes
+when the host has >= 2 usable cores, in-process otherwise (numerically
+identical either way). With ``--graph-dir DIR`` the first run generates
+the synthetic dataset and saves it under DIR
+(:func:`repro.store.save_task`); reruns mmap it back instead of
+regenerating, which exercises the whole mmap read path end to end.
 """
 
 from __future__ import annotations
@@ -67,7 +55,7 @@ import sys
 import time
 from typing import Any, Dict, Optional, Sequence
 
-__all__ = ["run_profile", "main"]
+__all__ = ["run_profile", "metric_sections", "main"]
 
 #: Phases the end-to-end workload is guaranteed to exercise — the keys
 #: dashboards and the smoke test assert on.
@@ -93,25 +81,18 @@ def run_profile(
 ) -> Dict[str, Any]:
     """Run the instrumented workload; return the JSON-ready report dict.
 
-    With ``checkpoint_dir`` the training leg runs crash-safe (epoch
-    bundles written under that directory, resumed on rerun when
-    ``resume``) and the report gains a ``checkpoint`` section.
-
+    The report's shape is described in the module docstring. With
+    ``checkpoint_dir`` the training leg runs crash-safe (epoch bundles
+    written under that directory, resumed on rerun when ``resume``).
     With ``graph_dir`` the dataset leg reads a saved task from that
     directory (mmap-backed) when one exists, and otherwise generates the
-    synthetic dataset once and saves it there for the next run.
-
-    With ``shards`` >= 2 the training leg runs sharded data-parallel
-    through :func:`repro.distributed.train_data_parallel` — as K worker
-    processes when >= 2 usable cores are available, in-process (same
-    numbers, no speedup) otherwise.
-
-    ``compute_dtype`` selects the precision policy for training, eval
-    and serving; the report's ``dtype`` section shows the active policy
-    and whether float64 master weights are kept. With ``track_memory`` the
-    workload runs under :mod:`tracemalloc` and the ``memory`` section
-    adds per-leg Python allocation peaks (slower; the peak-RSS line is
-    reported regardless).
+    synthetic dataset once and saves it there. With ``shards`` >= 2 the
+    training leg runs sharded data-parallel — as K worker processes when
+    >= 2 usable cores are available, in-process otherwise.
+    ``compute_dtype`` selects the precision policy for training, eval and
+    serving. With ``track_memory`` the workload runs under
+    :mod:`tracemalloc` and ``memory`` adds per-leg Python allocation
+    peaks (slower; peak RSS is reported regardless).
     """
     # Imports are deferred so ``import repro.obs`` stays lightweight.
     import os
@@ -148,13 +129,10 @@ def run_profile(
         mem_phases[leg] = {"current_bytes": float(current), "peak_bytes": float(peak)}
         tracemalloc.reset_peak()
 
-    ckpt = (
-        CheckpointConfig(dir=checkpoint_dir, every=1, resume=resume)
-        if checkpoint_dir is not None
-        else None
-    )
+    ckpt = None
+    if checkpoint_dir is not None:
+        ckpt = CheckpointConfig(dir=checkpoint_dir, every=1, resume=resume)
 
-    physical_cores = os.cpu_count() or 1
     usable = usable_cores()
     warnings: list = []
     if num_workers > usable:
@@ -197,44 +175,30 @@ def run_profile(
             dropout=0.0,
             rng=derive(seed, "init"),
         )
+        common = dict(
+            epochs=epochs,
+            batch_size=batch_size,
+            lr=3e-3,
+            num_workers=num_workers,
+            compute_dtype=compute_dtype,
+        )
         if shards >= 2:
             from repro.distributed import DistributedConfig, train_data_parallel
 
-            train_result = train_data_parallel(
-                model,
-                ds,
-                tr,
-                DistributedConfig(
-                    epochs=epochs,
-                    batch_size=batch_size,
-                    lr=3e-3,
-                    num_workers=num_workers,
-                    num_shards=shards,
-                    processes=processes,
-                    compute_dtype=compute_dtype,
-                ),
-                eval_indices=te,
-                rng=derive(seed, "train"),
-                verbose=False,
-                checkpoint=ckpt,
-            )
+            trainer = train_data_parallel
+            config = DistributedConfig(num_shards=shards, processes=processes, **common)
         else:
-            train_result = train(
-                model,
-                ds,
-                tr,
-                TrainConfig(
-                    epochs=epochs,
-                    batch_size=batch_size,
-                    lr=3e-3,
-                    num_workers=num_workers,
-                    compute_dtype=compute_dtype,
-                ),
-                eval_indices=te,
-                rng=derive(seed, "train"),
-                verbose=False,
-                checkpoint=ckpt,
-            )
+            trainer, config = train, TrainConfig(**common)
+        train_result = trainer(
+            model,
+            ds,
+            tr,
+            config,
+            eval_indices=te,
+            rng=derive(seed, "train"),
+            verbose=False,
+            checkpoint=ckpt,
+        )
         mem_mark("train")
         with nn_dtype.compute_dtype(policy):
             eval_result = evaluate(model, ds, te, num_workers=num_workers)
@@ -259,224 +223,37 @@ def run_profile(
         # answer the final request from the surviving caches.
         from repro.stream import DriftTracker, StreamingGraph, generate_events
 
-        t_stream = time.perf_counter()
-        stream_graph = StreamingGraph(task.graph)
-        stream_events = generate_events(
-            task.graph,
-            24,
-            rng=derive(seed, "stream"),
-            num_classes=task.num_classes,
-        )
-        drift = DriftTracker()
-        scorer.warm(task.pairs[:8])
-        for window in stream_events.windows(8):
-            stream_graph.apply(window)
-            snap = stream_graph.snapshot()
-            scorer.invalidate(snap.graph, delta=snap.delta)
-            added = window.added_mask
-            drift.update(
-                labels=window.labels[added],
+        with obs.trace("stream"):
+            stream_graph = StreamingGraph(task.graph)
+            stream_events = generate_events(
+                task.graph,
+                24,
+                rng=derive(seed, "stream"),
                 num_classes=task.num_classes,
-                graph=snap.graph,
-                edge_attr=(
-                    None if window.edge_attr is None else window.edge_attr[added]
-                ),
             )
-        scorer.score(task.pairs[:8])
-        stream_s = time.perf_counter() - t_stream
-        serve_store_info = scorer.store.cache_info()
+            drift = DriftTracker()
+            scorer.warm(task.pairs[:8])
+            for window in stream_events.windows(8):
+                stream_graph.apply(window)
+                snap = stream_graph.snapshot()
+                scorer.invalidate(snap.graph, delta=snap.delta)
+                added = window.added_mask
+                drift.update(
+                    labels=window.labels[added],
+                    num_classes=task.num_classes,
+                    graph=snap.graph,
+                    edge_attr=(
+                        None if window.edge_attr is None else window.edge_attr[added]
+                    ),
+                )
+            scorer.score(task.pairs[:8])
         mem_mark("stream")
-        cache = ds.cache_info()
-        store_info = ds.store.cache_info()
 
     leaf_totals = registry.leaf_totals()
     leaf_counts = registry.leaf_counts()
-    counters = dict(registry.counters)
-    plan_hits = counters.get("kernels.plan_cache.hits", 0.0)
-    plan_misses = counters.get("kernels.plan_cache.misses", 0.0)
-    plan_lookups = plan_hits + plan_misses
-    # Store-level plan-cache hit rate comes from the dataset store's
-    # *lifetime* StoreInfo counters — the per-generation pair resets on
-    # every clear()/evict() (serve invalidation does both), which made
-    # the old rate go backwards mid-run. The registry counters below
-    # aggregate every store in the process and stay monotone too.
-    store_hits = float(store_info.lifetime_plan_hits)
-    store_misses = float(store_info.lifetime_plan_misses)
-    store_lookups = store_hits + store_misses
-    kernels_report = {
-        "plans_built": counters.get("kernels.plan.built", 0.0),
-        "plan_cache": {
-            "hits": plan_hits,
-            "misses": plan_misses,
-            "hit_rate": plan_hits / plan_lookups if plan_lookups else 0.0,
-        },
-        "store_plan_cache": {
-            "hits": store_hits,
-            "misses": store_misses,
-            "hit_rate": store_hits / store_lookups if store_lookups else 0.0,
-        },
-        "timers": {
-            name: {
-                "seconds": leaf_totals.get(name, 0.0),
-                "calls": leaf_counts.get(name, 0),
-            }
-            for name in (
-                "kernel.segment_sum",
-                "kernel.segment_max",
-                "kernel.segment_softmax",
-            )
-        },
-    }
-    warm_hits = counters.get("seal.cache.hits", 0.0)
-    warm_misses = counters.get("seal.cache.misses", 0.0)
-    warm_lookups = warm_hits + warm_misses
-    extraction_report = {
-        "links": {"batched": counters.get("extraction.batched.links", 0.0)},
-        "store_warm": {
-            "hits": warm_hits,
-            "misses": warm_misses,
-            "hit_rate": warm_hits / warm_lookups if warm_lookups else 0.0,
-        },
-        "timers": {
-            name: {
-                "seconds": leaf_totals.get(name, 0.0),
-                "calls": leaf_counts.get(name, 0),
-            }
-            for name in (
-                "extract.bfs",
-                "extract.induce",
-                "extract.label",
-                "extract.pack",
-            )
-        },
-    }
-    serve_hits = counters.get("serve.cache.hits", 0.0)
-    serve_misses = counters.get("serve.cache.misses", 0.0)
-    serve_lookups = serve_hits + serve_misses
-    lat_hist = registry.histograms.get("serve.latency_seconds")
-    occ_hist = registry.histograms.get("serve.batch.occupancy")
-    serve_report = {
-        "requests": counters.get("serve.requests", 0.0),
-        "pairs": counters.get("serve.pairs", 0.0),
-        "batches": counters.get("serve.batches", 0.0),
-        "rejected": counters.get("serve.rejected", 0.0),
-        "deadline_dropped": counters.get("serve.deadline.dropped", 0.0),
-        "latency_ms": {
-            "p50": lat_hist.percentile(50.0) * 1e3 if lat_hist else 0.0,
-            "p99": lat_hist.percentile(99.0) * 1e3 if lat_hist else 0.0,
-            "count": lat_hist.count if lat_hist else 0,
-        },
-        "batch_occupancy_mean": occ_hist.mean if occ_hist else 0.0,
-        "queue_peak_depth": registry.gauges.get("serve.queue.peak_depth", 0.0),
-        "score_cache": {
-            "hits": serve_hits,
-            "misses": serve_misses,
-            "hit_rate": serve_hits / serve_lookups if serve_lookups else 0.0,
-        },
-        "subgraph_store": {
-            "generation": serve_store_info.generation,
-            "entries": serve_store_info.entries,
-            "lifetime_plan_hits": float(serve_store_info.lifetime_plan_hits),
-            "lifetime_plan_misses": float(serve_store_info.lifetime_plan_misses),
-        },
-    }
-    stream_report = {
-        "seconds": stream_s,
-        "events": {
-            "generated": counters.get("stream.events.generated", 0.0),
-            "add": counters.get("stream.events.add", 0.0),
-            "invalidate": counters.get("stream.events.invalidate", 0.0),
-            "unmatched_invalidate": counters.get(
-                "stream.events.unmatched_invalidate", 0.0
-            ),
-        },
-        "snapshots": counters.get("stream.snapshots", 0.0),
-        "graph": stream_graph.stats(),
-        "invalidation": {
-            "full_clears": counters.get("serve.cache.invalidations", 0.0),
-            "delta": counters.get("serve.cache.delta_invalidations", 0.0),
-            "retired_pairs": counters.get("serve.cache.retired_pairs", 0.0),
-            "survivor_pairs": counters.get("serve.cache.survivor_pairs", 0.0),
-            "rewarmed_pairs": counters.get("serve.cache.rewarmed_pairs", 0.0),
-        },
-        "drift": drift.summary(),
-    }
-    ring_occ = registry.histograms.get("store.ring.occupancy")
-    store_report = {
-        "graph_source": graph_source,
-        "graph_dir": graph_dir,
-        "mmap_opens": counters.get("store.mmap.opens", 0.0),
-        "full_opens": counters.get("store.full.opens", 0.0),
-        "graph_saves": counters.get("store.graph.saves", 0.0),
-        "mmap_extracted_links": counters.get("store.mmap.extracted_links", 0.0),
-        "ring": {
-            "batches": counters.get("store.ring.batches", 0.0),
-            "fallbacks": counters.get("store.ring.fallbacks", 0.0),
-            "exhausted": counters.get("store.ring.exhausted", 0.0),
-            "occupancy_mean": ring_occ.mean if ring_occ else 0.0,
-        },
-        "worker_payload": {
-            "by_path": counters.get("data.loader.payload_path", 0.0),
-            "pickled": counters.get("data.loader.payload_pickled", 0.0),
-        },
-    }
-    barrier_hist = registry.histograms.get("distributed.barrier_wait_seconds")
-    shard_step_hist = registry.histograms.get("distributed.shard.step_seconds")
-    distributed_report = {
-        "enabled": shards >= 2,
-        "num_shards": shards,
-        "processes": processes,
-        "partition": {
-            "cut_edges": counters.get("distributed.partition.cut_edges", 0.0),
-            "halo_nodes": counters.get("distributed.partition.halo_nodes", 0.0),
-            "owned_links": counters.get("distributed.partition.owned_links", 0.0),
-            "replication_factor": registry.gauges.get(
-                "distributed.partition.replication_factor", 0.0
-            ),
-        },
-        "steps": counters.get("distributed.steps", 0.0),
-        "shard_links": counters.get("distributed.shard.links", 0.0),
-        "barrier_wait_seconds": {
-            "total": barrier_hist.total if barrier_hist else 0.0,
-            "mean": barrier_hist.mean if barrier_hist else 0.0,
-            "max": barrier_hist.max if barrier_hist else 0.0,
-            "count": barrier_hist.count if barrier_hist else 0,
-        },
-        "shard_step_seconds": {
-            "mean": shard_step_hist.mean if shard_step_hist else 0.0,
-            "max": shard_step_hist.max if shard_step_hist else 0.0,
-            "count": shard_step_hist.count if shard_step_hist else 0,
-        },
-    }
-    dtype_report = {
-        "compute_dtype": str(policy),
-        "master_weights": policy != nn_dtype.FLOAT64,
-    }
+    snapshot = registry.snapshot()
     if track_memory:
         tracemalloc.stop()
-    memory_report = {
-        "tracked": track_memory,
-        # ru_maxrss is KiB on Linux: lifetime peak resident set of the
-        # whole process (both dtype policies of a back-to-back comparison
-        # must therefore run in separate processes).
-        "peak_rss_bytes": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024.0,
-        "phases": mem_phases,
-    }
-    write_hist = registry.histograms.get("checkpoint.write_seconds")
-    checkpoint_report = {
-        "enabled": ckpt is not None,
-        "dir": str(ckpt.dir) if ckpt is not None else None,
-        "writes": counters.get("checkpoint.writes", 0.0),
-        "bytes": counters.get("checkpoint.bytes", 0.0),
-        "resumes": counters.get("checkpoint.resumes", 0.0),
-        "resumed_from_epoch": registry.gauges.get("checkpoint.resumed_from_epoch"),
-        "write_seconds": {
-            "total": write_hist.total if write_hist else 0.0,
-            "mean": write_hist.mean if write_hist else 0.0,
-            "max": write_hist.max if write_hist else 0.0,
-            "count": write_hist.count if write_hist else 0,
-        },
-    }
     return {
         "workload": {
             "dataset": dataset,
@@ -487,11 +264,14 @@ def run_profile(
             "seed": seed,
             "num_workers": num_workers,
             "shards": shards,
+            "processes": processes,
             "num_links": int(task.num_links),
             "num_nodes": int(task.graph.num_nodes),
             "graph_dir": graph_dir,
+            "graph_source": graph_source,
+            "checkpoint_dir": checkpoint_dir,
         },
-        "cores": {"physical": physical_cores, "usable": usable},
+        "cores": {"physical": os.cpu_count() or 1, "usable": usable},
         "warnings": warnings,
         "total_s": time.perf_counter() - t_start,
         "phases": {
@@ -504,23 +284,48 @@ def run_profile(
             "final_auc": train_result.final_auc,
         },
         "eval": eval_result.summary(),
-        "loader": {
-            name: {"seconds": leaf_totals.get(name, 0.0), "calls": leaf_counts.get(name, 0)}
-            for name in ("extraction", "collate", "queue-wait")
+        "cache": ds.cache_info()._asdict(),
+        "dtype": {
+            "compute_dtype": str(policy),
+            "master_weights": policy != nn_dtype.FLOAT64,
         },
-        "cache": cache._asdict(),
-        "kernels": kernels_report,
-        "extraction": extraction_report,
-        "serve": serve_report,
-        "stream": stream_report,
-        "store": store_report,
-        "distributed": distributed_report,
-        "checkpoint": checkpoint_report,
-        "dtype": dtype_report,
-        "memory": memory_report,
-        "counters": counters,
-        "snapshot": registry.snapshot(),
+        "memory": {
+            "tracked": track_memory,
+            # ru_maxrss is KiB on Linux: lifetime peak resident set of the
+            # whole process (both dtype policies of a back-to-back
+            # comparison must therefore run in separate processes).
+            "peak_rss_bytes": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            * 1024.0,
+            "phases": mem_phases,
+        },
+        "metrics": metric_sections(snapshot),
+        "snapshot": snapshot,
     }
+
+
+def metric_sections(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """A registry snapshot's metrics grouped by the first dotted segment of their names.
+
+    Counters and gauges map to their value and histograms to their
+    summary, each under its full name. Every ``<stem>.hits`` /
+    ``<stem>.misses`` counter pair adds ``<stem>.hit_rate`` (0.0 before
+    the first lookup).
+    """
+    sections: Dict[str, Dict[str, Any]] = {}
+    for kind in ("counters", "gauges", "histograms"):
+        for name, value in snapshot[kind].items():
+            sections.setdefault(name.split(".", 1)[0], {})[name] = value
+    counters = snapshot["counters"]
+    for name in counters:
+        stem, _, last = name.rpartition(".")
+        if last not in ("hits", "misses"):
+            continue
+        hits = counters.get(f"{stem}.hits", 0.0)
+        lookups = hits + counters.get(f"{stem}.misses", 0.0)
+        sections[name.split(".", 1)[0]][f"{stem}.hit_rate"] = (
+            hits / lookups if lookups else 0.0
+        )
+    return sections
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -542,7 +347,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="node-count multiplier",
     )
     parser.add_argument(
-        "--targets", type=number_at_least(int, 1), default=80, help="number of labeled links"
+        "--targets",
+        dest="num_targets",
+        metavar="TARGETS",
+        type=number_at_least(int, 1),
+        default=80,
+        help="number of labeled links",
     )
     parser.add_argument(
         "--epochs", type=number_at_least(int, 1), default=2, help="training epochs"
@@ -553,6 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--workers",
+        dest="num_workers",
+        metavar="WORKERS",
         type=number_at_least(int, 0),
         default=0,
         help="extraction worker processes (0 = serial; results are identical)",
@@ -597,6 +409,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--mem",
+        dest="track_memory",
         action="store_true",
         help="trace Python allocations per leg with tracemalloc (slower); "
         "peak RSS is reported either way",
@@ -611,21 +424,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.resume and args.checkpoint_dir is None:
         parser.error("argument --resume: needs --checkpoint-dir")
 
-    kwargs: Dict[str, Any] = dict(
-        dataset=args.dataset,
-        scale=args.scale,
-        num_targets=args.targets,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        num_workers=args.workers,
-        shards=args.shards,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        graph_dir=args.graph_dir,
-        compute_dtype=args.compute_dtype,
-        track_memory=args.mem,
-    )
+    # Every other flag's dest is a run_profile keyword.
+    kwargs: Dict[str, Any] = dict(vars(args))
+    for flag in ("smoke", "json", "csv"):
+        del kwargs[flag]
     if args.smoke:
         kwargs.update(scale=0.12, num_targets=40, epochs=1, batch_size=8)
 

@@ -32,10 +32,6 @@ import numpy as np
 __all__ = ["run_replay", "main"]
 
 
-def _percentile(values: List[float], q: float) -> float:
-    return float(np.percentile(np.asarray(values), q)) if values else 0.0
-
-
 def run_replay(
     *,
     dataset: str = "primekg",
@@ -108,7 +104,7 @@ def run_replay(
         config = ServeConfig(
             max_queue_depth=max_queue_depth, default_deadline_s=deadline_s
         )
-        latencies: List[float] = []
+        latencies = obs.HistogramSummary()
         outcomes: List[Any] = [None] * len(tape)
         lat_lock = threading.Lock()
 
@@ -119,7 +115,7 @@ def run_replay(
                 outcome = server.request(tape[slot], request_id=f"r{slot}")
                 elapsed = time.perf_counter() - t0
                 with lat_lock:
-                    latencies.append(elapsed)
+                    latencies.add(elapsed)
                     outcomes[slot] = outcome
 
         t_serve = time.perf_counter()
@@ -143,13 +139,13 @@ def run_replay(
     base_scorer = LinkScorer(
         bundle, task.graph, micro_batch=micro_batch, cache_scores=False
     )
-    base_latencies: List[float] = []
+    base_latencies = obs.HistogramSummary()
     t_base = time.perf_counter()
     base_results = []
     for pairs in tape:
         t0 = time.perf_counter()
         base_results.append(base_scorer.score(pairs))
-        base_latencies.append(time.perf_counter() - t0)
+        base_latencies.add(time.perf_counter() - t0)
     base_wall = time.perf_counter() - t_base
 
     # Identical answers, bit for bit — coalescing and caching must never
@@ -181,8 +177,8 @@ def run_replay(
             "wall_s": serve_wall,
             "throughput_rps": len(tape) / serve_wall if serve_wall else 0.0,
             "latency_ms": {
-                "p50": _percentile(latencies, 50) * 1e3,
-                "p99": _percentile(latencies, 99) * 1e3,
+                "p50": latencies.percentile(50) * 1e3,
+                "p99": latencies.percentile(99) * 1e3,
             },
             "served": len(served),
             "rejected": len(rejected),
@@ -203,8 +199,8 @@ def run_replay(
             "wall_s": base_wall,
             "throughput_rps": len(tape) / base_wall if base_wall else 0.0,
             "latency_ms": {
-                "p50": _percentile(base_latencies, 50) * 1e3,
-                "p99": _percentile(base_latencies, 99) * 1e3,
+                "p50": base_latencies.percentile(50) * 1e3,
+                "p99": base_latencies.percentile(99) * 1e3,
             },
         },
         "speedup": base_wall / serve_wall if serve_wall else 0.0,

@@ -19,7 +19,7 @@ def task():
     return load_primekg_like(scale=0.12, num_targets=40, rng=0)
 
 
-def _hang_forever(chunk, slot=-1):
+def _hang_forever(chunk, slot, record):
     """A worker that never produces anything (module-level: picklable)."""
     time.sleep(3600)
 
@@ -140,7 +140,7 @@ class TestFallback:
             DataLoader(fresh_dataset(task), batch_size=8, worker_timeout=-1.0)
 
     def test_worker_crash_falls_back_to_serial(self, task, monkeypatch, multicore):
-        def boom(chunk, slot=-1):
+        def boom(chunk, slot, record):
             raise RuntimeError("worker exploded")
 
         # Forked workers inherit the patched module, so every chunk fails.

@@ -255,6 +255,38 @@ class TestMultiProcess:
         assert r_res.losses == r_full.losses
         assert_same_weights(m_full, m_res)
 
+    def test_clean_run_never_aborts_and_every_rank_reports(
+        self, task, split, monkeypatch
+    ):
+        """Aborting the barrier as the final epoch barrier releases can
+        break a worker's wait before it reports; a clean run must not."""
+        import multiprocessing.synchronize as mp_sync
+
+        from repro import obs
+
+        aborts = []
+        real_abort = mp_sync.Barrier.abort
+
+        def spy(barrier):
+            aborts.append(barrier)
+            real_abort(barrier)
+
+        monkeypatch.setattr(mp_sync.Barrier, "abort", spy)
+        tr, _ = split
+        config = dconfig(num_shards=2, processes=2)
+        with obs.capture() as reg:
+            train_data_parallel(
+                make_model(task), SEALDataset(task, rng=0), tr, config,
+                rng=5, verbose=False,
+            )
+        assert aborts == []
+        # Every rank observes every step, so the count proves both
+        # workers' registries reached the parent.
+        steps = reg.counters["distributed.steps"]
+        assert reg.histograms["distributed.shard.step_seconds"].count == 2 * steps
+        assert reg.counters["distributed.shard.links"] == len(tr) * config.epochs
+        assert reg.phase_counts["forward"] >= steps
+
     def test_worker_failure_surfaces_as_runtime_error(
         self, task, split, monkeypatch
     ):

@@ -8,6 +8,11 @@ from repro.__main__ import main
 from repro.obs.profile import CORE_PHASES, run_profile
 
 
+def metric(report, name, default=0.0):
+    """Metric ``name`` from the report's namespace-grouped section."""
+    return report["metrics"].get(name.split(".")[0], {}).get(name, default)
+
+
 @pytest.fixture(scope="module")
 def smoke_report():
     """One shared --smoke run (the expensive part of this module)."""
@@ -40,16 +45,48 @@ class TestRunProfile:
 
         assert not obs.enabled()
 
+    def test_metrics_grouped_by_namespace(self, smoke_report):
+        snap = smoke_report["snapshot"]
+        sections = smoke_report["metrics"]
+        for kind in ("counters", "gauges", "histograms"):
+            for name, value in snap[kind].items():
+                assert sections[name.split(".")[0]][name] == value, name
+        for name in ("extraction.batched.links", "serve.requests", "serve.pairs"):
+            assert metric(smoke_report, name) > 0.0, name
+        assert metric(smoke_report, "serve.latency_seconds")["count"] >= 1
+        assert metric(smoke_report, "serve.queue.peak_depth") >= 1.0
+        assert metric(smoke_report, "stream.events.generated") > 0.0
+        assert metric(smoke_report, "stream.edges.live") > 0.0
+
+    def test_hit_rate_derived_for_every_hits_misses_pair(self, smoke_report):
+        counters = smoke_report["snapshot"]["counters"]
+        stems = {
+            name.rsplit(".", 1)[0]
+            for name in counters
+            if name.endswith((".hits", ".misses"))
+        }
+        assert {"kernels.plan_cache", "seal.cache", "serve.cache"} <= stems
+        for stem in stems:
+            hits = counters.get(f"{stem}.hits", 0.0)
+            lookups = hits + counters.get(f"{stem}.misses", 0.0)
+            assert metric(smoke_report, f"{stem}.hit_rate") == pytest.approx(
+                hits / lookups
+            )
+
+    def test_kernel_and_extraction_timers_are_phases(self, smoke_report):
+        for phase in ("kernel.segment_sum", "extract.bfs", "extract.pack", "stream"):
+            assert smoke_report["phases"][phase]["calls"] >= 1, phase
+
     def test_checkpoint_section_disabled_by_default(self, smoke_report):
-        ck = smoke_report["checkpoint"]
-        assert ck["enabled"] is False
-        assert ck["writes"] == 0.0
+        assert smoke_report["workload"]["checkpoint_dir"] is None
+        assert "checkpoint" not in smoke_report["metrics"]
 
     def test_store_section_without_graph_dir(self, smoke_report):
-        st = smoke_report["store"]
-        assert st["graph_source"] == "generated"
-        assert st["graph_dir"] is None
-        assert st["graph_saves"] == 0.0 and st["mmap_opens"] == 0.0
+        wl = smoke_report["workload"]
+        assert wl["graph_source"] == "generated"
+        assert wl["graph_dir"] is None
+        assert metric(smoke_report, "store.graph.saves") == 0.0
+        assert metric(smoke_report, "store.mmap.opens") == 0.0
 
     def test_cores_reported(self, smoke_report):
         cores = smoke_report["cores"]
@@ -57,9 +94,8 @@ class TestRunProfile:
         assert 1 <= cores["usable"] <= cores["physical"]
 
     def test_distributed_section_disabled_by_default(self, smoke_report):
-        d = smoke_report["distributed"]
-        assert d["enabled"] is False
-        assert d["steps"] == 0.0
+        assert smoke_report["workload"]["processes"] == 0
+        assert "distributed" not in smoke_report["metrics"]
         assert smoke_report["warnings"] == []
 
 
@@ -70,25 +106,30 @@ class TestProfileShards:
         report = run_profile(
             scale=0.12, num_targets=40, epochs=1, batch_size=8, shards=2
         )
-        d = report["distributed"]
-        assert d["enabled"] is True
-        assert d["num_shards"] == 2
-        assert d["steps"] >= 1.0
-        assert d["partition"]["owned_links"] == report["workload"]["num_links"]
-        assert d["partition"]["replication_factor"] >= 1.0
-        assert d["shard_step_seconds"]["count"] >= 1
+        assert report["workload"]["shards"] == 2
+        assert metric(report, "distributed.steps") >= 1.0
+        assert (
+            metric(report, "distributed.partition.owned_links")
+            == report["workload"]["num_links"]
+        )
+        assert metric(report, "distributed.partition.replication_factor") >= 1.0
+        # Every shard step of both ranks is recorded, in worker processes
+        # or in-process alike, and every training link once per epoch.
+        steps = metric(report, "distributed.steps")
+        assert metric(report, "distributed.shard.step_seconds")["count"] == 2 * steps
+        eval_links = metric(report, "seal.eval.links") / metric(report, "seal.eval.calls")
+        assert (
+            metric(report, "distributed.shard.links")
+            == report["workload"]["num_links"] - eval_links
+        )
         if usable_cores() >= 2:
-            assert d["processes"] == 2
+            assert report["workload"]["processes"] == 2
         else:
             # Degraded in-process: same numbers, and the report says why.
-            assert d["processes"] == 0
+            assert report["workload"]["processes"] == 0
             assert any("--shards" in w for w in report["warnings"])
-        if d["processes"] == 0:
-            # In-process sharding keeps the whole per-phase breakdown;
-            # with real worker processes the forward/backward work lives
-            # in the workers and is reported via shard_step_seconds.
-            for phase in CORE_PHASES:
-                assert phase in report["phases"], phase
+        for phase in CORE_PHASES:
+            assert phase in report["phases"], phase
 
     def test_worker_overcommit_warns(self):
         from repro.data.loader import usable_cores
@@ -103,20 +144,29 @@ class TestProfileShards:
         assert any("--workers" in w for w in report["warnings"])
 
 
+class TestProfileWorkers:
+    def test_worker_extraction_is_counted(self, smoke_report):
+        report = run_profile(
+            scale=0.12, num_targets=40, epochs=1, batch_size=8, num_workers=2
+        )
+        assert metric(report, "extraction.batched.links") == metric(
+            smoke_report, "extraction.batched.links"
+        )
+        assert report["eval"] == smoke_report["eval"]
+
+
 class TestProfileGraphDir:
     def test_first_run_saves_second_run_mmaps(self, tmp_path):
         kwargs = dict(scale=0.12, num_targets=40, epochs=1, batch_size=8)
         first = run_profile(graph_dir=str(tmp_path), **kwargs)
-        st = first["store"]
-        assert st["graph_source"] == "generated"
-        assert st["graph_saves"] == 1.0
+        assert first["workload"]["graph_source"] == "generated"
+        assert metric(first, "store.graph.saves") == 1.0
         assert (tmp_path / "task.npz").exists()
 
         second = run_profile(graph_dir=str(tmp_path), **kwargs)
-        st = second["store"]
-        assert st["graph_source"] == "mmap"
-        assert st["mmap_opens"] >= 1.0
-        assert st["mmap_extracted_links"] > 0.0
+        assert second["workload"]["graph_source"] == "mmap"
+        assert metric(second, "store.mmap.opens") >= 1.0
+        assert metric(second, "store.mmap.extracted_links") > 0.0
         # Identical workload either way — same dataset, same results.
         assert second["eval"] == first["eval"]
         assert second["workload"]["num_links"] == first["workload"]["num_links"]
@@ -131,11 +181,10 @@ class TestProfileCheckpoint:
             scale=0.12, num_targets=40, epochs=1, batch_size=8,
             checkpoint_dir=str(tmp_path),
         )
-        ck = report["checkpoint"]
-        assert ck["enabled"] is True
-        assert ck["writes"] >= 1.0
-        assert ck["bytes"] > 0.0
-        assert ck["write_seconds"]["count"] >= 1
+        assert report["workload"]["checkpoint_dir"] == str(tmp_path)
+        assert metric(report, "checkpoint.writes") >= 1.0
+        assert metric(report, "checkpoint.bytes") > 0.0
+        assert metric(report, "checkpoint.write_seconds")["count"] >= 1
         assert list_checkpoints(tmp_path)
         # Rerun with --resume: training is already complete, so the
         # report records the resumed-from epoch and writes nothing new.
@@ -143,8 +192,8 @@ class TestProfileCheckpoint:
             scale=0.12, num_targets=40, epochs=1, batch_size=8,
             checkpoint_dir=str(tmp_path), resume=True,
         )
-        assert resumed["checkpoint"]["resumes"] == 1.0
-        assert resumed["checkpoint"]["resumed_from_epoch"] == 1.0
+        assert metric(resumed, "checkpoint.resumes") == 1.0
+        assert metric(resumed, "checkpoint.resumed_from_epoch") == 1.0
 
 
 class TestCliSmoke:

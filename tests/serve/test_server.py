@@ -184,3 +184,17 @@ class TestBatchWindow:
             server.stop()
             assert future.result(timeout=30).ok
         assert time.monotonic() - t0 < 30.0
+
+
+class TestTracingAcrossThreads:
+    def test_server_phases_do_not_nest_under_caller_phases(self, bundle, task):
+        """The worker thread's phases nest only under its own phases, not
+        under a phase the submitting thread holds open meanwhile."""
+        with obs.capture() as reg:
+            with ScoringServer(scorer_for(bundle, task)) as server:
+                with obs.trace("train"):
+                    outcome = server.request(task.pairs[:4], timeout=30)
+        assert outcome.ok
+        assert reg.phase_counts["inference"] >= 1
+        nested = [key for key in reg.phase_totals if key.startswith("train/")]
+        assert nested == []
