@@ -7,23 +7,31 @@ traversals and an O(E) induced-subgraph scan per link. The sweep has
 three stages, each traced through :mod:`repro.obs`:
 
 1. **extract.bfs** — one :func:`~repro.graph.traversal.multi_source_bfs`
-   over the dataset's cached global CSR gives the k-hop distance row of
-   every (deduplicated) batch endpoint in a single composite-frontier
-   expansion.
-2. **extract.induce** — node selection (union/intersection masks,
-   closeness ordering, the ``max_nodes`` cap with its per-link rng
-   tie-break) runs on the stacked distance rows, and the induced edge
-   lists of all subgraphs are gathered straight from the global CSR:
-   only arcs incident to selected nodes are touched, instead of scanning
-   the full edge list once per link, and results are written in the
-   packed columnar layout :class:`~repro.data.store.SubgraphStore` uses
-   (flat arrays + per-link offsets) — no per-link ``Graph`` objects.
+   over the dataset's cached global CSR gives every (deduplicated) batch
+   endpoint's k-hop ball as sorted ``(endpoint, node)`` keys with their
+   depths, from a single composite-frontier expansion.
+2. **extract.induce** — node selection (union/intersection, closeness
+   ordering, the ``max_nodes`` cap with its per-link rng tie-break) runs
+   on sorted ``link * N + node`` keys sliced from those balls, and the
+   induced edge lists of all subgraphs are gathered straight from the
+   global CSR: only arcs incident to selected nodes are touched, instead
+   of scanning the full edge list once per link, and results are written
+   in the packed columnar layout :class:`~repro.data.store.SubgraphStore`
+   uses (flat arrays + per-link offsets) — no per-link ``Graph`` objects.
 3. **extract.label** — DRNL's target-removed distances for every
    subgraph come from two multi-source BFS sweeps over the
    block-diagonal batch CSR (the same structure
    :class:`~repro.graph.batch.GraphBatch` builds). Each subgraph is its
    own connected component there, so a single flat distance array serves
    all sources at once.
+
+Every array these stages build is sized by the keys the frontier
+touches (the reached ``(endpoint, node)`` pairs of stage 1), by the
+selected nodes and their arcs, or by the subgraphs returned — never by
+``links * N``. Edge induction adds one ``N``-wide map from selected node
+to compact id and a local-id lookup table of at most ``_LOOKUP_CELLS``
+cells, filled one slice of links at a time. Memory therefore grows
+linearly with the batch, and a batch of any size runs as one sweep.
 
 The batched path is **bit-identical** to the per-link one — same node
 order (including the ``max_nodes`` rng tie-break), same edge order, same
@@ -37,23 +45,21 @@ at a time (:mod:`repro.models.wlnm`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.graph.structure import Graph
-from repro.graph.traversal import _take_ragged, multi_source_bfs
+from repro.graph.traversal import _check_key_space, _take_ragged, multi_source_bfs
+from repro.utils.arrays import sorted_unique
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["BulkSubgraphs", "extract_enclosing_subgraphs"]
 
-
-#: Cap on the cells of any per-chunk ``(links, num_nodes)`` working
-#: matrix (distance rows, membership lookups). Batches whose footprint
-#: would exceed it are processed in link chunks — results are identical
-#: because every per-link quantity depends only on its own pair.
-_MAX_CELLS = 1 << 24
+# Cells of edge induction's (links, selected nodes) local-id table held at
+# once (4 MiB of int32); larger batches fill it one slice of links at a time.
+_LOOKUP_CELLS = 1 << 20
 
 
 # --------------------------------------------------------------------- #
@@ -146,73 +152,26 @@ def extract_enclosing_subgraphs(
     if pairs.min() < 0 or pairs.max() >= graph.num_nodes:
         raise ValueError("source out of range")
 
-    chunk = max(1, _MAX_CELLS // max(graph.num_nodes, 1))
-    if pairs.shape[0] <= chunk:
-        return _extract_chunk(
-            graph, pairs, 0, k, mode, max_nodes, rng_factory, with_label_distances
-        )
-    parts = [
-        _extract_chunk(
-            graph, pairs[s : s + chunk], s, k, mode, max_nodes, rng_factory,
-            with_label_distances,
-        )
-        for s in range(0, pairs.shape[0], chunk)
-    ]
-    return _concat_bulks(parts)
-
-
-def _concat_bulks(parts: List[BulkSubgraphs]) -> BulkSubgraphs:
-    """Stitch per-chunk results back into one batch-level layout."""
-    node_offsets = [np.zeros(1, dtype=np.int64)]
-    edge_offsets = [np.zeros(1, dtype=np.int64)]
-    n_base = 0
-    e_base = 0
-    for p in parts:
-        node_offsets.append(p.node_offsets[1:] + n_base)
-        edge_offsets.append(p.edge_offsets[1:] + e_base)
-        n_base += p.total_nodes
-        e_base += p.total_edges
-    with_dist = parts[0].dist_src is not None
-    return BulkSubgraphs(
-        num_links=sum(p.num_links for p in parts),
-        node_map=np.concatenate([p.node_map for p in parts]),
-        node_offsets=np.concatenate(node_offsets),
-        edge_index=np.concatenate([p.edge_index for p in parts], axis=1),
-        edge_offsets=np.concatenate(edge_offsets),
-        edge_ids=np.concatenate([p.edge_ids for p in parts]),
-        dist_src=np.concatenate([p.dist_src for p in parts]) if with_dist else None,
-        dist_dst=np.concatenate([p.dist_dst for p in parts]) if with_dist else None,
-    )
-
-
-def _extract_chunk(
-    graph: Graph,
-    pairs: np.ndarray,
-    base: int,
-    k: int,
-    mode: str,
-    max_nodes: Optional[int],
-    rng_factory: Optional[Callable[[int], RngLike]],
-    with_label_distances: bool,
-) -> BulkSubgraphs:
     num_links = pairs.shape[0]
-    n = graph.num_nodes
     indptr, indices, csr_edge_ids = graph.csr()
+    # Composite keys: stage 2 orders nodes by link·(2k+3)·N + ..., and
+    # stage 3 orders arcs by link·E + arc.
+    _check_key_space(num_links, 2 * k + 3, graph.num_nodes)
+    _check_key_space(num_links, indices.shape[0])
 
-    # ---- stage 1: endpoint distance rows, one composite-frontier BFS -- #
+    # ---- stage 1: reached (endpoint, node, depth), one frontier sweep -- #
     with obs.trace("extract.bfs"):
         uniq, inv = np.unique(pairs.reshape(-1), return_inverse=True)
-        dist_rows = multi_source_bfs(indptr, indices, uniq, max_depth=k)
-    row_u = inv[0::2]
-    row_v = inv[1::2]
+        reached = multi_source_bfs(indptr, indices, uniq, max_depth=k)
 
     with obs.trace("extract.induce"):
         node_map, node_offsets = _select_nodes(
-            pairs, dist_rows, row_u, row_v, k, mode, max_nodes, rng_factory, base
+            graph.num_nodes, pairs, reached, inv[0::2], inv[1::2], k, mode,
+            max_nodes, rng_factory,
         )
         edge_index, edge_offsets, edge_ids = _induce_edges(
             graph.num_nodes, indptr, indices, csr_edge_ids,
-            pairs.shape[0], node_map, node_offsets,
+            num_links, node_map, node_offsets,
         )
 
     dist_src = dist_dst = None
@@ -239,41 +198,72 @@ def _extract_chunk(
     )
 
 
+def _link_keys(row_nodes, row_depth, row_ptr, rows, n):
+    """Per-link ``link * N + node`` keys (sorted) and depths of ``rows``."""
+    starts = row_ptr[rows]
+    counts = row_ptr[rows + 1] - starts
+    links = np.repeat(np.arange(rows.shape[0], dtype=np.int64) * n, counts)
+    keys = links + _take_ragged(row_nodes, starts, counts)
+    return keys, _take_ragged(row_depth, starts, counts)
+
+
+def _lookup_depth(keys, depth, queries, missing):
+    """``depth`` at each of ``queries`` in the sorted ``keys``; ``missing`` if absent."""
+    pos = np.minimum(np.searchsorted(keys, queries), keys.shape[0] - 1)
+    return np.where(keys[pos] == queries, depth[pos].astype(np.int64), missing)
+
+
 def _select_nodes(
+    num_nodes: int,
     pairs: np.ndarray,
-    dist_rows: np.ndarray,
+    reached: Tuple[np.ndarray, np.ndarray],
     row_u: np.ndarray,
     row_v: np.ndarray,
     k: int,
     mode: str,
     max_nodes: Optional[int],
     rng_factory: Optional[Callable[[int], RngLike]],
-    base: int,
 ):
-    """Per-link node lists (targets first, closeness-then-id order, capped)."""
-    num_links = pairs.shape[0]
-    reach = dist_rows >= 0  # (U, N) bool
-    in_u = reach[row_u]  # (B, N)
-    in_v = reach[row_v]
-    keep = (in_u | in_v) if mode == "union" else (in_u & in_v)
-    link_ids = np.arange(num_links)
-    keep[link_ids, pairs[:, 0]] = True
-    keep[link_ids, pairs[:, 1]] = True
+    """Per-link node lists (targets first, closeness-then-id order, capped).
 
-    krows, kcols = np.nonzero(keep)  # sorted by (row, col)
-    not_target = (kcols != pairs[krows, 0]) & (kcols != pairs[krows, 1])
-    rrows = krows[not_target]
-    rcols = kcols[not_target]
-    du = dist_rows[row_u[rrows], rcols].astype(np.int64)
-    dv = dist_rows[row_v[rrows], rcols].astype(np.int64)
-    du[du < 0] = k + 1
-    dv[dv < 0] = k + 1
-    closeness = du + dv
-    # Per link: ascending (closeness, id) — the per-link lexsort, batched.
-    order = np.lexsort((rcols, closeness, rrows))
-    rrows = rrows[order]
-    rcols = rcols[order]
-    closeness = closeness[order]
+    Every set operation runs on sorted ``link * N + node`` keys: each
+    endpoint's reached row is sliced into its links' key lists, which are
+    merged by one sort (union: neighbour mask; intersection: keys that
+    occur twice), so nothing is sized by ``links * N``.
+    """
+    num_links = pairs.shape[0]
+    n = np.int64(num_nodes)
+    keys, depth = reached
+    num_rows = int(max(row_u.max(), row_v.max())) + 1
+    row_ptr = np.searchsorted(keys, np.arange(num_rows + 1, dtype=np.int64) * n)
+    row_nodes = keys % n
+    ku, du_all = _link_keys(row_nodes, depth, row_ptr, row_u, n)
+    kv, dv_all = _link_keys(row_nodes, depth, row_ptr, row_v, n)
+
+    both = np.sort(np.concatenate([ku, kv]))
+    twice = both[1:] == both[:-1]
+    if mode == "union":
+        first = np.ones(both.shape[0], dtype=bool)
+        first[1:] = ~twice
+        sel = both[first]
+    else:
+        sel = both[1:][twice]
+    rrows = sel // n
+    rcols = sel - rrows * n
+    not_target = (rcols != pairs[rrows, 0]) & (rcols != pairs[rrows, 1])
+    sel = sel[not_target]
+    rrows = rrows[not_target]
+    rcols = rcols[not_target]
+    closeness = _lookup_depth(ku, du_all, sel, k + 1) + _lookup_depth(
+        kv, dv_all, sel, k + 1
+    )
+    # Per link: ascending (closeness, id), as one sort of a unique key.
+    width = np.int64(2 * k + 3)
+    order_key = np.sort((rrows * width + closeness) * n + rcols)
+    rcols = order_key % n
+    link_cls = order_key // n
+    rrows = link_cls // width
+    closeness = link_cls - rrows * width
     rest_counts = np.bincount(rrows, minlength=num_links)
     rest_offsets = np.concatenate([[0], np.cumsum(rest_counts)])
 
@@ -293,7 +283,7 @@ def _select_nodes(
             cutoff = cls[budget - 1]
             firm = rest[cls < cutoff]
             tied = rest[cls == cutoff]
-            gen = ensure_rng(rng_factory(base + i) if rng_factory is not None else None)
+            gen = ensure_rng(rng_factory(i) if rng_factory is not None else None)
             picked = gen.choice(tied, size=budget - len(firm), replace=False)
             rest_parts.append(np.concatenate([firm, np.sort(picked)]))
         rcols = (
@@ -334,8 +324,13 @@ def _induce_edges(
     gather over the CSR slots of all selected nodes) instead of masking
     the full ``(2, E)`` edge list once per link, then restores the
     original per-link arc order by sorting on arc id — the order
-    ``Graph.induced_subgraph`` produces. Arcs between the two targets
-    (local ``0 <-> 1``, every multiplicity) are dropped, matching the
+    ``Graph.induced_subgraph`` produces. Membership goes through an
+    ``N``-wide map from each selected node to a compact id and a
+    ``(links, selected)`` local-id table that is filled for one slice of
+    links at a time, so it never holds more than ``_LOOKUP_CELLS`` cells
+    (or one row): memory grows with the selected nodes and their arcs,
+    not with ``links * selected``. Arcs between the two targets (local
+    ``0 <-> 1``, every multiplicity) are dropped, matching the
     target-link removal of the per-link path.
     """
     n_counts = np.diff(node_offsets)
@@ -343,39 +338,51 @@ def _induce_edges(
     local_ids = np.arange(node_map.shape[0], dtype=np.int64) - np.repeat(
         node_offsets[:-1], n_counts
     )
-    # (link, node) -> local id, flattened; -1 = not a member of that link.
-    lookup = np.full(num_links * num_nodes, -1, dtype=np.int32)
-    lookup[node_rows * num_nodes + node_map] = local_ids
+    selected = sorted_unique(node_map)
+    compact = np.full(num_nodes, -1, dtype=np.int32)
+    compact[selected] = np.arange(selected.shape[0])
+    member_c = compact[node_map]
 
     starts = indptr[node_map]
     counts = indptr[node_map + 1] - starts
     arc = _take_ragged(csr_edge_ids, starts, counts)
-    dst_g = _take_ragged(indices, starts, counts)
-    slot_rows = np.repeat(node_rows, counts)
-    src_loc = np.repeat(local_ids, counts)
+    dst_c = compact[_take_ragged(indices, starts, counts)]
+    selected_dst = dst_c >= 0
+    arc = arc[selected_dst]
+    dst_c = dst_c[selected_dst]
+    slot_rows = np.repeat(node_rows, counts)[selected_dst]
+    src_loc = np.repeat(local_ids, counts)[selected_dst]
 
-    dst_loc = lookup[slot_rows * num_nodes + dst_g]
-    member = dst_loc >= 0
+    # (link - lo, compact id) -> local id; -1 = not a member of that link.
+    # Node rows and slot rows both ascend, so a slice of links owns one
+    # contiguous range of each; its entries are reset after the lookup.
+    per_slice = max(1, _LOOKUP_CELLS // selected.shape[0])
+    table = np.full((min(num_links, per_slice), selected.shape[0]), -1, dtype=np.int32)
+    cuts = np.minimum(np.arange(0, num_links + per_slice, per_slice), num_links)
+    node_cuts = node_offsets[cuts]
+    slot_cuts = np.searchsorted(slot_rows, cuts)
+    dst_loc = np.empty(slot_rows.shape[0], dtype=np.int32)
+    for i in range(cuts.shape[0] - 1):
+        lo = cuts[i]
+        nodes = slice(node_cuts[i], node_cuts[i + 1])
+        slots = slice(slot_cuts[i], slot_cuts[i + 1])
+        rows, cols = node_rows[nodes] - lo, member_c[nodes]
+        table[rows, cols] = local_ids[nodes]
+        dst_loc[slots] = table[slot_rows[slots] - lo, dst_c[slots]]
+        table[rows, cols] = -1
+
+    member = (dst_loc >= 0) & ~(
+        ((src_loc == 0) & (dst_loc == 1)) | ((src_loc == 1) & (dst_loc == 0))
+    )
     arc = arc[member]
     slot_rows = slot_rows[member]
-    src_loc = src_loc[member]
-    dst_loc = dst_loc[member].astype(np.int64)
-
-    target = ((src_loc == 0) & (dst_loc == 1)) | ((src_loc == 1) & (dst_loc == 0))
-    if target.any():
-        keep = ~target
-        arc = arc[keep]
-        slot_rows = slot_rows[keep]
-        src_loc = src_loc[keep]
-        dst_loc = dst_loc[keep]
-
-    order = np.lexsort((arc, slot_rows))
-    arc = arc[order]
-    slot_rows = slot_rows[order]
-    edge_index = np.stack([src_loc[order], dst_loc[order]])
+    order = np.argsort(slot_rows * np.int64(indices.shape[0]) + arc)
+    src_loc = src_loc[member][order]
+    dst_loc = dst_loc[member][order].astype(np.int64)
+    edge_index = np.stack([src_loc, dst_loc])
     e_counts = np.bincount(slot_rows, minlength=num_links)
     edge_offsets = np.concatenate([[0], np.cumsum(e_counts)])
-    return edge_index, edge_offsets, arc
+    return edge_index, edge_offsets, arc[order]
 
 
 def _label_distances(

@@ -30,6 +30,7 @@ import numpy as np
 from repro.nn.dtype import FLOAT64
 
 from repro.store.graph_storage import GraphStorage
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["Graph"]
 
@@ -296,7 +297,7 @@ class Graph:
         follow their arcs.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if len(np.unique(nodes)) != len(nodes):
+        if len(sorted_unique(nodes)) != len(nodes):
             raise ValueError("nodes must be unique")
         lookup = np.full(self.num_nodes, -1, dtype=np.int64)
         lookup[nodes] = np.arange(len(nodes))

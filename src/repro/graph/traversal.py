@@ -7,16 +7,20 @@ ragged gather over ``indptr``/``indices`` instead of per-node Python
 work. :func:`multi_source_bfs` generalizes the sweep to many sources at
 once through a composite ``(source, node)`` frontier — the primitive the
 batched extraction engine (:mod:`repro.graph.bulk`) amortizes a whole
-batch's endpoint BFS runs with.
+batch's endpoint BFS runs with. It keeps only the keys the frontier
+reaches, sorted, so its cost follows the balls it explores rather than
+``sources * N``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.graph.structure import Graph
+from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "bfs_distances",
@@ -42,6 +46,12 @@ def _take_ragged(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> 
         return np.empty(0, dtype=values.dtype)
     shift = np.cumsum(counts) - counts
     return values[np.arange(total) + np.repeat(starts - shift, counts)]
+
+
+def _check_key_space(*factors: int) -> None:
+    """Raise unless composite keys below ``prod(factors)`` fit in int64."""
+    if math.prod(int(f) for f in factors) > np.iinfo(np.int64).max:
+        raise ValueError("batch too large for int64 composite keys")
 
 
 def _expand_frontier(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -101,7 +111,7 @@ def bfs_distances(
         nxt = nxt[dist[nxt] < 0]
         if nxt.size == 0:
             break
-        nxt = np.unique(nxt)
+        nxt = sorted_unique(nxt)
         depth += 1
         dist[nxt] = depth
         frontier = nxt
@@ -115,15 +125,22 @@ def multi_source_bfs(
     *,
     max_depth: Optional[int] = None,
     blocked: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Row-per-source BFS distances in one frontier sweep.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-per-source BFS distances in one frontier sweep, in sparse form.
 
-    Returns an ``(S, N)`` int32 matrix where row ``i`` equals
-    ``bfs_distances(graph, sources[i], max_depth)`` (``-1`` =
-    unreachable). All sources advance level-by-level together on a
-    composite ``(source, node)`` frontier expanded with the same ragged
-    gather single-source BFS uses, so a batch of ``S`` BFS runs costs one
-    sweep of vectorized NumPy instead of ``S`` Python loops.
+    Returns ``(keys, depth)``: the sorted, unique int64 composite keys
+    ``row * N + node`` of every ``(source row, node)`` pair reached, and
+    the int32 hop count of each. Row ``i`` holds exactly the nodes that
+    ``bfs_distances(graph, sources[i], max_depth)`` reaches, with the same
+    distances; its slice is ``np.searchsorted(keys, [i * N, (i + 1) * N])``.
+
+    All sources advance level by level together on a composite
+    ``(source, node)`` frontier expanded with the same ragged gather
+    single-source BFS uses. Each level sorts its new keys, drops
+    duplicates with a neighbour mask and drops keys already reached with
+    one ``searchsorted`` against the sorted reached set, so the work and
+    memory grow with the keys the frontier touches, never with
+    ``S * N``.
 
     Parameters
     ----------
@@ -140,9 +157,8 @@ def multi_source_bfs(
     if sources.ndim != 1:
         raise ValueError("sources must be one-dimensional")
     n_src = sources.shape[0]
-    dist = np.full((n_src, num_nodes), -1, dtype=np.int32)
     if n_src == 0:
-        return dist
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
     if sources.min() < 0 or sources.max() >= num_nodes:
         raise ValueError("source out of range")
     if blocked is not None:
@@ -151,12 +167,16 @@ def multi_source_bfs(
             raise ValueError("blocked must have one node per source")
         if (blocked == sources).any():
             raise ValueError("cannot block the BFS source")
-    flat = dist.reshape(-1)
-    rows = np.arange(n_src, dtype=np.int64)
-    flat[rows * num_nodes + sources] = 0
-    f_rows, f_nodes = rows, sources
+    _check_key_space(n_src, num_nodes)
+    n = np.int64(num_nodes)
+    # Rows ascend and every node is < N, so the level-0 keys are sorted.
+    frontier = np.arange(n_src, dtype=np.int64) * n + sources
+    levels = [frontier]
+    seen = frontier
     depth = 0
-    while f_nodes.size and (max_depth is None or depth < max_depth):
+    while max_depth is None or depth < max_depth:
+        f_rows = frontier // n
+        f_nodes = frontier - f_rows * n
         starts = indptr[f_nodes]
         counts = indptr[f_nodes + 1] - starts
         nxt_nodes = _take_ragged(indices, starts, counts)
@@ -165,24 +185,24 @@ def multi_source_bfs(
             keep = nxt_nodes != blocked[nxt_rows]
             nxt_nodes = nxt_nodes[keep]
             nxt_rows = nxt_rows[keep]
-        keys = nxt_rows * num_nodes + nxt_nodes
-        keys = keys[flat[keys] < 0]
+        keys = sorted_unique(nxt_rows * n + nxt_nodes)
+        pos = np.searchsorted(seen, keys)
+        keys = keys[seen[np.minimum(pos, seen.shape[0] - 1)] != keys]
         if keys.size == 0:
             break
         depth += 1
-        # Dedupe by scatter-then-scan instead of hashing the key array:
-        # duplicate writes of the same depth are idempotent, and scanning
-        # for ``== depth`` recovers a sorted, unique frontier. The scan is
-        # O(S*N) but branch-free; hashing large frontiers costs more.
-        if keys.size * 8 >= flat.size:
-            flat[keys] = depth
-            keys = np.flatnonzero(flat == depth)
-        else:
-            keys = np.unique(keys)
-            flat[keys] = depth
-        f_rows = keys // num_nodes
-        f_nodes = keys - f_rows * num_nodes
-    return dist
+        levels.append(keys)
+        if depth == max_depth:
+            break
+        seen = np.sort(np.concatenate([seen, keys]))
+        frontier = keys
+    # Levels are disjoint; one argsort carries each key's level along.
+    keys = np.concatenate(levels)
+    order = np.argsort(keys)
+    level = np.repeat(
+        np.arange(len(levels), dtype=np.int32), [lv.shape[0] for lv in levels]
+    )
+    return keys[order], level[order]
 
 
 def k_hop_nodes(graph: Graph, source: int, k: int) -> np.ndarray:
@@ -196,15 +216,16 @@ def k_hop_nodes(graph: Graph, source: int, k: int) -> np.ndarray:
 def k_hop_union(graph: Graph, sources: np.ndarray, k: int) -> np.ndarray:
     """Sorted array of nodes within ``k`` hops of *any* source (inclusive).
 
-    The halo primitive of the graph partitioner: one boolean-visited
-    frontier sweep over the CSR covers every source at once, so the cost
-    is O(edges touched) regardless of how many sources there are —
-    unlike ``S`` separate :func:`k_hop_nodes` calls or a
-    :func:`multi_source_bfs` row matrix (which is O(S·N) memory).
+    The halo primitive of the graph partitioner and of the scorer's delta
+    invalidation: one boolean-visited frontier sweep over the CSR covers
+    every source at once, so the cost is O(N + edges touched) regardless
+    of how many sources there are — unlike ``S`` separate
+    :func:`k_hop_nodes` calls or a :func:`multi_source_bfs`, which keeps
+    each source's ball apart.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    sources = sorted_unique(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
         return sources
     if sources[0] < 0 or sources[-1] >= graph.num_nodes:
@@ -220,7 +241,7 @@ def k_hop_union(graph: Graph, sources: np.ndarray, k: int) -> np.ndarray:
         nxt = nxt[~visited[nxt]]
         if nxt.size == 0:
             break
-        nxt = np.unique(nxt)
+        nxt = sorted_unique(nxt)
         visited[nxt] = True
         frontier = nxt
     return np.flatnonzero(visited)

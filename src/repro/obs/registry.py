@@ -22,12 +22,19 @@ Four design constraints drive the shape of this module:
    the Prometheus vocabulary but are plain Python structures a JSON/CSV
    exporter can serialize directly (:mod:`repro.obs.export`).
 
-Threads: each thread has its own stack of open phases, so a phase opened
-on the :class:`~repro.serve.ScoringServer` worker thread nests only under
-that thread's phases, never under whatever its callers hold open. The
-metric dicts themselves take no lock (a lock per batch would violate
-constraint 1), so two threads bumping the same key at the same instant
-can, rarely, lose one update.
+Threads: each thread records into its own shard, which holds its stack
+of open phases, its counters, its histograms and its phase timers. A
+phase opened on the :class:`~repro.serve.ScoringServer` worker thread
+therefore nests only under that thread's phases, never under whatever
+its callers hold open. A shard has one writer, so writes need no lock
+(constraint 1) and no update is lost when threads record the same key at
+once. Readers (:meth:`MetricsRegistry.snapshot`, :meth:`~MetricsRegistry.delta`
+and the read-only ``counters``, ``histograms``, ``phase_totals`` and
+``phase_counts`` views) fold the shards together with the same merge
+that folds in worker processes. When a thread has exited, the next
+registration or read folds its shard into one retired shard, so a pool
+that churns threads keeps as many shards as it has live threads. Gauges keep the latest value, which one
+shared dict store gives atomically, so they are not sharded.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ import math
 import threading
 import time
 from collections import defaultdict
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -106,7 +114,9 @@ class HistogramSummary:
         self.total += other.total
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-        for key, n in other.buckets.items():
+        # list() copies in one step: ``other`` may belong to a thread that
+        # is still recording.
+        for key, n in list(other.buckets.items()):
             self.buckets[key] = self.buckets.get(key, 0) + n
 
     @property
@@ -178,10 +188,10 @@ class _PhaseTimer:
 
     def __exit__(self, *exc: Any) -> None:
         elapsed = time.perf_counter() - self._start
-        reg = self._registry
-        reg.phase_totals[self._key] += elapsed
-        reg.phase_counts[self._key] += 1
-        reg._local.stack.pop()
+        local = self._registry._local
+        local.shard.phase_totals[self._key] += elapsed
+        local.shard.phase_counts[self._key] += 1
+        local.stack.pop()
 
 
 class _NullTimer:
@@ -199,11 +209,59 @@ class _NullTimer:
 _NULL_TIMER = _NullTimer()
 
 
-class _PhaseStack(threading.local):
-    """The calling thread's open phases, outermost first."""
+class _Shard:
+    """One thread's counters, histograms and phase timers."""
+
+    __slots__ = ("counters", "histograms", "phase_totals", "phase_counts")
 
     def __init__(self) -> None:
+        self.counters: Dict[str, float] = defaultdict(float)
+        self.histograms: Dict[str, HistogramSummary] = {}
+        self.phase_totals: Dict[str, float] = defaultdict(float)
+        self.phase_counts: Dict[str, int] = defaultdict(int)
+
+    def merge(self, delta: Dict[str, Any]) -> None:
+        for name, value in delta["counters"].items():
+            self.counters[name] += value
+        for name, hist in delta["histograms"].items():
+            self.histograms.setdefault(name, HistogramSummary()).merge(hist)
+        for key, seconds in delta["phase_totals"].items():
+            self.phase_totals[key] += seconds
+        for key, calls in delta["phase_counts"].items():
+            self.phase_counts[key] += calls
+
+    def delta(self) -> Dict[str, Any]:
+        """Copies of everything recorded.
+
+        Safe to call while the owning thread records on: each dict is
+        copied in one step, so the copy may trail by an update in flight
+        but never raises or tears a dict.
+        """
+        histograms = {}
+        for name, hist in list(self.histograms.items()):
+            histograms[name] = HistogramSummary()
+            histograms[name].merge(hist)
+        return {
+            "counters": dict(self.counters),
+            "histograms": histograms,
+            "phase_totals": dict(self.phase_totals),
+            "phase_counts": dict(self.phase_counts),
+        }
+
+    def clear(self) -> None:
+        self.counters.clear()
+        self.histograms.clear()
+        self.phase_totals.clear()
+        self.phase_counts.clear()
+
+
+class _ThreadState(threading.local):
+    """The calling thread's open phases (outermost first) and its shard."""
+
+    def __init__(self, registry: "MetricsRegistry") -> None:
         self.stack: List[str] = []
+        self.shard = _Shard()
+        registry._register(self.shard)
 
 
 class MetricsRegistry:
@@ -219,17 +277,39 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self.counters: Dict[str, float] = defaultdict(float)
         self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, HistogramSummary] = {}
-        self.phase_totals: Dict[str, float] = defaultdict(float)
-        self.phase_counts: Dict[str, int] = defaultdict(int)
-        self._local = _PhaseStack()
+        # (owning thread, shard) of every thread that has recorded and may
+        # record again; shards of exited threads fold into ``_retired``.
+        self._shards: List[Tuple[threading.Thread, _Shard]] = []
+        self._retired = _Shard()
+        self._shards_lock = threading.Lock()
+        self._local = _ThreadState(self)
+
+    def _register(self, shard: _Shard) -> None:
+        with self._shards_lock:
+            self._retire_exited()
+            self._shards.append((threading.current_thread(), shard))
+
+    def _retire_exited(self) -> None:
+        """Fold the shards of exited threads into ``_retired`` (lock held).
+
+        An exited thread writes no more, so its shard can be read and
+        dropped without racing a writer. Registration and every read
+        retire, so the shard list stays as long as the live threads that
+        have recorded, however many threads come and go.
+        """
+        live = []
+        for thread, shard in self._shards:
+            if thread.is_alive():
+                live.append((thread, shard))
+            else:
+                self._retired.merge(shard.delta())
+        self._shards[:] = live
 
     # -- write side ----------------------------------------------------
     def count(self, name: str, value: float = 1.0) -> None:
         """Increment counter ``name`` by ``value``."""
-        self.counters[name] += value
+        self._local.shard.counters[name] += value
 
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to its latest ``value``."""
@@ -237,9 +317,10 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into histogram ``name``."""
-        hist = self.histograms.get(name)
+        histograms = self._local.shard.histograms
+        hist = histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = HistogramSummary()
+            hist = histograms[name] = HistogramSummary()
         hist.add(value)
 
     def phase(self, name: str) -> _PhaseTimer:
@@ -248,11 +329,11 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every recorded metric (open phases keep their stack)."""
-        self.counters.clear()
         self.gauges.clear()
-        self.histograms.clear()
-        self.phase_totals.clear()
-        self.phase_counts.clear()
+        with self._shards_lock:
+            self._retired.clear()
+            for _, shard in self._shards:
+                shard.clear()
 
     def merge(self, delta: Dict[str, Any]) -> None:
         """Fold in another registry's :meth:`delta`.
@@ -262,17 +343,41 @@ class MetricsRegistry:
         summed across processes, so with workers they can exceed wall
         time.
         """
-        for name, value in delta["counters"].items():
-            self.counters[name] += value
+        self._local.shard.merge(delta)
         self.gauges.update(delta["gauges"])
-        for name, hist in delta["histograms"].items():
-            self.histograms.setdefault(name, HistogramSummary()).merge(hist)
-        for key, seconds in delta["phase_totals"].items():
-            self.phase_totals[key] += seconds
-        for key, calls in delta["phase_counts"].items():
-            self.phase_counts[key] += calls
 
     # -- read side -----------------------------------------------------
+    def _merged(self) -> _Shard:
+        """Every thread's shard folded into a fresh one."""
+        total = _Shard()
+        with self._shards_lock:
+            self._retire_exited()
+            total.merge(self._retired.delta())
+            shards = [shard for _, shard in self._shards]
+        for shard in shards:
+            total.merge(shard.delta())
+        return total
+
+    @property
+    def counters(self) -> Mapping[str, float]:
+        """Read-only view of every thread's counters, summed."""
+        return MappingProxyType(self._merged().counters)
+
+    @property
+    def histograms(self) -> Mapping[str, HistogramSummary]:
+        """Read-only view of every thread's histograms, merged."""
+        return MappingProxyType(self._merged().histograms)
+
+    @property
+    def phase_totals(self) -> Mapping[str, float]:
+        """Read-only view of phase seconds over every thread."""
+        return MappingProxyType(self._merged().phase_totals)
+
+    @property
+    def phase_counts(self) -> Mapping[str, int]:
+        """Read-only view of phase entry counts over every thread."""
+        return MappingProxyType(self._merged().phase_counts)
+
     def leaf_totals(self) -> Dict[str, float]:
         """Seconds per phase aggregated by leaf name across nesting.
 
@@ -280,14 +385,14 @@ class MetricsRegistry:
         ``forward`` — the per-operation breakdown the profile CLI emits.
         """
         out: Dict[str, float] = defaultdict(float)
-        for key, total in self.phase_totals.items():
+        for key, total in self._merged().phase_totals.items():
             out[key.rsplit("/", 1)[-1]] += total
         return dict(out)
 
     def leaf_counts(self) -> Dict[str, int]:
         """Entry counts per phase aggregated by leaf name."""
         out: Dict[str, int] = defaultdict(int)
-        for key, n in self.phase_counts.items():
+        for key, n in self._merged().phase_counts.items():
             out[key.rsplit("/", 1)[-1]] += n
         return dict(out)
 
@@ -297,38 +402,37 @@ class MetricsRegistry:
         Histograms travel as copies, so recording on after taking the
         delta never changes it.
         """
-        histograms = {}
-        for name, hist in self.histograms.items():
-            histograms[name] = HistogramSummary()
-            histograms[name].merge(hist)
+        total = self._merged()
         return {
-            "counters": dict(self.counters),
+            "counters": dict(total.counters),
             "gauges": dict(self.gauges),
-            "histograms": histograms,
-            "phase_totals": dict(self.phase_totals),
-            "phase_counts": dict(self.phase_counts),
+            "histograms": total.histograms,
+            "phase_totals": dict(total.phase_totals),
+            "phase_counts": dict(total.phase_counts),
         }
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view of everything recorded (JSON-serializable)."""
+        total = self._merged()
         return {
-            "counters": dict(self.counters),
+            "counters": dict(total.counters),
             "gauges": dict(self.gauges),
-            "histograms": {k: h.summary() for k, h in self.histograms.items()},
+            "histograms": {k: h.summary() for k, h in total.histograms.items()},
             "phases": {
-                k: {"seconds": self.phase_totals[k], "calls": self.phase_counts[k]}
-                for k in self.phase_totals
+                k: {"seconds": seconds, "calls": total.phase_counts[k]}
+                for k, seconds in total.phase_totals.items()
             },
         }
 
     def report(self) -> str:
         """Human-readable phase table sorted by total time."""
+        total = self._merged()
+        totals, counts = total.phase_totals, total.phase_counts
         lines = ["phase                            total(s)   calls   mean(ms)"]
-        for key in sorted(self.phase_totals, key=self.phase_totals.get, reverse=True):
-            total = self.phase_totals[key]
-            calls = self.phase_counts[key]
-            mean_ms = 1e3 * total / calls if calls else 0.0
-            lines.append(f"{key:<32} {total:>8.3f} {calls:>7d} {mean_ms:>10.3f}")
+        for key in sorted(totals, key=totals.get, reverse=True):
+            calls = counts[key]
+            mean_ms = 1e3 * totals[key] / calls if calls else 0.0
+            lines.append(f"{key:<32} {totals[key]:>8.3f} {calls:>7d} {mean_ms:>10.3f}")
         return "\n".join(lines)
 
 

@@ -41,6 +41,7 @@ from repro import obs
 from repro.graph.structure import Graph
 from repro.store.graph_storage import GraphStorage
 from repro.stream.events import EventBatch
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["GraphDelta", "Snapshot", "StreamingGraph"]
 
@@ -68,7 +69,7 @@ class GraphDelta:
     def touched_nodes(self) -> np.ndarray:
         """Sorted unique endpoints of every added/removed edge."""
         parts = [self.added.ravel(), self.removed.ravel()]
-        return np.unique(np.concatenate(parts)).astype(np.int64)
+        return sorted_unique(np.concatenate(parts)).astype(np.int64)
 
     def merge(self, other: "GraphDelta") -> "GraphDelta":
         """Compose with the delta that follows this one.
@@ -260,7 +261,7 @@ class StreamingGraph:
         n = np.int64(self.num_nodes)
         indptr, indices, edge_ids = self._csr
         # Candidates: every old arc out of an endpoint, plus the new arcs.
-        rows = np.unique(pairs)
+        rows = sorted_unique(pairs)
         lo = indptr[rows]
         width = indptr[rows + 1] - lo
         slots = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)

@@ -4,9 +4,12 @@ Every test compares :func:`repro.graph.bulk.extract_enclosing_subgraphs`
 (one multi-source sweep per batch) against per-link
 :func:`repro.graph.subgraph.extract_enclosing_subgraph` calls — same node
 order, same edge order, same DRNL distances — across modes, radii,
-disconnected pairs, multi-edges between targets, and the ``max_nodes``
-rng tie-break.
+disconnected pairs, multi-edges between targets, the ``max_nodes``
+rng tie-break and a 10^5-node sparse graph with hubs. ``TestMemory``
+checks that extraction's footprint follows the subgraphs, not the graph.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +90,18 @@ class TestBitIdentity:
         result = extract_enclosing_subgraphs(g, pairs, k=2, mode=mode)
         assert_matches_oracle(g, pairs, result, k=2, mode=mode)
 
+    @pytest.mark.parametrize("cells", [1, 500, 1 << 20])
+    def test_lookup_table_slices_are_invisible(self, monkeypatch, cells):
+        # Edge induction fills its (links, selected) table a slice of
+        # links at a time; one row, a few links or all links per slice
+        # must give the same result.
+        monkeypatch.setattr(bulk, "_LOOKUP_CELLS", cells)
+        g = make_graph(120, barabasi_albert_edges(120, 3, rng=5))
+        pairs = random_pairs(g, 30, 17)
+        for mode in ("union", "intersection"):
+            result = extract_enclosing_subgraphs(g, pairs, k=2, mode=mode)
+            assert_matches_oracle(g, pairs, result, k=2, mode=mode)
+
     def test_disconnected_negative_pairs(self):
         # Three components; every pair crosses components (dist = -1).
         g = make_graph(9, np.array([[0, 1], [1, 2], [3, 4], [4, 5], [6, 7], [7, 8]]))
@@ -130,20 +145,59 @@ class TestBitIdentity:
             g, pairs, result, k=2, mode="union", max_nodes=max_nodes, rng_seed=777
         )
 
-    def test_chunking_is_invisible(self, monkeypatch):
-        g = make_graph(60, erdos_renyi_edges(60, 0.08, rng=4))
-        pairs = random_pairs(g, 30, 5)
-        whole = extract_enclosing_subgraphs(g, pairs, k=2)
-        # Force ~7-link chunks; the stitched result must be unchanged.
-        monkeypatch.setattr(bulk, "_MAX_CELLS", 7 * g.num_nodes)
-        chunked = extract_enclosing_subgraphs(g, pairs, k=2)
-        np.testing.assert_array_equal(whole.node_map, chunked.node_map)
-        np.testing.assert_array_equal(whole.node_offsets, chunked.node_offsets)
-        np.testing.assert_array_equal(whole.edge_index, chunked.edge_index)
-        np.testing.assert_array_equal(whole.edge_offsets, chunked.edge_offsets)
-        np.testing.assert_array_equal(whole.edge_ids, chunked.edge_ids)
-        np.testing.assert_array_equal(whole.dist_src, chunked.dist_src)
-        np.testing.assert_array_equal(whole.dist_dst, chunked.dist_dst)
+    @pytest.mark.parametrize("mode", ["union", "intersection"])
+    def test_large_sparse_graph_with_hubs(self, mode):
+        # 10^5 nodes: few endpoints share a neighbourhood, so the batch
+        # mixes tiny subgraphs with hub-sized ones that hit the cap.
+        g, pairs = sparse_graph_with_hubs(100_000, 16, seed=4)
+        result = extract_enclosing_subgraphs(
+            g, pairs, k=2, mode=mode, max_nodes=40,
+            rng_factory=lambda i: np.random.default_rng(55 + i),
+        )
+        assert (np.diff(result.node_offsets) == 40).any()
+        assert_matches_oracle(
+            g, pairs, result, k=2, mode=mode, max_nodes=40, rng_seed=55
+        )
+
+
+def sparse_graph_with_hubs(num_nodes, num_pairs, seed):
+    """A sparse random graph with five 2,000-arc hubs, and pairs touching them."""
+    gen = np.random.default_rng(seed)
+    src = gen.integers(0, num_nodes, 2 * num_nodes)
+    dst = gen.integers(0, num_nodes, 2 * num_nodes)
+    hubs = gen.choice(num_nodes, 5, replace=False)
+    src = np.concatenate([src, np.repeat(hubs, 2000)])
+    dst = np.concatenate([dst, gen.integers(0, num_nodes, 5 * 2000)])
+    edges = np.stack([src, dst], axis=1)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    g = make_graph(num_nodes, edges)
+    pairs = np.concatenate(
+        [edges[: num_pairs // 2], random_pairs(g, num_pairs - num_pairs // 2 - 2, seed)]
+    )
+    pairs = np.concatenate([pairs, [[hubs[0], hubs[1]], [hubs[2], edges[0, 0]]]])
+    return g, pairs
+
+
+class TestMemory:
+    @pytest.mark.parametrize("num_pairs, mib", [(64, 8), (2048, 64)])
+    def test_footprint_follows_the_subgraphs_not_the_graph(self, num_pairs, mib):
+        # 10^5 nodes, and each subgraph holds a few dozen nodes, so
+        # extraction must allocate nothing sized links x N (a dense
+        # 128 x 10^5 int32 distance matrix alone is ~49 MiB) or links x
+        # selected nodes: 2,048 pairs select ~11k distinct nodes, whose
+        # full (links, selected) int32 lookup table would be ~90 MiB.
+        g, pairs = sparse_graph_with_hubs(100_000, num_pairs, seed=8)
+        g.csr()  # cached on the graph; not part of extraction
+        tracemalloc.start()
+        try:
+            extract_enclosing_subgraphs(
+                g, pairs, k=2, mode="intersection", max_nodes=100,
+                rng_factory=lambda i: np.random.default_rng(i),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, f"extraction peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestContract:
@@ -170,6 +224,11 @@ class TestContract:
     def test_out_of_range_rejected(self, tiny_graph):
         with pytest.raises(ValueError):
             extract_enclosing_subgraphs(tiny_graph, np.array([[0, 99]]))
+
+    def test_composite_key_overflow_rejected(self, tiny_graph):
+        # Stage 2's order key spans links * (2k + 3) * N, past int64 here.
+        with pytest.raises(ValueError, match="int64"):
+            extract_enclosing_subgraphs(tiny_graph, np.array([[0, 1]]), k=2**62)
 
     def test_invalid_mode_and_k(self, tiny_graph):
         with pytest.raises(ValueError):

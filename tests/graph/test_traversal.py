@@ -117,6 +117,14 @@ class TestBlockedNode:
         np.testing.assert_array_equal(got, bfs_distances(pruned, src))
 
 
+def densify(reached, num_rows, num_nodes):
+    """``multi_source_bfs``'s sparse ``(keys, depth)`` as an ``(S, N)`` matrix."""
+    keys, depth = reached
+    dist = np.full(num_rows * num_nodes, -1, dtype=np.int64)
+    dist[keys] = depth
+    return dist.reshape(num_rows, num_nodes)
+
+
 class TestMultiSourceBFS:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("max_depth", [None, 2])
@@ -125,18 +133,27 @@ class TestMultiSourceBFS:
         g = Graph.from_undirected(50, edges)
         indptr, indices, _ = g.csr()
         sources = np.array([0, 7, 7, 23, 49])  # duplicates get rows too
-        dist = multi_source_bfs(indptr, indices, sources, max_depth=max_depth)
-        assert dist.shape == (5, 50) and dist.dtype == np.int32
+        keys, depth = multi_source_bfs(indptr, indices, sources, max_depth=max_depth)
+        assert keys.dtype == np.int64 and depth.dtype == np.int32
+        assert keys.shape == depth.shape
+        assert (np.diff(keys) > 0).all()  # sorted and unique
+        assert (depth >= 0).all()
+        dist = densify((keys, depth), 5, 50)
         for row, src in enumerate(sources):
             np.testing.assert_array_equal(
                 dist[row], bfs_distances(g, int(src), max_depth=max_depth)
+            )
+            lo, hi = np.searchsorted(keys, [row * 50, (row + 1) * 50])
+            np.testing.assert_array_equal(
+                keys[lo:hi] - row * 50, k_hop_nodes(g, int(src), max_depth or 50)
             )
 
     def test_blocked_per_row(self, tiny_graph):
         indptr, indices, _ = tiny_graph.csr()
         sources = np.array([0, 1])
         blocked = np.array([1, 0])
-        dist = multi_source_bfs(indptr, indices, sources, blocked=blocked)
+        reached = multi_source_bfs(indptr, indices, sources, blocked=blocked)
+        dist = densify(reached, 2, tiny_graph.num_nodes)
         np.testing.assert_array_equal(
             dist[0], bfs_distances(tiny_graph, 0, blocked_node=1)
         )
@@ -146,8 +163,9 @@ class TestMultiSourceBFS:
 
     def test_empty_sources(self, path_graph):
         indptr, indices, _ = path_graph.csr()
-        dist = multi_source_bfs(indptr, indices, np.empty(0, np.int64))
-        assert dist.shape == (0, 5)
+        keys, depth = multi_source_bfs(indptr, indices, np.empty(0, np.int64))
+        assert keys.shape == depth.shape == (0,)
+        assert keys.dtype == np.int64 and depth.dtype == np.int32
 
     def test_validation(self, path_graph):
         indptr, indices, _ = path_graph.csr()

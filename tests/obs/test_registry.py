@@ -1,7 +1,10 @@
 """MetricsRegistry: counters, gauges, histograms, phase nesting, gating."""
 
+import itertools
 import pickle
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -112,8 +115,9 @@ class TestRegistryPrimitives:
 class TestMerge:
     @staticmethod
     def record(reg, part):
-        # Dyadic values: every sum is exact in any order, so merged sums
-        # must equal single-registry sums bit for bit.
+        # Dyadic values (and dyadic clock ticks): every sum is exact in
+        # any order, so merged sums must equal single-registry sums bit
+        # for bit.
         rng = np.random.default_rng(part)
         for v in rng.integers(1, 4096, size=300) / 1024.0:
             reg.observe("lat", float(v))
@@ -121,10 +125,16 @@ class TestMerge:
         reg.observe(f"only.{part}", 1.5)
         reg.count(f"part.{part}")
         reg.gauge("depth", float(part))
-        reg.phase_totals["train/forward"] += 0.25 * (part + 1)
-        reg.phase_counts["train/forward"] += part + 1
+        for _ in range(part + 1):
+            with reg.phase("train"):
+                with reg.phase("forward"):
+                    pass
 
-    def test_merge_equals_recording_into_one_registry(self):
+    def test_merge_equals_recording_into_one_registry(self, monkeypatch):
+        # A clock that advances 0.25 s per read: phase seconds still go
+        # through the timers, yet stay dyadic, so every sum is exact.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.25 * next(ticks))
         one = MetricsRegistry()
         self.record(one, 0)
         self.record(one, 1)
@@ -136,6 +146,7 @@ class TestMerge:
         merged.merge(pickle.loads(pickle.dumps(b.delta())))
         assert dict(merged.counters) == dict(one.counters)
         assert merged.gauges == one.gauges == {"depth": 1.0}
+        assert dict(one.phase_totals) == {"train": 2.25, "train/forward": 0.75}
         assert dict(merged.phase_totals) == dict(one.phase_totals)
         assert dict(merged.phase_counts) == dict(one.phase_counts)
         assert merged.histograms.keys() == one.histograms.keys()
@@ -236,6 +247,62 @@ class TestPhaseNesting:
             assert release.wait(5)
         t.join()
         assert set(reg.phase_totals) == {"train", "inference"}
+
+    def test_threads_lose_no_histogram_observations(self):
+        # Four threads record the same histogram with a thread switch
+        # forced every microsecond; every bucket count must survive.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.capture() as reg:
+
+                def worker(t):
+                    for i in range(20_000):
+                        obs.observe("race.lat", 0.001 * (1 + (i + t) % 50))
+                        obs.count("race.calls")
+
+                threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        hist = reg.histograms["race.lat"]
+        assert hist.count == 80_000
+        assert sum(hist.buckets.values()) == hist.count
+        assert reg.counters["race.calls"] == 80_000
+
+    def test_exited_threads_fold_into_one_shard(self):
+        # A thread per request: shards of exited threads must not pile
+        # up, and what they recorded must survive the fold.
+        reg = MetricsRegistry()
+
+        def request(i):
+            reg.count("req.calls")
+            reg.observe("req.lat", 0.5 * (1 + i % 3))
+            with reg.phase("req"):
+                pass
+
+        for i in range(60):
+            t = threading.Thread(target=request, args=(i,))
+            t.start()
+            t.join()
+        assert reg.counters["req.calls"] == 60
+        assert len(reg._shards) <= 1
+        assert reg.histograms["req.lat"].count == 60
+        assert reg.phase_counts["req"] == 60
+        reg.reset()
+        assert reg.snapshot()["counters"] == {}
+
+    def test_views_are_read_only(self):
+        reg = MetricsRegistry()
+        reg.count("a")
+        with pytest.raises(TypeError):
+            reg.counters["a"] += 1.0
+        with pytest.raises(TypeError):
+            reg.phase_totals["p"] = 1.0
 
     def test_report_lists_phases(self):
         reg = MetricsRegistry()
