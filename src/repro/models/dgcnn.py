@@ -101,8 +101,10 @@ class DGCNNBackbone(Module):
         self.pool = MaxPool1d(2)
         # Guard: the second conv needs enough pooled length.
         pooled_len = self.pool.out_length(self.conv1.out_length(sort_k * self.total_dim))
+        if pooled_len < 1:
+            raise ValueError(f"sort_k={sort_k} pools to nothing in MaxPool1d(2); need sort_k >= 2")
         if pooled_len < conv1d_kernel2:
-            conv1d_kernel2 = max(1, pooled_len)
+            conv1d_kernel2 = pooled_len
         self.conv2 = Conv1d(c1, c2, kernel_size=conv1d_kernel2, stride=1, rng=gen)
         flat = c2 * self.conv2.out_length(pooled_len)
 

@@ -6,9 +6,10 @@ embeddings and applies two 1-D convolutions with a max-pool in between
 equal to the per-node feature width, so it acts as a learned per-node
 projection; the second slides over the resulting node axis.
 
-``Conv1d`` is implemented with an im2col gather (stride-aware window
-extraction via ``as_strided``-free fancy indexing) followed by one matmul —
-the standard vectorization for convolutions on CPU.
+Both layers read their windows as a strided view of the input, never a
+gather. ``Conv1d`` copies the view into its im2col matrix at most once (not
+at all for DGCNN's first conv, one channel with kernel == stride) and applies
+one matmul; ``MaxPool1d`` takes the maximum tap by tap over the view.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -25,21 +27,19 @@ from repro.utils.rng import RngLike, as_generator
 __all__ = ["Conv1d", "MaxPool1d"]
 
 
-def _window_indices(length: int, kernel: int, stride: int) -> np.ndarray:
-    """Start-offset index grid of shape ``(out_len, kernel)`` for im2col."""
-    out_len = (length - kernel) // stride + 1
-    if out_len <= 0:
+def _windows(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Read-only ``(B, C, L_out, kernel)`` view of the windows of ``data``."""
+    if kernel > data.shape[-1]:
         raise ValueError(
-            f"kernel {kernel} with stride {stride} does not fit input length {length}"
+            f"kernel {kernel} with stride {stride} does not fit input length {data.shape[-1]}"
         )
-    starts = np.arange(out_len) * stride
-    return starts[:, None] + np.arange(kernel)[None, :]
+    return sliding_window_view(data, kernel, axis=-1)[..., ::stride, :]
 
 
 def _col2im(windows: np.ndarray, length: int, stride: int, dtype) -> np.ndarray:
     """Sum ``(B, C, L_out, K)`` window gradients back onto ``(B, C, length)``.
 
-    The adjoint of the im2col gather, bit-identical to ``np.add.at`` of
+    The adjoint of the im2col window view, bit-identical to ``np.add.at`` of
     the windows into zeros. Taps ``[j*stride, (j+1)*stride)`` of every
     window land on distinct positions, so each such group is one strided
     slice add into a ``(rows, stride)`` view of the output. Visiting the
@@ -108,13 +108,11 @@ class Conv1d(Module):
         b, c, length = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        idx = _window_indices(length, self.kernel_size, self.stride)  # (L_out, K)
-        l_out = idx.shape[0]
-
         data = x.data  # (B, C, L)
-        # im2col: (B, L_out, C, K) -> (B*L_out, C*K)
-        cols = data[:, :, idx]  # (B, C, L_out, K)
-        cols = cols.transpose(0, 2, 1, 3).reshape(b * l_out, c * self.kernel_size)
+        windows = _windows(data, self.kernel_size, self.stride)  # (B, C, L_out, K)
+        l_out = windows.shape[2]
+        # im2col: (B, L_out, C, K) -> (B*L_out, C*K); a view when C == 1 and K == stride.
+        cols = windows.transpose(0, 2, 1, 3).reshape(b * l_out, c * self.kernel_size)
 
         def vjp_cols(g2: np.ndarray) -> np.ndarray:
             # g2: (B*L_out, C*K) -> scatter back into (B, C, L)
@@ -143,10 +141,10 @@ class MaxPool1d(Module):
 
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
+        if min(kernel_size, self.stride) <= 0:
+            raise ValueError("pool dimensions must be positive")
 
     def out_length(self, length: int) -> int:
         """Output length for an input of ``length``."""
@@ -156,19 +154,21 @@ class MaxPool1d(Module):
         x = as_tensor(x)
         if x.ndim != 3:
             raise ValueError("MaxPool1d expects (batch, channels, length)")
-        b, c, length = x.shape
-        idx = _window_indices(length, self.kernel_size, self.stride)  # (L_out, K)
-        data = x.data
-        windows = data[:, :, idx]  # (B, C, L_out, K)
-        arg = windows.argmax(axis=-1)  # (B, C, L_out)
-        out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+        length = x.shape[2]
+        windows = _windows(x.data, self.kernel_size, self.stride)  # (B, C, L_out, K)
+        # argmax's tap: the first maximum or NaN; a tie (-0.0 then +0.0) keeps the first.
+        out = windows[..., 0]
+        for k in range(1, self.kernel_size):
+            tap = windows[..., k]
+            out = np.where((tap > out) | (np.isnan(tap) & ~np.isnan(out)), tap, out)
 
         def vjp(g: np.ndarray) -> np.ndarray:
             # Route each window's gradient to its argmax tap, then fold
             # the windows back like Conv1d's im2col adjoint.
-            g4 = np.zeros(arg.shape + (self.kernel_size,), dtype=data.dtype)
+            arg = windows.argmax(axis=-1)  # (B, C, L_out)
+            g4 = np.zeros(arg.shape + (self.kernel_size,), dtype=windows.dtype)
             np.put_along_axis(g4, arg[..., None], g[..., None], axis=-1)
-            return _col2im(g4, length, self.stride, data.dtype)
+            return _col2im(g4, length, self.stride, windows.dtype)
 
         return Tensor._from_op(out, (x,), (vjp,), "maxpool1d")
 

@@ -55,6 +55,12 @@ class TestShapes:
         out = model(make_batch())
         assert out.shape == (3, 2)
 
+    def test_sort_k_that_pools_to_nothing_raises(self):
+        # sort_k=1 pools to length 0; fail at construction, naming sort_k.
+        with pytest.raises(ValueError, match="sort_k=1"):
+            VanillaDGCNN(5, 2, hidden_dim=8, sort_k=1, rng=0)
+        assert VanillaDGCNN(5, 2, hidden_dim=8, sort_k=2, rng=0)(make_batch()).shape == (3, 2)
+
     def test_requires_one_conv_layer(self):
         with pytest.raises(ValueError):
             VanillaDGCNN(5, 2, num_conv_layers=0, rng=0)

@@ -1,5 +1,6 @@
-"""Conv1d / MaxPool1d: values vs naive reference, gradients, geometry, and
-the scatter-free backward vs the ``np.add.at`` oracles."""
+"""Conv1d / MaxPool1d: values vs naive reference, gradients, geometry, the
+window-view forwards vs the gather oracles, and the scatter-free backward
+vs the ``np.add.at`` oracles."""
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ class TestMaxPool1d:
     def test_out_length(self):
         assert MaxPool1d(2).out_length(9) == 4
 
+    @pytest.mark.parametrize("kernel,stride", [(2, 0), (2, -1), (0, None), (-1, 2)])
+    def test_nonpositive_geometry_raises(self, kernel, stride):
+        with pytest.raises(ValueError):
+            MaxPool1d(kernel, stride=stride)
+
+    def test_kernel_too_large_raises(self):
+        with pytest.raises(ValueError, match="does not fit input length 3"):
+            MaxPool1d(4)(Tensor(randn(1, 1, 3)))
+
     def test_requires_3d(self):
         with pytest.raises(ValueError):
             MaxPool1d(2)(Tensor(randn(3, 3)))
@@ -131,7 +141,61 @@ def assert_bytes_equal(a, b):
 
 #: (kernel, stride, length): overlapping, non-overlapping (DGCNN's conv1
 #: and pool), stride > kernel, and uncovered tails.
-GEOMETRIES = [(5, 1, 12), (6, 2, 15), (4, 2, 11), (3, 3, 9), (3, 3, 11), (2, 5, 13), (1, 1, 4)]
+GEOMETRIES = [
+    (5, 1, 12), (6, 2, 15), (4, 2, 11), (3, 3, 9), (3, 3, 11), (2, 5, 13), (1, 1, 4), (2, 2, 8)
+]
+
+
+def window_inputs(kind, shape, seed):
+    """Rounded normals, so windows tie. ``"signed_zeros"`` turns the
+    positives into a mix of ``+0.0`` and ``-0.0`` (many windows then peak
+    at a signed-zero tie); ``"nan"`` also sets a sixth of the entries to
+    NaN of either sign, so which NaN a window keeps shows in its bytes."""
+    gen = np.random.default_rng(seed)
+    x = np.round(gen.normal(size=shape))
+    if kind in ("signed_zeros", "nan"):
+        x = np.where(x > 0, np.where(gen.random(shape) < 0.5, 0.0, -0.0), x)
+    if kind == "nan":
+        nans = np.where(gen.random(shape) < 0.5, np.nan, -np.nan)
+        x = np.where(gen.random(shape) < 1 / 6, nans, x)
+    return x
+
+
+@pytest.mark.parametrize("kind", ["ties", "signed_zeros", "nan"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("kernel,stride,length", GEOMETRIES)
+class TestWindowViewForward:
+    """The strided-view forwards are byte-identical to the gather forwards
+    in ``tests/oracles.py``: outputs and input/weight/bias gradients."""
+
+    # One input channel takes the copy-free im2col when kernel == stride;
+    # 16 output channels take the GEMM product, 4 the row-by-row one.
+    @pytest.mark.parametrize("c_in,c_out", [(1, 16), (3, 4)])
+    def test_conv1d(self, kernel, stride, length, dtype, kind, c_in, c_out):
+        with compute_dtype(dtype):
+            conv = Conv1d(c_in, c_out, kernel_size=kernel, stride=stride, rng=0)
+            x_data = window_inputs(kind, (2, c_in, length), seed=length)
+            w = signed_zeros(randn(2, c_out, conv.out_length(length), seed=1), seed=2)
+
+            def run(forward):
+                conv.zero_grad()
+                x = Tensor(x_data, requires_grad=True)
+                out = forward(x)
+                (out * Tensor(w)).sum().backward()
+                return out.data, x.grad, conv.weight.grad, conv.bias.grad
+
+            for got, want in zip(run(conv), run(lambda x: oracles.conv1d(conv, x))):
+                assert_bytes_equal(got, want)
+
+    def test_maxpool1d(self, kernel, stride, length, dtype, kind):
+        with compute_dtype(dtype):
+            pool = MaxPool1d(kernel, stride=stride)
+            x = Tensor(window_inputs(kind, (2, 3, length), seed=length), requires_grad=True)
+            out = pool(x)
+            assert_bytes_equal(out.data, oracles.maxpool1d(x.data, kernel, stride))
+            g = signed_zeros(randn(*out.shape, seed=3), seed=4).astype(dtype)
+            out.backward(g)
+            assert_bytes_equal(x.grad, oracles.maxpool1d_grad(x.data, g, kernel, stride))
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -13,6 +13,11 @@ oracles of the bit-identity tests:
 * :func:`gat_edge_pass` — the GAT edge pass as the op chain
   :func:`repro.nn.attention.gat_edge_pass` fuses, built from the ops
   above; it takes (and ignores) the same plans.
+* :func:`im2col`, :func:`conv1d` and :func:`maxpool1d` — the
+  fancy-index gather forwards of :class:`repro.nn.conv.Conv1d` and
+  :class:`repro.nn.conv.MaxPool1d` (``data[:, :, idx]`` windows; the
+  pool by ``argmax`` + ``take_along_axis``), which the layers replaced
+  with strided window views.
 * :func:`col2im` and :func:`maxpool1d_grad` — the ``np.add.at``
   backward scatters of :class:`repro.nn.conv.Conv1d` and
   :class:`repro.nn.conv.MaxPool1d`.
@@ -147,6 +152,39 @@ def gat_edge_pass(
 def _windows(length, kernel, stride):
     l_out = (length - kernel) // stride + 1
     return np.arange(l_out)[:, None] * stride + np.arange(kernel)[None, :]
+
+
+def im2col(data, kernel, stride) -> np.ndarray:
+    """Conv1d's ``(B*L_out, C*K)`` im2col matrix, gathered by fancy indexing."""
+    b, c, length = data.shape
+    idx = _windows(length, kernel, stride)
+    return data[:, :, idx].transpose(0, 2, 1, 3).reshape(b * idx.shape[0], c * kernel)
+
+
+def conv1d(conv, x) -> Tensor:
+    """``conv(x)`` with the im2col gathered (:func:`im2col`) and its adjoint
+    scattered (:func:`col2im`)."""
+    x = as_tensor(x)
+    b, c, length = x.shape
+    kernel, stride = conv.kernel_size, conv.stride
+    l_out = conv.out_length(length)
+
+    def vjp(g2: np.ndarray) -> np.ndarray:
+        g4 = g2.reshape(b, l_out, c, kernel).transpose(0, 2, 1, 3)
+        return col2im(g4, length, stride, x.data.dtype)
+
+    cols = Tensor._from_op(im2col(x.data, kernel, stride), (x,), (vjp,), "im2col")
+    out = cols @ conv.weight
+    if conv.bias is not None:
+        out = out + conv.bias
+    return out.reshape(b, l_out, conv.out_channels).transpose((0, 2, 1))
+
+
+def maxpool1d(data, kernel, stride) -> np.ndarray:
+    """MaxPool1d's output: each gathered window's ``argmax`` tap."""
+    windows = data[:, :, _windows(data.shape[-1], kernel, stride)]
+    arg = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 
 
 def col2im(windows, length, stride, dtype) -> np.ndarray:
