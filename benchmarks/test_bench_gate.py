@@ -1,10 +1,9 @@
-"""Opt-in regression gates: the parallel loader at scale, K-process
-data-parallel training, the float32 policy and the streaming paths must
-never net-lose to their baselines.
+"""Opt-in regression gates: K-process data-parallel training, the float32
+policy and the streaming paths must never net-lose to their baselines.
 
 Runs ``scripts/check_bench.py`` against the committed
-``results/BENCH_scale.json`` / ``results/BENCH_distributed.json`` /
-``results/BENCH_dtype.json`` / ``results/BENCH_stream.json`` histories.
+``results/BENCH_distributed.json`` / ``results/BENCH_dtype.json`` /
+``results/BENCH_stream.json`` histories.
 Marked ``bench_gate`` and kept out of tier-1 (``testpaths``
 excludes ``benchmarks/``); select it with
 
@@ -23,7 +22,6 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SCALE_RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scale.json"
 DISTRIBUTED_RESULTS = (
     Path(__file__).resolve().parent.parent / "results" / "BENCH_distributed.json"
 )
@@ -45,77 +43,6 @@ def test_results_override_needs_a_single_suite(tmp_path):
     with pytest.raises(SystemExit) as exc:
         check_bench.main(["--suite", "all", "--results", str(tmp_path / "x.json")])
     assert exc.value.code == 2
-
-
-@pytest.mark.bench_gate
-def test_parallel_loader_has_not_regressed():
-    if not SCALE_RESULTS.exists():
-        pytest.skip("no BENCH_scale.json yet — run the store microbenchmark")
-    out = io.StringIO()
-    status = check_bench.judge("scale", SCALE_RESULTS, out=out)
-    print(out.getvalue())
-    assert status == 0, out.getvalue()
-
-
-@pytest.mark.bench_gate
-def test_scale_gate_fails_below_break_even(tmp_path):
-    """The scale gate bites on a multi-core-recorded net slowdown."""
-    bad = tmp_path / "BENCH_scale.json"
-    bad.write_text(
-        '[{"benchmark": "scale", "unix_time": 0, "records": ['
-        '{"kernel": "parallel_loader", "usable_cores": 4, "speedup": 0.7},'
-        '{"kernel": "mmap_open", "usable_cores": 4, "speedup": 50.0}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.judge("scale", bad, out=out) == 1
-    assert "FAIL" in out.getvalue()
-    # mmap_open rides along in the file but must not rescue the gate —
-    # only parallel_loader records are judged.
-
-
-@pytest.mark.bench_gate
-def test_scale_gate_skips_single_core_hosts(tmp_path):
-    """Single-core hosts record no parallel_loader results: skip, pass."""
-    lone = tmp_path / "BENCH_scale.json"
-    lone.write_text(
-        '[{"benchmark": "scale", "unix_time": 0, "usable_cores": 1, "records": ['
-        '{"kernel": "mmap_open", "usable_cores": 1, "speedup": 50.0},'
-        '{"kernel": "ring_transport", "usable_cores": 1, "speedup": 1.2}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.judge("scale", lone, out=out) == 0
-    assert "skipped" in out.getvalue()
-
-
-@pytest.mark.bench_gate
-def test_scale_gate_rejects_stale_single_core_records(tmp_path):
-    """A parallel_loader record stamped < 2 cores predates the
-    record-only-multicore policy and must force a history refresh."""
-    stale = tmp_path / "BENCH_scale.json"
-    stale.write_text(
-        '[{"benchmark": "scale", "unix_time": 0, "usable_cores": 1, "records": ['
-        '{"kernel": "parallel_loader", "usable_cores": 1, "speedup": 0.7}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.judge("scale", stale, out=out) == 1
-    assert "refresh" in out.getvalue()
-
-
-@pytest.mark.bench_gate
-def test_scale_gate_fails_when_multicore_run_recorded_nothing(tmp_path):
-    """A multi-core run with no parallel_loader records is broken data."""
-    empty = tmp_path / "BENCH_scale.json"
-    empty.write_text(
-        '[{"benchmark": "scale", "unix_time": 0, "usable_cores": 4, "records": ['
-        '{"kernel": "mmap_open", "usable_cores": 4, "speedup": 50.0}'
-        "]}]"
-    )
-    out = io.StringIO()
-    assert check_bench.judge("scale", empty, out=out) == 1
-    assert "FAIL" in out.getvalue()
 
 
 @pytest.mark.bench_gate

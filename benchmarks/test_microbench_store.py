@@ -1,36 +1,17 @@
-"""Zero-copy storage benchmarks at the 10⁵-node scale (``repro.store``).
+"""Zero-copy storage benchmark at the 10⁵-node scale (``repro.store``).
 
 Builds a 100k-node preferential-attachment knowledge graph (the
 vectorized :func:`~repro.graph.generators.preferential_attachment_edges`
 — the Python-loop generator cannot reach this size), saves it once, and
-times the three storage-layer claims:
-
-* ``mmap_open`` — reopening the saved graph memory-mapped vs loading it
-  fully into RAM. An mmap open reads one JSON header and maps pages
-  lazily, so it should beat the full read by orders of magnitude.
-* ``ring_transport`` — moving a batch of packed samples through a
-  :class:`~repro.store.SampleRing` slot (columnar write + zero-copy
-  view reconstruction) vs round-tripping the same batch through
-  ``pickle`` — the loader's old transport.
-* ``parallel_loader`` — a full SubgraphStore warm of a 600-link task on
-  the mmap-backed graph, serial vs two workers. Workers receive the
-  graph as a *path* (no pickled payload) and return batches through the
-  ring.
-
-Every record carries ``usable_cores``: on a single-core machine two
-workers can only time-slice the core plus pay IPC, so "parallel not
-slower" is physically unattainable there — the in-test assertion bounds
-the overhead instead (same policy as ``test_loader_throughput.py``) and
-no ``parallel_loader`` record is written at all: a measurement of the
-scheduler is not data, and ``scripts/check_bench.py --suite scale``
-reports the run as skipped rather than exempting bogus numbers.
+times ``mmap_open``: reopening the saved graph memory-mapped vs loading
+it fully into RAM. An mmap open reads one JSON header and maps pages
+lazily, so it should beat the full read by orders of magnitude.
 
 Appends every run to ``results/BENCH_scale.json``.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -38,21 +19,15 @@ from typing import Callable, Dict, List
 import numpy as np
 import pytest
 
-from repro.data import DataLoader
-from repro.data.extraction import build_packed_samples
 from repro.data.loader import usable_cores
 from repro.graph.generators import preferential_attachment_edges
 from repro.graph.structure import Graph
-from repro.seal import FeatureConfig, LinkTask, SEALDataset, sample_negative_pairs
-from repro.store import SampleRing
 
 from bench_utils import append_run
 
 RESULTS = Path(__file__).resolve().parent.parent / "results" / "BENCH_scale.json"
 NUM_NODES = 100_000
 ATTACH_M = 3
-NUM_LINKS = 600
-WORKERS = 2
 
 
 def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
@@ -75,33 +50,10 @@ def saved_graph(tmp_path_factory) -> Path:
         edge_type=etype,
         edge_attr=np.eye(4)[etype],
     )
-    graph.csr()  # persist the CSR too — that's what the loader mmaps back
+    graph.csr()  # persist the CSR too — Graph.open maps it back
     directory = tmp_path_factory.mktemp("scale-graph")
     graph.save(directory)
     return directory
-
-
-@pytest.fixture(scope="module")
-def task(saved_graph) -> LinkTask:
-    graph = Graph.open(saved_graph, mmap=True)
-    gen = np.random.default_rng(1)
-    # Positive pairs: sample existing undirected edges off the mmap arrays.
-    ei = graph.edge_index
-    fwd = ei[:, ei[0] < ei[1]]
-    pos = fwd[:, gen.choice(fwd.shape[1], size=NUM_LINKS // 2, replace=False)].T
-    neg = sample_negative_pairs(graph, NUM_LINKS - NUM_LINKS // 2, rng=gen)
-    return LinkTask(
-        graph=graph,
-        pairs=np.concatenate([pos, neg]),
-        labels=np.zeros(NUM_LINKS, dtype=np.int64),
-        num_classes=2,
-        feature_config=FeatureConfig(num_node_types=3, use_drnl=True),
-        name="bench-scale",
-        subgraph_mode="union",
-        num_hops=2,
-        max_subgraph_nodes=100,
-        edge_attr_dim=4,
-    )
 
 
 def bench_mmap_open(saved_graph: Path, records: List[Dict]) -> None:
@@ -121,120 +73,18 @@ def bench_mmap_open(saved_graph: Path, records: List[Dict]) -> None:
     )
 
 
-def bench_ring_transport(task: LinkTask, records: List[Dict]) -> None:
-    samples = build_packed_samples(task, 7, np.arange(64))
-    ring = SampleRing.create(slots=2, slot_bytes=32 << 20)
-    try:
-
-        def via_ring() -> list:
-            slot = ring.acquire()
-            header = ring.write(slot, samples)
-            assert header is not None, "slot too small for the benchmark batch"
-            out = ring.read(slot, header)
-            ring.release(slot)
-            return out
-
-        def via_pickle() -> list:
-            return pickle.loads(pickle.dumps(samples, pickle.HIGHEST_PROTOCOL))
-
-        # Same payload back from both paths.
-        a, b = via_ring(), via_pickle()
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.edge_index, y.edge_index)
-            np.testing.assert_array_equal(x.features, y.features)
-        del a, b, x, y  # ring views alias the segment; drop before close()
-
-        t_ring = best_of(via_ring, repeats=10)
-        t_pickle = best_of(via_pickle, repeats=10)
-    finally:
-        ring.close()
-    records.append(
-        {
-            "kernel": "ring_transport",
-            "batch_samples": len(samples),
-            "usable_cores": usable_cores(),
-            "baseline_s": round(t_pickle, 6),
-            "store_s": round(t_ring, 6),
-            "speedup": round(t_pickle / t_ring, 3),
-        }
-    )
-
-
-def time_warm(task: LinkTask, num_workers: int, repeats: int = 2) -> float:
-    """Best-of-N wall time of a full cold warm at the given worker count."""
-    best = float("inf")
-    for _ in range(repeats):
-        ds = SEALDataset(task, rng=0)
-        # force_workers: the pool itself is under test, so the single-core
-        # auto-degrade must not silently serialize it.
-        with DataLoader(
-            ds, batch_size=64, num_workers=num_workers, force_workers=True
-        ) as loader:
-            t0 = time.perf_counter()
-            loader.warm()
-            best = min(best, time.perf_counter() - t0)
-        assert ds.cache_info().size == task.num_links
-    return best
-
-
-def bench_parallel_loader(task: LinkTask, records: List[Dict]) -> Dict:
-    """Time the warm; record it only when the host can truly parallelize."""
-    serial_s = time_warm(task, num_workers=0)
-    parallel_s = time_warm(task, num_workers=WORKERS)
-    measurement = {
-        "kernel": "parallel_loader",
-        "num_nodes": NUM_NODES,
-        "num_links": NUM_LINKS,
-        "num_workers": WORKERS,
-        "usable_cores": usable_cores(),
-        "baseline_s": round(serial_s, 4),
-        "store_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 3),
-        "links_per_s_serial": round(NUM_LINKS / serial_s, 1),
-        "links_per_s_parallel": round(NUM_LINKS / parallel_s, 1),
-    }
-    if usable_cores() >= 2:
-        records.append(measurement)
-    return measurement
-
-
-def test_store_scale(saved_graph, task):
+def test_store_scale(saved_graph):
     records: List[Dict] = []
     bench_mmap_open(saved_graph, records)
-    bench_ring_transport(task, records)
-    pl = bench_parallel_loader(task, records)
 
     append_run(RESULTS, records, benchmark="scale")
 
-    by_kernel = {r["kernel"]: r for r in records}
-    mo, rt = by_kernel["mmap_open"], by_kernel["ring_transport"]
-    cores = usable_cores()
+    mo = records[0]
     print(
         f"\nmmap_open  ({mo['bytes_on_disk'] / 1e6:.1f} MB): "
         f"full {mo['baseline_s'] * 1e3:8.2f} ms, "
         f"mmap {mo['store_s'] * 1e3:8.2f} ms  ({mo['speedup']:.1f}x)"
     )
-    print(
-        f"ring_transport (batch={rt['batch_samples']}): "
-        f"pickle {rt['baseline_s'] * 1e3:8.3f} ms, "
-        f"ring {rt['store_s'] * 1e3:8.3f} ms  ({rt['speedup']:.2f}x)"
-    )
-    print(
-        f"parallel_loader ({cores} core(s)): serial {pl['baseline_s']:.2f}s, "
-        f"{WORKERS} workers {pl['store_s']:.2f}s  ({pl['speedup']:.2f}x)"
-    )
 
     # mmap must make opening effectively free relative to a full read.
     assert mo["speedup"] >= 2.0, f"mmap open not faster than full load: {mo}"
-    # The ring must not lose to pickle on the transport round-trip.
-    assert rt["speedup"] >= 0.8, f"ring transport regressed vs pickle: {rt}"
-    if cores >= 2:
-        # Small tolerance so scheduler noise can't fail a genuinely-equal run.
-        assert pl["store_s"] <= pl["baseline_s"] * 1.05, (
-            f"parallel warm slower than serial at {NUM_NODES} nodes: {pl}"
-        )
-    else:
-        # One core: no parallelism is possible, only overhead — bound it.
-        assert pl["store_s"] <= pl["baseline_s"] * 1.5 + 0.5, (
-            f"single-core parallel overhead too high: {pl}"
-        )

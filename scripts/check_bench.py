@@ -6,8 +6,6 @@ history, which its ``benchmarks/test_microbench_*.py`` appends to. The
 :data:`SUITES` table lists, per suite, the record groups judged and the
 floor each group's geomean speedup must stay at or above:
 
-* ``scale`` — ``parallel_loader``, a 2-worker warm over serial at 10⁵
-  nodes on an mmap graph: >= 1.0x.
 * ``distributed`` — ``data_parallel_epoch``, K-process sharded training
   over the single-process reference: >= 1.5x.
 * ``dtype`` — the float32 policy over float64 on ``gat_fwd_bwd`` (the
@@ -20,18 +18,21 @@ Each group is judged on its own, so a big win in one cannot hide a
 regression in another. Records whose speedup is ``null`` (a non-finite
 float) are skipped with a warning.
 
-``scale`` and ``distributed`` are multicore-only: their
-microbenchmarks record nothing on a host with fewer than 2 usable
-cores, so such a run is reported "skipped", not judged. A multi-core
-run without records, or a record stamped with < 2 cores (stale data
-from before that policy), fails until the history is refreshed.
+``distributed`` is multicore-only: its microbenchmark records nothing
+on a host with fewer than 2 usable cores, so such a run is reported
+"skipped", not judged. A multi-core run without records, or a record
+stamped with < 2 cores (stale data from before that policy), fails
+until the history is refreshed.
+
+``results/BENCH_scale.json`` (the store microbenchmark's ``mmap_open``)
+has no suite: that benchmark asserts its own bar when it runs.
 
 The microbenchmarks assert their stronger acceptance bars when they
 *record* a run; the gate only guards against net regressions.
 
 Usage:
     python scripts/check_bench.py
-        [--suite scale|distributed|dtype|stream|all]
+        [--suite distributed|dtype|stream|all]
         [--results PATH]    # history override; needs a single suite
 
 Wired into pytest as the opt-in ``bench_gate`` marker
@@ -57,7 +58,6 @@ class Suite(NamedTuple):
 
 
 SUITES = {
-    "scale": Suite("BENCH_scale.json", (("parallel_loader", 1.0),), multicore=True),
     "distributed": Suite(
         "BENCH_distributed.json", (("data_parallel_epoch", 1.5),), multicore=True
     ),

@@ -14,6 +14,7 @@ Commands
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 
@@ -25,6 +26,10 @@ def main(argv=None) -> int:
     command, rest = argv[0], argv[1:]
     if command == "version":
         from repro import __version__
+
+        argparse.ArgumentParser(
+            prog="repro version", description="Print the package version."
+        ).parse_args(rest)
 
         print(__version__)
         return 0
@@ -61,6 +66,10 @@ def main(argv=None) -> int:
     if command == "datasets":
         from repro.datasets import PAPER_SCHEMAS, dataset_names, load_dataset
         from repro.experiments.report import render_table
+
+        argparse.ArgumentParser(
+            prog="repro datasets", description="Print the Table II schema/stat summary."
+        ).parse_args(rest)
 
         rows = []
         for name in dataset_names():

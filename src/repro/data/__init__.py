@@ -7,11 +7,10 @@ architecture adapted to per-link enclosing-subgraph workloads:
   batches: sequential, seeded shuffle, or class-stratified.
 * **SubgraphStore** (:mod:`repro.data.store`) holds every extracted
   subgraph in packed contiguous arrays with O(1) per-link slicing.
-* **DataLoader** (:mod:`repro.data.loader`) drives extraction (serially
-  or via a ``multiprocessing`` worker pool with bounded prefetch) and
-  collates store slices into :class:`~repro.graph.batch.GraphBatch`
-  objects. ``num_workers=N`` is bit-identical to ``num_workers=0``
-  under the same seed.
+* **DataLoader** (:mod:`repro.data.loader`) extracts each batch's
+  missing links in-process, in one batched sweep, and collates store
+  slices into :class:`~repro.graph.batch.GraphBatch` objects. There is
+  one extraction path, so a seed fixes the stream.
 
 Every SEAL consumer — trainer, evaluator, serving, cross-validation,
 tuners, experiment runner — feeds from this layer.

@@ -9,10 +9,9 @@ Python.
 The extraction stream of link ``i`` is derived from the dataset seed
 *and the link index*, never from shared mutable state, so the same link
 produces bit-identical arrays no matter which process builds it, in
-what order, or in which batch grouping — the property the parallel
-:class:`repro.data.DataLoader` relies on to guarantee
-worker-count-independent results. The samples are also bit-identical to
-per-link extraction with
+what order, or in which batch grouping — so a loader, a scorer and a
+shard worker all extract the same subgraph for the same link. The
+samples are also bit-identical to per-link extraction with
 :func:`~repro.graph.subgraph.extract_enclosing_subgraph` (the oracle in
 ``tests/oracles.py``).
 

@@ -10,10 +10,9 @@ them. This cuts the per-subgraph Python object overhead (one tiny
 makes batch collation a pure slice-copy, no object traversal.
 
 Links may be inserted in any order — the offset tables are keyed by link
-index, so lazily extracted datasets and parallel workers can fill the
-store out of order. Buffers grow by doubling; previously returned views
-stay valid (they alias the old buffer, whose contents are immutable by
-convention).
+index, so lazily extracted datasets can fill the store out of order.
+Buffers grow by doubling; previously returned views stay valid (they
+alias the old buffer, whose contents are immutable by convention).
 """
 
 from __future__ import annotations

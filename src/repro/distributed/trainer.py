@@ -38,9 +38,8 @@ Bit-identity contract
 
 Workers consume shard-local links through the existing
 ``SEALDataset``/``build_packed_samples`` store path against their
-shard's mmap graph (opened zero-copy; daemonic workers cannot nest a
-``DataLoader`` pool, so extraction inside a worker is serial — the
-parallelism is across shards).
+shard's mmap graph (opened zero-copy); extraction inside a worker is
+in-process, and the parallelism is across shards.
 
 ``TrainResult.phase_seconds`` has :func:`repro.seal.train`'s keys. In
 process, each shard's forward and backward time lands in ``forward``
@@ -100,8 +99,7 @@ class DistributedConfig(TrainConfig):
     processes: int = 0  # 0 = in-process reference; otherwise must equal num_shards
     partition_method: str = "hash"
     #: seconds any step/epoch barrier may wait before the run is
-    #: declared wedged (the distributed analogue of the loader's
-    #: hung-worker timeout from the fault-tolerance PR)
+    #: declared wedged
     barrier_timeout: float = 300.0
 
 

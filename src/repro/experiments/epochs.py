@@ -23,6 +23,7 @@ from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import render_series
 from repro.experiments.runner import ExperimentRunner
+from repro.utils.cli import number_at_least
 
 __all__ = ["EPOCH_GRID", "run_epoch_sweep", "format_epoch_sweep"]
 
@@ -77,7 +78,7 @@ def format_epoch_sweep(
 def main() -> None:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(description="Regenerate paper Figs 3-6")
     parser.add_argument("--dataset", required=True, choices=dataset_names())
-    parser.add_argument("--scale", type=float, default=0.5)
+    parser.add_argument("--scale", type=number_at_least(float, 0.0, strict=True), default=0.5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--settings",

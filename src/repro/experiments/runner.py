@@ -8,8 +8,7 @@ with per-epoch evaluation, and result bundling.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -72,9 +71,6 @@ class ExperimentRunner:
     seed: master seed — datasets, splits, model init and shuffling all
         derive their streams from it.
     test_fraction: held-out fraction (stratified by class).
-    num_workers: extraction worker processes for dataset warming and
-        every training/evaluation loader (0 = serial; results are
-        identical either way).
     checkpoint: crash-safety policy shared by every run. Each
         ``run(...)`` trains under its own subdirectory of
         ``checkpoint.dir`` (keyed by dataset/model/epochs/fraction), so
@@ -88,7 +84,6 @@ class ExperimentRunner:
         scale: float = 0.5,
         seed: int = 0,
         test_fraction: float = 0.25,
-        num_workers: int = 0,
         checkpoint: Optional[Union[CheckpointConfig, str, Path]] = None,
     ):
         if not 0 < test_fraction < 1:
@@ -96,7 +91,6 @@ class ExperimentRunner:
         self.scale = scale
         self.seed = seed
         self.test_fraction = test_fraction
-        self.num_workers = num_workers
         if checkpoint is not None and not isinstance(checkpoint, CheckpointConfig):
             checkpoint = CheckpointConfig(dir=Path(checkpoint))
         self.checkpoint = checkpoint
@@ -123,7 +117,7 @@ class ExperimentRunner:
                 len(tr),
                 len(te),
             )
-            warm(ds, num_workers=self.num_workers)
+            warm(ds)
             self._bundles[key] = _DatasetBundle(ds, tr, te)
         return self._bundles[key]
 
@@ -161,9 +155,7 @@ class ExperimentRunner:
             hparams,
             rng=derive(self.seed, "init", dataset_name, model_name),
         )
-        config = dataclasses.replace(
-            train_config_for(hparams, epochs), num_workers=self.num_workers
-        )
+        config = train_config_for(hparams, epochs)
         run_ckpt = None
         if self.checkpoint is not None:
             # One directory per distinct job so sweep cells never collide.
@@ -182,7 +174,7 @@ class ExperimentRunner:
             rng=derive(self.seed, "train", dataset_name, model_name),
             checkpoint=run_ckpt,
         )
-        final = evaluate(model, b.dataset, b.test_idx, num_workers=self.num_workers)
+        final = evaluate(model, b.dataset, b.test_idx)
         return RunResult(
             dataset=dataset_name,
             model=model_name,

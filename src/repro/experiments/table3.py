@@ -16,6 +16,7 @@ from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import PAPER_TABLE3, render_table
 from repro.experiments.runner import ExperimentRunner, RunResult
+from repro.utils.cli import number_at_least
 
 __all__ = ["run_table3", "format_table3"]
 
@@ -69,7 +70,12 @@ def format_table3(results: Dict[str, Dict[str, RunResult]]) -> str:
 
 def main() -> None:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(description="Regenerate paper Table III")
-    parser.add_argument("--scale", type=float, default=0.5, help="dataset size multiplier")
+    parser.add_argument(
+        "--scale",
+        type=number_at_least(float, 0.0, strict=True),
+        default=0.5,
+        help="dataset size multiplier",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--datasets", nargs="*", default=None, choices=dataset_names())
     parser.add_argument("--setting", choices=["default", "tuned"], default="tuned")

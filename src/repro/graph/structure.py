@@ -210,8 +210,8 @@ class Graph:
     def save(self, directory):
         """Write the graph's arrays (CSR included) under ``directory``.
 
-        Marks the graph as path-backed: the parallel loader then sends
-        workers the path instead of a pickled copy of the arrays.
+        Marks the graph as path-backed: pickling it (to a shard worker
+        process, say) then ships the path instead of a copy of the arrays.
         """
         return self._storage.save(directory)
 

@@ -9,17 +9,6 @@ from repro.metrics.classification import (
     precision_per_class,
     recall_per_class,
 )
-from repro.metrics.calibration import (
-    brier_score,
-    expected_calibration_error,
-    reliability_bins,
-)
-from repro.metrics.kg_ranking import (
-    hits_at_k,
-    mean_reciprocal_rank,
-    ranking_report,
-    true_class_ranks,
-)
 from repro.metrics.ranking import (
     average_precision_curve,
     multiclass_auc,
@@ -39,11 +28,4 @@ __all__ = [
     "average_precision",
     "f1_per_class",
     "classification_report",
-    "true_class_ranks",
-    "mean_reciprocal_rank",
-    "hits_at_k",
-    "ranking_report",
-    "brier_score",
-    "expected_calibration_error",
-    "reliability_bins",
 ]

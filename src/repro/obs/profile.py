@@ -9,7 +9,6 @@ few coalesced requests → a short streaming leg) under
 
     python -m repro profile --smoke            # CI-sized, ~seconds
     python -m repro profile --dataset wordnet --scale 0.3 --epochs 4
-    python -m repro profile --smoke --workers 2   # parallel extraction
     python -m repro profile --smoke --shards 4    # sharded data-parallel
     python -m repro profile --smoke --csv out.csv --json out.json
 
@@ -26,11 +25,10 @@ The JSON report is a generic view of the run's metrics registry:
   counter pair;
 * ``snapshot`` — the raw registry snapshot (what ``--csv`` writes).
 
-Worker processes (``--workers N`` loader workers, ``--shards K`` shard
-workers) record into their own registries and the parent merges them,
-so their phases and metrics count like in-process ones. Merged phase
-seconds are summed across processes, so with workers they can exceed
-wall time.
+Shard worker processes (``--shards K``) record into their own registries
+and the parent merges them, so their phases and metrics count like
+in-process ones. Merged phase seconds are summed across processes, so
+with shard workers they can exceed wall time.
 
 Beside the registry the report carries run facts: ``workload`` (the
 sizes, ``graph_source``, the shard ``processes`` actually started and
@@ -71,7 +69,6 @@ def run_profile(
     batch_size: int = 16,
     hidden_dim: int = 16,
     seed: int = 0,
-    num_workers: int = 0,
     shards: int = 0,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
@@ -135,11 +132,6 @@ def run_profile(
 
     usable = usable_cores()
     warnings: list = []
-    if num_workers > usable:
-        warnings.append(
-            f"--workers {num_workers} exceeds the {usable} usable core(s) "
-            "on this host; workers will time-slice, not parallelize"
-        )
     if shards >= 2 and shards > usable:
         warnings.append(
             f"--shards {shards} exceeds the {usable} usable core(s) on "
@@ -179,7 +171,6 @@ def run_profile(
             epochs=epochs,
             batch_size=batch_size,
             lr=3e-3,
-            num_workers=num_workers,
             compute_dtype=compute_dtype,
         )
         if shards >= 2:
@@ -201,7 +192,7 @@ def run_profile(
         )
         mem_mark("train")
         with nn_dtype.compute_dtype(policy):
-            eval_result = evaluate(model, ds, te, num_workers=num_workers)
+            eval_result = evaluate(model, ds, te)
         mem_mark("eval")
         # A taste of the deployment path: bundle the trained model and
         # serve a few coalesced requests through the scoring server.
@@ -262,7 +253,6 @@ def run_profile(
             "epochs": epochs,
             "batch_size": batch_size,
             "seed": seed,
-            "num_workers": num_workers,
             "shards": shards,
             "processes": processes,
             "num_links": int(task.num_links),
@@ -361,14 +351,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--batch-size", type=number_at_least(int, 1), default=16, help="training batch size"
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument(
-        "--workers",
-        dest="num_workers",
-        metavar="WORKERS",
-        type=number_at_least(int, 0),
-        default=0,
-        help="extraction worker processes (0 = serial; results are identical)",
-    )
     parser.add_argument(
         "--shards",
         type=number_at_least(int, 0),

@@ -173,7 +173,7 @@ def cross_validate(
                 rng=derive(rng, "cv-train", str(fold)),
                 checkpoint=fold_ckpt,
             )
-            fold_eval = evaluate(model, dataset, test_idx, num_workers=config.num_workers)
+            fold_eval = evaluate(model, dataset, test_idx)
         elapsed = time.perf_counter() - t_fold
         obs.observe("cv.fold_seconds", elapsed)
         logger.info("fold %d auc=%.4f ap=%.4f (%.2fs)", fold, fold_eval.auc, fold_eval.ap, elapsed)

@@ -7,10 +7,9 @@ matrix, caching the results in a packed
 :class:`~repro.data.store.SubgraphStore`.
 
 Batch serving lives in :mod:`repro.data`: a
-:class:`~repro.data.DataLoader` drives extraction (optionally across a
-worker pool) and collates store slices into
-:class:`~repro.graph.batch.GraphBatch` objects; :func:`repro.data.warm`
-fills the whole store up front.
+:class:`~repro.data.DataLoader` drives extraction and collates store
+slices into :class:`~repro.graph.batch.GraphBatch` objects;
+:func:`repro.data.warm` fills the whole store up front.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.data.store import PackedSubgraph, SubgraphStore
+from repro.data.store import SubgraphStore
 from repro.graph.batch import GraphBatch
 from repro.graph.structure import Graph
 from repro.seal.features import FeatureConfig
@@ -270,18 +269,6 @@ class SEALDataset:
             samples = build_packed_samples(self.task, self._rng_seed, missing)
         for sample in samples:
             self.store.put(sample)
-
-    def adopt(self, sample: PackedSubgraph) -> None:
-        """Insert an externally extracted sample (counts as a cache miss).
-
-        The :class:`~repro.data.DataLoader` calls this for subgraphs its
-        worker pool built; a sample already present is discarded.
-        """
-        if sample.index in self.store:
-            return
-        self._misses += 1
-        obs.count("seal.cache.misses")
-        self.store.put(sample)
 
     def extract(self, i: int) -> Tuple[Graph, np.ndarray]:
         """Subgraph and node-feature matrix of link ``i`` (cached).

@@ -38,21 +38,14 @@ def predict_proba(
     indices: Sequence[int],
     *,
     batch_size: int = 64,
-    num_workers: int = 0,
 ) -> np.ndarray:
-    """Class probabilities ``(len(indices), C)`` in evaluation mode.
-
-    ``num_workers > 0`` extracts uncached subgraphs through the data
-    loader's worker pool; probabilities are identical either way.
-    """
+    """Class probabilities ``(len(indices), C)`` in evaluation mode."""
     was_training = model.training
     model.eval()
     chunks = []
     try:
-        with no_grad(), DataLoader(
-            dataset, indices, batch_size, num_workers=num_workers
-        ) as loader:
-            for batch, _ in loader:
+        with no_grad():
+            for batch, _ in DataLoader(dataset, indices, batch_size):
                 logits = model(batch)
                 chunks.append(F.softmax(logits, axis=-1).data)
     finally:
@@ -67,7 +60,7 @@ def evaluate(
     *,
     batch_size: int = 64,
     rng_class_pick: int = 0,
-    num_workers: int = 0,
+    num_workers: int = 0,  # only 0; kept for benchmarks/e2e/workloads.py until it drops it
 ) -> EvalResult:
     """Evaluate ``model`` on the links selected by ``indices``.
 
@@ -75,12 +68,12 @@ def evaluate(
     model-forward part (``predict_s``) and the metric computation
     (``metrics_s``).
     """
+    if num_workers != 0:
+        raise ValueError(f"num_workers must be 0 (extraction is in-process), got {num_workers}")
     indices = np.asarray(indices, dtype=np.int64)
     with obs.trace("eval"):
         t0 = time.perf_counter()
-        probs = predict_proba(
-            model, dataset, indices, batch_size=batch_size, num_workers=num_workers
-        )
+        probs = predict_proba(model, dataset, indices, batch_size=batch_size)
         t1 = time.perf_counter()
         labels = dataset.task.labels[indices]
         preds = probs.argmax(axis=1)

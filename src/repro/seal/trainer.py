@@ -116,8 +116,7 @@ class TrainConfig:
     eval_batch_size: int = 64
     restore_best: bool = False  # reload the best-AUC epoch's weights at the end
     patience: Optional[int] = None  # stop after this many epochs w/o AUC improvement
-    num_workers: int = 0  # extraction worker processes for the data loader
-    prefetch_factor: int = 2  # chunks kept in flight per worker
+    num_workers: int = 0  # only 0; kept for benchmarks/e2e/workloads.py until it drops it
     #: abort with NonFiniteLossError after this many *consecutive*
     #: optimizer steps skipped by the non-finite loss/gradient guard
     max_nonfinite_steps: int = 5
@@ -127,6 +126,12 @@ class TrainConfig:
     #: checkpoints stay lossless. The default is bit-identical to the
     #: pre-policy trainer.
     compute_dtype: str = "float64"
+
+    def __post_init__(self) -> None:
+        if self.num_workers != 0:
+            raise ValueError(
+                f"num_workers must be 0 (extraction is in-process), got {self.num_workers}"
+            )
 
 
 class GradientStep:
@@ -188,8 +193,6 @@ class _LocalStep(GradientStep):
             sampler=sampler,
             shuffle=True,
             rng=shuffle_rng,
-            num_workers=self.config.num_workers,
-            prefetch_factor=self.config.prefetch_factor,
         )
 
     def batches(self) -> Iterable:
@@ -210,10 +213,6 @@ class _LocalStep(GradientStep):
             with watch.segment("backward"), obs.trace("backward"):
                 self.loss.backward()
         return loss_val
-
-    def close(self) -> None:
-        if self.loader is not None:
-            self.loader.close()
 
 
 def _training_generators(model: Module, sampler, shuffle_rng) -> Dict[str, object]:
@@ -488,7 +487,6 @@ def _train_loop(
                         dataset,
                         eval_indices,
                         batch_size=config.eval_batch_size,
-                        num_workers=config.num_workers,
                     )
                 result.eval_auc.append(epoch_eval.auc)
                 result.eval_ap.append(epoch_eval.ap)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
@@ -267,6 +268,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--json", metavar="PATH", help="also write the report to PATH")
     args = parser.parse_args(argv)
+    if args.bundle is not None and not os.path.isfile(args.bundle):
+        parser.error(f"argument --bundle: no such file: {args.bundle}")
 
     kwargs: Dict[str, Any] = dict(
         dataset=args.dataset,

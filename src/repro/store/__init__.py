@@ -1,14 +1,11 @@
-"""repro.store — zero-copy storage: mmap graph arrays + shm batch rings.
+"""repro.store — zero-copy storage: mmap graph arrays and shared parameters.
 
 The storage layer under the data pipeline:
 
 * :class:`GraphStorage` — the frozen array set behind every
   :class:`~repro.graph.Graph`; lives in memory or as read-only numpy
-  memmaps on disk (``save``/``open``), shared across worker processes
-  without pickling the graph payload.
-* :class:`SampleRing` — a slotted ``multiprocessing.shared_memory``
-  ring the parallel :class:`~repro.data.DataLoader` uses to move packed
-  subgraph batches from workers to the parent without serialization.
+  memmaps on disk (``save``/``open``), shared across the data-parallel
+  trainer's shard processes without pickling the graph payload.
 * :class:`ParameterBuffer` — the fixed-layout shared-memory
   weights/gradients exchange the data-parallel trainer
   (:mod:`repro.distributed`) reduces through, with a strict-rank-order
@@ -20,7 +17,6 @@ The storage layer under the data pipeline:
 
 from repro.store.graph_storage import STORAGE_VERSION, GraphStorage
 from repro.store.parambuf import CMD_ABORT, CMD_RUN, CMD_STOP, ParameterBuffer
-from repro.store.ring import SampleRing
 from repro.store.task_io import TASK_FILE, has_task, load_task, save_task
 
 __all__ = [
@@ -30,7 +26,6 @@ __all__ = [
     "CMD_RUN",
     "CMD_STOP",
     "CMD_ABORT",
-    "SampleRing",
     "TASK_FILE",
     "has_task",
     "load_task",

@@ -12,8 +12,8 @@ places:
   ``.npy`` file plus a ``meta.json`` manifest, and
   :meth:`GraphStorage.open` maps them back with
   ``np.load(..., mmap_mode="r")``. Mapped pages are shared read-only
-  across every process that opens the directory, so worker pools touch
-  the same physical memory instead of each holding a pickled copy.
+  across every process that opens the directory, so worker processes
+  touch the same physical memory instead of each holding a pickled copy.
 
 Bit-identity contract: :meth:`save` precomputes the CSR with the exact
 construction :meth:`csr` uses (stable argsort of the source row), so an

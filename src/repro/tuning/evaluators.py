@@ -4,8 +4,7 @@ Every tuner in :mod:`repro.tuning` consumes a ``config -> score``
 callable. :func:`make_seal_evaluator` builds the standard one — train a
 fresh model on a fixed split, return held-out AUC — on top of the
 :mod:`repro.data` loader, so tuning runs inherit the shared subgraph
-store (extraction cost is paid once across all trials) and the
-``num_workers`` scaling of the rest of the pipeline.
+store (extraction cost is paid once across all trials).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ def make_seal_evaluator(
     *,
     epochs: int = 5,
     batch_size: int = 16,
-    num_workers: int = 0,
     rng=1,
 ) -> Callable[[Dict[str, Value]], float]:
     """Build the standard SEAL tuning objective: train, return val AUC.
@@ -41,7 +39,6 @@ def make_seal_evaluator(
     build_model: ``config -> Module`` factory; called once per trial so
         every configuration starts from a fresh (reproducible) model.
     epochs / batch_size: reduced-scale training budget per trial.
-    num_workers: extraction worker processes for train and eval loaders.
     rng: seed shared by every trial (isolates the config's effect).
     """
 
@@ -55,12 +52,9 @@ def make_seal_evaluator(
                 epochs=epochs,
                 batch_size=batch_size,
                 lr=float(config.get("lr", 1e-3)),
-                num_workers=num_workers,
             ),
             rng=rng,
         )
-        return evaluate(
-            model, dataset, valid_indices, num_workers=num_workers
-        ).auc
+        return evaluate(model, dataset, valid_indices).auc
 
     return evaluator

@@ -79,13 +79,12 @@ class TestLoaderIntegration:
         sampler = ShardedBatchSampler(
             np.arange(task.num_links), 16, owned=shard.owned_links, rng=5
         )
-        loader = DataLoader(local, batch_size=16, sampler=sampler, num_workers=0)
+        loader = DataLoader(local, batch_size=16, sampler=sampler)
         served = 0
         owned = set(int(i) for i in shard.owned_links)
         full = SEALDataset(task, rng=0)
         for batch, labels in loader:
             served += labels.shape[0]
-        loader.close()
         assert served == shard.owned_links.size
         # Spot-check bit-identity against the full-graph dataset.
         probe = shard.owned_links[:4]

@@ -131,29 +131,6 @@ class TestProfileShards:
         for phase in CORE_PHASES:
             assert phase in report["phases"], phase
 
-    def test_worker_overcommit_warns(self):
-        from repro.data.loader import usable_cores
-
-        report = run_profile(
-            scale=0.12,
-            num_targets=40,
-            epochs=1,
-            batch_size=8,
-            num_workers=usable_cores() + 1,
-        )
-        assert any("--workers" in w for w in report["warnings"])
-
-
-class TestProfileWorkers:
-    def test_worker_extraction_is_counted(self, smoke_report):
-        report = run_profile(
-            scale=0.12, num_targets=40, epochs=1, batch_size=8, num_workers=2
-        )
-        assert metric(report, "extraction.batched.links") == metric(
-            smoke_report, "extraction.batched.links"
-        )
-        assert report["eval"] == smoke_report["eval"]
-
 
 class TestProfileGraphDir:
     def test_first_run_saves_second_run_mmaps(self, tmp_path):
@@ -219,7 +196,7 @@ class TestCliSmoke:
         [
             (["--batch-size", "0"], "--batch-size: must be >= 1"),
             (["--epochs", "-1"], "--epochs: must be >= 1"),
-            (["--workers", "-1"], "--workers: must be >= 0"),
+            (["--workers", "2"], "unrecognized arguments: --workers 2"),
             (["--scale", "0"], "--scale: must be > 0.0"),
             (["--scale", "nan"], "--scale: must be > 0.0"),
             (["--targets", "0"], "--targets: must be >= 1"),

@@ -83,6 +83,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(small_model(ds, task), ds, tr, TrainConfig(epochs=0), rng=0)
 
+    def test_only_zero_workers_accepted(self, small_setup):
+        # Extraction is always in-process; the keywords survive only at 0.
+        task, ds, tr, te = small_setup
+        assert TrainConfig(num_workers=0).num_workers == 0
+        with pytest.raises(ValueError, match="num_workers"):
+            TrainConfig(num_workers=1)
+        with pytest.raises(ValueError, match="num_workers"):
+            evaluate(small_model(ds, task), ds, te, num_workers=1)
+
 
 class TestEvaluate:
     def test_probs_shape_and_normalization(self, small_setup):

@@ -3,16 +3,13 @@
 The refactor's core guarantee: routing every array through
 ``GraphStorage`` — whether the bytes live on the heap or on mapped
 pages — changes nothing downstream. Training produces the same weights
-and losses; the scorer produces the same probabilities; the parallel
-loader produces the same stream whether workers got the dataset
-pickled or as a path to the saved graph.
+and losses, and the scorer produces the same probabilities.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.data import DataLoader
 from repro.datasets import load_dataset
 from repro.models import AMDGCNN
 from repro.seal import SEALDataset, TrainConfig, train, train_test_split_indices
@@ -111,47 +108,3 @@ class TestServingBitIdentity:
         pair = task.pairs[:1]
         doubled = np.concatenate([pair, pair])
         assert scorer.warm(doubled) == 1
-
-
-class TestLoaderPayload:
-    """Workers of a saved-graph task receive a path, not pickled arrays."""
-
-    def test_payload_by_path_and_stream_identical(self, saved):
-        task, directory = saved
-        serial = SEALDataset(task, rng=0)
-        with DataLoader(serial, batch_size=8, num_workers=0) as loader:
-            expected = [b for b in loader]
-
-        mmap_task = load_task(directory)
-        ds = SEALDataset(mmap_task, rng=0)
-        with obs.capture() as reg:
-            with DataLoader(
-                ds, batch_size=8, num_workers=2, force_workers=True
-            ) as loader:
-                got = [b for b in loader]
-        assert reg.counters.get("data.loader.payload_path") == 1.0
-        assert "data.loader.payload_pickled" not in reg.counters
-        for (ba, la), (bb, lb) in zip(expected, got):
-            np.testing.assert_array_equal(la, lb)
-            np.testing.assert_array_equal(ba.node_features, bb.node_features)
-            np.testing.assert_array_equal(ba.edge_index, bb.edge_index)
-            np.testing.assert_array_equal(ba.edge_attr, bb.edge_attr)
-            np.testing.assert_array_equal(ba.batch, bb.batch)
-
-    def test_unsaved_task_still_pickles(self, saved):
-        import copy
-
-        task, _ = saved
-        # A graph that was never saved has no storage path — the loader
-        # must fall back to pickling the whole task into the workers.
-        unsaved = copy.copy(task)
-        unsaved.graph = task.graph.copy()
-        assert unsaved.graph.storage_path is None
-        ds = SEALDataset(unsaved, rng=0)
-        with obs.capture() as reg:
-            with DataLoader(
-                ds, batch_size=8, num_workers=2, force_workers=True
-            ) as loader:
-                list(loader)
-        assert reg.counters.get("data.loader.payload_pickled") == 1.0
-        assert "data.loader.payload_path" not in reg.counters

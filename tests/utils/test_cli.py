@@ -68,10 +68,18 @@ class TestCli:
             (["stream", "--train-window", "0"], "--train-window: must be >= 1"),
             (["stream", "--batch-size", "0"], "--batch-size: must be >= 1"),
             (["stream", "--lr", "0"], "--lr: must be > 0.0"),
+            (["table3", "--scale", "-1"], "--scale: must be > 0.0"),
+            (["table3", "--scale", "0"], "--scale: must be > 0.0"),
+            (["epochs", "--dataset", "cora", "--scale", "-1"], "--scale: must be > 0.0"),
+            (["samples", "--dataset", "cora", "--scale", "0"], "--scale: must be > 0.0"),
+            (["serve", "--bundle", "no/such/bundle.npz"], "--bundle: no such file"),
+            (["datasets", "--bogus"], "unrecognized arguments: --bogus"),
+            (["version", "extra"], "unrecognized arguments: extra"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
-    def test_bad_numbers_are_usage_errors(self, argv, message, capsys):
+    def test_bad_numbers_are_usage_errors(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["repro"])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
