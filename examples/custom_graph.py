@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datasets import load_task, save_task
 from repro.graph import Graph, graph_report, stochastic_block_edges
 from repro.models import AMDGCNN
 from repro.seal import (
@@ -29,6 +28,7 @@ from repro.seal import (
     cross_validate,
     make_link_prediction_task,
 )
+from repro.store import load_task, save_task
 from repro.utils import save_arrays
 from repro.data import warm
 
@@ -77,15 +77,16 @@ def main() -> None:
 
     # 3. Persist the task and one trained model for later reuse.
     out_dir = Path(tempfile.mkdtemp(prefix="repro-custom-"))
-    save_task(out_dir / "collab_task.npz", task)
+    save_task(out_dir / "collab_task", task)
     model = factory(0)
     from repro.seal import train, train_test_split_indices
 
     tr, te = train_test_split_indices(task.num_links, 0.25, labels=task.labels, rng=0)
     train(model, dataset, tr, TrainConfig(epochs=6, batch_size=16, lr=3e-3), rng=0)
     save_arrays(out_dir / "model.npz", model.state_dict())
-    reloaded = load_task(out_dir / "collab_task.npz")
+    reloaded = load_task(out_dir / "collab_task")
     assert reloaded.num_links == task.num_links
+    assert reloaded.graph.is_mmap  # graph arrays come back memory-mapped
     print(f"task + weights persisted under {out_dir} and reloaded OK")
 
 

@@ -34,23 +34,17 @@ def main(argv=None) -> int:
         print(__version__)
         return 0
     if command == "table3":
-        sys.argv = ["repro-table3", *rest]
         from repro.experiments.table3 import main as run
 
-        run()
-        return 0
+        return run(rest)
     if command == "epochs":
-        sys.argv = ["repro-epochs", *rest]
         from repro.experiments.epochs import main as run
 
-        run()
-        return 0
+        return run(rest)
     if command == "samples":
-        sys.argv = ["repro-samples", *rest]
         from repro.experiments.samples import main as run
 
-        run()
-        return 0
+        return run(rest)
     if command == "profile":
         from repro.obs.profile import main as run_profile_cli
 

@@ -12,7 +12,6 @@ from repro.datasets.primekg import (
     load_primekg_like,
     primekg_config,
 )
-from repro.datasets.io import load_task, save_task
 from repro.datasets.registry import DATASET_LOADERS, dataset_names, load_dataset
 from repro.datasets.schema import PAPER_SCHEMAS, DatasetSchema
 from repro.datasets.synthetic import (
@@ -49,6 +48,4 @@ __all__ = [
     "dataset_names",
     "PAPER_SCHEMAS",
     "DatasetSchema",
-    "save_task",
-    "load_task",
 ]

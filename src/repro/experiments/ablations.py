@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-from typing import Dict
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -129,18 +129,19 @@ ABLATIONS = {
 }
 
 
-def main() -> None:  # pragma: no cover - CLI
+def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(description="Run one ablation study")
     parser.add_argument("--which", choices=sorted(ABLATIONS), required=True)
     parser.add_argument("--scale", type=float, default=0.3)
     parser.add_argument("--num-targets", type=int, default=300)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     results = ABLATIONS[args.which](args.scale, args.num_targets)
     print(f"ablation: {args.which}")
     for variant, metrics in results.items():
         line = "  ".join(f"{k}={v:.3f}" for k, v in metrics.items())
         print(f"  {variant:<20} {line}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    raise SystemExit(main())

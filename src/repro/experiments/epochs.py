@@ -15,7 +15,7 @@ Run full size:  ``python -m repro.experiments.epochs --dataset primekg``
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,8 @@ def format_epoch_sweep(
     return "\n\n".join(blocks)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Regenerate paper Figs 3-6")
+def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
+    parser = argparse.ArgumentParser(prog="repro epochs", description="Regenerate paper Figs 3-6")
     parser.add_argument("--dataset", required=True, choices=dataset_names())
     parser.add_argument("--scale", type=number_at_least(float, 0.0, strict=True), default=0.5)
     parser.add_argument("--seed", type=int, default=0)
@@ -86,11 +86,12 @@ def main() -> None:  # pragma: no cover - CLI
         default=["default", "tuned"],
         choices=["default", "tuned"],
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
     curves = run_epoch_sweep(runner, args.dataset, args.settings)
     print(format_epoch_sweep(args.dataset, curves))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    raise SystemExit(main())

@@ -14,7 +14,7 @@ Run full size:  ``python -m repro.experiments.samples --dataset primekg``
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,8 +76,8 @@ def format_sample_sweep(
     return "\n\n".join(blocks)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Regenerate paper Figs 7-9")
+def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
+    parser = argparse.ArgumentParser(prog="repro samples", description="Regenerate paper Figs 7-9")
     parser.add_argument("--dataset", required=True, choices=dataset_names())
     parser.add_argument("--scale", type=number_at_least(float, 0.0, strict=True), default=0.5)
     parser.add_argument("--seed", type=int, default=0)
@@ -87,11 +87,12 @@ def main() -> None:  # pragma: no cover - CLI
         default=["default", "tuned"],
         choices=["default", "tuned"],
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
     curves = run_sample_sweep(runner, args.dataset, args.settings)
     print(format_sample_sweep(args.dataset, curves))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    raise SystemExit(main())

@@ -10,7 +10,7 @@ Run full size:  ``python -m repro.experiments.table3``
 from __future__ import annotations
 
 import argparse
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
@@ -68,8 +68,8 @@ def format_table3(results: Dict[str, Dict[str, RunResult]]) -> str:
     return render_table(headers, rows)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Regenerate paper Table III")
+def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
+    parser = argparse.ArgumentParser(prog="repro table3", description="Regenerate paper Table III")
     parser.add_argument(
         "--scale",
         type=number_at_least(float, 0.0, strict=True),
@@ -79,11 +79,12 @@ def main() -> None:  # pragma: no cover - CLI
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--datasets", nargs="*", default=None, choices=dataset_names())
     parser.add_argument("--setting", choices=["default", "tuned"], default="tuned")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
     results = run_table3(runner, args.datasets, args.setting)
     print(format_table3(results))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    raise SystemExit(main())

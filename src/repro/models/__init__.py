@@ -6,8 +6,6 @@
 
 from repro.models.am_dgcnn import AMDGCNN
 from repro.models.dgcnn import DGCNNBackbone, VanillaDGCNN
-from repro.models.gatv2 import GATv2Conv, GATv2DGCNN
-from repro.models.gin import GINConv
 from repro.models.layers import GATConv, GCNConv, add_self_loops
 from repro.models.rgcn import RGCNConv, RGCNDGCNN
 from repro.models.sage import SAGEConv
@@ -18,7 +16,6 @@ __all__ = [
     "GCNConv",
     "GATConv",
     "SAGEConv",
-    "GINConv",
     "RGCNConv",
     "add_self_loops",
     "SortPooling",
@@ -26,8 +23,6 @@ __all__ = [
     "DGCNNBackbone",
     "VanillaDGCNN",
     "AMDGCNN",
-    "GATv2Conv",
-    "GATv2DGCNN",
     "RGCNDGCNN",
     "WLNMClassifier",
     "wl_order",

@@ -20,7 +20,6 @@ from repro.nn.dtype import (
     resolve_dtype,
     set_compute_dtype,
 )
-from repro.nn.gradcheck import gradcheck, numeric_grad
 from repro.nn.kernels import PlanCache, SegmentPlan
 from repro.nn.indexing import (
     gather,
@@ -31,10 +30,9 @@ from repro.nn.indexing import (
     segment_softmax,
     segment_sum,
 )
-from repro.nn.losses import bce_with_logits, cross_entropy, l2_penalty, nll_loss
+from repro.nn.losses import cross_entropy, nll_loss
 from repro.nn.module import Module, ModuleList, Parameter, Sequential
-from repro.nn.norm import BatchNorm1d, LayerNorm
-from repro.nn.optim import SGD, Adam, AdamW, Optimizer, StepLR, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack, where
 
 __all__ = [
@@ -62,8 +60,6 @@ __all__ = [
     "MLP",
     "Conv1d",
     "MaxPool1d",
-    "LayerNorm",
-    "BatchNorm1d",
     "kernels",
     "SegmentPlan",
     "PlanCache",
@@ -77,14 +73,6 @@ __all__ = [
     "gat_edge_pass",
     "cross_entropy",
     "nll_loss",
-    "bce_with_logits",
-    "l2_penalty",
-    "Optimizer",
-    "SGD",
     "Adam",
-    "AdamW",
-    "StepLR",
     "clip_grad_norm",
-    "gradcheck",
-    "numeric_grad",
 ]

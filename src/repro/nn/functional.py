@@ -18,7 +18,6 @@ from repro.utils.rng import RngLike, as_generator
 
 __all__ = [
     "relu",
-    "leaky_relu",
     "tanh",
     "sigmoid",
     "elu",
@@ -34,11 +33,6 @@ __all__ = [
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit, ``max(x, 0)``."""
     return as_tensor(x).relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
-    """Leaky ReLU; the 0.2 default matches the GAT paper's attention slope."""
-    return as_tensor(x).leaky_relu(negative_slope)
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -1,8 +1,8 @@
 """Loss functions for link classification.
 
 Cross-entropy is the training loss throughout the reproduction (the SEAL
-classifier head emits per-class logits). Binary-cross-entropy covers the
-Cora-style link-existence task when framed with a single logit.
+classifier head emits per-class logits), including Cora's two-class
+link-existence task.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from repro.nn.functional import log_softmax
 from repro.nn.tensor import Tensor, as_tensor
 
-__all__ = ["cross_entropy", "nll_loss", "bce_with_logits", "l2_penalty"]
+__all__ = ["cross_entropy", "nll_loss"]
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray, weight: Optional[np.ndarray] = None) -> Tensor:
@@ -41,34 +41,3 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, weight: Optional[np.ndarray
 def cross_entropy(logits: Tensor, targets: np.ndarray, weight: Optional[np.ndarray] = None) -> Tensor:
     """Softmax cross-entropy from raw logits (stable log-softmax inside)."""
     return nll_loss(log_softmax(as_tensor(logits), axis=-1), targets, weight)
-
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Binary cross-entropy on raw logits, numerically stable.
-
-    Uses ``max(z,0) - z*y + log(1 + exp(-|z|))``; ``targets`` in {0,1}.
-    """
-    logits = as_tensor(logits)
-    y = np.asarray(targets, dtype=logits.data.dtype)
-    if y.shape != logits.shape:
-        raise ValueError("targets must match logits shape")
-    z = logits.data
-    out = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return g * (sig - y)
-
-    per_elem = Tensor._from_op(out, (logits,), (vjp,), "bce_with_logits")
-    return per_elem.mean()
-
-
-def l2_penalty(parameters, coeff: float) -> Tensor:
-    """Sum of squared parameter values scaled by ``coeff`` (weight decay)."""
-    total: Optional[Tensor] = None
-    for p in parameters:
-        term = (p * p).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total * coeff

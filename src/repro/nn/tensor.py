@@ -28,6 +28,7 @@ one node for a whole fused program with VJPs that share one backward
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -38,30 +39,42 @@ __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode, like the dtype policy in :mod:`repro.nn.dtype`.
+
+    A scoring thread inside :func:`no_grad` must not switch the tape off
+    for a training thread; new threads start with grad mode on.
+    """
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling tape recording (evaluation mode).
 
+    Grad mode is per thread: other threads keep recording.
+
     >>> with no_grad():
     ...     y = Tensor([1.0], requires_grad=True) * 2.0
     >>> y.requires_grad
     False
     """
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def is_grad_enabled() -> bool:
-    """Whether operations currently record onto the autograd tape."""
-    return _grad_enabled
+    """Whether operations in this thread record onto the autograd tape."""
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -148,7 +161,7 @@ class Tensor:
             raise TypeError("only floating tensors can require gradients")
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad: bool = bool(requires_grad and _grad_enabled)
+        self.requires_grad: bool = bool(requires_grad and _grad_mode.enabled)
         self._parents: Tuple[Tensor, ...] = ()
         self._vjps: Tuple[Optional[Callable[[np.ndarray], np.ndarray]], ...] = ()
         self._op: str = "leaf"
@@ -164,7 +177,7 @@ class Tensor:
         op: str,
     ) -> "Tensor":
         """Build a tape node. VJP ``i`` maps upstream grad → grad wrt parent ``i``."""
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = _grad_mode.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=False)
         out.requires_grad = requires
         if requires:

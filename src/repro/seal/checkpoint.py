@@ -26,8 +26,6 @@ state, the result traces — rides in a single JSON document stored as the
 
 from __future__ import annotations
 
-import json
-import os
 import re
 import time
 from dataclasses import dataclass, field, replace
@@ -39,7 +37,7 @@ import numpy as np
 from repro import obs
 from repro.seal.results import TrainResult
 from repro.utils.logging import get_logger
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import read_meta_npz, write_meta_npz
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -51,8 +49,6 @@ __all__ = [
     "latest_checkpoint",
     "list_checkpoints",
     "prune_checkpoints",
-    "write_meta_npz",
-    "read_meta_npz",
 ]
 
 logger = get_logger("seal.checkpoint")
@@ -141,43 +137,6 @@ def _result_from_meta(meta: Dict[str, Any]) -> TrainResult:
         if name in meta and meta[name] is not None:
             setattr(result, name, meta[name])
     return result
-
-
-def write_meta_npz(
-    path: PathLike, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
-) -> Path:
-    """Atomically write ``arrays`` plus a JSON ``meta`` doc as one ``.npz``.
-
-    The single-file bundle idiom shared by training checkpoints and
-    :class:`repro.serve.ModelBundle` artifacts: every array rides under
-    its own entry and all scalar state rides in one JSON document stored
-    as the ``meta`` entry. The write goes to a temporary sibling and is
-    ``os.replace``d into place, so readers never observe a torn file.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {name: np.asarray(arr) for name, arr in arrays.items()}
-    payload["meta"] = np.array(json.dumps(to_jsonable(meta)))
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
-
-
-def read_meta_npz(path: PathLike):
-    """Read a bundle written by :func:`write_meta_npz` → ``(arrays, meta)``."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        if "meta" not in data.files:
-            raise ValueError(f"{path} is not a meta-npz bundle (no meta entry)")
-        meta = json.loads(str(data["meta"]))
-        arrays = {k: data[k] for k in data.files if k != "meta"}
-    return arrays, meta
 
 
 def save_checkpoint(path: PathLike, ckpt: Checkpoint) -> Path:

@@ -6,7 +6,7 @@ spec (class name + constructor kwargs, recovered from the live module),
 the :class:`~repro.seal.features.FeatureConfig`, the extraction settings
 the model was trained under, and the class names. Saved as a single
 ``.npz`` through the same atomic meta-npz idiom training checkpoints use
-(:func:`repro.seal.checkpoint.write_meta_npz`), so a scorer is built
+(:func:`repro.utils.serialization.write_meta_npz`), so a scorer is built
 from one file instead of six hand-copied keyword arguments, where any
 mismatch would silently produce wrong-width features.
 
@@ -25,9 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.nn.module import Module
-from repro.seal.checkpoint import read_meta_npz, write_meta_npz
 from repro.seal.features import FeatureConfig
-from repro.utils.serialization import PathLike
+from repro.utils.serialization import PathLike, read_meta_npz, write_meta_npz
 
 __all__ = ["BUNDLE_VERSION", "BundleError", "ModelBundle"]
 
@@ -73,15 +72,6 @@ def _capture_am(model: Module) -> Dict[str, Any]:
     }
 
 
-def _capture_gatv2(model: Module) -> Dict[str, Any]:
-    return {
-        **_backbone_kwargs(model),
-        "edge_dim": int(model.edge_dim),
-        "heads": int(model.heads),
-        "edge_in_message": bool(model.convs[0].edge_in_message),
-    }
-
-
 def _capture_rgcn(model: Module) -> Dict[str, Any]:
     return {
         **_backbone_kwargs(model),
@@ -93,19 +83,17 @@ def _capture_rgcn(model: Module) -> Dict[str, Any]:
 _CAPTURE: Dict[str, Callable[[Module], Dict[str, Any]]] = {
     "VanillaDGCNN": _capture_vanilla,
     "AMDGCNN": _capture_am,
-    "GATv2DGCNN": _capture_gatv2,
     "RGCNDGCNN": _capture_rgcn,
 }
 
 
 def _model_classes() -> Dict[str, type]:
     # Deferred so importing repro.serve does not pull the model zoo in.
-    from repro.models import AMDGCNN, GATv2DGCNN, RGCNDGCNN, VanillaDGCNN
+    from repro.models import AMDGCNN, RGCNDGCNN, VanillaDGCNN
 
     return {
         "VanillaDGCNN": VanillaDGCNN,
         "AMDGCNN": AMDGCNN,
-        "GATv2DGCNN": GATv2DGCNN,
         "RGCNDGCNN": RGCNDGCNN,
     }
 

@@ -3,15 +3,17 @@
 :func:`save_task` writes the task's graph through
 :meth:`GraphStorage.save` and everything else (pairs, labels, class
 names, extraction settings, the feature recipe) as one atomic
-``task.npz`` via the same meta-npz idiom checkpoints and model bundles
-use. :func:`load_task` rebuilds the task with the graph mmap-opened, so
+``task.npz`` in the meta-npz format checkpoints and model bundles use
+(:func:`repro.utils.serialization.write_meta_npz`). :func:`load_task`
+rebuilds the task with the graph mmap-opened, so
 ``python -m repro profile --graph-dir DIR`` (and any other caller) can
 run a large workload against on-disk arrays instead of regenerating —
 and re-pickling — synthetics every run.
 
-All ``repro`` imports are deferred inside the functions: this module is
-re-exported from :mod:`repro.store`, which :mod:`repro.graph.structure`
-must be importable *before* (the storage layer sits below the graph).
+The graph and SEAL imports are deferred inside the functions: this
+module is re-exported from :mod:`repro.store`, which
+:mod:`repro.graph.structure` must be importable *before* (the storage
+layer sits below the graph).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+
+from repro.utils.serialization import read_meta_npz, write_meta_npz
 
 __all__ = ["TASK_FILE", "has_task", "load_task", "save_task"]
 
@@ -36,8 +40,6 @@ def has_task(directory) -> bool:
 
 def save_task(directory, task) -> Path:
     """Write ``task`` (graph arrays + task manifest) under ``directory``."""
-    from repro.seal.checkpoint import write_meta_npz
-
     directory = Path(directory)
     task.graph.save(directory)
     arrays = {
@@ -77,7 +79,6 @@ def load_task(directory, *, mmap: bool = True):
     default, so the task is ready for zero-copy worker payloads.
     """
     from repro.graph.structure import Graph
-    from repro.seal.checkpoint import read_meta_npz
     from repro.seal.dataset import LinkTask
     from repro.seal.features import FeatureConfig
 

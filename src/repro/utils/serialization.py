@@ -4,12 +4,17 @@ Model parameter blobs are stored as ``.npz`` archives keyed by parameter
 name; experiment results (tables, curves) as JSON with NumPy scalars
 coerced to native Python types so files stay tool-friendly.
 
+:func:`write_meta_npz` / :func:`read_meta_npz` hold the one-file
+"arrays plus a JSON ``meta`` entry" format that training checkpoints,
+model bundles and saved tasks share.
+
 Two robustness guarantees back the checkpoint/resume layer:
 
-* **Atomic writes.** Both :func:`save_arrays` and :func:`save_json` write
-  to a temporary sibling file and ``os.replace`` it into place, so a
-  crash mid-write can never leave a truncated archive where a reader (or
-  a resuming training run) expects a valid one.
+* **Atomic writes.** :func:`save_arrays`, :func:`save_json` and
+  :func:`write_meta_npz` write to a temporary sibling file and
+  ``os.replace`` it into place, so a crash mid-write can never leave a
+  truncated archive where a reader (or a resuming training run) expects
+  a valid one.
 * **Strict JSON.** ``json.dumps`` happily emits ``NaN``/``Infinity``,
   which is *not* JSON — strict parsers (``jq``, browsers, most non-Python
   tooling) reject it. :func:`to_jsonable` coerces non-finite floats to
@@ -33,6 +38,8 @@ __all__ = [
     "save_json",
     "load_json",
     "to_jsonable",
+    "write_meta_npz",
+    "read_meta_npz",
 ]
 
 PathLike = Union[str, Path]
@@ -108,3 +115,26 @@ def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> None:
 def load_json(path: PathLike) -> Any:
     """Load JSON written by :func:`save_json`."""
     return json.loads(Path(path).read_text())
+
+
+def write_meta_npz(
+    path: PathLike, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
+) -> Path:
+    """Atomically write ``arrays`` plus a JSON ``meta`` doc as one ``.npz``.
+
+    The single-file idiom shared by training checkpoints, model bundles
+    and saved tasks: every array rides under its own entry and all
+    scalar state rides in one JSON document stored as the ``meta`` entry.
+    """
+    path = Path(path)
+    save_arrays(path, {**arrays, "meta": np.array(json.dumps(to_jsonable(meta)))})
+    return path
+
+
+def read_meta_npz(path: PathLike):
+    """Read a file written by :func:`write_meta_npz` → ``(arrays, meta)``."""
+    arrays = load_arrays(path)
+    if "meta" not in arrays:
+        raise ValueError(f"{path} is not a meta-npz bundle (no meta entry)")
+    meta = json.loads(str(arrays.pop("meta")))
+    return arrays, meta

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.layers import GATConv, GCNConv, add_self_loops
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 
 

@@ -7,7 +7,7 @@ from repro.graph.batch import collate
 from repro.graph.structure import Graph
 from repro.models.rgcn import RGCNConv, RGCNDGCNN
 from repro.models.sage import SAGEConv
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 
 

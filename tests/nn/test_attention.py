@@ -10,7 +10,7 @@ import pytest
 from repro.models.layers import GATConv
 from repro.nn.attention import gat_edge_pass
 from repro.nn.dtype import compute_dtype
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 from repro.nn.kernels import PlanCache, SegmentPlan
 from repro.nn.tensor import Tensor, no_grad
 from tests import oracles

@@ -7,7 +7,7 @@ import pytest
 
 from repro.nn.conv import Conv1d, MaxPool1d
 from repro.nn.dtype import compute_dtype
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 from tests import oracles
 

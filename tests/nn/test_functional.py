@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 
 
@@ -20,7 +20,7 @@ class TestActivations:
         np.testing.assert_allclose(out.data, [0.0, 2.0])
 
     def test_leaky_relu_slope(self):
-        out = F.leaky_relu(Tensor(np.array([-10.0])), 0.2)
+        out = Tensor(np.array([-10.0])).leaky_relu(0.2)
         np.testing.assert_allclose(out.data, [-2.0])
 
     def test_elu_continuity_and_grad(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import gradcheck, numeric_grad
+from tests.gradcheck import gradcheck, numeric_grad
 from repro.nn.tensor import Tensor
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 from repro.nn.indexing import (
     gather,
     scatter_add,

@@ -1,12 +1,11 @@
-"""Losses: cross-entropy, NLL, BCE-with-logits, L2 penalty."""
+"""Losses: cross-entropy and NLL."""
 
 import numpy as np
 import pytest
 
 from repro.nn.functional import log_softmax
-from repro.nn.gradcheck import gradcheck
-from repro.nn.losses import bce_with_logits, cross_entropy, l2_penalty, nll_loss
-from repro.nn.module import Parameter
+from tests.gradcheck import gradcheck
+from repro.nn.losses import cross_entropy, nll_loss
 from repro.nn.tensor import Tensor
 
 
@@ -58,41 +57,3 @@ class TestNLL:
         assert nll_loss(log_softmax(logits), targets).item() == pytest.approx(
             cross_entropy(logits, targets).item(), abs=1e-12
         )
-
-
-class TestBCE:
-    def test_matches_manual(self):
-        z = np.array([-2.0, 0.0, 3.0])
-        y = np.array([0.0, 1.0, 1.0])
-        loss = bce_with_logits(Tensor(z), y).item()
-        p = 1 / (1 + np.exp(-z))
-        manual = -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
-        assert loss == pytest.approx(manual, abs=1e-10)
-
-    def test_stable_for_extreme_logits(self):
-        loss = bce_with_logits(Tensor(np.array([1000.0, -1000.0])), np.array([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-        assert loss.item() < 1e-6
-
-    def test_gradient(self):
-        z = Tensor(randn(6), requires_grad=True)
-        y = (np.random.default_rng(1).random(6) > 0.5).astype(float)
-        gradcheck(lambda a: bce_with_logits(a, y), [z])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bce_with_logits(Tensor(randn(3)), np.array([1.0]))
-
-
-class TestL2Penalty:
-    def test_value(self):
-        p = Parameter(np.array([1.0, 2.0]))
-        assert l2_penalty([p], 0.5).item() == pytest.approx(2.5)
-
-    def test_empty_params(self):
-        assert l2_penalty([], 1.0).item() == 0.0
-
-    def test_gradient_flows(self):
-        p = Parameter(np.array([3.0]))
-        l2_penalty([p], 2.0).backward()
-        np.testing.assert_allclose(p.grad, [12.0])

@@ -1,6 +1,7 @@
 """Autograd core: construction, arithmetic, broadcasting, backward."""
 
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.nn.tensor import (
     stack,
     where,
 )
-from repro.nn.gradcheck import gradcheck
+from tests.gradcheck import gradcheck
 
 
 def randn(*shape, seed=0):
@@ -125,6 +126,34 @@ class TestBackwardMechanics:
         except ValueError:
             pass
         assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # A enters, B enters, A exits, B exits: with one process-wide
+        # flag, B's exit restores the False it saw on entry.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+                seen["inside"] = is_grad_enabled()
+
+        workers = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(10)
+        assert a_out.is_set() and seen == {"inside": False}
+        assert is_grad_enabled()
+        assert Tensor([1.0], requires_grad=True).requires_grad
 
     def test_later_backward_leaves_earlier_leaf_grads_unchanged(self):
         layer = _gat_step(seed=0)

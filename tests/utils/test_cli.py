@@ -1,5 +1,7 @@
 """CLI dispatcher (python -m repro)."""
 
+import sys
+
 import pytest
 
 from repro.__main__ import main
@@ -39,13 +41,17 @@ class TestCli:
             ["table3", "--datasets", "nope"],
         ],
     )
-    def test_unknown_dataset_is_a_usage_error(self, argv, capsys, monkeypatch):
-        # Some commands hand their arguments on through sys.argv.
-        monkeypatch.setattr("sys.argv", ["repro"])
+    def test_unknown_dataset_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_dispatch_leaves_sys_argv_alone(self, capsys):
+        before = list(sys.argv)
+        with pytest.raises(SystemExit):
+            main(["table3", "--datasets", "nope"])
+        assert sys.argv == before
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -78,8 +84,7 @@ class TestCli:
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
-    def test_bad_numbers_are_usage_errors(self, argv, message, capsys, monkeypatch):
-        monkeypatch.setattr("sys.argv", ["repro"])
+    def test_bad_numbers_are_usage_errors(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
