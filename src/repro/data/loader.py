@@ -1,6 +1,7 @@
 """Batch-serving DataLoader: the one data path of the SEAL pipeline.
 
-A :class:`~repro.data.samplers.Sampler` decides the index batches; each
+:func:`epoch_batches` decides one epoch's index batches: the indices in
+order, or a fresh permutation of them drawn from a generator. Each
 batch's missing subgraphs are extracted in-process, in one batched
 multi-source sweep, into the dataset's packed
 :class:`~repro.data.store.SubgraphStore`; collation slices the store
@@ -12,9 +13,11 @@ Determinism guarantee
 Extraction is keyed by ``(dataset seed, link index)`` — see
 :mod:`repro.data.extraction` — so a link's subgraph does not depend on
 which batch, epoch or loader first asked for it, and batches come out
-in sampler order. There is a single extraction path, so the streams
-cannot differ between configurations: "serial ≡ workers" holds by
-construction.
+in :func:`epoch_batches` order. There is a single extraction path, so
+the streams cannot differ between configurations: "serial ≡ workers"
+holds by construction. The data-parallel trainer and its shard workers
+cut their global batches with the same :func:`epoch_batches`, so their
+batch order is the single-process order by construction too.
 
 Loader phases are traced through :mod:`repro.obs` as ``extraction``
 (store misses) and ``collate``.
@@ -28,13 +31,25 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.data.samplers import Sampler, SequentialSampler, ShuffleSampler
 from repro.data.store import SubgraphStore
 from repro.graph.batch import GraphBatch
 from repro.nn.kernels import PlanCache
-from repro.utils.rng import RngLike
 
-__all__ = ["DataLoader", "collate_from_store", "usable_cores", "warm"]
+__all__ = ["DataLoader", "collate_from_store", "epoch_batches", "usable_cores", "warm"]
+
+
+def epoch_batches(
+    indices: np.ndarray, batch_size: int, gen: Optional[np.random.Generator] = None
+) -> List[np.ndarray]:
+    """One epoch of index batches: ``indices`` cut into ``batch_size`` chunks.
+
+    With a generator the chunks cut ``gen.permutation(indices)``, one draw
+    per call, so consecutive epochs differ and a generator restored to
+    the same state replays the same epochs. Without one, the indices
+    keep their order.
+    """
+    order = indices if gen is None else gen.permutation(indices)
+    return [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
 
 
 def usable_cores() -> int:
@@ -126,13 +141,11 @@ class DataLoader:
     ----------
     dataset: a :class:`~repro.seal.SEALDataset` (or any object exposing
         ``task``, ``store`` and ``ensure_many(indices)``).
-    indices: link indices to serve (default: the whole dataset). Ignored
-        when an explicit ``sampler`` is given.
-    batch_size: target batch size (ignored when ``sampler`` is given).
-    sampler: explicit :class:`~repro.data.samplers.Sampler`; overrides
-        ``indices``/``batch_size``/``shuffle``/``rng``.
-    shuffle: build a :class:`ShuffleSampler` instead of sequential.
-    rng: seed/stream for the shuffle sampler.
+    indices: link indices to serve (default: the whole dataset).
+    batch_size: target batch size.
+    rng: a generator to shuffle with: every pass over the loader serves
+        a fresh permutation from it (:func:`epoch_batches`). ``None``
+        serves ``indices`` in order.
     """
 
     def __init__(
@@ -141,25 +154,20 @@ class DataLoader:
         indices: Optional[Sequence[int]] = None,
         batch_size: int = 32,
         *,
-        sampler: Optional[Sampler] = None,
-        shuffle: bool = False,
-        rng: RngLike = None,
+        rng: Optional[np.random.Generator] = None,
     ):
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        idx = np.arange(len(dataset)) if indices is None else indices
         self.dataset = dataset
-        if sampler is None:
-            idx = np.arange(len(dataset)) if indices is None else indices
-            if shuffle:
-                sampler = ShuffleSampler(idx, batch_size, rng=rng)
-            else:
-                sampler = SequentialSampler(idx, batch_size)
-        self.sampler = sampler
-
-    def __len__(self) -> int:
-        return len(self.sampler)
+        self.indices = np.asarray(idx, dtype=np.int64)
+        self.batch_size = int(batch_size)
+        self.rng = rng
 
     def __iter__(self) -> Iterator[Tuple[GraphBatch, np.ndarray]]:
         task = self.dataset.task
-        for batch_idx in self._filled_batches(list(self.sampler)):
+        for batch_idx in epoch_batches(self.indices, self.batch_size, self.rng):
+            self.dataset.ensure_many(batch_idx)
             yield (
                 collate_from_store(
                     self.dataset.store, batch_idx, edge_attr_dim=task.edge_attr_dim
@@ -167,31 +175,11 @@ class DataLoader:
                 task.labels[batch_idx],
             )
 
-    def warm(self, indices: Optional[Sequence[int]] = None) -> "DataLoader":
-        """Eagerly extract ``indices`` (default: the sampler's index set).
-
-        Uses a sequential pass independent of the sampler, so warming a
-        shuffle loader does not consume its permutation stream.
-        """
-        order = np.asarray(
-            self.sampler.indices if indices is None else indices, dtype=np.int64
-        )
-        chunk = max(int(getattr(self.sampler, "batch_size", 64)), 1)
-        batches = [order[s : s + chunk] for s in range(0, len(order), chunk)]
-        for _ in self._filled_batches(batches):
-            pass
-        return self
-
-    def _filled_batches(self, batches: List[np.ndarray]) -> Iterator[np.ndarray]:
-        """Yield each index batch once every one of its links is stored.
-
-        One multi-source extraction sweep per batch.
-        """
-        for batch_idx in batches:
-            self.dataset.ensure_many(batch_idx)
-            yield batch_idx
-
 
 def warm(dataset) -> None:
-    """Eagerly extract every link of ``dataset`` into its store."""
-    DataLoader(dataset, batch_size=64).warm()
+    """Eagerly extract every link of ``dataset`` into its store.
+
+    One multi-source extraction sweep per 64 links, in index order.
+    """
+    for batch_idx in epoch_batches(np.arange(len(dataset)), 64):
+        dataset.ensure_many(batch_idx)

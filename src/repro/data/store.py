@@ -106,7 +106,8 @@ class SubgraphStore:
         # (put() never mutates an existing entry), so a batch collated
         # from the same link indices is array-identical across epochs and
         # its segment plans can be reused verbatim. LRU-bounded so a
-        # pathological sampler cannot hoard plans without bound.
+        # shuffled batch order, whose compositions rarely recur, cannot
+        # hoard plans without bound.
         self._plan_cache: "OrderedDict[bytes, PlanCache]" = OrderedDict()
         self._plan_hits = 0
         self._plan_misses = 0

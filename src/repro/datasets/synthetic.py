@@ -39,7 +39,7 @@ import numpy as np
 from repro.nn.dtype import FLOAT64
 
 from repro.graph.structure import Graph
-from repro.utils.rng import RngLike, as_generator, derive
+from repro.utils.rng import RngLike, derive
 
 __all__ = ["PlantedKGConfig", "PlantedKG", "generate_planted_kg", "role_pair_index"]
 

@@ -65,7 +65,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.data.loader import usable_cores
+from repro.data.loader import epoch_batches, usable_cores
 from repro.nn.dtype import resolve_dtype, set_compute_dtype
 from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
@@ -197,12 +197,9 @@ def _worker_main(
         model.train()
         named = list(model.named_parameters())
         _load_params(named, buffer.get_params())
-        batch_size = config.batch_size
         stop = False
         for _epoch in range(start_epoch, config.epochs):
-            perm = gen.permutation(train_indices)
-            for start in range(0, len(perm), batch_size):
-                gbatch = perm[start : start + batch_size]
+            for gbatch in epoch_batches(train_indices, config.batch_size, gen):
                 mine = gbatch[owned_mask[gbatch]]
                 grads, loss, count = _shard_step_grads(
                     model, dataset, mine, len(gbatch)
@@ -286,7 +283,7 @@ class _ShardedStep(GradientStep):
         self.reports: List[dict] = []
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
 
-    def start(self, train_indices, sampler, shuffle_rng, start_epoch) -> None:
+    def start(self, train_indices, shuffle_rng, start_epoch) -> None:
         config, task = self.config, self.dataset.task
         self.train_indices = train_indices
         self.shuffle_rng = shuffle_rng
@@ -342,9 +339,7 @@ class _ShardedStep(GradientStep):
             self.workers.append(w)
 
     def batches(self) -> Iterable:
-        perm = self.shuffle_rng.permutation(self.train_indices)
-        size = self.config.batch_size
-        return (perm[start : start + size] for start in range(0, len(perm), size))
+        return epoch_batches(self.train_indices, self.config.batch_size, self.shuffle_rng)
 
     def __call__(self, gbatch: np.ndarray, watch: Stopwatch) -> float:
         if self.workers:

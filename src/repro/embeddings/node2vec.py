@@ -20,7 +20,7 @@ import numpy as np
 from repro.nn.dtype import FLOAT64
 
 from repro.graph.structure import Graph
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["generate_walks"]
 
@@ -43,7 +43,7 @@ def generate_walks(
         raise ValueError("need num_walks >= 1 and walk_length >= 2")
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
-    gen = as_generator(rng)
+    gen = ensure_rng(rng)
     indptr, indices, _ = graph.csr()
     nbr_sets = [set(indices[indptr[v] : indptr[v + 1]].tolist()) for v in range(graph.num_nodes)]
 

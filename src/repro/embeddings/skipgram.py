@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.dtype import FLOAT64
 
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["walks_to_pairs", "train_skipgram", "node2vec_embeddings"]
 
@@ -60,7 +60,7 @@ def train_skipgram(
     """
     if dim <= 0 or epochs <= 0 or negatives < 1:
         raise ValueError("invalid skip-gram hyperparameters")
-    gen = as_generator(rng)
+    gen = ensure_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
         return np.zeros((num_nodes, dim))
@@ -112,7 +112,7 @@ def node2vec_embeddings(
     """End-to-end node2vec: walks → pairs → SGNS → embeddings."""
     from repro.embeddings.node2vec import generate_walks
 
-    gen = as_generator(rng)
+    gen = ensure_rng(rng)
     walks = generate_walks(
         graph, num_walks=num_walks, walk_length=walk_length, p=p, q=q, rng=gen
     )

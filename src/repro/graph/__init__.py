@@ -22,10 +22,8 @@ from repro.graph.structure import Graph
 from repro.graph.subgraph import EnclosingSubgraph, extract_enclosing_subgraph
 from repro.graph.traversal import (
     bfs_distances,
-    k_hop_nodes,
     k_hop_union,
     multi_source_bfs,
-    pairwise_distance,
 )
 
 __all__ = [
@@ -33,10 +31,8 @@ __all__ = [
     "GraphBatch",
     "collate",
     "bfs_distances",
-    "k_hop_nodes",
     "k_hop_union",
     "multi_source_bfs",
-    "pairwise_distance",
     "EnclosingSubgraph",
     "extract_enclosing_subgraph",
     "BulkSubgraphs",

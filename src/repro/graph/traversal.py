@@ -24,9 +24,7 @@ from repro.utils.arrays import sorted_unique
 
 __all__ = [
     "bfs_distances",
-    "k_hop_nodes",
     "k_hop_union",
-    "pairwise_distance",
     "multi_source_bfs",
 ]
 
@@ -205,14 +203,6 @@ def multi_source_bfs(
     return keys[order], level[order]
 
 
-def k_hop_nodes(graph: Graph, source: int, k: int) -> np.ndarray:
-    """Sorted array of nodes within ``k`` hops of ``source`` (inclusive)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    dist = bfs_distances(graph, source, max_depth=k)
-    return np.nonzero(dist >= 0)[0]
-
-
 def k_hop_union(graph: Graph, sources: np.ndarray, k: int) -> np.ndarray:
     """Sorted array of nodes within ``k`` hops of *any* source (inclusive).
 
@@ -220,7 +210,7 @@ def k_hop_union(graph: Graph, sources: np.ndarray, k: int) -> np.ndarray:
     invalidation: one boolean-visited frontier sweep over the CSR covers
     every source at once, so the cost is O(N + edges touched) regardless
     of how many sources there are — unlike ``S`` separate
-    :func:`k_hop_nodes` calls or a :func:`multi_source_bfs`, which keeps
+    :func:`bfs_distances` calls or a :func:`multi_source_bfs`, which keeps
     each source's ball apart.
     """
     if k < 0:
@@ -245,8 +235,3 @@ def k_hop_union(graph: Graph, sources: np.ndarray, k: int) -> np.ndarray:
         visited[nxt] = True
         frontier = nxt
     return np.flatnonzero(visited)
-
-
-def pairwise_distance(graph: Graph, u: int, v: int, max_depth: Optional[int] = None) -> int:
-    """Shortest-path hop count between ``u`` and ``v`` (-1 if unreachable)."""
-    return int(bfs_distances(graph, u, max_depth=max_depth)[v])

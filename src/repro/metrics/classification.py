@@ -1,4 +1,4 @@
-"""Thresholded classification metrics: accuracy, precision/recall, AP.
+"""Thresholded classification metrics: accuracy, precision, AP.
 
 The paper's **AP** metric (§V-A) is the *mean of per-class precisions*
 under one-vs-rest: each class in turn is treated as positive and its
@@ -10,7 +10,7 @@ that definition (it is not the PR-curve AP — that lives in
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,10 +20,7 @@ __all__ = [
     "accuracy",
     "confusion_matrix",
     "precision_per_class",
-    "recall_per_class",
     "average_precision",
-    "f1_per_class",
-    "classification_report",
 ]
 
 
@@ -61,14 +58,6 @@ def precision_per_class(y_true: np.ndarray, y_pred: np.ndarray, num_classes: Opt
     return np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
 
 
-def recall_per_class(y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None) -> np.ndarray:
-    """``TP/(TP+FN)`` per class; absent classes get 0."""
-    m = confusion_matrix(y_true, y_pred, num_classes)
-    actual = m.sum(axis=1).astype(FLOAT64)
-    tp = np.diag(m).astype(FLOAT64)
-    return np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
-
-
 def average_precision(y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None) -> float:
     """The paper's AP: mean one-vs-rest precision over classes *present*.
 
@@ -82,23 +71,3 @@ def average_precision(y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optio
         return 0.0
     prec = precision_per_class(y_true, y_pred, m.shape[0])
     return float(prec[involved].mean())
-
-
-def f1_per_class(y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None) -> np.ndarray:
-    """Harmonic mean of per-class precision and recall (0 when both 0)."""
-    p = precision_per_class(y_true, y_pred, num_classes)
-    r = recall_per_class(y_true, y_pred, num_classes)
-    denom = p + r
-    return np.divide(2 * p * r, denom, out=np.zeros_like(p), where=denom > 0)
-
-
-def classification_report(y_true: np.ndarray, y_pred: np.ndarray, num_classes: Optional[int] = None) -> Dict[str, object]:
-    """Bundle of the scalar metrics plus per-class arrays."""
-    return {
-        "accuracy": accuracy(y_true, y_pred),
-        "average_precision": average_precision(y_true, y_pred, num_classes),
-        "precision": precision_per_class(y_true, y_pred, num_classes),
-        "recall": recall_per_class(y_true, y_pred, num_classes),
-        "f1": f1_per_class(y_true, y_pred, num_classes),
-        "confusion": confusion_matrix(y_true, y_pred, num_classes),
-    }

@@ -20,13 +20,11 @@ import numpy as np
 
 from repro.nn.dtype import FLOAT64
 
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = [
-    "roc_curve",
     "roc_auc",
     "multiclass_auc",
-    "average_precision_curve",
 ]
 
 
@@ -39,25 +37,6 @@ def _validate_binary(y_true: np.ndarray, scores: np.ndarray) -> Tuple[np.ndarray
     if not np.isin(uniq, [0, 1]).all():
         raise ValueError("y_true must be binary (0/1)")
     return y_true.astype(np.int64), scores
-
-
-def roc_curve(y_true: np.ndarray, scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ROC points ``(fpr, tpr, thresholds)`` over descending thresholds."""
-    y_true, scores = _validate_binary(y_true, scores)
-    order = np.argsort(-scores, kind="stable")
-    y_sorted = y_true[order]
-    s_sorted = scores[order]
-    # Collapse ties: take the last index of each distinct score.
-    distinct = np.nonzero(np.diff(s_sorted))[0]
-    idx = np.concatenate([distinct, [len(s_sorted) - 1]])
-    tp = np.cumsum(y_sorted)[idx].astype(FLOAT64)
-    fp = (idx + 1) - tp
-    p = max(float(y_true.sum()), 1.0)
-    n = max(float(len(y_true) - y_true.sum()), 1.0)
-    tpr = np.concatenate([[0.0], tp / p])
-    fpr = np.concatenate([[0.0], fp / n])
-    thresholds = np.concatenate([[np.inf], s_sorted[idx]])
-    return fpr, tpr, thresholds
 
 
 def roc_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
@@ -115,7 +94,7 @@ def multiclass_auc(
         raise ValueError("probs must be (B, C) matching y_true")
     present = np.unique(y_true)
     if positive_class is None and rng is not None:
-        positive_class = int(as_generator(rng).choice(present))
+        positive_class = int(ensure_rng(rng).choice(present))
     if positive_class is not None:
         return roc_auc((y_true == positive_class).astype(int), probs[:, positive_class])
     aucs = [
@@ -124,23 +103,3 @@ def multiclass_auc(
         if 0 < (y_true == c).sum() < len(y_true)
     ]
     return float(np.mean(aucs)) if aucs else 0.5
-
-
-def average_precision_curve(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the precision-recall curve (step-wise AP).
-
-    ``AP = Σ (R_i − R_{i−1}) · P_i`` over descending score thresholds.
-    Provided for completeness alongside the paper's class-precision AP
-    (see :func:`repro.metrics.classification.average_precision`).
-    """
-    y_true, scores = _validate_binary(y_true, scores)
-    n_pos = int(y_true.sum())
-    if n_pos == 0:
-        return 0.0
-    order = np.argsort(-scores, kind="stable")
-    y_sorted = y_true[order]
-    tp = np.cumsum(y_sorted)
-    precision = tp / np.arange(1, len(y_sorted) + 1)
-    recall = tp / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev_recall) * precision).sum())

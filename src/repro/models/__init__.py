@@ -6,7 +6,7 @@
 
 from repro.models.am_dgcnn import AMDGCNN
 from repro.models.dgcnn import DGCNNBackbone, VanillaDGCNN
-from repro.models.layers import GATConv, GCNConv, add_self_loops
+from repro.models.layers import GATConv, GCNConv
 from repro.models.rgcn import RGCNConv, RGCNDGCNN
 from repro.models.sage import SAGEConv
 from repro.models.sort_pool import SortPooling, sort_pool
@@ -17,7 +17,6 @@ __all__ = [
     "GATConv",
     "SAGEConv",
     "RGCNConv",
-    "add_self_loops",
     "SortPooling",
     "sort_pool",
     "DGCNNBackbone",

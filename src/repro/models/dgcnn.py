@@ -33,7 +33,7 @@ from repro.nn.module import Module, ModuleList
 from repro.nn.tensor import Tensor, concatenate
 from repro.models.layers import GCNConv
 from repro.models.sort_pool import SortPooling
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["DGCNNBackbone", "VanillaDGCNN"]
 
@@ -87,7 +87,7 @@ class DGCNNBackbone(Module):
         super().__init__()
         if num_conv_layers < 1:
             raise ValueError("need at least one hidden conv layer")
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         dims: List[int] = [in_dim] + [hidden_dim] * num_conv_layers + [1]
         self.convs = ModuleList(
             [conv_factory(dims[i], dims[i + 1], gen) for i in range(len(dims) - 1)]

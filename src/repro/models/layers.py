@@ -20,7 +20,7 @@ and weighted segment sum as one tape node).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,31 +31,9 @@ from repro.nn.indexing import gather, segment_sum
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
-__all__ = ["GCNConv", "GATConv", "add_self_loops"]
-
-
-def add_self_loops(
-    edge_index: np.ndarray,
-    num_nodes: int,
-    edge_attr: Optional[np.ndarray] = None,
-    fill: float = 0.0,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Append one ``i→i`` arc per node; self-loop attributes are ``fill``.
-
-    Returns the augmented ``(edge_index, edge_attr)`` pair. PyG fills
-    self-loop edge attributes with a constant; zero (the default) means
-    "no relation information" for the loop, which keeps the loop's
-    attention contribution neutral.
-    """
-    loops = np.arange(num_nodes, dtype=np.int64)
-    ei = np.concatenate([edge_index, np.stack([loops, loops])], axis=1)
-    if edge_attr is None:
-        return ei, None
-    attr_dtype = edge_attr.dtype if edge_attr.dtype.kind == "f" else get_compute_dtype()
-    loop_attr = np.full((num_nodes, edge_attr.shape[1]), fill, dtype=attr_dtype)
-    return ei, np.concatenate([edge_attr, loop_attr], axis=0)
+__all__ = ["GCNConv", "GATConv"]
 
 
 class GCNConv(Module):
@@ -72,7 +50,7 @@ class GCNConv(Module):
             raise ValueError("feature dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
         if bias:
             self.bias: Optional[Parameter] = Parameter(init.zeros((out_dim,)))
@@ -175,7 +153,7 @@ class GATConv(Module):
         self.negative_slope = negative_slope
         self.add_loops = add_loops
 
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
         self.att_src = Parameter(init.xavier_uniform((1, heads, self.channels), rng=gen))
         self.att_dst = Parameter(init.xavier_uniform((1, heads, self.channels), rng=gen))

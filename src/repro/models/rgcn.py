@@ -32,7 +32,7 @@ from repro.nn.indexing import gather, segment_sum
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["RGCNConv", "RGCNDGCNN"]
 
@@ -65,7 +65,7 @@ class RGCNConv(Module):
         self.out_dim = out_dim
         self.num_relations = num_relations
         self.num_bases = num_bases
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         self.weight_self = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
         self.bases = Parameter(
             init.xavier_uniform((num_bases, in_dim, out_dim), rng=gen)

@@ -17,7 +17,7 @@ from repro.nn.indexing import gather, segment_mean
 from repro.nn.kernels import PlanCache
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["SAGEConv"]
 
@@ -31,7 +31,7 @@ class SAGEConv(Module):
             raise ValueError("feature dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         self.weight_self = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
         self.weight_nbr = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
         if bias:

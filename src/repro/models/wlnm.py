@@ -34,7 +34,7 @@ from repro.nn.losses import cross_entropy
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.seal.dataset import LinkTask
-from repro.utils.rng import RngLike, as_generator, derive
+from repro.utils.rng import RngLike, ensure_rng, derive
 
 __all__ = ["wl_order", "encode_subgraph", "WLNMClassifier"]
 
@@ -161,7 +161,7 @@ class WLNMClassifier:
         y = task.labels[train_indices]
         self.mlp = MLP([self.input_dim, *self.hidden, self.num_classes], rng=gen)
         opt = Adam(self.mlp.parameters(), lr=self.lr)
-        order_rng = as_generator(derive(self.rng, "wlnm-shuffle"))
+        order_rng = ensure_rng(derive(self.rng, "wlnm-shuffle"))
         for _ in range(self.epochs):
             perm = order_rng.permutation(len(x))
             for start in range(0, len(perm), self.batch_size):

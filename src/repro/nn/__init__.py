@@ -23,17 +23,14 @@ from repro.nn.dtype import (
 from repro.nn.kernels import PlanCache, SegmentPlan
 from repro.nn.indexing import (
     gather,
-    scatter_add,
-    segment_count,
-    segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
 )
 from repro.nn.losses import cross_entropy, nll_loss
-from repro.nn.module import Module, ModuleList, Parameter, Sequential
+from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack, where
+from repro.nn.tensor import Tensor, as_tensor, concatenate, no_grad, stack
 
 __all__ = [
     "dtype",
@@ -46,14 +43,11 @@ __all__ = [
     "as_tensor",
     "concatenate",
     "stack",
-    "where",
     "no_grad",
-    "is_grad_enabled",
     "functional",
     "init",
     "Module",
     "ModuleList",
-    "Sequential",
     "Parameter",
     "Linear",
     "Dropout",
@@ -64,12 +58,9 @@ __all__ = [
     "SegmentPlan",
     "PlanCache",
     "gather",
-    "scatter_add",
     "segment_sum",
     "segment_mean",
-    "segment_max",
     "segment_softmax",
-    "segment_count",
     "gat_edge_pass",
     "cross_entropy",
     "nll_loss",

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, as_tensor
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Conv1d", "MaxPool1d"]
 
@@ -86,7 +86,7 @@ class Conv1d(Module):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         # Stored flattened (in_channels*kernel, out) so forward is one matmul.
         self.weight = Parameter(
             init.xavier_uniform((in_channels * kernel_size, out_channels), rng=gen)

@@ -12,7 +12,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.tensor import Tensor
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Linear", "Dropout", "MLP"]
 
@@ -30,7 +30,7 @@ class Linear(Module):
             raise ValueError("feature dimensions must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng=gen))
         if bias:
             self.bias: Optional[Parameter] = Parameter(init.zeros((out_features,)))
@@ -53,7 +53,7 @@ class Dropout(Module):
         if not 0.0 <= p < 1.0:
             raise ValueError("dropout probability must be in [0, 1)")
         self.p = p
-        self._rng = as_generator(rng)
+        self._rng = ensure_rng(rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, training=self.training, rng=self._rng)
@@ -78,7 +78,7 @@ class MLP(Module):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
-        gen = as_generator(rng)
+        gen = ensure_rng(rng)
         self.layers = ModuleList(
             [Linear(dims[i], dims[i + 1], rng=gen) for i in range(len(dims) - 1)]
         )

@@ -1,7 +1,7 @@
 """Functional neural-network operations composed from autograd primitives.
 
 Mirrors the subset of ``torch.nn.functional`` the AM-DGCNN stack needs:
-activations, (log-)softmax, dropout, one-hot encoding and padding. All
+activations, (log-)softmax, dropout, one-hot encoding and the affine map. All
 functions take/return :class:`~repro.nn.tensor.Tensor` and are covered by
 finite-difference gradient tests.
 """
@@ -14,18 +14,15 @@ import numpy as np
 
 from repro.nn.dtype import get_compute_dtype
 from repro.nn.tensor import Tensor, as_tensor
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = [
     "relu",
     "tanh",
-    "sigmoid",
-    "elu",
     "softmax",
     "log_softmax",
     "dropout",
     "one_hot",
-    "pad_rows",
     "linear",
 ]
 
@@ -38,25 +35,6 @@ def relu(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent (DGCNN uses tanh after each graph convolution)."""
     return as_tensor(x).tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    return as_tensor(x).sigmoid()
-
-
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    """Exponential linear unit (GAT's inter-layer activation)."""
-    x = as_tensor(x)
-    data = x.data
-    mask = data > 0
-    expm1 = alpha * (np.exp(np.minimum(data, 0.0)) - 1.0)
-    out = np.where(mask, data, expm1)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return g * np.where(mask, 1.0, expm1 + alpha)
-
-    return Tensor._from_op(out, (x,), (vjp,), "elu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -107,7 +85,7 @@ def dropout(
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
-    gen = as_generator(rng)
+    gen = ensure_rng(rng)
     keep = gen.random(x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
     # Cast the boolean mask before scaling: bool * float would make a
@@ -132,27 +110,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
         raise ValueError("label exceeds num_classes")
     out[np.nonzero(valid)[0], labels[valid]] = 1.0
     return out
-
-
-def pad_rows(x: Tensor, target_rows: int) -> Tensor:
-    """Zero-pad (or truncate) the leading dimension to ``target_rows``.
-
-    Used by SortPooling when a graph has fewer than ``k`` nodes. Gradient
-    flows only through the retained rows.
-    """
-    x = as_tensor(x)
-    n = x.data.shape[0]
-    if n == target_rows:
-        return x
-    if n > target_rows:
-        return x[np.arange(target_rows)]
-    pad_shape = (target_rows - n,) + x.data.shape[1:]
-    out = np.concatenate([x.data, np.zeros(pad_shape, dtype=x.data.dtype)], axis=0)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return g[:n]
-
-    return Tensor._from_op(out, (x,), (vjp,), "pad_rows")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

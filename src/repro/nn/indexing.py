@@ -5,10 +5,10 @@ GNN layers in this library operate on a graph expressed as an edge list
 
 1. ``gather`` the source-node features onto the edges,
 2. transform/weight the per-edge messages,
-3. ``segment_sum`` (or mean/max) the messages onto the destination nodes.
+3. ``segment_sum`` (or mean) the messages onto the destination nodes.
 
 The backward passes are the duals: the gradient of ``segment_sum`` is a
-``gather``, and the gradient of ``gather`` is a ``scatter_add`` — both
+``gather``, and the gradient of ``gather`` is a scatter-add — both
 vectorized (no Python-level loops over edges).
 
 ``segment_softmax`` implements the per-destination normalization of GAT
@@ -31,18 +31,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.dtype import FLOAT64, get_compute_dtype
+from repro.nn.dtype import FLOAT64
 from repro.nn.kernels import SegmentPlan
 from repro.nn.tensor import Tensor, as_tensor
 
 __all__ = [
     "gather",
-    "scatter_add",
     "segment_sum",
     "segment_mean",
-    "segment_max",
     "segment_softmax",
-    "segment_count",
 ]
 
 
@@ -96,21 +93,6 @@ def gather(
     return Tensor._from_op(out, (x,), (vjp,), "gather")
 
 
-def scatter_add(
-    x: Tensor,
-    index: np.ndarray,
-    num_segments: int,
-    *,
-    plan: Optional[SegmentPlan] = None,
-) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` output slots by ``index``.
-
-    ``out[s] = sum_{i : index[i]==s} x[i]``. Alias of :func:`segment_sum`
-    but named for the scatter view of the same computation.
-    """
-    return segment_sum(x, index, num_segments, plan=plan)
-
-
 def segment_sum(
     x: Tensor,
     index: np.ndarray,
@@ -145,12 +127,6 @@ def segment_sum(
     return Tensor._from_op(out, (x,), (vjp,), "segment_sum")
 
 
-def segment_count(index: np.ndarray, num_segments: int) -> np.ndarray:
-    """Number of rows per segment (plain ndarray, non-differentiable)."""
-    index = _check_index(index)
-    return np.bincount(index, minlength=num_segments).astype(get_compute_dtype())
-
-
 def segment_mean(
     x: Tensor,
     index: np.ndarray,
@@ -164,44 +140,6 @@ def segment_mean(
     counts = np.maximum(plan.counts.astype(FLOAT64), 1.0)
     counts = counts.reshape((num_segments,) + (1,) * (sums.ndim - 1))
     return sums * Tensor(1.0 / counts)
-
-
-def segment_max(
-    x: Tensor,
-    index: np.ndarray,
-    num_segments: int,
-    fill: float = 0.0,
-    *,
-    plan: Optional[SegmentPlan] = None,
-) -> Tensor:
-    """Segmented max; empty segments are filled with ``fill``.
-
-    Gradient is split equally among the rows achieving each segment's max
-    (a valid, deterministic subgradient).
-    """
-    x = as_tensor(x)
-    index = _check_index(index)
-    data = x.data
-    plan = _plan(plan, index, num_segments)
-    out = plan.segment_max(data)
-    if plan.empty.any():
-        out[plan.empty] = fill
-
-    # Identify, per (segment, feature) cell, the rows achieving the max —
-    # gradient routes only there (subgradient choice).
-    is_max = data == out[index]
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        grad = np.zeros(data.shape, dtype=data.dtype)
-        gathered = g[index]
-        # For duplicate maxima in a segment, split gradient equally: this
-        # is a valid subgradient and keeps the op deterministic.
-        counts = plan.segment_sum(is_max.astype(data.dtype))
-        denom = np.where(counts[index] > 0, counts[index], 1.0)
-        grad[is_max] = (gathered / denom)[is_max]
-        return grad
-
-    return Tensor._from_op(out, (x,), (vjp,), "segment_max")
 
 
 def segment_softmax(

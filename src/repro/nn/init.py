@@ -1,7 +1,7 @@
 """Weight-initialization schemes.
 
-Glorot/Xavier is the default everywhere, matching PyTorch Geometric's GCN
-and GAT initializers; Kaiming is provided for ReLU-heavy dense heads.
+Glorot/Xavier uniform is the init everywhere, matching PyTorch
+Geometric's GCN and GAT initializers; biases start at zero.
 Each function *returns* a fresh ndarray rather than mutating, so callers
 can route all randomness through one generator.
 """
@@ -13,14 +13,11 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.nn.dtype import get_compute_dtype
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = [
     "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
     "zeros",
-    "uniform",
 ]
 
 
@@ -39,29 +36,9 @@ def xavier_uniform(shape: Sequence[int], gain: float = 1.0, rng: RngLike = None)
     """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return as_generator(rng).uniform(-bound, bound, size=tuple(shape))
-
-
-def xavier_normal(shape: Sequence[int], gain: float = 1.0, rng: RngLike = None) -> np.ndarray:
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return as_generator(rng).normal(0.0, std, size=tuple(shape))
-
-
-def kaiming_uniform(shape: Sequence[int], negative_slope: float = 0.0, rng: RngLike = None) -> np.ndarray:
-    """He uniform for (leaky-)ReLU fan-in scaling."""
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0 / (1.0 + negative_slope**2))
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return as_generator(rng).uniform(-bound, bound, size=tuple(shape))
+    return ensure_rng(rng).uniform(-bound, bound, size=tuple(shape))
 
 
 def zeros(shape: Sequence[int]) -> np.ndarray:
     """All-zero init (biases)."""
     return np.zeros(tuple(shape), dtype=get_compute_dtype())
-
-
-def uniform(shape: Sequence[int], low: float = -0.05, high: float = 0.05, rng: RngLike = None) -> np.ndarray:
-    """Plain uniform init in ``[low, high)``."""
-    return as_generator(rng).uniform(low, high, size=tuple(shape))

@@ -2,7 +2,7 @@
 
 Every GNN forward/backward in this library bottoms out in segmented
 reductions over a destination-index array (``segment_sum`` /
-``segment_max`` / ``segment_softmax`` and the ``gather``-backward
+``segment_softmax`` and the ``gather``-backward
 scatter-add in :mod:`repro.nn.indexing`). The straightforward NumPy
 spelling, ``np.add.at`` / ``np.maximum.at``, is unbuffered and
 order-preserving — and for multi-column operands it takes the generic
@@ -32,8 +32,9 @@ and then implements each reduction as a contiguous kernel over the plan:
   its pairwise summation associates differently from ``np.add.at`` in
   the last ulp; bit-identity with the scatter reference is a hard
   requirement here.)
-* ``segment_max``: sort + ``np.maximum.reduceat`` over the plan
-  (max is exactly associative, so sorted reduction is bit-safe).
+* ``segment_softmax``: sort + ``np.maximum.reduceat`` over the plan
+  for the stability shift (max is exactly associative, so sorted
+  reduction is bit-safe).
 
 The plan costs one ``argsort`` + ``bincount``; callers amortize it via
 :class:`PlanCache` (memoized per :class:`~repro.graph.batch.GraphBatch`,
@@ -218,22 +219,6 @@ class SegmentPlan:
             matrix = self._scatter_matrix(data.dtype)
             return (matrix @ flat).reshape((self.num_segments,) + tail)
 
-    def segment_max(self, data: np.ndarray) -> np.ndarray:
-        """Per-segment maxima via sort + ``np.maximum.reduceat``.
-
-        Empty segments are ``-inf`` — callers apply their own fill.
-        """
-        with obs.trace("kernel.segment_max"):
-            data = _as_compute(data)
-            out = np.full(
-                (self.num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype
-            )
-            if self.size:
-                out[self.nonempty] = np.maximum.reduceat(
-                    self.take_sorted(data), self.starts, axis=0
-                )
-            return out
-
     def _sorted_segment_sum(self, data: np.ndarray) -> np.ndarray:
         """Per-segment sums of *already segment-sorted* rows.
 
@@ -336,8 +321,8 @@ class PlanCache:
     * ``dst(loops=True)`` / ``src(loops=True)`` — plans over the
       self-loop-augmented edge list,
     * ``loop_edge_index()`` — the augmented ``(2, E + N)`` edge list
-      itself (what :func:`~repro.models.layers.add_self_loops` would
-      rebuild every forward),
+      itself, one ``i→i`` arc per node appended (built once, not every
+      forward),
     * ``gcn_coeff()`` — the GCN symmetric degree normalization per arc,
     * ``loop_edge_attr(attr)`` — ``attr`` zero-padded for the loops,
     * ``node()`` — the plan over the node→graph ``batch`` vector

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
+__all__ = ["Parameter", "Module", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -147,25 +147,3 @@ class ModuleList(Module):
 
     def forward(self, *args, **kwargs):  # pragma: no cover
         raise RuntimeError("ModuleList is a container; call its items")
-
-
-class Sequential(Module):
-    """Apply modules in order: ``Sequential(a, b)(x) == b(a(x))``."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._items: List[Module] = []
-        for mod in modules:
-            self._modules[str(len(self._items))] = mod
-            self._items.append(mod)
-
-    def forward(self, x):
-        for mod in self._items:
-            x = mod(x)
-        return x
-
-    def __getitem__(self, idx: int) -> Module:
-        return self._items[idx]
-
-    def __len__(self) -> int:
-        return len(self._items)

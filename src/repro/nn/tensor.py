@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.nn.dtype import coerce as _coerce_dtype, get_compute_dtype
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "no_grad"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -70,11 +70,6 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = prev
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations in this thread record onto the autograd tape."""
-    return _grad_mode.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -577,19 +572,3 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         return vjp
 
     return Tensor._from_op(out, tensors, [make_vjp(i) for i in range(len(tensors))], "stack")
-
-
-def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Differentiable ``np.where`` with a boolean ndarray condition."""
-    a, b = as_tensor(a), as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out = np.where(cond, a.data, b.data)
-    return Tensor._from_op(
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g * cond, a.data.shape),
-            lambda g: _unbroadcast(g * ~cond, b.data.shape),
-        ),
-        "where",
-    )

@@ -16,16 +16,15 @@ subsystem on, so the default-path overhead is a single flag check.
 
 ``python -m repro profile`` (see :mod:`repro.obs.profile`) runs a small
 end-to-end workload under :class:`capture` and prints the phase-time
-breakdown; :mod:`repro.obs.export` serializes any registry to JSON/CSV.
+breakdown; :mod:`repro.obs.export` serializes any registry to CSV.
 """
 
 from repro.obs.callbacks import (
     ConsoleLogger,
-    MetricsCallback,
     TrainingCallback,
     TrainingLogger,
 )
-from repro.obs.export import load_csv, load_json, to_csv, to_json, write_csv, write_json
+from repro.obs.export import to_csv, write_csv
 from repro.obs.registry import (
     HISTOGRAM_RELATIVE_ERROR,
     HistogramSummary,
@@ -58,14 +57,9 @@ __all__ = [
     "gauge",
     "merge",
     "capture",
-    "to_json",
-    "write_json",
-    "load_json",
     "to_csv",
     "write_csv",
-    "load_csv",
     "TrainingLogger",
     "TrainingCallback",
     "ConsoleLogger",
-    "MetricsCallback",
 ]

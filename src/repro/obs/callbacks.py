@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.obs.registry import get_registry
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -34,7 +33,7 @@ except ImportError:  # pragma: no cover - py<3.8 fallback never hit (>=3.9)
         return cls
 
 
-__all__ = ["TrainingLogger", "TrainingCallback", "ConsoleLogger", "MetricsCallback"]
+__all__ = ["TrainingLogger", "TrainingCallback", "ConsoleLogger"]
 
 
 @runtime_checkable
@@ -88,36 +87,3 @@ class ConsoleLogger(TrainingCallback):
                 f"done: best epoch {result.best_epoch + 1} "
                 f"auc={result.eval_auc[result.best_epoch]:.4f}"
             )
-
-
-class MetricsCallback(TrainingCallback):
-    """Mirror per-epoch traces into a :class:`MetricsRegistry`.
-
-    Writes ``train.loss`` / ``train.eval_auc`` gauges (latest value),
-    histogram observations of both, and a ``train.epochs`` counter —
-    making training progress visible to the same exporters as the phase
-    timers. Uses the process-global registry unless one is given.
-    """
-
-    def __init__(self, registry=None, prefix: str = "train") -> None:
-        self._registry = registry
-        self._prefix = prefix
-
-    def _reg(self):
-        return self._registry if self._registry is not None else get_registry()
-
-    def on_epoch_end(self, epoch: int, result: "TrainResult") -> None:
-        reg = self._reg()
-        p = self._prefix
-        reg.count(f"{p}.epochs")
-        if result.losses:
-            reg.gauge(f"{p}.loss", result.losses[-1])
-            reg.observe(f"{p}.loss", result.losses[-1])
-        if result.eval_auc:
-            reg.gauge(f"{p}.eval_auc", result.eval_auc[-1])
-            reg.observe(f"{p}.eval_auc", result.eval_auc[-1])
-
-    def on_train_end(self, result: "TrainResult") -> None:
-        reg = self._reg()
-        if result.best_epoch is not None:
-            reg.gauge(f"{self._prefix}.best_epoch", result.best_epoch)

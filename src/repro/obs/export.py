@@ -1,34 +1,21 @@
-"""Exporters for :class:`~repro.obs.MetricsRegistry` snapshots.
+"""CSV export of :class:`~repro.obs.MetricsRegistry` snapshots.
 
-Two formats, both dependency-free and round-trippable:
-
-- **JSON** — the snapshot dict verbatim; the format the profile CLI
-  prints and dashboards ingest.
-- **CSV** — one long-format row per scalar
-  (``kind,name,field,value``); the format spreadsheet-side analysis of
-  benchmark sweeps wants.
-
-``load_json``/``load_csv`` invert their writers exactly (floats survive
-via ``repr`` round-tripping), which the exporter tests assert.
+One long-format row per scalar (``kind,name,field,value``), the format
+spreadsheet-side analysis of benchmark sweeps wants; ``python -m repro
+profile --csv`` writes it. Values are written with ``repr``, so floats
+survive a parse back exactly, which the exporter tests assert. (The
+JSON form is the snapshot dict itself: ``json.dumps(reg.snapshot())``.)
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Any, Dict, Union
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = [
-    "to_json",
-    "write_json",
-    "load_json",
-    "to_csv",
-    "write_csv",
-    "load_csv",
-]
+__all__ = ["to_csv", "write_csv"]
 
 Snapshot = Dict[str, Any]
 
@@ -37,30 +24,6 @@ def _as_snapshot(source: Union[MetricsRegistry, Snapshot]) -> Snapshot:
     if isinstance(source, MetricsRegistry):
         return source.snapshot()
     return source
-
-
-def to_json(source: Union[MetricsRegistry, Snapshot], *, indent: int = 2) -> str:
-    """Serialize a registry (or snapshot dict) to a JSON string."""
-    return json.dumps(_as_snapshot(source), indent=indent, sort_keys=True)
-
-
-def write_json(source: Union[MetricsRegistry, Snapshot], path: str, *, indent: int = 2) -> None:
-    """Write the JSON export to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(source, indent=indent))
-        fh.write("\n")
-
-
-def load_json(text_or_path: str) -> Snapshot:
-    """Parse a JSON export back into a snapshot dict.
-
-    Accepts either the JSON text itself or a path to a file written by
-    :func:`write_json`.
-    """
-    if text_or_path.lstrip().startswith("{"):
-        return json.loads(text_or_path)
-    with open(text_or_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 _CSV_HEADER = ("kind", "name", "field", "value")
@@ -89,37 +52,3 @@ def write_csv(source: Union[MetricsRegistry, Snapshot], path: str) -> None:
     """Write the CSV export to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_csv(source))
-
-
-def _parse_value(text: str) -> Union[int, float]:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def load_csv(text_or_path: str) -> Snapshot:
-    """Parse a CSV export back into a snapshot dict (inverse of to_csv)."""
-    if "\n" in text_or_path or "," in text_or_path:
-        text = text_or_path
-    else:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    snap: Snapshot = {"counters": {}, "gauges": {}, "histograms": {}, "phases": {}}
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is not None and tuple(header) != _CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {header!r}")
-    for kind, name, field, value in reader:
-        parsed = _parse_value(value)
-        if kind == "counter":
-            snap["counters"][name] = parsed
-        elif kind == "gauge":
-            snap["gauges"][name] = parsed
-        elif kind == "histogram":
-            snap["histograms"].setdefault(name, {})[field] = parsed
-        elif kind == "phase":
-            snap["phases"].setdefault(name, {})[field] = parsed
-        else:
-            raise ValueError(f"unknown row kind {kind!r}")
-    return snap

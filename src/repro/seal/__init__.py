@@ -12,22 +12,19 @@ from repro.seal.dataset import (
     train_test_split_indices,
 )
 from repro.seal.cross_validation import (
-    CrossValidationResult,
     CVResult,
     cross_validate,
     kfold_indices,
 )
 from repro.seal.evaluator import EvalResult, evaluate, predict_proba
 from repro.seal.results import TrainResult
-from repro.seal.tasks import make_link_classification_task, make_link_prediction_task
+from repro.seal.tasks import make_link_prediction_task
 from repro.seal.features import (
     FeatureConfig,
     assemble_node_features,
-    build_node_features,
 )
 from repro.seal.labeling import (
     DEFAULT_MAX_LABEL,
-    drnl_labels,
     drnl_labels_from_distances,
     drnl_one_hot,
     drnl_value,
@@ -35,7 +32,6 @@ from repro.seal.labeling import (
 from repro.seal.trainer import (
     NonFiniteLossError,
     TrainConfig,
-    TrainHistory,
     train,
 )
 from repro.seal.checkpoint import (
@@ -53,15 +49,12 @@ __all__ = [
     "train_test_split_indices",
     "sample_negative_pairs",
     "FeatureConfig",
-    "build_node_features",
     "assemble_node_features",
     "drnl_value",
-    "drnl_labels",
     "drnl_labels_from_distances",
     "drnl_one_hot",
     "DEFAULT_MAX_LABEL",
     "TrainConfig",
-    "TrainHistory",
     "TrainResult",
     "train",
     "NonFiniteLossError",
@@ -76,7 +69,5 @@ __all__ = [
     "kfold_indices",
     "cross_validate",
     "CVResult",
-    "CrossValidationResult",
     "make_link_prediction_task",
-    "make_link_classification_task",
 ]

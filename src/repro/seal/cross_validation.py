@@ -29,13 +29,13 @@ from repro.nn.module import Module
 from repro.seal.checkpoint import CheckpointConfig
 from repro.seal.dataset import SEALDataset
 from repro.seal.evaluator import EvalResult, evaluate
-from repro.seal.results import CrossValidationResult, CVResult
+from repro.seal.results import CVResult
 from repro.seal.trainer import TrainConfig, train
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, derive, ensure_rng
 from repro.utils.serialization import to_jsonable
 
-__all__ = ["kfold_indices", "CVResult", "CrossValidationResult", "cross_validate"]
+__all__ = ["kfold_indices", "CVResult", "cross_validate"]
 
 logger = get_logger("seal.cv")
 

@@ -19,11 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.subgraph import EnclosingSubgraph
 from repro.nn.functional import one_hot
-from repro.seal.labeling import DEFAULT_MAX_LABEL, drnl_labels, drnl_one_hot
+from repro.seal.labeling import DEFAULT_MAX_LABEL, drnl_one_hot
 
-__all__ = ["FeatureConfig", "build_node_features", "assemble_node_features"]
+__all__ = ["FeatureConfig", "assemble_node_features"]
 
 
 @dataclass
@@ -54,7 +53,7 @@ class FeatureConfig:
 
     @property
     def width(self) -> int:
-        """Total feature width produced by :func:`build_node_features`."""
+        """Total feature width produced by :func:`assemble_node_features`."""
         w = 0
         if self.num_node_types > 0:
             w += self.num_node_types
@@ -78,11 +77,10 @@ def assemble_node_features(
 ) -> np.ndarray:
     """Concatenate the configured feature blocks for a set of node rows.
 
-    The shared low-level assembly behind :func:`build_node_features` (one
-    subgraph) and the bulk extraction path (every subgraph of a batch in
-    one call — the rows of a packed batch concatenate the same way a
-    single subgraph's do). ``drnl`` holds precomputed DRNL labels and may
-    be ``None`` when ``config.use_drnl`` is off.
+    The bulk extraction path assembles every subgraph of a batch in one
+    call: the rows of a packed batch concatenate the same way a single
+    subgraph's do. ``drnl`` holds precomputed DRNL labels and may be
+    ``None`` when ``config.use_drnl`` is off.
     """
     blocks = []
     if config.num_node_types > 0:
@@ -102,15 +100,3 @@ def assemble_node_features(
     if config.embeddings is not None:
         blocks.append(config.embeddings[node_map])
     return np.concatenate(blocks, axis=1)
-
-
-def build_node_features(sub: EnclosingSubgraph, config: FeatureConfig) -> np.ndarray:
-    """Assemble the ``(n, width)`` node attribute matrix for one subgraph."""
-    g = sub.graph
-    return assemble_node_features(
-        config,
-        node_type=g.node_type,
-        drnl=drnl_labels(sub) if config.use_drnl else None,
-        node_features=g.node_features,
-        node_map=sub.node_map,
-    )

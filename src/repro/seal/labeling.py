@@ -23,14 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.structure import Graph
-from repro.graph.subgraph import EnclosingSubgraph
-from repro.graph.traversal import bfs_distances
 from repro.nn.functional import one_hot
 
 __all__ = [
     "drnl_value",
-    "drnl_labels",
     "drnl_labels_from_distances",
     "drnl_one_hot",
     "DEFAULT_MAX_LABEL",
@@ -60,16 +56,6 @@ def drnl_value(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 1 + np.minimum(x, y) + half * (half + d % 2 - 1)
 
 
-def _distances_without(graph: Graph, source: int, removed: int) -> np.ndarray:
-    """BFS distances from ``source`` with node ``removed`` cut out.
-
-    ``blocked_node`` skips the node during traversal directly — this used
-    to build a pruned ``Graph`` copy (edge mask + fresh CSR) per call,
-    twice per link, just to drop one node's arcs.
-    """
-    return bfs_distances(graph, source, blocked_node=removed)
-
-
 def drnl_labels_from_distances(
     dist_a: np.ndarray, dist_b: np.ndarray, src, dst
 ) -> np.ndarray:
@@ -87,18 +73,6 @@ def drnl_labels_from_distances(
     labels[src] = 1
     labels[dst] = 1
     return labels
-
-
-def drnl_labels(sub: EnclosingSubgraph) -> np.ndarray:
-    """DRNL label of every node in an enclosing subgraph.
-
-    Target nodes get label 1; nodes unreachable from *either* target get
-    the null label 0; all other nodes get ``D(x, y)``.
-    """
-    g = sub.graph
-    dist_a = _distances_without(g, sub.src, sub.dst)
-    dist_b = _distances_without(g, sub.dst, sub.src)
-    return drnl_labels_from_distances(dist_a, dist_b, sub.src, sub.dst)
 
 
 def drnl_one_hot(labels: np.ndarray, max_label: int = DEFAULT_MAX_LABEL) -> np.ndarray:

@@ -17,9 +17,7 @@ import numpy as np
 __all__ = [
     "EvalResult",
     "CVResult",
-    "CrossValidationResult",
     "TrainResult",
-    "TrainHistory",
 ]
 
 
@@ -81,10 +79,6 @@ class CVResult:
         return out
 
 
-#: Legacy name for :class:`CVResult` (pre-redesign spelling).
-CrossValidationResult = CVResult
-
-
 @dataclass
 class TrainResult:
     """Per-epoch traces and phase wall-times collected during training.
@@ -140,7 +134,3 @@ class TrainResult:
         if self.resumed_from_epoch is not None:
             out["resumed_from_epoch"] = self.resumed_from_epoch
         return out
-
-
-#: Legacy name for :class:`TrainResult` (pre-redesign spelling).
-TrainHistory = TrainResult

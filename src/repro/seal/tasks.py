@@ -4,16 +4,15 @@ The dataset loaders in :mod:`repro.datasets` build the paper's four
 benchmarks; this module is the general-purpose entry point for users
 bringing their own graphs:
 
-* :func:`make_link_prediction_task` — binary existence task (positives
-  sampled from real edges, negatives from non-edges), the classic SEAL
-  setting;
-* :func:`make_link_classification_task` — classify labeled pairs the
-  caller supplies (the paper's generalized setting).
+:func:`make_link_prediction_task` builds a binary existence task
+(positives sampled from real edges, negatives from non-edges), the
+classic SEAL setting. Labeled pairs the caller already has go straight
+into a :class:`~repro.seal.dataset.LinkTask`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from repro.seal.dataset import LinkTask, sample_negative_pairs
 from repro.seal.features import FeatureConfig
 from repro.utils.rng import RngLike, derive, ensure_rng
 
-__all__ = ["make_link_prediction_task", "make_link_classification_task"]
+__all__ = ["make_link_prediction_task"]
 
 
 def _default_features(graph: Graph) -> FeatureConfig:
@@ -79,36 +78,6 @@ def make_link_prediction_task(
         num_classes=2,
         feature_config=feature_config or _default_features(graph),
         class_names=["no-link", "link"],
-        name=name,
-        subgraph_mode=subgraph_mode,
-        num_hops=num_hops,
-        max_subgraph_nodes=max_subgraph_nodes,
-        edge_attr_dim=(graph.edge_attr.shape[1] if use_edge_attrs and graph.edge_attr is not None else 0),
-    )
-
-
-def make_link_classification_task(
-    graph: Graph,
-    pairs: np.ndarray,
-    labels: np.ndarray,
-    num_classes: int,
-    *,
-    class_names: Optional[Sequence[str]] = None,
-    feature_config: Optional[FeatureConfig] = None,
-    use_edge_attrs: bool = True,
-    num_hops: int = 2,
-    subgraph_mode: str = "union",
-    max_subgraph_nodes: Optional[int] = 100,
-    name: str = "link-classification",
-) -> LinkTask:
-    """Wrap caller-supplied labeled pairs into a :class:`LinkTask`."""
-    return LinkTask(
-        graph=graph,
-        pairs=pairs,
-        labels=labels,
-        num_classes=num_classes,
-        feature_config=feature_config or _default_features(graph),
-        class_names=list(class_names) if class_names else [],
         name=name,
         subgraph_mode=subgraph_mode,
         num_hops=num_hops,

@@ -54,7 +54,6 @@ import numpy as np
 
 from repro import obs
 from repro.data.loader import DataLoader
-from repro.data.samplers import Sampler
 from repro.nn.dtype import FLOAT64, cast_module, compute_dtype, resolve_dtype
 from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
@@ -71,7 +70,7 @@ from repro.seal.checkpoint import (
 )
 from repro.seal.dataset import SEALDataset
 from repro.seal.evaluator import EvalResult, evaluate
-from repro.seal.results import TrainHistory, TrainResult
+from repro.seal.results import TrainResult
 from repro.utils.logging import get_logger
 from repro.utils.rng import (
     RngLike,
@@ -83,7 +82,6 @@ from repro.utils.timing import Stopwatch
 
 __all__ = [
     "TrainConfig",
-    "TrainHistory",
     "TrainResult",
     "NonFiniteLossError",
     "GradientStep",
@@ -149,8 +147,12 @@ class GradientStep:
     #: checkpoint that recorded another value logs a warning
     checkpoint_tags: Dict[str, object] = {}
 
-    def start(self, train_indices: np.ndarray, sampler, shuffle_rng, start_epoch: int) -> None:
-        """Prepare to train ``train_indices`` in ``shuffle_rng``'s order from ``start_epoch``."""
+    def start(self, train_indices: np.ndarray, shuffle_rng, start_epoch: int) -> None:
+        """Prepare to train ``train_indices`` in ``shuffle_rng``'s order from ``start_epoch``.
+
+        Each epoch's batches are :func:`~repro.data.loader.epoch_batches`
+        of ``train_indices`` under ``shuffle_rng``.
+        """
         raise NotImplementedError
 
     def batches(self) -> Iterable:
@@ -185,14 +187,9 @@ class _LocalStep(GradientStep):
         self.loader: Optional[DataLoader] = None
         self.loss = None
 
-    def start(self, train_indices, sampler, shuffle_rng, start_epoch) -> None:
+    def start(self, train_indices, shuffle_rng, start_epoch) -> None:
         self.loader = DataLoader(
-            self.dataset,
-            train_indices,
-            self.config.batch_size,
-            sampler=sampler,
-            shuffle=True,
-            rng=shuffle_rng,
+            self.dataset, train_indices, self.config.batch_size, rng=shuffle_rng
         )
 
     def batches(self) -> Iterable:
@@ -215,18 +212,14 @@ class _LocalStep(GradientStep):
         return loss_val
 
 
-def _training_generators(model: Module, sampler, shuffle_rng) -> Dict[str, object]:
+def _training_generators(model: Module, shuffle_rng) -> Dict[str, object]:
     """Every RNG stream a resumed run must rewind, keyed stably.
 
-    ``shuffle`` is the trainer-derived batch-order stream; a custom
-    sampler's own generator registers as ``sampler``; dropout layers (any
-    module holding a ``_rng`` generator) register by module position so
-    stochastic regularization also replays bit-identically.
+    ``shuffle`` is the trainer-derived batch-order stream; dropout layers
+    (any module holding a ``_rng`` generator) register by module position
+    so stochastic regularization also replays bit-identically.
     """
     gens: Dict[str, object] = {"shuffle": shuffle_rng}
-    sampler_gen = getattr(sampler, "_gen", None) if sampler is not None else None
-    if isinstance(sampler_gen, np.random.Generator):
-        gens["sampler"] = sampler_gen
     for i, mod in enumerate(model.modules()):
         mod_gen = getattr(mod, "_rng", None)
         if isinstance(mod_gen, np.random.Generator):
@@ -242,7 +235,6 @@ def train(
     *,
     eval_indices: Optional[Sequence[int]] = None,
     rng: RngLike = 0,
-    sampler: Optional[Sampler] = None,
     callbacks: Optional[Iterable[TrainingLogger]] = None,
     verbose: Union[bool, None] = None,
     checkpoint: Optional[CheckpointConfig] = None,
@@ -258,11 +250,10 @@ def train(
     eval_indices: when given, run held-out evaluation after every epoch
         (feeds the epoch-sweep figures).
     rng: shuffling stream (training is deterministic given model init,
-        data and this seed).
-    sampler: explicit :class:`~repro.data.Sampler` controlling batch
-        composition (e.g. :class:`~repro.data.StratifiedBatchSampler`
-        for skewed label distributions); overrides the default shuffled
-        sampling over ``train_indices``.
+        data and this seed). Every epoch serves a fresh permutation of
+        ``train_indices`` in ``config.batch_size`` chunks
+        (:func:`~repro.data.loader.epoch_batches`), the paper's shuffled
+        mini-batches.
     callbacks: :class:`~repro.obs.TrainingLogger` implementations driven
         at train begin / epoch end / train end — loggers, metric sinks,
         tuner pruners.
@@ -292,7 +283,6 @@ def train(
         _LocalStep(model, dataset, config),
         eval_indices=eval_indices,
         rng=rng,
-        sampler=sampler,
         callbacks=callbacks,
         verbose=verbose,
         checkpoint=checkpoint,
@@ -308,7 +298,6 @@ def train_with_step(
     *,
     eval_indices: Optional[Sequence[int]] = None,
     rng: RngLike = 0,
-    sampler: Optional[Sampler] = None,
     callbacks: Optional[Iterable[TrainingLogger]] = None,
     verbose: Union[bool, None] = None,
     checkpoint: Optional[CheckpointConfig] = None,
@@ -326,7 +315,7 @@ def train_with_step(
     with compute_dtype(policy):
         return _train_loop(
             model, dataset, train_indices, config, step,
-            eval_indices, rng, sampler, callbacks, verbose, checkpoint,
+            eval_indices, rng, callbacks, verbose, checkpoint,
         )
 
 
@@ -338,7 +327,6 @@ def _train_loop(
     step: GradientStep,
     eval_indices: Optional[Sequence[int]],
     rng: RngLike,
-    sampler: Optional[Sampler],
     callbacks: Optional[Iterable[TrainingLogger]],
     verbose: Union[bool, None],
     checkpoint: Optional[CheckpointConfig],
@@ -371,7 +359,7 @@ def _train_loop(
         # after utils.logging.set_verbosity("INFO"), silent otherwise).
         cbs.append(ConsoleLogger())
     shuffle_rng = derive(rng, "shuffle")
-    gens = _training_generators(model, sampler, shuffle_rng)
+    gens = _training_generators(model, shuffle_rng)
     result = TrainResult()
     watch = Stopwatch()
     best_state = None
@@ -438,7 +426,7 @@ def _train_loop(
     max_norm = config.grad_clip if config.grad_clip is not None else np.inf
     try:
         if epochs:
-            step.start(train_indices, sampler, shuffle_rng, start_epoch)
+            step.start(train_indices, shuffle_rng, start_epoch)
         for epoch in epochs:
             epoch_losses: list = []
             epoch_start = watch.totals["epoch"]

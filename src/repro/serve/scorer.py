@@ -318,7 +318,7 @@ class LinkScorer:
     def warm(self, pairs) -> int:
         """Pre-extract the enclosing subgraphs of ``pairs`` into the store.
 
-        The deployment-side counterpart of ``DataLoader.warm``: run at
+        The deployment-side counterpart of :func:`repro.data.warm`: run at
         start-up (e.g. over the expected hot pairs) so first requests
         skip extraction — the usual pattern for an mmap-served graph,
         where the process boots instantly and warming is the only cold

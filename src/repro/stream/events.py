@@ -19,7 +19,7 @@ import numpy as np
 from repro import obs
 from repro.graph.structure import Graph
 from repro.nn.dtype import FLOAT64
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = [
     "ADD_EDGE",
@@ -169,7 +169,7 @@ def generate_events(
         raise ValueError("num_events must be non-negative")
     if not 0.0 <= add_fraction <= 1.0:
         raise ValueError("add_fraction must be in [0, 1]")
-    gen = as_generator(rng)
+    gen = ensure_rng(rng)
     n = graph.num_nodes
     if n < 2:
         raise ValueError("graph needs at least 2 nodes to stream events")

@@ -1,6 +1,6 @@
 """Hyperparameter auto-tuning: GP-EI Bayesian optimization (DeepHyper stand-in)."""
 
-from repro.tuning.acquisition import expected_improvement, upper_confidence_bound
+from repro.tuning.acquisition import expected_improvement
 from repro.tuning.cbo import CBOTuner, Trial, TuneResult, execute_trial
 from repro.tuning.evaluators import make_seal_evaluator
 from repro.tuning.gp import GaussianProcess, matern52_kernel, rbf_kernel
@@ -23,7 +23,6 @@ __all__ = [
     "rbf_kernel",
     "matern52_kernel",
     "expected_improvement",
-    "upper_confidence_bound",
     "CBOTuner",
     "Trial",
     "TuneResult",

@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.dtype import FLOAT64
 from scipy.stats import norm
 
-__all__ = ["expected_improvement", "upper_confidence_bound"]
+__all__ = ["expected_improvement"]
 
 
 def expected_improvement(
@@ -27,8 +27,3 @@ def expected_improvement(
         z = np.where(std > 0, improve / std, 0.0)
     ei = improve * norm.cdf(z) + std * norm.pdf(z)
     return np.where(std > 1e-12, np.maximum(ei, 0.0), 0.0)
-
-
-def upper_confidence_bound(mean: np.ndarray, std: np.ndarray, kappa: float = 1.96) -> np.ndarray:
-    """UCB: ``mean + kappa · std``."""
-    return np.asarray(mean) + kappa * np.asarray(std)

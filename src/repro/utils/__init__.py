@@ -1,7 +1,7 @@
 """Shared infrastructure: RNG plumbing, logging, timing, serialization."""
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.rng import RngLike, as_generator, derive, ensure_rng, spawn
+from repro.utils.rng import RngLike, derive, ensure_rng
 from repro.utils.serialization import (
     load_arrays,
     load_json,
@@ -14,9 +14,7 @@ from repro.utils.timing import Stopwatch, Timer
 __all__ = [
     "RngLike",
     "ensure_rng",
-    "as_generator",
     "derive",
-    "spawn",
     "get_logger",
     "set_verbosity",
     "Timer",

@@ -9,7 +9,7 @@ a single integer and sub-components can derive independent child streams.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
@@ -18,8 +18,6 @@ RngLike = Union[None, int, np.random.Generator]
 __all__ = [
     "RngLike",
     "ensure_rng",
-    "as_generator",
-    "spawn",
     "derive",
     "generator_state",
     "restore_generator_state",
@@ -48,35 +46,15 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     raise TypeError(f"cannot build a Generator from {type(rng).__name__}")
 
 
-#: Legacy name for :func:`ensure_rng`, kept for call sites predating the
-#: unification; new code should spell it ``ensure_rng``.
-as_generator = ensure_rng
-
-
-def spawn(rng: RngLike, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` statistically independent child generators.
-
-    Children are derived through :class:`numpy.random.SeedSequence` spawning,
-    so two children never share a stream even when the parent is reused.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    gen = as_generator(rng)
-    seq = gen.bit_generator.seed_seq
-    if seq is None:  # pragma: no cover - exotic bit generators only
-        seq = np.random.SeedSequence(int(gen.integers(0, 2**63)))
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
-
-
 def derive(rng: RngLike, *tags: str) -> np.random.Generator:
     """Derive a child generator keyed by string tags.
 
-    Unlike :func:`spawn`, the result depends only on the seed *material*
-    and the tags, so ``derive(7, "train")`` is identical across calls and
-    across processes. Useful when a pipeline needs stable named sub-streams
+    The result depends only on the seed *material* and the tags, so
+    ``derive(7, "train")`` is identical across calls and across
+    processes. Useful when a pipeline needs stable named sub-streams
     (link sampling, weight init, shuffling) from one experiment seed.
     """
-    gen = as_generator(rng)
+    gen = ensure_rng(rng)
     seq = gen.bit_generator.seed_seq
     if seq is not None and seq.entropy is not None:
         entropy = seq.entropy

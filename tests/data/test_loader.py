@@ -1,10 +1,11 @@
-"""DataLoader: warm, collate-from-store, plan cache, samplers."""
+"""DataLoader: batch order, warm, collate-from-store, plan cache."""
 
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, StratifiedBatchSampler, collate_from_store, warm
+from repro.data import DataLoader, collate_from_store, epoch_batches, warm
 from repro.datasets.primekg import load_primekg_like
+from repro.distributed import partition_graph, shard_task
 from repro.graph.batch import collate
 from repro.seal.dataset import SEALDataset
 
@@ -46,9 +47,10 @@ class TestWarm:
         assert ds.cache_info().size == task.num_links
 
     def test_warm_does_not_consume_shuffle_stream(self, task):
-        plain = DataLoader(fresh_dataset(task), batch_size=8, shuffle=True, rng=11)
-        warmed = DataLoader(fresh_dataset(task), batch_size=8, shuffle=True, rng=11)
-        warmed.warm()
+        plain = DataLoader(fresh_dataset(task), batch_size=8, rng=np.random.default_rng(11))
+        ds = fresh_dataset(task)
+        warm(ds)
+        warmed = DataLoader(ds, batch_size=8, rng=np.random.default_rng(11))
         assert_streams_equal(batch_stream(plain), batch_stream(warmed))
 
 
@@ -106,14 +108,84 @@ class TestCollateFromStore:
         assert ds.store.cache_info().plans == 0
 
 
-class TestStratifiedLoader:
-    def test_stratified_sampler_drives_loader(self, task):
-        ds = fresh_dataset(task)
-        sampler = StratifiedBatchSampler(
-            np.arange(task.num_links), task.labels, 8, rng=0
-        )
-        served = []
-        for batch, labels in DataLoader(ds, sampler=sampler):
-            served.extend(labels.tolist())
-            assert batch.num_graphs == len(labels)
-        assert len(served) == task.num_links
+class TestEpochBatches:
+    def test_preserves_order_without_generator(self):
+        idx = np.array([5, 3, 9, 1, 7])
+        batches = epoch_batches(idx, 2)
+        np.testing.assert_array_equal(np.concatenate(batches), idx)
+        assert [len(b) for b in batches] == [2, 2, 1]
+
+    def test_batch_count(self):
+        assert len(epoch_batches(np.arange(10), 3)) == 4
+        assert len(epoch_batches(np.arange(9), 3, np.random.default_rng(0))) == 3
+
+    def test_invalid_batch_size(self, task):
+        with pytest.raises(ValueError):
+            DataLoader(fresh_dataset(task), np.arange(5), 0)
+
+    def test_covers_all_exactly_once(self):
+        served = np.concatenate(epoch_batches(np.arange(20), 6, np.random.default_rng(0)))
+        assert sorted(served.tolist()) == list(range(20))
+
+    def test_deterministic_given_seed(self):
+        a = [b.tolist() for b in epoch_batches(np.arange(20), 7, np.random.default_rng(3))]
+        b = [b.tolist() for b in epoch_batches(np.arange(20), 7, np.random.default_rng(3))]
+        assert a == b
+
+    def test_epochs_differ_but_replay(self):
+        g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
+        epochs1 = [np.concatenate(epoch_batches(np.arange(30), 10, g1)).tolist() for _ in range(3)]
+        epochs2 = [np.concatenate(epoch_batches(np.arange(30), 10, g2)).tolist() for _ in range(3)]
+        assert epochs1 == epochs2  # one stream, replayable from the seed
+        assert epochs1[0] != epochs1[1]  # but consecutive epochs differ
+
+    def test_loader_serves_epoch_batches(self, task):
+        idx = np.arange(task.num_links)
+        loader = DataLoader(fresh_dataset(task), idx, 8, rng=np.random.default_rng(4))
+        reference = np.random.default_rng(4)
+        for _ in range(2):  # each pass draws the next permutation
+            expect = epoch_batches(idx, 8, reference)
+            served = list(loader)
+            assert len(served) == len(expect)
+            for (graphs, labels), batch_idx in zip(served, expect):
+                np.testing.assert_array_equal(labels, task.labels[batch_idx])
+                assert graphs.num_graphs == len(batch_idx)
+
+    def test_shards_partition_every_global_batch(self):
+        # The data-parallel step's grouping: each shard keeps the links of
+        # the global batch it owns, in batch order.
+        indices = np.arange(100)
+        owners = np.random.default_rng(0).integers(0, 3, size=100)
+        masks = [owners == k for k in range(3)]
+        for batch in epoch_batches(indices, 16, np.random.default_rng(7)):
+            pieces = [batch[mask[batch]] for mask in masks]
+            # Concatenating in shard order covers the batch exactly...
+            np.testing.assert_array_equal(
+                np.sort(np.concatenate(pieces)), np.sort(batch)
+            )
+            # ...and each piece preserves the batch's internal order.
+            for piece in pieces:
+                pos = [int(np.flatnonzero(batch == i)[0]) for i in piece]
+                assert pos == sorted(pos)
+
+    def test_shard_local_dataset_extracts_the_same_bytes(self, task):
+        part = partition_graph(task, 2, method="hash", seed=11)
+        shard = part.shards[0]
+        assert shard.owned_links.size  # sanity: the shard actually owns links
+        local = SEALDataset(shard_task(task, shard), rng=0)
+        full = SEALDataset(task, rng=0)
+        mask = np.zeros(task.num_links, dtype=bool)
+        mask[shard.owned_links] = True
+        served = 0
+        for batch in epoch_batches(np.arange(task.num_links), 16, np.random.default_rng(5)):
+            mine = batch[mask[batch]]
+            if not mine.size:
+                continue
+            local.ensure_many(mine)
+            full.ensure_many(mine)
+            for i in mine:
+                a, b = local.store.get(int(i)), full.store.get(int(i))
+                np.testing.assert_array_equal(a.features, b.features)
+                np.testing.assert_array_equal(a.edge_index, b.edge_index)
+            served += mine.size
+        assert served == shard.owned_links.size

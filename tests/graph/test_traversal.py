@@ -11,9 +11,8 @@ from repro.graph.structure import Graph
 from repro.graph.traversal import (
     _take_ragged,
     bfs_distances,
-    k_hop_nodes,
+    k_hop_union,
     multi_source_bfs,
-    pairwise_distance,
 )
 
 
@@ -145,7 +144,7 @@ class TestMultiSourceBFS:
             )
             lo, hi = np.searchsorted(keys, [row * 50, (row + 1) * 50])
             np.testing.assert_array_equal(
-                keys[lo:hi] - row * 50, k_hop_nodes(g, int(src), max_depth or 50)
+                keys[lo:hi] - row * 50, k_hop_union(g, [int(src)], max_depth or 50)
             )
 
     def test_blocked_per_row(self, tiny_graph):
@@ -180,31 +179,35 @@ class TestMultiSourceBFS:
 
 
 class TestKHop:
+    """``k_hop_union`` from a single source: that source's k-hop ball."""
+
     def test_k_zero_is_self(self, path_graph):
-        np.testing.assert_array_equal(k_hop_nodes(path_graph, 2, 0), [2])
+        np.testing.assert_array_equal(k_hop_union(path_graph, [2], 0), [2])
 
     def test_k_two_on_path(self, path_graph):
-        np.testing.assert_array_equal(k_hop_nodes(path_graph, 0, 2), [0, 1, 2])
+        np.testing.assert_array_equal(k_hop_union(path_graph, [0], 2), [0, 1, 2])
 
     def test_negative_k(self, path_graph):
         with pytest.raises(ValueError):
-            k_hop_nodes(path_graph, 0, -1)
+            k_hop_union(path_graph, [0], -1)
 
     @given(st.integers(0, 4), st.integers(1, 4))
     @settings(max_examples=15, deadline=None)
     def test_monotone_in_k(self, source, k):
         edges = erdos_renyi_edges(20, 0.12, rng=3)
         g = Graph.from_undirected(20, edges)
-        smaller = set(k_hop_nodes(g, source, k).tolist())
-        larger = set(k_hop_nodes(g, source, k + 1).tolist())
+        smaller = set(k_hop_union(g, [source], k).tolist())
+        larger = set(k_hop_union(g, [source], k + 1).tolist())
         assert smaller <= larger
 
 
 class TestPairwise:
+    """One pair's hop count is one entry of ``bfs_distances``."""
+
     def test_values(self, path_graph):
-        assert pairwise_distance(path_graph, 0, 3) == 3
-        assert pairwise_distance(path_graph, 2, 2) == 0
+        assert bfs_distances(path_graph, 0)[3] == 3
+        assert bfs_distances(path_graph, 2)[2] == 0
 
     def test_unreachable(self):
         g = Graph.from_undirected(3, np.array([[0, 1]]))
-        assert pairwise_distance(g, 0, 2) == -1
+        assert bfs_distances(g, 0)[2] == -1

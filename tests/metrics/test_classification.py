@@ -1,4 +1,4 @@
-"""Thresholded metrics: confusion, precision/recall, the paper's AP."""
+"""Thresholded metrics: confusion, precision, the paper's AP."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from repro.metrics.classification import (
     accuracy,
     average_precision,
-    classification_report,
     confusion_matrix,
-    f1_per_class,
     precision_per_class,
-    recall_per_class,
 )
 
 
@@ -40,23 +37,9 @@ class TestPrecisionRecall:
         p = precision_per_class(Y_TRUE, Y_PRED)
         np.testing.assert_allclose(p, [1 / 2, 2 / 3, 1.0])
 
-    def test_recall_values(self):
-        r = recall_per_class(Y_TRUE, Y_PRED)
-        np.testing.assert_allclose(r, [1 / 2, 1.0, 2 / 3])
-
     def test_never_predicted_class_zero_precision(self):
         p = precision_per_class(np.array([0, 1]), np.array([0, 0]), num_classes=2)
         assert p[1] == 0.0
-
-    def test_f1_harmonic_mean(self):
-        f1 = f1_per_class(Y_TRUE, Y_PRED)
-        p = precision_per_class(Y_TRUE, Y_PRED)
-        r = recall_per_class(Y_TRUE, Y_PRED)
-        np.testing.assert_allclose(f1, 2 * p * r / (p + r))
-
-    def test_f1_zero_when_both_zero(self):
-        f1 = f1_per_class(np.array([0]), np.array([1]), num_classes=3)
-        assert f1[2] == 0.0
 
 
 class TestAveragePrecision:
@@ -86,11 +69,6 @@ class TestAccuracyAndReport:
 
     def test_accuracy_empty(self):
         assert accuracy(np.array([], dtype=int), np.array([], dtype=int)) == 0.0
-
-    def test_report_bundle(self):
-        rep = classification_report(Y_TRUE, Y_PRED)
-        assert set(rep) == {"accuracy", "average_precision", "precision", "recall", "f1", "confusion"}
-        assert rep["accuracy"] == pytest.approx(5 / 7)
 
     @given(st.integers(1, 60))
     @settings(max_examples=25, deadline=None)

@@ -1,16 +1,11 @@
-"""ROC/AUC and PR-curve metrics vs brute force, with property tests."""
+"""AUC metrics vs brute force, with property tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.ranking import (
-    average_precision_curve,
-    multiclass_auc,
-    roc_auc,
-    roc_curve,
-)
+from repro.metrics.ranking import multiclass_auc, roc_auc
 
 
 def brute_force_auc(y, s):
@@ -72,30 +67,6 @@ class TestRocAuc:
         assert roc_auc(y, s) == pytest.approx(1.0 - roc_auc(1 - y, s), abs=1e-12)
 
 
-class TestRocCurve:
-    def test_endpoints(self):
-        fpr, tpr, thr = roc_curve(np.array([0, 1, 1]), np.array([0.1, 0.8, 0.4]))
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-        assert thr[0] == np.inf
-
-    def test_monotone(self):
-        gen = np.random.default_rng(2)
-        y = gen.integers(0, 2, size=50)
-        s = gen.random(50)
-        fpr, tpr, _ = roc_curve(y, s)
-        assert (np.diff(fpr) >= 0).all()
-        assert (np.diff(tpr) >= 0).all()
-
-    def test_trapezoid_area_matches_rank_auc(self):
-        gen = np.random.default_rng(3)
-        y = gen.integers(0, 2, size=60)
-        s = gen.random(60)
-        fpr, tpr, _ = roc_curve(y, s)
-        area = np.trapezoid(tpr, fpr)
-        assert area == pytest.approx(roc_auc(y, s), abs=1e-10)
-
-
 class TestMulticlassAuc:
     def test_macro_average(self):
         y = np.array([0, 0, 1, 1, 2, 2])
@@ -123,26 +94,3 @@ class TestMulticlassAuc:
     def test_uniform_probs_give_half(self):
         y = np.array([0, 1, 2, 0, 1, 2])
         assert multiclass_auc(y, np.ones((6, 3))) == pytest.approx(0.5)
-
-
-class TestAveragePrecisionCurve:
-    def test_perfect(self):
-        assert average_precision_curve(np.array([0, 1, 1]), np.array([0.1, 0.9, 0.8])) == 1.0
-
-    def test_no_positives(self):
-        assert average_precision_curve(np.zeros(3, dtype=int), np.arange(3.0)) == 0.0
-
-    def test_manual_small_case(self):
-        # Ranking: [1, 0, 1]: AP = (1/2)(1/1) + (1/2)(2/3) = 5/6.
-        y = np.array([1, 0, 1])
-        s = np.array([0.9, 0.8, 0.7])
-        assert average_precision_curve(y, s) == pytest.approx(5 / 6)
-
-    @given(st.integers(3, 30))
-    @settings(max_examples=20, deadline=None)
-    def test_bounded(self, n):
-        gen = np.random.default_rng(n)
-        y = gen.integers(0, 2, size=n)
-        s = gen.random(n)
-        ap = average_precision_curve(y, s)
-        assert 0.0 <= ap <= 1.0

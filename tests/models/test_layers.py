@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models.layers import GATConv, GCNConv, add_self_loops
+from repro.models.layers import GATConv, GCNConv
 from tests.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 
@@ -19,22 +19,6 @@ def small_graph():
     ei = np.concatenate([edges.T, edges.T[::-1]], axis=1)
     ea = np.eye(2)[np.array([0, 1, 0, 1, 0, 1, 0, 1])]
     return ei, ea
-
-
-class TestAddSelfLoops:
-    def test_appends_loops(self):
-        ei = np.array([[0, 1], [1, 0]])
-        out, attr = add_self_loops(ei, 3)
-        assert out.shape == (2, 5)
-        np.testing.assert_array_equal(out[:, 2:], [[0, 1, 2], [0, 1, 2]])
-        assert attr is None
-
-    def test_fills_edge_attr(self):
-        ei = np.array([[0], [1]])
-        ea = np.ones((1, 2))
-        out, attr = add_self_loops(ei, 2, ea, fill=0.5)
-        assert attr.shape == (3, 2)
-        np.testing.assert_allclose(attr[1:], 0.5)
 
 
 class TestGCNConv:

@@ -25,11 +25,29 @@ from repro.nn.conv import Conv1d, MaxPool1d
 from tests.gradcheck import gradcheck
 from repro.nn.losses import cross_entropy, nll_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, as_tensor
 
 
 def digest(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
+    """Exponential linear unit (GAT's inter-layer activation).
+
+    The activation between the pinned model's two layers; the library's
+    models do not use it.
+    """
+    x = as_tensor(x)
+    data = x.data
+    mask = data > 0
+    expm1 = alpha * (np.exp(np.minimum(data, 0.0)) - 1.0)
+    out = np.where(mask, data, expm1)
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        return g * np.where(mask, 1.0, expm1 + alpha)
+
+    return Tensor._from_op(out, (x,), (vjp,), "elu")
 
 
 class TestPolicySemantics:
@@ -390,7 +408,7 @@ class TestFloat64BitIdentityPin:
             p.data = rng.standard_normal(p.data.shape) * 0.1
 
         opt = Adam(sorted(params.items()), lr=1e-2)
-        h = F.elu(gat(Tensor(x), edge_index, edge_attr=edge_attr))
+        h = elu(gat(Tensor(x), edge_index, edge_attr=edge_attr))
         out = gcn(h, edge_index)
         loss = cross_entropy(out, labels)
         loss.backward()

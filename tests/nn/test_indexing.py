@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from tests.gradcheck import gradcheck
 from repro.nn.indexing import (
     gather,
-    scatter_add,
-    segment_count,
-    segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
@@ -65,18 +62,8 @@ class TestSegmentSum:
         with pytest.raises(ValueError):
             segment_sum(Tensor(randn(2, 2)), np.array([0]), 3)
 
-    def test_scatter_add_alias(self):
-        x = Tensor(randn(3, 2))
-        idx = np.array([1, 1, 0])
-        np.testing.assert_allclose(
-            scatter_add(x, idx, 2).data, segment_sum(x, idx, 2).data
-        )
-
 
 class TestSegmentMeanMaxCount:
-    def test_count(self):
-        np.testing.assert_allclose(segment_count(np.array([0, 0, 2]), 4), [2, 0, 1, 0])
-
     def test_mean_values(self):
         x = Tensor(np.array([[2.0], [4.0], [10.0]]))
         out = segment_mean(x, np.array([0, 0, 1]), 3)
@@ -86,16 +73,6 @@ class TestSegmentMeanMaxCount:
         x = Tensor(randn(4, 2), requires_grad=True)
         idx = np.array([0, 0, 1, 0])
         gradcheck(lambda a: (segment_mean(a, idx, 2) ** 2).sum(), [x])
-
-    def test_max_values_and_fill(self):
-        x = Tensor(np.array([[1.0], [5.0], [-2.0]]))
-        out = segment_max(x, np.array([0, 0, 2]), 3, fill=-7.0)
-        np.testing.assert_allclose(out.data, [[5.0], [-7.0], [-2.0]])
-
-    def test_max_gradient(self):
-        x = Tensor(randn(5, 2), requires_grad=True)
-        idx = np.array([0, 1, 1, 0, 1])
-        gradcheck(lambda a: (segment_max(a, idx, 2) ** 2).sum(), [x])
 
 
 class TestSegmentSoftmax:

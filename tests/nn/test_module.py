@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.dense import MLP, Dropout, Linear
-from repro.nn.module import Module, ModuleList, Parameter, Sequential
+from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.tensor import Tensor
 
 
@@ -70,7 +70,9 @@ class TestStateDict:
 
 class TestModes:
     def test_train_eval_recursive(self):
-        m = Sequential(Linear(2, 2, rng=0), Dropout(0.5, rng=0))
+        m = Module()
+        m.lin = Linear(2, 2, rng=0)
+        m.drop = Dropout(0.5, rng=0)
         m.eval()
         assert all(not mod.training for mod in m.modules())
         m.train()
@@ -92,13 +94,6 @@ class TestModes:
 
 
 class TestContainers:
-    def test_sequential_applies_in_order(self):
-        s = Sequential(Linear(2, 3, rng=0), Linear(3, 1, rng=1))
-        out = s(Tensor(np.ones((4, 2))))
-        assert out.shape == (4, 1)
-        assert len(s) == 2
-        assert isinstance(s[0], Linear)
-
     def test_module_list(self):
         ml = ModuleList([Linear(2, 2, rng=0)])
         ml.append(Linear(2, 2, rng=1))

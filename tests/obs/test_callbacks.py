@@ -1,10 +1,8 @@
 """TrainingLogger protocol and the stock callback implementations."""
 
 import numpy as np
-import pytest
 
-import repro.obs as obs
-from repro.obs import ConsoleLogger, MetricsCallback, TrainingCallback, TrainingLogger
+from repro.obs import ConsoleLogger, TrainingCallback, TrainingLogger
 from repro.seal.results import TrainResult
 from repro.seal.trainer import TrainConfig
 
@@ -61,26 +59,3 @@ class TestConsoleLogger:
         cb = ConsoleLogger(emit=lines.append)
         cb.on_train_end(make_result())
         assert lines == ["done: best epoch 2 auc=0.8000"]
-
-
-class TestMetricsCallback:
-    def test_records_into_explicit_registry(self):
-        reg = obs.MetricsRegistry()
-        cb = MetricsCallback(registry=reg)
-        cb.on_epoch_end(0, make_result())
-        cb.on_train_end(make_result())
-        assert reg.counters["train.epochs"] == 1.0
-        assert reg.gauges["train.loss"] == 0.5
-        assert reg.gauges["train.eval_auc"] == 0.8
-        assert reg.gauges["train.best_epoch"] == 1
-        assert reg.histograms["train.loss"].count == 1
-
-    def test_defaults_to_global_registry(self):
-        with obs.capture() as reg:
-            MetricsCallback().on_epoch_end(0, make_result())
-        assert reg.counters["train.epochs"] == 1.0
-
-    def test_prefix(self):
-        reg = obs.MetricsRegistry()
-        MetricsCallback(registry=reg, prefix="fold0").on_epoch_end(0, make_result())
-        assert "fold0.loss" in reg.gauges

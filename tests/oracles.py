@@ -6,8 +6,8 @@ SEAL extraction through the batched sweep of :mod:`repro.graph.bulk`.
 The straightforward versions those replaced live here, test-only, as the
 oracles of the bit-identity tests:
 
-* :func:`gather`, :func:`segment_sum`, :func:`segment_mean`,
-  :func:`segment_max` and :func:`segment_softmax` — the ops spelled with
+* :func:`gather`, :func:`segment_sum`, :func:`segment_mean` and
+  :func:`segment_softmax` — the ops spelled with
   unbuffered ``np.add.at`` / ``np.maximum.at`` scatters, forward and
   backward. They take (and ignore) ``plan=`` so they drop in anywhere.
 * :func:`gat_edge_pass` — the GAT edge pass as the op chain
@@ -21,12 +21,15 @@ oracles of the bit-identity tests:
 * :func:`col2im` and :func:`maxpool1d_grad` — the ``np.add.at``
   backward scatters of :class:`repro.nn.conv.Conv1d` and
   :class:`repro.nn.conv.MaxPool1d`.
-* :func:`reference_ops` — swaps the segment ops and :func:`gat_edge_pass`
+* :func:`reference_ops` — swaps the library's segment ops and
+  :func:`gat_edge_pass`
   into every ``repro`` module that imported the library versions, so a
   whole layer, model or training run can be replayed on the reference
   path.
 * :func:`build_packed_sample` — per-link SEAL extraction through
-  :func:`repro.graph.subgraph.extract_enclosing_subgraph`.
+  :func:`repro.graph.subgraph.extract_enclosing_subgraph`, labelled by
+  :func:`drnl_labels` (one BFS pair per subgraph) and featurized by
+  :func:`build_node_features`.
 """
 
 from __future__ import annotations
@@ -39,10 +42,13 @@ import numpy as np
 
 from repro.data.extraction import _link_rng
 from repro.data.store import PackedSubgraph
-from repro.graph.subgraph import extract_enclosing_subgraph
+from repro.graph.structure import Graph
+from repro.graph.subgraph import EnclosingSubgraph, extract_enclosing_subgraph
+from repro.graph.traversal import bfs_distances
 from repro.nn import attention, indexing
 from repro.nn.tensor import Tensor, as_tensor
-from repro.seal.features import build_node_features
+from repro.seal.features import FeatureConfig, assemble_node_features
+from repro.seal.labeling import drnl_labels_from_distances
 
 
 def gather(x, index, *, plan=None) -> Tensor:
@@ -73,26 +79,6 @@ def segment_mean(x, index, num_segments, *, plan=None) -> Tensor:
     counts = np.maximum(np.bincount(index, minlength=num_segments), 1.0)
     counts = counts.reshape((num_segments,) + (1,) * (sums.ndim - 1))
     return sums * Tensor(1.0 / counts)
-
-
-def segment_max(x, index, num_segments, fill=0.0, *, plan=None) -> Tensor:
-    x = as_tensor(x)
-    index = np.asarray(index)
-    data = x.data
-    out = np.full((num_segments,) + data.shape[1:], -np.inf, dtype=data.dtype)
-    np.maximum.at(out, index, data)
-    out[np.bincount(index, minlength=num_segments) == 0] = fill
-    is_max = data == out[index]
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        counts = np.zeros_like(out)
-        np.add.at(counts, index, is_max.astype(data.dtype))
-        denom = np.where(counts[index] > 0, counts[index], 1.0)
-        grad = np.zeros(data.shape, dtype=data.dtype)
-        grad[is_max] = (g[index] / denom)[is_max]
-        return grad
-
-    return Tensor._from_op(out, (x,), (vjp,), "segment_max")
 
 
 def segment_softmax(logits, index, num_segments, *, plan=None) -> Tensor:
@@ -213,7 +199,6 @@ _REFERENCE_OPS = {
         "gather": gather,
         "segment_sum": segment_sum,
         "segment_mean": segment_mean,
-        "segment_max": segment_max,
         "segment_softmax": segment_softmax,
     },
     attention: {"gat_edge_pass": gat_edge_pass},
@@ -275,4 +260,38 @@ def build_packed_sample(task, seed, index: int) -> PackedSubgraph:
         edge_type=g.edge_type,
         edge_attr=g.edge_attr,
         node_features=g.node_features,
+    )
+
+
+def _distances_without(graph: Graph, source: int, removed: int) -> np.ndarray:
+    """BFS distances from ``source`` with node ``removed`` cut out.
+
+    ``blocked_node`` skips the node during traversal directly — this used
+    to build a pruned ``Graph`` copy (edge mask + fresh CSR) per call,
+    twice per link, just to drop one node's arcs.
+    """
+    return bfs_distances(graph, source, blocked_node=removed)
+
+
+def drnl_labels(sub: EnclosingSubgraph) -> np.ndarray:
+    """DRNL label of every node in an enclosing subgraph.
+
+    Target nodes get label 1; nodes unreachable from *either* target get
+    the null label 0; all other nodes get ``D(x, y)``.
+    """
+    g = sub.graph
+    dist_a = _distances_without(g, sub.src, sub.dst)
+    dist_b = _distances_without(g, sub.dst, sub.src)
+    return drnl_labels_from_distances(dist_a, dist_b, sub.src, sub.dst)
+
+
+def build_node_features(sub: EnclosingSubgraph, config: FeatureConfig) -> np.ndarray:
+    """Assemble the ``(n, width)`` node attribute matrix for one subgraph."""
+    g = sub.graph
+    return assemble_node_features(
+        config,
+        node_type=g.node_type,
+        drnl=drnl_labels(sub) if config.use_drnl else None,
+        node_features=g.node_features,
+        node_map=sub.node_map,
     )

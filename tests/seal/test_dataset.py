@@ -153,7 +153,7 @@ class TestSEALDataset:
         runs = []
         for _ in range(2):
             labels_order = []
-            for _, labels in DataLoader(ds, np.arange(20), 7, shuffle=True, rng=3):
+            for _, labels in DataLoader(ds, np.arange(20), 7, rng=np.random.default_rng(3)):
                 labels_order.extend(labels.tolist())
             runs.append(labels_order)
         assert runs[0] == runs[1]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.graph.subgraph import extract_enclosing_subgraph
-from repro.seal.features import FeatureConfig, build_node_features
-from repro.seal.labeling import drnl_labels, drnl_one_hot
+from repro.seal.features import FeatureConfig
+from repro.seal.labeling import drnl_one_hot
+from tests.oracles import build_node_features, drnl_labels
 
 
 @pytest.fixture

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from repro.graph.structure import Graph
 from repro.graph.subgraph import extract_enclosing_subgraph
-from repro.seal.labeling import (
-    DEFAULT_MAX_LABEL,
-    drnl_labels,
-    drnl_one_hot,
-    drnl_value,
-)
+from repro.seal.labeling import DEFAULT_MAX_LABEL, drnl_one_hot, drnl_value
+from tests.oracles import drnl_labels
 
 
 class TestDrnlValue:

@@ -166,7 +166,7 @@ class TestCacheInfo:
         assert ds.cache_info() == CacheInfo(hits=0, misses=0, size=0, capacity=20)
 
     def test_extraction_order_independent(self):
-        """The shuffle=True bug: lazily-extracted subgraphs must not depend
+        """The shuffled-loader bug: lazily-extracted subgraphs must not depend
         on visitation order (fresh rng each epoch used to perturb them)."""
         task = load_primekg_like(scale=0.12, num_targets=20, rng=0)
         forward = SEALDataset(task, rng=0)
@@ -185,7 +185,7 @@ class TestCacheInfo:
         task = load_primekg_like(scale=0.12, num_targets=20, rng=0)
         ds = SEALDataset(task, rng=0)
         for epoch in range(3):  # fresh rng each epoch, like a real train loop
-            for _ in DataLoader(ds, np.arange(20), 6, shuffle=True, rng=epoch):
+            for _ in DataLoader(ds, np.arange(20), 6, rng=np.random.default_rng(epoch)):
                 pass
         assert ds.cache_info().misses == 20  # extracted exactly once each
 

@@ -11,7 +11,6 @@ from repro.seal import (
     TrainConfig,
     cross_validate,
     kfold_indices,
-    make_link_classification_task,
     make_link_prediction_task,
 )
 from repro.data import warm
@@ -53,18 +52,6 @@ class TestLinkPredictionTask:
         # Homogeneous graph without node features: DRNL only.
         assert task.feature_config.num_node_types == 0
         assert task.feature_config.explicit_dim == 0
-
-
-class TestLinkClassificationTask:
-    def test_wraps_pairs(self, medium_graph):
-        pairs = np.array([[0, 1], [2, 3], [4, 5]])
-        labels = np.array([0, 1, 2])
-        task = make_link_classification_task(
-            medium_graph, pairs, labels, num_classes=3, class_names=["a", "b", "c"]
-        )
-        assert task.num_links == 3
-        assert task.class_names == ["a", "b", "c"]
-        assert task.edge_attr_dim == 3
 
 
 class TestKFold:

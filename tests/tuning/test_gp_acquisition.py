@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tuning.acquisition import expected_improvement, upper_confidence_bound
+from repro.tuning.acquisition import expected_improvement
 from repro.tuning.gp import GaussianProcess, matern52_kernel, rbf_kernel
 
 
@@ -88,9 +88,3 @@ class TestExpectedImprovement:
     def test_uncertainty_adds_value(self):
         ei = expected_improvement(np.array([1.0, 1.0]), np.array([0.01, 1.0]), best=1.0)
         assert ei[1] > ei[0]
-
-
-class TestUCB:
-    def test_formula(self):
-        out = upper_confidence_bound(np.array([1.0]), np.array([2.0]), kappa=2.0)
-        np.testing.assert_allclose(out, [5.0])

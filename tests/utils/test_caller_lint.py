@@ -1,4 +1,4 @@
-"""Lint: every library module has a caller outside ``tests/``.
+"""Lint: every library module, function and class has a caller outside ``tests/``.
 
 A module under ``src/repro`` whose top-level names (functions, classes,
 constants) are used only by tests is code the reproduction never runs.
@@ -8,6 +8,12 @@ Each module must define at least one name used by a file under
 through the package is. Entry points are not checked themselves:
 package ``__init__`` modules, ``__main__.py`` and modules run with
 ``python -m`` (a top-level ``if __name__ == "__main__":`` block).
+
+The same holds one level down: every top-level ``def`` and ``class``
+under ``src/repro``, private ones included, must be loaded by one of
+those files or elsewhere in its own module (outside its own body and
+``__all__``). Dunder names (``__getattr__``, ``__dir__``) are called by
+the interpreter and are exempt.
 """
 
 import ast
@@ -108,13 +114,68 @@ def caller_files():
             yield path
 
 
-def modules_without_callers():
-    callers = defaultdict(set)  # (module, name) -> files that use it
+def local_loads(tree, skip):
+    """Names the module's top-level statements load, ``skip`` and ``__all__`` aside."""
+    names = set()
+    for node in tree.body:
+        if node is skip:
+            continue
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+    return names
+
+
+def owners_of(name):
+    """``name`` and every enclosing package: the paths a definition is reachable by."""
+    return [name.rsplit(".", i)[0] for i in range(name.count(".") + 1)]
+
+
+def callers_by_name():
+    """``(module, name)`` -> the caller files that use it."""
+    callers = defaultdict(set)
     for path in caller_files():
         package = module_name(path).rpartition(".")[0] if path.is_relative_to(SRC) else ""
         for use in used_names(ast.parse(path.read_text()), package):
             callers[use].add(path)
+    return callers
 
+
+def unused_definitions(tree, name, path, callers):
+    """Top-level ``def``/``class`` names of ``tree`` (module ``name``) nothing loads."""
+    owners = owners_of(name)
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        defined = node.name
+        if defined.startswith("__") and defined.endswith("__"):
+            continue
+        if defined in local_loads(tree, node):
+            continue
+        if any(callers[(owner, defined)] - {path} for owner in owners):
+            continue
+        unused.append(defined)
+    return unused
+
+
+def definitions_without_callers():
+    callers = callers_by_name()
+    orphans = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        rel = path.relative_to(REPO).as_posix()
+        for defined in unused_definitions(tree, module_name(path), path, callers):
+            orphans.append(f"{rel}::{defined}")
+    return orphans
+
+
+def modules_without_callers():
+    callers = callers_by_name()
     orphans = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         if path.name in ENTRY_POINTS:
@@ -122,9 +183,8 @@ def modules_without_callers():
         tree = ast.parse(path.read_text())
         if is_script(tree):
             continue
-        name = module_name(path)
         # A name is reachable through its module or any enclosing package.
-        owners = [name.rsplit(".", i)[0] for i in range(name.count(".") + 1)]
+        owners = owners_of(module_name(path))
         if not any(
             callers[(owner, defined)] - {path}
             for owner in owners
@@ -140,6 +200,40 @@ def test_every_module_has_a_caller_outside_tests():
         "modules only tests use (delete them, or call them from the library):\n"
         + "\n".join(orphans)
     )
+
+
+def test_every_function_and_class_has_a_caller_outside_tests():
+    orphans = definitions_without_callers()
+    assert orphans == [], (
+        "functions and classes only tests use (delete them, or move them "
+        "into tests/ if a test needs them as a reference):\n" + "\n".join(orphans)
+    )
+
+
+def test_unused_definitions_names_orphans_and_spares_used_names():
+    module = "\n".join(
+        [
+            '__all__ = ["orphan", "used_here", "used_elsewhere"]',
+            "def orphan():",
+            "    return orphan()  # a call inside its own body is not a use",
+            "def _helper():",
+            "    return 1",
+            "def used_here():",
+            "    return _helper()",
+            "class used_elsewhere:",
+            "    pass",
+            "def __getattr__(name):",
+            "    raise AttributeError(name)",
+            "TABLE = {'here': used_here}",
+        ]
+    )
+    caller = "from repro.pkg import used_elsewhere"
+    callers = defaultdict(set)
+    for use in used_names(ast.parse(caller), ""):
+        callers[use].add(Path("caller.py"))
+    path = Path("mod.py")
+    unused = unused_definitions(ast.parse(module), "repro.pkg.mod", path, callers)
+    assert unused == ["orphan"]
 
 
 def test_used_names_resolves_the_import_forms():

@@ -7,11 +7,10 @@ import pytest
 
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.rng import (
-    as_generator,
     derive,
+    ensure_rng,
     generator_state,
     restore_generator_state,
-    spawn,
 )
 from repro.utils.serialization import (
     load_arrays,
@@ -24,30 +23,21 @@ from repro.utils.timing import Stopwatch, Timer
 
 
 class TestRng:
-    def test_as_generator_from_int_deterministic(self):
-        a = as_generator(42).random(5)
-        b = as_generator(42).random(5)
+    def test_ensure_rng_from_int_deterministic(self):
+        a = ensure_rng(42).random(5)
+        b = ensure_rng(42).random(5)
         np.testing.assert_allclose(a, b)
 
-    def test_as_generator_passthrough(self):
+    def test_ensure_rng_passthrough(self):
         gen = np.random.default_rng(0)
-        assert as_generator(gen) is gen
+        assert ensure_rng(gen) is gen
 
-    def test_as_generator_none(self):
-        assert isinstance(as_generator(None), np.random.Generator)
+    def test_ensure_rng_none(self):
+        assert isinstance(ensure_rng(None), np.random.Generator)
 
-    def test_as_generator_rejects_strings(self):
+    def test_ensure_rng_rejects_strings(self):
         with pytest.raises(TypeError):
-            as_generator("seed")
-
-    def test_spawn_children_independent(self):
-        children = spawn(0, 3)
-        streams = [c.random(4).tolist() for c in children]
-        assert streams[0] != streams[1] != streams[2]
-
-    def test_spawn_negative(self):
-        with pytest.raises(ValueError):
-            spawn(0, -1)
+            ensure_rng("seed")
 
     def test_derive_stable_across_calls(self):
         a = derive(7, "train").random(4)
