@@ -98,7 +98,7 @@ def test_data_parallel_epoch_throughput():
     cores = usable_cores()
     task = make_task()
     train_indices, _ = train_test_split_indices(task.num_links, 0.3, rng=1)
-    part = partition_graph(task, NUM_SHARDS, method="hash", seed=0)
+    part = partition_graph(task, NUM_SHARDS, seed=0)
 
     serial_s = time_epoch(task, train_indices, num_shards=1, processes=0)
 

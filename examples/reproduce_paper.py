@@ -26,6 +26,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.utils import Timer
+from repro.utils.cli import scale_usage_errors
 
 
 def print_table2(scale: float) -> None:
@@ -46,17 +47,10 @@ def print_table2(scale: float) -> None:
     print(render_table(["Dataset", "#NodeT", "#EdgeT", "#Nodes", "#Edges"], rows))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--scale", type=float, default=0.35)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--datasets", nargs="*", default=None)
-    args = parser.parse_args()
-    datasets = args.datasets or dataset_names()
+def reproduce(scale: float, seed: int, datasets) -> None:
+    print_table2(scale)
 
-    print_table2(args.scale)
-
-    runner = ExperimentRunner(scale=args.scale, seed=args.seed)
+    runner = ExperimentRunner(scale=scale, seed=seed)
 
     with Timer() as t:
         results = run_table3(runner, datasets)
@@ -78,6 +72,16 @@ def main() -> None:
         fig = {"primekg": 7, "biokg": 8, "wordnet": 9}[ds]
         print(f"\n### Fig {fig} — {ds} samples sweep ({t.elapsed:.0f}s) ###")
         print(format_sample_sweep(ds, curves))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--scale", type=float, default=0.35)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--datasets", nargs="*", default=None)
+    args = parser.parse_args()
+    with scale_usage_errors(parser):
+        reproduce(args.scale, args.seed, args.datasets or dataset_names())
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from repro.datasets.schema import PAPER_SCHEMAS, DatasetSchema
 from repro.datasets.synthetic import (
     PlantedKG,
     PlantedKGConfig,
+    ScaleTooSmallError,
     generate_planted_kg,
     role_pair_index,
 )
@@ -29,6 +30,7 @@ from repro.datasets.wordnet import (
 __all__ = [
     "PlantedKG",
     "PlantedKGConfig",
+    "ScaleTooSmallError",
     "generate_planted_kg",
     "role_pair_index",
     "load_primekg_like",

@@ -18,8 +18,6 @@ of the k-hop neighborhoods.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datasets.synthetic import PlantedKG, PlantedKGConfig, generate_planted_kg
 from repro.seal.dataset import LinkTask
 from repro.seal.features import FeatureConfig

@@ -8,7 +8,7 @@ them side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["DatasetSchema", "PAPER_SCHEMAS"]
 

@@ -31,8 +31,8 @@ per-dataset:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,17 @@ from repro.nn.dtype import FLOAT64
 from repro.graph.structure import Graph
 from repro.utils.rng import RngLike, derive
 
-__all__ = ["PlantedKGConfig", "PlantedKG", "generate_planted_kg", "role_pair_index"]
+__all__ = [
+    "PlantedKGConfig",
+    "PlantedKG",
+    "ScaleTooSmallError",
+    "generate_planted_kg",
+    "role_pair_index",
+]
+
+
+class ScaleTooSmallError(ValueError):
+    """The generated graph cannot supply the requested distinct target pairs."""
 
 
 def role_pair_index(ri: np.ndarray, rj: np.ndarray, num_roles: int) -> np.ndarray:
@@ -315,7 +325,10 @@ def _sample_target_pairs(
     while len(chosen) < num_targets:
         attempts += 1
         if attempts > max_attempts:
-            raise RuntimeError("could not sample enough distinct target pairs")
+            raise ScaleTooSmallError(
+                f"its {cfg.num_nodes}-node graph cannot supply {num_targets} "
+                "distinct target pairs"
+            )
         u = int(pool_a[gen.integers(0, len(pool_a))])
         v = int(pool_b[gen.integers(0, len(pool_b))])
         if u == v:
@@ -352,7 +365,9 @@ def generate_planted_kg(cfg: PlantedKGConfig, rng: RngLike = 0) -> PlantedKG:
         # negatives are sampled non-edges. No edges are inserted.
         m_pos = cfg.num_targets // 2
         if m_pos > len(bg_edges):
-            raise ValueError("not enough background edges for positive targets")
+            raise ScaleTooSmallError(
+                f"its {len(bg_edges)}-edge graph cannot supply {m_pos} positive target links"
+            )
         pick = gen_targets.choice(len(bg_edges), size=m_pos, replace=False)
         pos_pairs = bg_edges[pick]
         neg_cfg_targets = cfg.num_targets - m_pos

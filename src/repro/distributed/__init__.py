@@ -3,11 +3,11 @@
 The scale-out layer of the pipeline (ROADMAP item: sharded graph +
 data-parallel training):
 
-* :func:`partition_graph` splits a link task's graph into K shards —
-  ``hash`` (stateless splitmix64 owner assignment) or ``greedy``
-  (streaming edge-cut) — each with a halo covering everything SEAL
-  extraction can reach from its owned links, persisted zero-copy via
-  the :mod:`repro.store` mmap format (:meth:`GraphPartition.save`).
+* :func:`partition_graph` splits a link task's graph into K shards by a
+  stateless splitmix64 node-owner hash, each with a halo covering
+  everything SEAL extraction can reach from its owned links, persisted
+  zero-copy via the :mod:`repro.store` mmap format
+  (:meth:`GraphPartition.save`).
 * :func:`train_data_parallel` trains one model over those shards,
   either in-process (``processes=0``, the bit-identity reference) or
   with one worker process per shard exchanging gradients through a
@@ -21,7 +21,6 @@ data-parallel training):
 from repro.distributed.partition import (
     GraphPartition,
     Shard,
-    greedy_node_owners,
     hash_node_owners,
     partition_graph,
     shard_task,
@@ -32,7 +31,6 @@ __all__ = [
     "GraphPartition",
     "Shard",
     "hash_node_owners",
-    "greedy_node_owners",
     "partition_graph",
     "shard_task",
     "DistributedConfig",

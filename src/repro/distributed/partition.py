@@ -11,17 +11,10 @@ bit-identical to extracting it against the full graph — the property
 the data-parallel trainer's bit-identity guarantee rests on (see
 ``tests/distributed/test_partition.py``).
 
-Two owner assignments are provided:
-
-``hash``
-    A stateless multiplicative hash of the node id. Deterministic across
-    processes and platforms (pure uint64 arithmetic), O(N), and needs no
-    graph structure — the choice for huge graphs.
-``greedy``
-    Sequential greedy edge-cut in descending-degree order: each node
-    joins the shard holding most of its already-placed neighbors,
-    subject to a capacity cap. Slower (Python loop over nodes) but cuts
-    far fewer edges on clustered graphs, shrinking halos.
+Node owners come from a stateless multiplicative hash of the node id
+(:func:`hash_node_owners`): deterministic across processes and
+platforms (pure uint64 arithmetic), O(N), and independent of the graph
+structure.
 
 Shards persist through the existing :class:`repro.store.GraphStorage`
 mmap format (:meth:`GraphPartition.save` / :meth:`GraphPartition.open`),
@@ -36,11 +29,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-
-from repro.nn.dtype import FLOAT64
 
 import repro.obs as obs
 from repro.graph.structure import Graph
@@ -52,7 +43,6 @@ __all__ = [
     "Shard",
     "GraphPartition",
     "hash_node_owners",
-    "greedy_node_owners",
     "partition_graph",
     "shard_task",
 ]
@@ -87,51 +77,6 @@ def hash_node_owners(num_nodes: int, num_shards: int, *, seed: int = 0) -> np.nd
     return (mixed % np.uint64(num_shards)).astype(np.int64)
 
 
-def greedy_node_owners(
-    graph: Graph,
-    num_shards: int,
-    *,
-    seed: int = 0,
-    imbalance: float = 1.1,
-) -> np.ndarray:
-    """Greedy edge-cut assignment: nodes placed in descending-degree order.
-
-    Each node goes to the shard already holding the most of its
-    neighbors (LDG-style streaming placement), capped at
-    ``ceil(N / K * imbalance)`` nodes per shard; ties break toward the
-    least-loaded shard, then the lowest shard index. Deterministic: the
-    visit order is a stable degree sort and ``seed`` only reorders
-    equal-degree nodes via the hash mix, keeping placement reproducible.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    if imbalance < 1.0:
-        raise ValueError("imbalance must be >= 1.0")
-    n = graph.num_nodes
-    owner = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return owner
-    capacity = int(np.ceil(n / num_shards * imbalance))
-    # Stable descending-degree order; the seed-keyed hash breaks degree
-    # ties deterministically without favoring low node ids.
-    degree = graph.degree()
-    tie = hash_node_owners(n, max(n, 1), seed=seed)
-    order = np.lexsort((tie, -degree))
-    indptr, indices, _ = graph.csr()
-    loads = np.zeros(num_shards, dtype=np.int64)
-    for v in order:
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        placed = owner[nbrs]
-        placed = placed[placed >= 0]
-        gain = np.bincount(placed, minlength=num_shards).astype(FLOAT64)
-        gain[loads >= capacity] = -np.inf
-        # Prefer neighbor affinity, then light load, then low index.
-        best = np.lexsort((np.arange(num_shards), loads, -gain))[0]
-        owner[v] = best
-        loads[best] += 1
-    return owner
-
-
 @dataclass
 class Shard:
     """One shard of a partitioned task.
@@ -160,7 +105,6 @@ class GraphPartition:
     shards: List[Shard]
     node_owner: np.ndarray
     link_owner: np.ndarray
-    method: str
     num_hops: int
     seed: int
     cut_edges: int = 0
@@ -183,7 +127,6 @@ class GraphPartition:
         total_halo = int(sum(halo_sizes))
         return {
             "num_shards": self.num_shards,
-            "method": self.method,
             "num_hops": self.num_hops,
             "seed": self.seed,
             "num_nodes": num_nodes,
@@ -227,7 +170,6 @@ class GraphPartition:
             "format": "repro-partition",
             "version": PARTITION_FORMAT,
             "num_shards": self.num_shards,
-            "method": self.method,
             "num_hops": self.num_hops,
             "seed": self.seed,
             "stats": self.stats(),
@@ -274,7 +216,6 @@ class GraphPartition:
             shards=shards,
             node_owner=node_owner,
             link_owner=link_owner,
-            method=str(meta["method"]),
             num_hops=int(meta["num_hops"]),
             seed=int(meta["seed"]),
             cut_edges=int(meta.get("stats", {}).get("cut_edges", 0)),
@@ -286,14 +227,12 @@ def partition_graph(
     task: LinkTask,
     num_shards: int,
     *,
-    method: str = "hash",
     seed: int = 0,
-    imbalance: float = 1.1,
 ) -> GraphPartition:
     """Partition ``task``'s graph and links into ``num_shards`` shards.
 
     Link ownership follows the owner of the link's source endpoint, so
-    the shard→link assignment is a pure function of ``(method, seed)``
+    the shard→link assignment is a pure function of ``seed``
     and the graph — every process derives the same split. Each shard's
     halo covers ``task.num_hops`` hops around all owned-link endpoints
     (positive and negative pairs alike), which is exactly the
@@ -302,14 +241,7 @@ def partition_graph(
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     graph = task.graph
-    if method == "hash":
-        node_owner = hash_node_owners(graph.num_nodes, num_shards, seed=seed)
-    elif method == "greedy":
-        node_owner = greedy_node_owners(
-            graph, num_shards, seed=seed, imbalance=imbalance
-        )
-    else:
-        raise ValueError(f"unknown partition method {method!r} (hash|greedy)")
+    node_owner = hash_node_owners(graph.num_nodes, num_shards, seed=seed)
     link_owner = node_owner[task.pairs[:, 0]]
     src, dst = graph.edge_index
     cut_edges = int(np.count_nonzero(node_owner[src] != node_owner[dst]))
@@ -332,7 +264,6 @@ def partition_graph(
         shards=shards,
         node_owner=node_owner,
         link_owner=link_owner,
-        method=method,
         num_hops=task.num_hops,
         seed=seed,
         cut_edges=cut_edges,
@@ -349,12 +280,11 @@ def partition_graph(
             part.stats()["replication_factor"],
         )
     logger.info(
-        "partitioned %d nodes / %d links into %d shards (%s): "
+        "partitioned %d nodes / %d links into %d shards: "
         "cut=%d replication=%.2f",
         graph.num_nodes,
         part.num_links,
         num_shards,
-        method,
         cut_edges,
         part.stats()["replication_factor"],
     )

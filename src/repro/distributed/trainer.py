@@ -3,8 +3,8 @@
 :func:`train_data_parallel` runs :func:`repro.seal.train`'s own loop
 (:func:`repro.seal.trainer.train_with_step`) with a sharded gradient
 step in place of the local one. The loop keeps everything but the batch
-gradient — Adam, guard, clipping, evaluation, early stopping,
-callbacks, checkpoints, resume — so those rules are the same for both
+gradient — Adam, guard, clipping, evaluation, callbacks, checkpoints,
+resume — so those rules are the same for both
 trainers by construction. Each global mini-batch comes from the *same*
 shuffle stream :func:`repro.seal.train` uses. The sharded step groups
 it by link owner and has every shard compute the gradient of its
@@ -74,7 +74,7 @@ from repro.seal.checkpoint import CheckpointConfig
 from repro.seal.dataset import SEALDataset
 from repro.seal.results import TrainResult
 from repro.seal.trainer import GradientStep, TrainConfig, train_with_step
-from repro.store.parambuf import CMD_ABORT, CMD_RUN, CMD_STOP, ParameterBuffer
+from repro.store.parambuf import CMD_ABORT, CMD_RUN, ParameterBuffer
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngLike, derive, generator_state, restore_generator_state
 from repro.utils.timing import Stopwatch
@@ -97,8 +97,7 @@ class DistributedConfig(TrainConfig):
 
     num_shards: int = 2
     processes: int = 0  # 0 = in-process reference; otherwise must equal num_shards
-    partition_method: str = "hash"
-    #: seconds any step/epoch barrier may wait before the run is
+    #: seconds any step barrier may wait before the run is
     #: declared wedged
     barrier_timeout: float = 300.0
 
@@ -174,7 +173,9 @@ def _worker_main(
     shuffle stream as the parent (restored from ``shuffle_state``), so
     each global batch is reconstructed locally and filtered to owned
     links without any index traffic. Per step: write grads →
-    barrier A → barrier B → read command + fresh params. With ``record``
+    barrier A → barrier B → read command + fresh params. Every run
+    trains to ``config.epochs``, so the worker knows its last step
+    without being told. With ``record``
     (the parent's obs is enabled) the worker's metrics go into a fresh
     registry whose delta rides in the final report.
     """
@@ -212,9 +213,6 @@ def _worker_main(
                     break
                 _load_params(named, buffer.get_params())
             if stop:
-                break
-            barrier.wait(config.barrier_timeout)  # E: epoch verdict
-            if buffer.get_command() == CMD_STOP:
                 break
         report_queue.put({"rank": rank, "metrics": obs.get_registry().delta()})
     except BrokenBarrierError:
@@ -259,8 +257,7 @@ class _ShardedStep(GradientStep):
     In process, every shard's gradient is computed here in turn. With
     workers, each worker computes its own shard's (barrier A: grads
     ready); after the loop's optimizer step the parent publishes the
-    params and a command (barrier B: params ready), and after every
-    epoch a run/stop verdict (barrier E).
+    params and a run/abort command (barrier B: params ready).
     """
 
     def __init__(
@@ -369,9 +366,6 @@ class _ShardedStep(GradientStep):
             self.barrier.wait(self.config.barrier_timeout)  # B: params ready
 
     def after_epoch(self, last: bool) -> None:
-        if self.workers:
-            self.buffer.set_command(CMD_STOP if last else CMD_RUN)
-            self.barrier.wait(self.config.barrier_timeout)  # E: epoch verdict
         self.finished = last
 
     def close(self) -> None:
@@ -426,7 +420,7 @@ def train_data_parallel(
     """Train ``model`` data-parallel over ``config.num_shards`` shards.
 
     Runs :func:`repro.seal.train`'s loop (guards, callbacks, eval
-    cadence, early stopping, checkpointing) with the gradient work
+    cadence, checkpointing) with the gradient work
     sharded. See the module docstring for the bit-identity contract.
 
     ``config.compute_dtype`` behaves as in :func:`repro.seal.train`:
@@ -439,7 +433,7 @@ def train_data_parallel(
     Parameters beyond :func:`repro.seal.train`'s:
 
     partition: a prebuilt :class:`GraphPartition` of ``dataset.task``;
-        built on the fly (``config.partition_method``) when omitted. In
+        hash-partitioned on the fly when omitted. In
         multi-process mode an unsaved partition is persisted to a
         temporary directory first so workers open their shard graphs
         zero-copy.
@@ -461,12 +455,7 @@ def train_data_parallel(
     task = dataset.task
     if partition is None:
         part_seed = int(derive(rng, "partition").integers(0, 2**31 - 1))
-        partition = partition_graph(
-            task,
-            config.num_shards,
-            method=config.partition_method,
-            seed=part_seed,
-        )
+        partition = partition_graph(task, config.num_shards, seed=part_seed)
     if partition.num_shards != config.num_shards:
         raise ValueError(
             f"partition has {partition.num_shards} shards, "

@@ -9,7 +9,7 @@ no autograd needed — the gradient is closed-form.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -16,7 +16,7 @@ cost on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.models import AMDGCNN, VanillaDGCNN

@@ -23,7 +23,7 @@ from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import render_series
 from repro.experiments.runner import ExperimentRunner
-from repro.utils.cli import number_at_least
+from repro.utils.cli import number_at_least, scale_usage_errors
 
 __all__ = ["EPOCH_GRID", "run_epoch_sweep", "format_epoch_sweep"]
 
@@ -88,7 +88,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
     )
     args = parser.parse_args(argv)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    curves = run_epoch_sweep(runner, args.dataset, args.settings)
+    with scale_usage_errors(parser):
+        curves = run_epoch_sweep(runner, args.dataset, args.settings)
     print(format_epoch_sweep(args.dataset, curves))
     return 0
 

@@ -16,7 +16,7 @@ from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import PAPER_TABLE3, render_table
 from repro.experiments.runner import ExperimentRunner, RunResult
-from repro.utils.cli import number_at_least
+from repro.utils.cli import number_at_least, scale_usage_errors
 
 __all__ = ["run_table3", "format_table3"]
 
@@ -81,7 +81,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
     parser.add_argument("--setting", choices=["default", "tuned"], default="tuned")
     args = parser.parse_args(argv)
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    results = run_table3(runner, args.datasets, args.setting)
+    with scale_usage_errors(parser):
+        results = run_table3(runner, args.datasets, args.setting)
     print(format_table3(results))
     return 0
 

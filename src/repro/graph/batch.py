@@ -75,12 +75,6 @@ class GraphBatch:
             )
         return self._plan_cache
 
-    def nodes_per_graph(self) -> np.ndarray:
-        """Node count of each member graph."""
-        if self._plan_cache is not None:
-            return self._plan_cache.node().counts
-        return np.bincount(self.batch, minlength=self.num_graphs)
-
 
 def collate(
     graphs: Sequence[Graph],

@@ -92,14 +92,6 @@ class BulkSubgraphs:
     dist_src: Optional[np.ndarray]  # (total_nodes,) int32, -1 unreachable
     dist_dst: Optional[np.ndarray]
 
-    @property
-    def total_nodes(self) -> int:
-        return int(self.node_map.shape[0])
-
-    @property
-    def total_edges(self) -> int:
-        return int(self.edge_ids.shape[0])
-
 
 # --------------------------------------------------------------------- #
 # extraction

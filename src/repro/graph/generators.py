@@ -14,7 +14,7 @@ no duplicates, ready for :meth:`repro.graph.Graph.from_undirected`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

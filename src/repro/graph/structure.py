@@ -169,16 +169,6 @@ class Graph:
     # storage delegation
     # ------------------------------------------------------------------ #
     @property
-    def storage(self) -> GraphStorage:
-        """The array backend (in-memory or mmap)."""
-        return self._storage
-
-    @property
-    def storage_path(self):
-        """Directory this graph's arrays live under (``None`` = memory only)."""
-        return self._storage.path
-
-    @property
     def is_mmap(self) -> bool:
         """Whether the arrays are read-only on-disk memmaps."""
         return self._storage.mmap
@@ -241,24 +231,9 @@ class Graph:
         """
         return self._storage.csr()
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Out-neighbors of node ``v`` (may contain duplicates in multigraphs)."""
-        indptr, indices, _ = self.csr()
-        return indices[indptr[v] : indptr[v + 1]]
-
     def degree(self) -> np.ndarray:
         """Out-degree of each node."""
         return np.bincount(self.edge_index[0], minlength=self.num_nodes)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether arc ``u→v`` exists."""
-        return bool(np.isin(v, self.neighbors(u)))
-
-    def edge_ids_between(self, u: int, v: int) -> np.ndarray:
-        """All arc ids from ``u`` to ``v`` (empty when none)."""
-        indptr, indices, edge_ids = self.csr()
-        lo, hi = indptr[u], indptr[u + 1]
-        return edge_ids[lo:hi][indices[lo:hi] == v]
 
     # ------------------------------------------------------------------ #
     # transforms
@@ -313,16 +288,6 @@ class Graph:
             edge_attr=None if self.edge_attr is None else self.edge_attr[keep],
         )
         return sub, nodes
-
-    def to_networkx(self):
-        """Export to a ``networkx.DiGraph`` (testing/validation aid)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.num_nodes))
-        src, dst = self.edge_index
-        g.add_edges_from(zip(src.tolist(), dst.tolist()))
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -64,7 +64,6 @@ def bfs_distances(
     source: int,
     max_depth: Optional[int] = None,
     *,
-    blocked_edge: Optional[tuple] = None,
     blocked_node: Optional[int] = None,
 ) -> np.ndarray:
     """Unweighted shortest distances from ``source`` to every node.
@@ -76,10 +75,6 @@ def bfs_distances(
     graph: the graph (directed arcs; symmetric graphs behave undirected).
     source: start node.
     max_depth: stop expanding beyond this many hops when given.
-    blocked_edge:
-        Optional ``(u, v)`` pair treated as non-existent in *both*
-        directions — used by SEAL's DRNL, which computes distances in the
-        subgraph with the target link removed.
     blocked_node:
         Optional node treated as having no arcs at all (never entered,
         never expanded; its distance stays ``-1``). Equivalent to — but
@@ -98,12 +93,6 @@ def bfs_distances(
     depth = 0
     while frontier.size and (max_depth is None or depth < max_depth):
         nxt = _expand_frontier(indptr, indices, frontier)
-        if blocked_edge is not None:
-            u, v = blocked_edge
-            # Drop traversals along the blocked pair in either direction.
-            src_rep = np.repeat(frontier, indptr[frontier + 1] - indptr[frontier])
-            keep = ~(((src_rep == u) & (nxt == v)) | ((src_rep == v) & (nxt == u)))
-            nxt = nxt[keep]
         if blocked_node is not None:
             nxt = nxt[nxt != blocked_node]
         nxt = nxt[dist[nxt] < 0]
@@ -122,7 +111,6 @@ def multi_source_bfs(
     sources: np.ndarray,
     *,
     max_depth: Optional[int] = None,
-    blocked: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Row-per-source BFS distances in one frontier sweep, in sparse form.
 
@@ -145,10 +133,6 @@ def multi_source_bfs(
     indptr, indices: the CSR adjacency (``Graph.csr()``'s first two arrays).
     sources: ``(S,)`` start nodes (duplicates allowed; each gets a row).
     max_depth: stop expanding beyond this many hops when given.
-    blocked:
-        Optional ``(S,)`` per-row blocked node: row ``i`` never enters
-        ``blocked[i]`` (the DRNL "other target removed" semantics of
-        ``bfs_distances(..., blocked_node=...)``).
     """
     num_nodes = int(indptr.shape[0]) - 1
     sources = np.asarray(sources, dtype=np.int64)
@@ -159,12 +143,6 @@ def multi_source_bfs(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
     if sources.min() < 0 or sources.max() >= num_nodes:
         raise ValueError("source out of range")
-    if blocked is not None:
-        blocked = np.asarray(blocked, dtype=np.int64)
-        if blocked.shape != sources.shape:
-            raise ValueError("blocked must have one node per source")
-        if (blocked == sources).any():
-            raise ValueError("cannot block the BFS source")
     _check_key_space(n_src, num_nodes)
     n = np.int64(num_nodes)
     # Rows ascend and every node is < N, so the level-0 keys are sorted.
@@ -179,10 +157,6 @@ def multi_source_bfs(
         counts = indptr[f_nodes + 1] - starts
         nxt_nodes = _take_ragged(indices, starts, counts)
         nxt_rows = np.repeat(f_rows, counts)
-        if blocked is not None:
-            keep = nxt_nodes != blocked[nxt_rows]
-            nxt_nodes = nxt_nodes[keep]
-            nxt_rows = nxt_rows[keep]
         keys = sorted_unique(nxt_rows * n + nxt_nodes)
         pos = np.searchsorted(seen, keys)
         keys = keys[seen[np.minimum(pos, seen.shape[0] - 1)] != keys]

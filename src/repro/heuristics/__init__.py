@@ -1,6 +1,6 @@
 """Classical link heuristics and the heuristic-feature baseline classifier."""
 
-from repro.heuristics.classifier import HeuristicFeaturizer, HeuristicLinkClassifier
+from repro.heuristics.classifier import HeuristicLinkClassifier, heuristic_features
 from repro.heuristics.global_ import (
     GLOBAL_HEURISTICS,
     katz_index,
@@ -29,6 +29,6 @@ __all__ = [
     "rooted_pagerank",
     "simrank",
     "GLOBAL_HEURISTICS",
-    "HeuristicFeaturizer",
+    "heuristic_features",
     "HeuristicLinkClassifier",
 ]

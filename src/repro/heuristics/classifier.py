@@ -1,10 +1,11 @@
 """Heuristic-feature link classifier (the related-work baseline, §VI-A).
 
-Builds a feature vector of topology heuristics (plus optional endpoint
-node features) per link and fits a multinomial logistic-regression
-classifier — the decision-tree/LR paradigm of Katragadda et al. and
-Vasavada et al. that the paper argues supervised heuristic *learning*
-supersedes. Serves as the classical baseline in the benchmark suite.
+Builds a feature vector of topology heuristics (plus the endpoints'
+node features, when the graph has them) per link and fits a
+multinomial logistic-regression classifier — the decision-tree/LR
+paradigm of Katragadda et al. and Vasavada et al. that the paper argues
+supervised heuristic *learning* supersedes. Serves as the classical
+baseline in the benchmark suite.
 
 The logistic regression is trained with full-batch gradient descent on
 the library's own autograd (no sklearn in the environment).
@@ -13,7 +14,7 @@ the library's own autograd (no sklearn in the environment).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,9 +26,9 @@ from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import RngLike
 
-__all__ = ["HeuristicFeaturizer", "HeuristicLinkClassifier"]
+__all__ = ["heuristic_features", "HeuristicLinkClassifier"]
 
-DEFAULT_HEURISTICS = (
+HEURISTICS = (
     "common_neighbors",
     "jaccard",
     "adamic_adar",
@@ -36,43 +37,22 @@ DEFAULT_HEURISTICS = (
 )
 
 
-class HeuristicFeaturizer:
-    """Per-link heuristic feature extraction.
+def heuristic_features(graph: Graph, pairs: np.ndarray) -> np.ndarray:
+    """Feature matrix ``(M, F)`` of ``pairs``: heuristics, then endpoint rows.
 
-    Parameters
-    ----------
-    heuristics: names from :data:`repro.heuristics.local.LOCAL_HEURISTICS`.
-    include_node_features: append both endpoints' explicit feature rows.
-    log_scale: apply ``log1p`` to unbounded scores (CN, PA) so LR weights
-        stay well-conditioned.
+    One column per :data:`HEURISTICS` score, ``log1p``-scaled so the
+    unbounded ones (CN, PA) keep the LR weights well-conditioned, then
+    both endpoints' explicit feature rows when ``graph`` has them.
     """
-
-    def __init__(
-        self,
-        heuristics: Sequence[str] = DEFAULT_HEURISTICS,
-        include_node_features: bool = True,
-        log_scale: bool = True,
-    ):
-        unknown = [h for h in heuristics if h not in LOCAL_HEURISTICS]
-        if unknown:
-            raise KeyError(f"unknown heuristics: {unknown}")
-        self.heuristics = list(heuristics)
-        self.include_node_features = include_node_features
-        self.log_scale = log_scale
-
-    def transform(self, graph: Graph, pairs: np.ndarray) -> np.ndarray:
-        """Feature matrix ``(M, F)`` for the given pairs."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        cols: List[np.ndarray] = []
-        for name in self.heuristics:
-            scores = LOCAL_HEURISTICS[name](graph, pairs)
-            if self.log_scale:
-                scores = np.log1p(np.maximum(scores, 0.0))
-            cols.append(scores[:, None])
-        if self.include_node_features and graph.node_features is not None:
-            cols.append(graph.node_features[pairs[:, 0]])
-            cols.append(graph.node_features[pairs[:, 1]])
-        return np.concatenate(cols, axis=1)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    cols: List[np.ndarray] = []
+    for name in HEURISTICS:
+        scores = LOCAL_HEURISTICS[name](graph, pairs)
+        cols.append(np.log1p(np.maximum(scores, 0.0))[:, None])
+    if graph.node_features is not None:
+        cols.append(graph.node_features[pairs[:, 0]])
+        cols.append(graph.node_features[pairs[:, 1]])
+    return np.concatenate(cols, axis=1)
 
 
 @dataclass
@@ -84,38 +64,31 @@ class _FitState:
 class HeuristicLinkClassifier:
     """Multinomial logistic regression over heuristic link features.
 
-    ``remove_target_links=True`` (default) strips every scored pair's own
-    edge from the graph before computing features — the heuristic
-    analogue of SEAL's leakage guard (a pair's direct edge is the label,
-    not a feature).
+    Every scored pair's own edge is stripped from the graph before its
+    features are computed — the heuristic analogue of SEAL's leakage
+    guard (a pair's direct edge is the label, not a feature).
     """
 
     def __init__(
         self,
         num_classes: int,
-        featurizer: Optional[HeuristicFeaturizer] = None,
         lr: float = 0.1,
         epochs: int = 300,
         weight_decay: float = 1e-4,
-        remove_target_links: bool = True,
         rng: RngLike = 0,
     ):
         if num_classes < 2:
             raise ValueError("need at least two classes")
         self.num_classes = num_classes
-        self.featurizer = featurizer or HeuristicFeaturizer()
         self.lr = lr
         self.epochs = epochs
         self.weight_decay = weight_decay
-        self.remove_target_links = remove_target_links
         self.rng = rng
         self.linear: Optional[Linear] = None
         self._state: Optional[_FitState] = None
 
     def _featurize(self, graph: Graph, pairs: np.ndarray) -> np.ndarray:
-        if self.remove_target_links:
-            graph = graph_without_pairs(graph, pairs)
-        return self.featurizer.transform(graph, pairs)
+        return heuristic_features(graph_without_pairs(graph, pairs), pairs)
 
     def fit(self, graph: Graph, pairs: np.ndarray, labels: np.ndarray) -> "HeuristicLinkClassifier":
         """Fit on training links; returns self."""

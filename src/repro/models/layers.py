@@ -44,7 +44,7 @@ class GCNConv(Module):
     information is exactly what the paper's comparison isolates.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, bias: bool = True, rng: RngLike = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: RngLike = None):
         super().__init__()
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError("feature dimensions must be positive")
@@ -52,11 +52,7 @@ class GCNConv(Module):
         self.out_dim = out_dim
         gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init.zeros((out_dim,)))
-        else:
-            self.register_parameter("bias", None)
-            self.bias = None
+        self.bias = Parameter(init.zeros((out_dim,)))
 
     def forward(
         self,
@@ -80,8 +76,7 @@ class GCNConv(Module):
         h = x @ self.weight  # (N, out)
         messages = gather(h, src, plan=src_plan) * Tensor(coeff[:, None])
         out = segment_sum(messages, dst, n, plan=dst_plan)
-        if self.bias is not None:
-            out = out + self.bias
+        out = out + self.bias
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -122,7 +117,6 @@ class GATConv(Module):
     edge_dim: width of edge-attribute vectors (0 disables the edge path).
     edge_in_message: add the projected edge attribute to message contents.
     negative_slope: LeakyReLU slope in the attention logits (paper: 0.2).
-    add_loops: include self-loops (with zero edge attributes).
     """
 
     def __init__(
@@ -133,8 +127,6 @@ class GATConv(Module):
         edge_dim: int = 0,
         edge_in_message: bool = True,
         negative_slope: float = 0.2,
-        bias: bool = True,
-        add_loops: bool = True,
         rng: RngLike = None,
     ):
         super().__init__()
@@ -151,7 +143,6 @@ class GATConv(Module):
         self.edge_dim = edge_dim
         self.edge_in_message = edge_in_message
         self.negative_slope = negative_slope
-        self.add_loops = add_loops
 
         gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
@@ -169,11 +160,7 @@ class GATConv(Module):
             self.register_parameter("att_edge", None)
             self.edge_weight = None
             self.att_edge = None
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init.zeros((out_dim,)))
-        else:
-            self.register_parameter("bias", None)
-            self.bias = None
+        self.bias = Parameter(init.zeros((out_dim,)))
 
     def forward(
         self,
@@ -196,9 +183,8 @@ class GATConv(Module):
                 )
         if plans is None:
             plans = PlanCache(edge_index, n)
-        if self.add_loops:
-            edge_index = plans.loop_edge_index()
-            edge_attr = plans.loop_edge_attr(edge_attr)
+        edge_index = plans.loop_edge_index()
+        edge_attr = plans.loop_edge_attr(edge_attr)
         he = None
         if self.edge_dim > 0:
             he = Tensor(edge_attr) @ self.edge_weight  # (E, out)
@@ -207,15 +193,14 @@ class GATConv(Module):
             self.att_src,
             self.att_dst,
             edge_index,
-            src_plan=plans.src(loops=self.add_loops),
-            dst_plan=plans.dst(loops=self.add_loops),
+            src_plan=plans.src(loops=True),
+            dst_plan=plans.dst(loops=True),
             he=he,
             att_edge=self.att_edge,
             edge_in_message=self.edge_in_message,
             negative_slope=self.negative_slope,
         )
-        if self.bias is not None:
-            out = out + self.bias
+        out = out + self.bias
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,7 +21,7 @@ benchmark compares all three.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class RGCNConv(Module):
         out_dim: int,
         num_relations: int,
         num_bases: int = 4,
-        bias: bool = True,
         rng: RngLike = None,
     ):
         super().__init__()
@@ -71,11 +70,7 @@ class RGCNConv(Module):
             init.xavier_uniform((num_bases, in_dim, out_dim), rng=gen)
         )
         self.comb = Parameter(init.xavier_uniform((num_relations, num_bases), rng=gen))
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init.zeros((out_dim,)))
-        else:
-            self.register_parameter("bias", None)
-            self.bias = None
+        self.bias = Parameter(init.zeros((out_dim,)))
 
     def forward(
         self,
@@ -112,8 +107,7 @@ class RGCNConv(Module):
         agg = segment_sum(messages, dst, n, plan=dst_plan)
         degree = np.maximum(dst_plan.counts.astype(get_compute_dtype()), 1.0)[:, None]
         out = x @ self.weight_self + agg * Tensor(1.0 / degree)
-        if self.bias is not None:
-            out = out + self.bias
+        out = out + self.bias
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,7 +25,7 @@ __all__ = ["SAGEConv"]
 class SAGEConv(Module):
     """Mean-aggregator GraphSAGE layer (edge-attribute blind)."""
 
-    def __init__(self, in_dim: int, out_dim: int, bias: bool = True, rng: RngLike = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: RngLike = None):
         super().__init__()
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError("feature dimensions must be positive")
@@ -34,11 +34,7 @@ class SAGEConv(Module):
         gen = ensure_rng(rng)
         self.weight_self = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
         self.weight_nbr = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init.zeros((out_dim,)))
-        else:
-            self.register_parameter("bias", None)
-            self.bias = None
+        self.bias = Parameter(init.zeros((out_dim,)))
 
     def forward(
         self,
@@ -57,8 +53,7 @@ class SAGEConv(Module):
         dst_plan = plans.dst()
         nbr_mean = segment_mean(gather(x, src, plan=src_plan), dst, n, plan=dst_plan)
         out = x @ self.weight_self + nbr_mean @ self.weight_nbr
-        if self.bias is not None:
-            out = out + self.bias
+        out = out + self.bias
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

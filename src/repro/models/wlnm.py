@@ -27,7 +27,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.structure import Graph
 from repro.graph.subgraph import EnclosingSubgraph, extract_enclosing_subgraph
 from repro.nn.dense import MLP
 from repro.nn.losses import cross_entropy

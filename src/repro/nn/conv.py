@@ -14,7 +14,7 @@ one matmul; ``MaxPool1d`` takes the maximum tap by tap over the view.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,7 +76,6 @@ class Conv1d(Module):
         out_channels: int,
         kernel_size: int,
         stride: int = 1,
-        bias: bool = True,
         rng: RngLike = None,
     ):
         super().__init__()
@@ -91,11 +90,7 @@ class Conv1d(Module):
         self.weight = Parameter(
             init.xavier_uniform((in_channels * kernel_size, out_channels), rng=gen)
         )
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init.zeros((out_channels,)))
-        else:
-            self.register_parameter("bias", None)
-            self.bias = None
+        self.bias = Parameter(init.zeros((out_channels,)))
 
     def out_length(self, length: int) -> int:
         """Output length for an input of ``length`` (valid convolution)."""
@@ -121,8 +116,7 @@ class Conv1d(Module):
 
         cols_t = Tensor._from_op(cols, (x,), (vjp_cols,), "im2col")
         out = cols_t @ self.weight  # (B*L_out, out)
-        if self.bias is not None:
-            out = out + self.bias
+        out = out + self.bias
         return out.reshape(b, l_out, self.out_channels).transpose((0, 2, 1))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

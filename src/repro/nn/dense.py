@@ -6,12 +6,12 @@ stage of Fig. 2 in the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, as_tensor
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["Linear", "Dropout", "MLP"]
@@ -24,7 +24,7 @@ class Linear(Module):
     a single row-major matmul (cache-friendly for batched inputs).
     """
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, rng: RngLike = None):
+    def __init__(self, in_features: int, out_features: int, rng: RngLike = None):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("feature dimensions must be positive")
@@ -32,17 +32,13 @@ class Linear(Module):
         self.out_features = out_features
         gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng=gen))
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init.zeros((out_features,)))
-        else:
-            self.register_parameter("bias", None)
-            self.bias = None
+        self.bias = Parameter(init.zeros((out_features,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias)
+        return as_tensor(x) @ self.weight + self.bias
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
+        return f"Linear({self.in_features}, {self.out_features})"
 
 
 class Dropout(Module):

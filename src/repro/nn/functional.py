@@ -1,14 +1,12 @@
 """Functional neural-network operations composed from autograd primitives.
 
 Mirrors the subset of ``torch.nn.functional`` the AM-DGCNN stack needs:
-activations, (log-)softmax, dropout, one-hot encoding and the affine map. All
+activations, (log-)softmax, dropout and one-hot encoding. All
 functions take/return :class:`~repro.nn.tensor.Tensor` and are covered by
 finite-difference gradient tests.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -23,7 +21,6 @@ __all__ = [
     "log_softmax",
     "dropout",
     "one_hot",
-    "linear",
 ]
 
 
@@ -112,9 +109,3 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight + bias`` (weight stored input×output)."""
-    out = as_tensor(x) @ weight
-    if bias is not None:
-        out = out + bias
-    return out

@@ -211,16 +211,8 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4, threshold=8)}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """The underlying ndarray (no copy). Mutating it bypasses the tape."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """A new leaf tensor sharing data but cut from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -404,27 +396,9 @@ class Tensor:
         out = np.tanh(self.data)
         return Tensor._from_op(out, (self,), (lambda g: g * (1.0 - out * out),), "tanh")
 
-    def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._from_op(out, (self,), (lambda g: g * out * (1.0 - out),), "sigmoid")
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         return Tensor._from_op(self.data * mask, (self,), (lambda g: g * mask,), "relu")
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        a = self.data
-        mask = a > 0
-        out = np.where(mask, a, negative_slope * a)
-        # np.where(mask, g, g * slope) rather than g * np.where(mask, 1, slope):
-        # identical floats (x * 1.0 == x), but the scalar operand stays weak
-        # so a float32 gradient is not promoted to float64.
-        return Tensor._from_op(
-            out,
-            (self,),
-            (lambda g: np.where(mask, g, g * negative_slope),),
-            "leaky_relu",
-        )
 
     def abs(self) -> "Tensor":
         a = self.data
@@ -493,11 +467,6 @@ class Tensor:
         else:
             inv = np.argsort(axes)
         return Tensor._from_op(out, (self,), (lambda g: np.transpose(g, inv),), "transpose")
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        old = self.data.shape
-        out = np.squeeze(self.data, axis=axis)
-        return Tensor._from_op(out, (self,), (lambda g: g.reshape(old),), "squeeze")
 
     def expand_dims(self, axis: int) -> "Tensor":
         old = self.data.shape

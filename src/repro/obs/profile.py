@@ -320,7 +320,7 @@ def metric_sections(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.datasets import dataset_names
-    from repro.utils.cli import number_at_least
+    from repro.utils.cli import number_at_least, scale_usage_errors
 
     parser = argparse.ArgumentParser(
         prog="repro profile",
@@ -413,7 +413,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.smoke:
         kwargs.update(scale=0.12, num_targets=40, epochs=1, batch_size=8)
 
-    report = run_profile(**kwargs)
+    with scale_usage_errors(parser):
+        report = run_profile(**kwargs)
 
     for warning in report["warnings"]:
         print(f"repro profile: WARNING — {warning}", file=sys.stderr)

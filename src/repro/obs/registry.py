@@ -327,14 +327,6 @@ class MetricsRegistry:
         """Timer context manager; nests under any currently open phase."""
         return _PhaseTimer(self, name)
 
-    def reset(self) -> None:
-        """Drop every recorded metric (open phases keep their stack)."""
-        self.gauges.clear()
-        with self._shards_lock:
-            self._retired.clear()
-            for _, shard in self._shards:
-                shard.clear()
-
     def merge(self, delta: Dict[str, Any]) -> None:
         """Fold in another registry's :meth:`delta`.
 
@@ -423,17 +415,6 @@ class MetricsRegistry:
                 for k, seconds in total.phase_totals.items()
             },
         }
-
-    def report(self) -> str:
-        """Human-readable phase table sorted by total time."""
-        total = self._merged()
-        totals, counts = total.phase_totals, total.phase_counts
-        lines = ["phase                            total(s)   calls   mean(ms)"]
-        for key in sorted(totals, key=totals.get, reverse=True):
-            calls = counts[key]
-            mean_ms = 1e3 * totals[key] / calls if calls else 0.0
-            lines.append(f"{key:<32} {totals[key]:>8.3f} {calls:>7d} {mean_ms:>10.3f}")
-        return "\n".join(lines)
 
 
 # -- process-global plumbing -------------------------------------------

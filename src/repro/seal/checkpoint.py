@@ -81,8 +81,8 @@ class CheckpointConfig:
     dir: directory the ``ckpt_<epoch>.npz`` bundles live in (created on
         first write).
     every: write a bundle every this many completed epochs (the final
-        epoch, an early stop and a ``KeyboardInterrupt`` always write,
-        regardless of cadence).
+        epoch and a ``KeyboardInterrupt`` always write, regardless of
+        cadence).
     keep_last: retain at most this many newest bundles; older ones are
         pruned after each write. ``None`` keeps everything.
     resume: when a bundle already exists in ``dir``, restore it and

@@ -39,16 +39,13 @@ def sample_negative_pairs(
     graph: Graph,
     num_pairs: int,
     *,
-    exclude: Optional[np.ndarray] = None,
     rng: RngLike = None,
-    max_attempts_factor: int = 100,
 ) -> np.ndarray:
     """Sample node pairs that are *not* edges of ``graph`` (negatives).
 
     Standard negative sampling for custom link-prediction tasks built on
     this library. Pairs are undirected (returned with ``u < v``),
-    distinct, exclude self-pairs, existing arcs, and anything listed in
-    ``exclude`` (an ``(M, 2)`` array, any orientation).
+    distinct, and exclude self-pairs and existing arcs.
 
     The banned set is a sorted array of ``u * N + v`` codes built with
     vectorized NumPy (no Python loop over arcs), and candidates are drawn
@@ -56,25 +53,19 @@ def sample_negative_pairs(
     function on large graphs.
 
     Raises ``RuntimeError`` when the graph is too dense to find enough
-    negatives within ``max_attempts_factor * num_pairs`` draws.
+    negatives within ``100 * num_pairs`` draws.
     """
     if num_pairs < 0:
         raise ValueError("num_pairs must be non-negative")
     gen = ensure_rng(rng)
     n = graph.num_nodes
     src, dst = graph.edge_index
-    banned = np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst)
-    if exclude is not None:
-        ex = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
-        banned = np.concatenate(
-            [banned, np.minimum(ex[:, 0], ex[:, 1]) * n + np.maximum(ex[:, 0], ex[:, 1])]
-        )
-    banned = np.unique(banned)
+    banned = np.unique(np.minimum(src, dst).astype(np.int64) * n + np.maximum(src, dst))
 
     out: List[int] = []
     seen = set()
     attempts = 0
-    limit = max_attempts_factor * max(num_pairs, 1)
+    limit = 100 * max(num_pairs, 1)
     while len(out) < num_pairs:
         if attempts >= limit:
             raise RuntimeError("could not sample enough negative pairs")
@@ -299,12 +290,6 @@ class SEALDataset:
             size=len(self.store),
             capacity=self.task.num_links,
         )
-
-    def clear_cache(self) -> None:
-        """Drop every cached subgraph and reset the hit/miss statistics."""
-        self.store.clear()
-        self._hits = 0
-        self._misses = 0
 
     # ------------------------------------------------------------------ #
     # batching (thin wrapper over repro.data)

@@ -59,7 +59,6 @@ def evaluate(
     indices: Sequence[int],
     *,
     batch_size: int = 64,
-    rng_class_pick: int = 0,
     num_workers: int = 0,  # only 0; kept for benchmarks/e2e/workloads.py until it drops it
 ) -> EvalResult:
     """Evaluate ``model`` on the links selected by ``indices``.
@@ -82,7 +81,7 @@ def evaluate(
             auc=multiclass_auc(labels, probs),
             ap=average_precision(labels, preds, n_classes),
             accuracy=accuracy(labels, preds),
-            auc_random_class=multiclass_auc(labels, probs, rng=rng_class_pick),
+            auc_random_class=multiclass_auc(labels, probs, rng=0),
             confusion=confusion_matrix(labels, preds, n_classes),
             probs=probs,
             labels=labels,

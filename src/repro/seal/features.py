@@ -15,14 +15,22 @@ can concatenate matrices directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.functional import one_hot
 from repro.seal.labeling import DEFAULT_MAX_LABEL, drnl_one_hot
 
-__all__ = ["FeatureConfig", "assemble_node_features"]
+__all__ = [
+    "FeatureConfig",
+    "assemble_node_features",
+    "dump_feature_config",
+    "load_feature_config",
+]
+
+#: the array entry :func:`dump_feature_config` stores embeddings under
+_EMBEDDINGS_KEY = "feature:embeddings"
 
 
 @dataclass
@@ -65,6 +73,35 @@ class FeatureConfig:
         if w == 0:
             raise ValueError("feature configuration produces empty vectors")
         return w
+
+
+def dump_feature_config(config: FeatureConfig) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``config`` as a JSON-ready dict plus its arrays (the embeddings, if any).
+
+    Model bundles and saved tasks both store a recipe this way: the dict
+    goes into the file's metadata and the arrays next to its own.
+    """
+    meta = {
+        "num_node_types": config.num_node_types,
+        "use_drnl": config.use_drnl,
+        "max_drnl_label": config.max_drnl_label,
+        "explicit_dim": config.explicit_dim,
+    }
+    arrays = {}
+    if config.embeddings is not None:
+        arrays[_EMBEDDINGS_KEY] = np.asarray(config.embeddings)
+    return meta, arrays
+
+
+def load_feature_config(meta: dict, arrays: Dict[str, np.ndarray]) -> FeatureConfig:
+    """Inverse of :func:`dump_feature_config`."""
+    return FeatureConfig(
+        num_node_types=int(meta["num_node_types"]),
+        use_drnl=bool(meta["use_drnl"]),
+        max_drnl_label=int(meta["max_drnl_label"]),
+        explicit_dim=int(meta["explicit_dim"]),
+        embeddings=arrays.get(_EMBEDDINGS_KEY),
+    )
 
 
 def assemble_node_features(

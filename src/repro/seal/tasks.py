@@ -38,7 +38,6 @@ def make_link_prediction_task(
     num_samples: int,
     *,
     feature_config: Optional[FeatureConfig] = None,
-    use_edge_attrs: bool = True,
     num_hops: int = 2,
     subgraph_mode: str = "union",
     max_subgraph_nodes: Optional[int] = 100,
@@ -82,5 +81,5 @@ def make_link_prediction_task(
         subgraph_mode=subgraph_mode,
         num_hops=num_hops,
         max_subgraph_nodes=max_subgraph_nodes,
-        edge_attr_dim=(graph.edge_attr.shape[1] if use_edge_attrs and graph.edge_attr is not None else 0),
+        edge_attr_dim=0 if graph.edge_attr is None else graph.edge_attr.shape[1],
     )

@@ -28,8 +28,8 @@ loops) alive:
 
 * ``checkpoint=CheckpointConfig(dir, every, keep_last)`` writes a
   resumable :class:`~repro.seal.checkpoint.Checkpoint` bundle every N
-  completed epochs — and always on the final epoch, an early stop, or
-  when an exception (``KeyboardInterrupt``, a non-finite abort, a failed
+  completed epochs — and always on the final epoch, or when an
+  exception (``KeyboardInterrupt``, a non-finite abort, a failed
   shard worker) ends the run. A rerun with the same config finds the
   newest bundle and continues **bit-identically** to an uninterrupted
   run: same losses, same eval AUC/AP trace, same final weights (model,
@@ -113,7 +113,6 @@ class TrainConfig:
     class_weights: Optional[np.ndarray] = None
     eval_batch_size: int = 64
     restore_best: bool = False  # reload the best-AUC epoch's weights at the end
-    patience: Optional[int] = None  # stop after this many epochs w/o AUC improvement
     num_workers: int = 0  # only 0; kept for benchmarks/e2e/workloads.py until it drops it
     #: abort with NonFiniteLossError after this many *consecutive*
     #: optimizer steps skipped by the non-finite loss/gradient guard
@@ -306,8 +305,8 @@ def train_with_step(
 
     Owns everything but the batch gradient: validation, the dtype
     policy, Adam, callbacks, RNG registration, resume, the non-finite
-    guard with clipping and the optimizer step, evaluation, early
-    stopping, checkpoints and ``restore_best``.
+    guard with clipping and the optimizer step, evaluation, checkpoints
+    and ``restore_best``.
     """
     policy = resolve_dtype(config.compute_dtype)
     if policy != FLOAT64:
@@ -347,10 +346,6 @@ def _train_loop(
     )
     if config.restore_best and eval_indices is None:
         raise ValueError("restore_best requires eval_indices")
-    if config.patience is not None and eval_indices is None:
-        raise ValueError("patience (early stopping) requires eval_indices")
-    if config.patience is not None and config.patience < 1:
-        raise ValueError("patience must be >= 1")
     cbs = list(callbacks) if callbacks is not None else []
     if verbose is True:
         cbs.append(ConsoleLogger(emit=print))
@@ -404,12 +399,6 @@ def _train_loop(
         snapshot = ck
 
     epochs = range(start_epoch, config.epochs)
-    if (
-        config.patience is not None
-        and result.best_epoch is not None
-        and start_epoch - 1 - result.best_epoch >= config.patience
-    ):
-        epochs = range(0)  # resumed a run that had already stopped early
 
     model.train()
     for cb in cbs:
@@ -516,22 +505,12 @@ def _train_loop(
                     write_snapshot(snapshot)
             for cb in cbs:
                 cb.on_epoch_end(epoch, result)
-            stop = (
-                config.patience is not None
-                and result.best_epoch is not None
-                and epoch - result.best_epoch >= config.patience
-            )
-            step.after_epoch(stop or epoch + 1 == config.epochs)
-            if stop:
-                logger.info(
-                    "early stop at epoch %d (best was %d)", epoch + 1, result.best_epoch + 1
-                )
-                break
+            step.after_epoch(epoch + 1 == config.epochs)
     finally:
         step.close()
         # Persist the last completed epoch however the loop ended — an
-        # early stop between cadence writes or an exception — so a rerun
-        # resumes instead of starting over.
+        # exception between cadence writes included — so a rerun resumes
+        # instead of starting over.
         if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
             write_snapshot(snapshot)
     for cb in cbs:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.nn.module import Module
-from repro.seal.features import FeatureConfig
+from repro.seal.features import FeatureConfig, dump_feature_config, load_feature_config
 from repro.utils.serialization import PathLike, read_meta_npz, write_meta_npz
 
 __all__ = ["BUNDLE_VERSION", "BundleError", "ModelBundle"]
@@ -258,9 +258,8 @@ class ModelBundle:
             f"model:{name}": np.asarray(arr)
             for name, arr in self.model_state.items()
         }
-        fc = self.feature_config
-        if fc.embeddings is not None:
-            arrays["feature:embeddings"] = np.asarray(fc.embeddings)
+        fc_meta, fc_arrays = dump_feature_config(self.feature_config)
+        arrays.update(fc_arrays)
         meta = {
             "version": BUNDLE_VERSION,
             "kind": "model-bundle",
@@ -268,12 +267,7 @@ class ModelBundle:
             "model_kwargs": self.model_kwargs,
             "num_classes": self.num_classes,
             "class_names": list(self.class_names),
-            "feature_config": {
-                "num_node_types": fc.num_node_types,
-                "use_drnl": fc.use_drnl,
-                "max_drnl_label": fc.max_drnl_label,
-                "explicit_dim": fc.explicit_dim,
-            },
+            "feature_config": fc_meta,
             "extraction": {
                 "num_hops": self.num_hops,
                 "subgraph_mode": self.subgraph_mode,
@@ -306,20 +300,12 @@ class ModelBundle:
             for key, arr in arrays.items()
             if key.startswith("model:")
         }
-        fc_meta = meta["feature_config"]
-        feature_config = FeatureConfig(
-            num_node_types=int(fc_meta["num_node_types"]),
-            use_drnl=bool(fc_meta["use_drnl"]),
-            max_drnl_label=int(fc_meta["max_drnl_label"]),
-            explicit_dim=int(fc_meta["explicit_dim"]),
-            embeddings=arrays.get("feature:embeddings"),
-        )
         ext = meta["extraction"]
         return cls(
             model_class=meta["model_class"],
             model_kwargs=meta["model_kwargs"],
             model_state=model_state,
-            feature_config=feature_config,
+            feature_config=load_feature_config(meta["feature_config"], arrays),
             num_classes=int(meta["num_classes"]),
             class_names=list(meta["class_names"]),
             num_hops=int(ext["num_hops"]),

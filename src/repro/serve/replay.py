@@ -211,7 +211,7 @@ def run_replay(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.datasets import dataset_names
-    from repro.utils.cli import number_at_least
+    from repro.utils.cli import number_at_least, scale_usage_errors
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -289,7 +289,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.smoke:
         kwargs.update(scale=0.12, num_targets=40, clients=2, requests_per_client=4)
 
-    report = run_replay(**kwargs)
+    with scale_usage_errors(parser):
+        report = run_replay(**kwargs)
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 
+#: pair slots (and subgraph-store rows) reserved up front; both double
+#: whenever a new pair needs one more
+_INITIAL_CAPACITY = 256
+
+
 class CompatibilityError(ValueError):
     """Bundle and graph disagree (feature recipe, widths, node space)."""
 
@@ -102,8 +107,8 @@ class ScoreRequest:
 class ScoreResult:
     """Per-pair class probabilities plus serving metadata.
 
-    ``probs[i]`` sums to one; ``predicted[i]`` is its argmax and
-    ``predicted_names[i]`` the matching class name. ``num_nodes`` /
+    ``probs[i]`` sums to one; ``predicted[i]`` is its argmax, an index
+    into ``class_names``. ``num_nodes`` /
     ``num_edges`` report each pair's enclosing subgraph; ``cached``
     marks pairs answered from the score cache. ``timing`` breaks the
     request into ``extract_s`` / ``forward_s`` / ``total_s``.
@@ -119,10 +124,6 @@ class ScoreResult:
     request_id: Optional[str] = None
 
     ok = True
-
-    @property
-    def predicted_names(self) -> List[str]:
-        return [self.class_names[int(c)] for c in self.predicted]
 
     def narrow(self, lo: int, hi: int, request_id: Optional[str] = None) -> "ScoreResult":
         """Row-slice view for one member request of a coalesced batch."""
@@ -249,7 +250,6 @@ class LinkScorer:
         model: Optional[Module] = None,
         micro_batch: int = 16,
         cache_scores: bool = True,
-        initial_capacity: int = 256,
         rng: Optional[RngLike] = None,
         compute_dtype: Optional[str] = None,
     ):
@@ -274,7 +274,7 @@ class LinkScorer:
         self.cache_scores = bool(cache_scores)
         self._seed: RngLike = bundle.extraction_seed if rng is None else rng
         self._task = _ServeTask(graph, bundle)
-        self._capacity = max(int(initial_capacity), self.micro_batch)
+        self._capacity = max(_INITIAL_CAPACITY, self.micro_batch)
         self._pairs = np.empty((self._capacity, 2), dtype=np.int64)
         self._task.pairs = self._pairs
         self.store = SubgraphStore(
@@ -298,22 +298,6 @@ class LinkScorer:
         # latency survives graph changes.
         self._warm: Dict[Tuple[int, int], None] = {}
         self._graph_version = 0
-
-    @classmethod
-    def from_path(cls, path, graph: Graph, **kwargs) -> "LinkScorer":
-        """Construct a scorer straight from a saved bundle file."""
-        return cls(ModelBundle.load(path), graph, **kwargs)
-
-    @classmethod
-    def from_saved(cls, bundle_path, graph_dir, *, mmap: bool = True, **kwargs) -> "LinkScorer":
-        """Scorer from a bundle file plus a saved graph directory.
-
-        The graph comes back mmap-backed by default (see
-        :meth:`~repro.graph.Graph.open`): the serving process maps the
-        arrays read-only instead of loading a private copy, and scores
-        are bit-identical to serving the in-memory graph.
-        """
-        return cls(ModelBundle.load(bundle_path), Graph.open(graph_dir, mmap=mmap), **kwargs)
 
     def warm(self, pairs) -> int:
         """Pre-extract the enclosing subgraphs of ``pairs`` into the store.
@@ -340,17 +324,11 @@ class LinkScorer:
     # ------------------------------------------------------------------ #
     # graph versioning / cache invalidation
     # ------------------------------------------------------------------ #
-    @property
-    def graph_version(self) -> int:
-        """Monotone counter bumped by every :meth:`invalidate`."""
-        return self._graph_version
-
     def invalidate(
         self,
         graph: Optional[Graph] = None,
         *,
         delta=None,
-        rewarm: bool = True,
     ) -> int:
         """Declare the graph changed: retire stale scores and subgraphs.
 
@@ -370,7 +348,7 @@ class LinkScorer:
         Pass the new :class:`Graph` to swap it in (re-validated against
         the bundle); omit it when the caller mutated the graph in place.
         Retired pairs previously registered via :meth:`warm` are
-        re-extracted against the new graph unless ``rewarm=False``.
+        re-extracted against the new graph.
         Returns the new graph version.
         """
         if graph is not None:
@@ -428,14 +406,13 @@ class LinkScorer:
             obs.count("serve.cache.retired_pairs", float(len(retired)))
             obs.count("serve.cache.survivor_pairs", float(len(self._slots)))
 
-        if rewarm:
-            rewarm_keys = [key for key in retired if key in self._warm]
-            if rewarm_keys:
-                slots = np.asarray(
-                    [self._slot_of(key) for key in rewarm_keys], dtype=np.int64
-                )
-                self._ensure_extracted(slots)
-                obs.count("serve.cache.rewarmed_pairs", float(len(rewarm_keys)))
+        rewarm_keys = [key for key in retired if key in self._warm]
+        if rewarm_keys:
+            slots = np.asarray(
+                [self._slot_of(key) for key in rewarm_keys], dtype=np.int64
+            )
+            self._ensure_extracted(slots)
+            obs.count("serve.cache.rewarmed_pairs", float(len(rewarm_keys)))
         return self._graph_version
 
     # ------------------------------------------------------------------ #
@@ -574,17 +551,6 @@ class LinkScorer:
             },
             request_id=request_id,
         )
-
-    def score_request(self, request: ScoreRequest) -> ScoreOutcome:
-        """Serve one typed request, honoring its deadline."""
-        if request.expired():
-            obs.count("serve.deadline.dropped")
-            return Rejected(
-                reason="deadline",
-                detail="request deadline expired before scoring began",
-                request_id=request.request_id,
-            )
-        return self.score(request.pairs, request_id=request.request_id)
 
     def cache_info(self) -> Dict[str, int]:
         """Size of the score cache and the backing subgraph store."""

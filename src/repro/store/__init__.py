@@ -16,7 +16,7 @@ The storage layer under the data pipeline:
 """
 
 from repro.store.graph_storage import STORAGE_VERSION, GraphStorage
-from repro.store.parambuf import CMD_ABORT, CMD_RUN, CMD_STOP, ParameterBuffer
+from repro.store.parambuf import CMD_ABORT, CMD_RUN, ParameterBuffer
 from repro.store.task_io import TASK_FILE, has_task, load_task, save_task
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "GraphStorage",
     "ParameterBuffer",
     "CMD_RUN",
-    "CMD_STOP",
     "CMD_ABORT",
     "TASK_FILE",
     "has_task",

@@ -28,12 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ParameterBuffer", "CMD_RUN", "CMD_STOP", "CMD_ABORT"]
+__all__ = ["ParameterBuffer", "CMD_RUN", "CMD_ABORT"]
 
 # Control words (stored as float64; exact for small ints).
 CMD_RUN = 0
-CMD_STOP = 1
-CMD_ABORT = 2
+CMD_ABORT = 1
 
 _CTRL_DOUBLES = 2  # [command, reserved]
 _SCALAR_COLS = 2  # [loss, count]

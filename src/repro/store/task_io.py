@@ -40,15 +40,16 @@ def has_task(directory) -> bool:
 
 def save_task(directory, task) -> Path:
     """Write ``task`` (graph arrays + task manifest) under ``directory``."""
+    from repro.seal.features import dump_feature_config
+
     directory = Path(directory)
     task.graph.save(directory)
     arrays = {
         "pairs": np.asarray(task.pairs, dtype=np.int64),
         "labels": np.asarray(task.labels, dtype=np.int64),
     }
-    fc = task.feature_config
-    if fc.embeddings is not None:
-        arrays["feature:embeddings"] = np.asarray(fc.embeddings)
+    fc_meta, fc_arrays = dump_feature_config(task.feature_config)
+    arrays.update(fc_arrays)
     meta = {
         "kind": "link-task",
         "version": _TASK_VERSION,
@@ -61,12 +62,7 @@ def save_task(directory, task) -> Path:
             None if task.max_subgraph_nodes is None else int(task.max_subgraph_nodes)
         ),
         "edge_attr_dim": int(task.edge_attr_dim),
-        "feature_config": {
-            "num_node_types": fc.num_node_types,
-            "use_drnl": fc.use_drnl,
-            "max_drnl_label": fc.max_drnl_label,
-            "explicit_dim": fc.explicit_dim,
-        },
+        "feature_config": fc_meta,
     }
     write_meta_npz(directory / TASK_FILE, arrays, meta)
     return directory
@@ -80,7 +76,7 @@ def load_task(directory, *, mmap: bool = True):
     """
     from repro.graph.structure import Graph
     from repro.seal.dataset import LinkTask
-    from repro.seal.features import FeatureConfig
+    from repro.seal.features import load_feature_config
 
     directory = Path(directory)
     arrays, meta = read_meta_npz(directory / TASK_FILE)
@@ -91,20 +87,12 @@ def load_task(directory, *, mmap: bool = True):
             f"saved task version {meta.get('version')} unsupported "
             f"(this build reads version {_TASK_VERSION})"
         )
-    fc_meta = meta["feature_config"]
-    feature_config = FeatureConfig(
-        num_node_types=int(fc_meta["num_node_types"]),
-        use_drnl=bool(fc_meta["use_drnl"]),
-        max_drnl_label=int(fc_meta["max_drnl_label"]),
-        explicit_dim=int(fc_meta["explicit_dim"]),
-        embeddings=arrays.get("feature:embeddings"),
-    )
     return LinkTask(
         graph=Graph.open(directory, mmap=mmap),
         pairs=arrays["pairs"],
         labels=arrays["labels"],
         num_classes=int(meta["num_classes"]),
-        feature_config=feature_config,
+        feature_config=load_feature_config(meta["feature_config"], arrays),
         class_names=list(meta["class_names"]),
         name=meta["name"],
         subgraph_mode=meta["subgraph_mode"],

@@ -116,12 +116,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         generate_events,
         run_prequential,
     )
+    from repro.utils.cli import scale_usage_errors
 
     t_start = time.perf_counter()
-    obs.enable()
-    task = load_dataset(
-        args.dataset, scale=args.scale, rng=args.seed, num_targets=args.targets
-    )
+    with scale_usage_errors(parser):
+        task = load_dataset(
+            args.dataset, scale=args.scale, rng=args.seed, num_targets=args.targets
+        )
+    obs.enable()  # loading records nothing; a usage error leaves obs as it was
     model = AMDGCNN(
         task.feature_config.width,
         task.num_classes,

@@ -180,7 +180,6 @@ def run_prequential(
     rng: RngLike = 0,
     extraction_rng: RngLike = 0,
     drift: Optional[DriftTracker] = None,
-    rng_class_pick: int = 0,
 ) -> PrequentialResult:
     """Drive ``model`` prequentially over ``events``.
 
@@ -312,7 +311,7 @@ def run_prequential(
             auc=multiclass_auc(labels, probs),
             ap=average_precision(labels, preds, n_classes),
             accuracy=accuracy(labels, preds),
-            auc_random_class=multiclass_auc(labels, probs, rng=rng_class_pick),
+            auc_random_class=multiclass_auc(labels, probs, rng=0),
             confusion=confusion_matrix(labels, preds, n_classes),
             probs=probs,
             labels=labels,

@@ -62,10 +62,6 @@ class GraphDelta:
     removed: np.ndarray
 
     @property
-    def is_empty(self) -> bool:
-        return len(self.added) == 0 and len(self.removed) == 0
-
-    @property
     def touched_nodes(self) -> np.ndarray:
         """Sorted unique endpoints of every added/removed edge."""
         parts = [self.added.ravel(), self.removed.ravel()]

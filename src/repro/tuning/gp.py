@@ -1,6 +1,6 @@
 """Gaussian-process regression surrogate for Bayesian optimization.
 
-A compact, numerically careful GP with Matérn-5/2 or RBF kernels on the
+A compact, numerically careful GP with a Matérn-5/2 kernel on the
 unit-cube encoded design space, exact Cholesky inference and per-fit
 hyperparameter selection by marginal-likelihood grid search over length
 scales. Sufficient for the ≤ a-few-hundred-point fits of the CBO loop
@@ -16,7 +16,7 @@ import numpy as np
 from repro.nn.dtype import FLOAT64
 from scipy.linalg import cho_factor, cho_solve
 
-__all__ = ["rbf_kernel", "matern52_kernel", "GaussianProcess"]
+__all__ = ["matern52_kernel", "GaussianProcess"]
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -24,11 +24,6 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
-
-
-def rbf_kernel(a: np.ndarray, b: np.ndarray, length_scale: float = 0.3) -> np.ndarray:
-    """Squared-exponential kernel ``exp(-d²/2ℓ²)``."""
-    return np.exp(-0.5 * _sqdist(a, b) / length_scale**2)
 
 
 def matern52_kernel(a: np.ndarray, b: np.ndarray, length_scale: float = 0.3) -> np.ndarray:
@@ -43,7 +38,6 @@ class GaussianProcess:
 
     Parameters
     ----------
-    kernel: ``"matern52"`` or ``"rbf"``.
     noise: observation noise variance added to the kernel diagonal
         (also acts as jitter for stability).
     length_scales: grid searched by marginal likelihood at fit time.
@@ -51,15 +45,11 @@ class GaussianProcess:
 
     def __init__(
         self,
-        kernel: str = "matern52",
         noise: float = 1e-4,
         length_scales: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.5, 1.0),
     ):
-        if kernel not in ("matern52", "rbf"):
-            raise ValueError("kernel must be 'matern52' or 'rbf'")
         if noise <= 0:
             raise ValueError("noise must be positive")
-        self._kfn = matern52_kernel if kernel == "matern52" else rbf_kernel
         self.noise = noise
         self.length_scales = length_scales
         self._x: Optional[np.ndarray] = None
@@ -83,7 +73,7 @@ class GaussianProcess:
 
         best = (-np.inf, None, None, None)
         for ls in self.length_scales:
-            k = self._kfn(x, x, ls) + self.noise * np.eye(len(x))
+            k = matern52_kernel(x, x, ls) + self.noise * np.eye(len(x))
             try:
                 chol = cho_factor(k, lower=True)
             except np.linalg.LinAlgError:  # pragma: no cover - jitter guard
@@ -104,9 +94,9 @@ class GaussianProcess:
         if self._x is None:
             raise RuntimeError("GP is not fitted")
         x_new = np.atleast_2d(np.asarray(x_new, dtype=FLOAT64))
-        k_star = self._kfn(x_new, self._x, self.length_scale)
+        k_star = matern52_kernel(x_new, self._x, self.length_scale)
         mean = k_star @ self._alpha
         v = cho_solve(self._chol, k_star.T)
-        prior_var = np.diag(self._kfn(x_new, x_new, self.length_scale))
+        prior_var = np.diag(matern52_kernel(x_new, x_new, self.length_scale))
         var = np.maximum(prior_var - (k_star * v.T).sum(axis=1), 1e-12)
         return self._mean + self._std * mean, self._std * np.sqrt(var)

@@ -1,9 +1,9 @@
 """Hyperparameter search-space definition (paper Table I).
 
 A :class:`SearchSpace` is an ordered set of named dimensions. Each
-dimension knows how to sample itself, how to encode a value into the
+dimension knows how to sample itself and how to encode a value into the
 GP's continuous design space (log-scaled floats, normalized integers,
-one-hot choices), and how to decode back. The paper's space::
+one-hot choices). The paper's space::
 
     lr      ∈ [1e-6, 1e-2]      (log-uniform)
     hidden  ∈ {16, 32, 64, 128} (choice)
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.nn.dtype import FLOAT64
 
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -56,13 +54,6 @@ class Real:
             return np.array([(np.log(value) - lo) / (hi - lo)])
         return np.array([(value - self.low) / (self.high - self.low)])
 
-    def decode(self, unit: np.ndarray) -> float:
-        u = float(np.clip(unit[0], 0.0, 1.0))
-        if self.log:
-            lo, hi = np.log(self.low), np.log(self.high)
-            return float(np.exp(lo + u * (hi - lo)))
-        return float(self.low + u * (self.high - self.low))
-
 
 @dataclass(frozen=True)
 class Integer:
@@ -85,10 +76,6 @@ class Integer:
 
     def encode(self, value: int) -> np.ndarray:
         return np.array([(value - self.low) / (self.high - self.low)])
-
-    def decode(self, unit: np.ndarray) -> int:
-        u = float(np.clip(unit[0], 0.0, 1.0))
-        return int(round(self.low + u * (self.high - self.low)))
 
 
 @dataclass(frozen=True)
@@ -114,15 +101,12 @@ class Choice:
         out[self.options.index(value)] = 1.0
         return out
 
-    def decode(self, unit: np.ndarray) -> Value:
-        return self.options[int(np.argmax(unit))]
-
 
 Dimension = Union[Real, Integer, Choice]
 
 
 class SearchSpace:
-    """An ordered collection of dimensions with encode/decode/sample."""
+    """An ordered collection of dimensions with encode/sample."""
 
     def __init__(self, dimensions: Sequence[Dimension]):
         if not dimensions:
@@ -146,18 +130,6 @@ class SearchSpace:
         """Encode a configuration into ``[0,1]^encoded_width``."""
         parts = [d.encode(config[d.name]) for d in self.dimensions]
         return np.concatenate(parts)
-
-    def decode(self, vec: np.ndarray) -> Dict[str, Value]:
-        """Decode a continuous vector back to a configuration."""
-        vec = np.asarray(vec, dtype=FLOAT64)
-        if vec.shape != (self.encoded_width,):
-            raise ValueError("encoded vector has wrong width")
-        out: Dict[str, Value] = {}
-        i = 0
-        for d in self.dimensions:
-            out[d.name] = d.decode(vec[i : i + d.encoded_width])
-            i += d.encoded_width
-        return out
 
     def contains(self, config: Dict[str, Value]) -> bool:
         """Whether every value lies inside its dimension."""

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import argparse
+from contextlib import contextmanager
 
-__all__ = ["number_at_least"]
+__all__ = ["number_at_least", "scale_usage_errors"]
 
 
 def number_at_least(kind, low, *, strict: bool = False):
@@ -25,3 +26,19 @@ def number_at_least(kind, low, *, strict: bool = False):
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
+
+
+@contextmanager
+def scale_usage_errors(parser: argparse.ArgumentParser):
+    """Report a dataset too small for its target count as a ``--scale`` usage error.
+
+    Inside the block, a :class:`~repro.datasets.synthetic.ScaleTooSmallError`
+    becomes ``parser.error`` (exit status 2, the flag named) instead of a
+    traceback.
+    """
+    from repro.datasets.synthetic import ScaleTooSmallError
+
+    try:
+        yield
+    except ScaleTooSmallError as exc:
+        parser.error(f"argument --scale: {exc}")

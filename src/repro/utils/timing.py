@@ -67,16 +67,3 @@ class Stopwatch:
             return 0.0
         return self.totals[name] / self.counts[name]
 
-    def report(self) -> str:
-        """Human-readable multi-line summary sorted by total time."""
-        lines = ["segment                total(s)   calls   mean(ms)"]
-        for name in sorted(self.totals, key=self.totals.get, reverse=True):
-            lines.append(
-                f"{name:<22} {self.totals[name]:>8.3f} {self.counts[name]:>7d} "
-                f"{1e3 * self.mean(name):>10.3f}"
-            )
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        self.totals.clear()
-        self.counts.clear()

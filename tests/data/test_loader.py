@@ -169,7 +169,7 @@ class TestEpochBatches:
                 assert pos == sorted(pos)
 
     def test_shard_local_dataset_extracts_the_same_bytes(self, task):
-        part = partition_graph(task, 2, method="hash", seed=11)
+        part = partition_graph(task, 2, seed=11)
         shard = part.shards[0]
         assert shard.owned_links.size  # sanity: the shard actually owns links
         local = SEALDataset(shard_task(task, shard), rng=0)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import (
     PAPER_SCHEMAS,
+    ScaleTooSmallError,
     dataset_names,
     load_biokg_like,
     load_cora_like,
@@ -28,6 +29,17 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             load_dataset("imagenet")
+
+    def test_scale_too_small_for_the_targets_names_dataset_scale_and_count(self):
+        with pytest.raises(ValueError) as exc:
+            load_dataset("primekg", scale=0.05)
+        assert isinstance(exc.value, ScaleTooSmallError)
+        message = str(exc.value)
+        assert "primekg at scale 0.05" in message
+        assert "800 distinct target pairs" in message
+        # Link prediction draws its positives from the graph's own edges.
+        with pytest.raises(ScaleTooSmallError, match="cora at scale 0.05 is too small"):
+            load_dataset("cora", scale=0.05, num_targets=100_000)
 
     def test_paper_schemas_cover_registry(self):
         assert set(PAPER_SCHEMAS) == set(dataset_names())

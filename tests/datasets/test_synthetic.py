@@ -13,6 +13,7 @@ from repro.datasets.synthetic import (
     num_role_pairs,
     role_pair_index,
 )
+from tests.oracles import edge_ids_between, has_edge
 
 
 def base_config(**overrides):
@@ -125,8 +126,8 @@ class TestGeneration:
     def test_target_links_inserted_as_edges(self):
         kg = generate_planted_kg(base_config(), rng=0)
         for u, v in kg.target_pairs[:10]:
-            assert kg.graph.has_edge(int(u), int(v))
-            assert kg.graph.has_edge(int(v), int(u))
+            assert has_edge(kg.graph, int(u), int(v))
+            assert has_edge(kg.graph, int(v), int(u))
 
     def test_type_restriction(self):
         cfg = base_config(target_type_pair=(0, 1))
@@ -171,9 +172,9 @@ class TestGeneration:
         neg = kg.target_pairs[kg.target_labels == 0]
         assert len(pos) > 0 and len(neg) > 0
         for u, v in pos[:10]:
-            assert kg.graph.has_edge(int(u), int(v))
+            assert has_edge(kg.graph, int(u), int(v))
         for u, v in neg[:10]:
-            assert not kg.graph.has_edge(int(u), int(v))
+            assert not has_edge(kg.graph, int(u), int(v))
 
     def test_stats_keys(self):
         stats = generate_planted_kg(base_config(), rng=0).stats()
@@ -228,7 +229,7 @@ class TestRelationRule:
         kg = generate_planted_kg(cfg, rng=0)
         # Each target link's arc carries exactly its label as relation id.
         for (u, v), label in zip(kg.target_pairs[:20], kg.target_labels[:20]):
-            eids = kg.graph.edge_ids_between(int(u), int(v))
+            eids = edge_ids_between(kg.graph, int(u), int(v))
             assert len(eids) >= 1
             assert label in kg.graph.edge_type[eids]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.store import CMD_ABORT, CMD_RUN, CMD_STOP, ParameterBuffer
+from repro.store import CMD_ABORT, CMD_RUN, ParameterBuffer
 
 SPEC = [("layer.w", (3, 4)), ("layer.b", (4,)), ("head.w", (2, 2, 2))]
 
@@ -108,10 +108,10 @@ class TestControlAndLifecycle:
             assert buf.get_command() == CMD_RUN
             attached = ParameterBuffer.attach(buf.meta)
             try:
-                buf.set_command(CMD_STOP)
-                assert attached.get_command() == CMD_STOP
-                attached.set_command(CMD_ABORT)
-                assert buf.get_command() == CMD_ABORT
+                buf.set_command(CMD_ABORT)
+                assert attached.get_command() == CMD_ABORT
+                attached.set_command(CMD_RUN)
+                assert buf.get_command() == CMD_RUN
             finally:
                 attached.close()
 

@@ -7,6 +7,7 @@ foundation the data-parallel trainer's bit-identity contract stands on.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ import repro.obs as obs
 from repro.data.extraction import build_packed_samples
 from repro.distributed import (
     GraphPartition,
-    greedy_node_owners,
     hash_node_owners,
     partition_graph,
     shard_task,
@@ -98,38 +98,11 @@ class TestOwnerAssignment:
             hash_node_owners(1000, 4, seed=0), hash_node_owners(1000, 4, seed=1)
         )
 
-    def test_greedy_respects_capacity_and_determinism(self):
-        task = small_task()
-        a = greedy_node_owners(task.graph, 3, seed=5)
-        b = greedy_node_owners(task.graph, 3, seed=5)
-        np.testing.assert_array_equal(a, b)
-        assert (a >= 0).all()
-        capacity = int(np.ceil(task.graph.num_nodes / 3 * 1.1))
-        assert np.bincount(a, minlength=3).max() <= capacity
-
-    def test_greedy_cuts_fewer_edges_than_hash(self):
-        # On a graph with any locality the affinity heuristic must beat
-        # random assignment; ER graphs are the worst case but greedy
-        # still wins by construction (it never does worse than the
-        # zero-affinity choice).
-        task = small_task(num_nodes=200, num_pos=80)
-        src, dst = task.graph.edge_index
-        hash_cut = int(
-            np.count_nonzero(
-                hash_node_owners(task.graph.num_nodes, 3, seed=5)[src]
-                != hash_node_owners(task.graph.num_nodes, 3, seed=5)[dst]
-            )
-        )
-        greedy = greedy_node_owners(task.graph, 3, seed=5)
-        greedy_cut = int(np.count_nonzero(greedy[src] != greedy[dst]))
-        assert greedy_cut < hash_cut
-
 
 class TestPartitionGraph:
-    @pytest.mark.parametrize("method", ["hash", "greedy"])
-    def test_links_partitioned_exactly(self, method):
+    def test_links_partitioned_exactly(self):
         task = small_task()
-        part = partition_graph(task, 3, method=method, seed=5)
+        part = partition_graph(task, 3, seed=5)
         owned = np.concatenate([s.owned_links for s in part.shards])
         np.testing.assert_array_equal(np.sort(owned), np.arange(task.num_links))
         assert part.num_shards == 3
@@ -137,7 +110,7 @@ class TestPartitionGraph:
 
     def test_link_owner_follows_source_endpoint(self):
         task = small_task()
-        part = partition_graph(task, 3, method="hash", seed=5)
+        part = partition_graph(task, 3, seed=5)
         np.testing.assert_array_equal(
             part.link_owner, part.node_owner[task.pairs[:, 0]]
         )
@@ -145,7 +118,7 @@ class TestPartitionGraph:
     def test_stats_and_counters(self):
         task = small_task()
         with obs.capture() as reg:
-            part = partition_graph(task, 3, method="hash", seed=5)
+            part = partition_graph(task, 3, seed=5)
         stats = part.stats()
         assert stats["num_shards"] == 3
         assert stats["cut_edges"] > 0
@@ -160,13 +133,9 @@ class TestPartitionGraph:
             == stats["replication_factor"]
         )
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown partition method"):
-            partition_graph(small_task(), 2, method="metis")
-
     def test_halo_contains_every_owned_endpoint_neighborhood(self):
         task = small_task()
-        part = partition_graph(task, 4, method="hash", seed=9)
+        part = partition_graph(task, 4, seed=9)
         for shard in part.shards:
             want = k_hop_union(
                 task.graph, task.pairs[shard.owned_links].reshape(-1), task.num_hops
@@ -175,12 +144,11 @@ class TestPartitionGraph:
 
 
 class TestShardExtractionBitIdentity:
-    @pytest.mark.parametrize("method", ["hash", "greedy"])
     @pytest.mark.parametrize("embeddings", [False, True])
-    def test_owned_links_extract_identically(self, method, embeddings):
+    def test_owned_links_extract_identically(self, embeddings):
         task = small_task(embeddings=embeddings)
         full = build_packed_samples(task, 0, list(range(task.num_links)))
-        part = partition_graph(task, 3, method=method, seed=5)
+        part = partition_graph(task, 3, seed=5)
         for shard in part.shards:
             if shard.owned_links.size == 0:
                 continue
@@ -195,7 +163,7 @@ class TestShardExtractionBitIdentity:
 
     def test_non_owned_rows_are_inert(self):
         task = small_task()
-        part = partition_graph(task, 3, method="hash", seed=5)
+        part = partition_graph(task, 3, seed=5)
         shard = part.shards[0]
         local = shard_task(task, shard)
         not_owned = np.setdiff1d(np.arange(task.num_links), shard.owned_links)
@@ -207,11 +175,10 @@ class TestShardExtractionBitIdentity:
 class TestPersistence:
     def test_save_open_round_trip(self, tmp_path):
         task = small_task()
-        part = partition_graph(task, 3, method="greedy", seed=5)
+        part = partition_graph(task, 3, seed=5)
         part.save(tmp_path / "part")
         reopened = GraphPartition.open(tmp_path / "part")
         assert reopened.num_shards == 3
-        assert reopened.method == "greedy"
         assert reopened.cut_edges == part.cut_edges
         np.testing.assert_array_equal(reopened.node_owner, part.node_owner)
         np.testing.assert_array_equal(reopened.link_owner, part.link_owner)
@@ -225,7 +192,7 @@ class TestPersistence:
 
     def test_reopened_shards_extract_identically(self, tmp_path):
         task = small_task()
-        part = partition_graph(task, 2, method="hash", seed=5)
+        part = partition_graph(task, 2, seed=5)
         shard = part.shards[0]
         before = build_packed_samples(shard_task(task, shard), 0, list(shard.owned_links))
         part.save(tmp_path / "part")
@@ -236,6 +203,20 @@ class TestPersistence:
         for x, y in zip(before, after):
             np.testing.assert_array_equal(x.node_features, y.node_features)
             np.testing.assert_array_equal(x.edge_index, y.edge_index)
+
+    def test_manifest_naming_a_partition_method_still_opens(self, tmp_path):
+        # Manifests written before hash became the only partitioner carry
+        # a "method" entry; the owner vectors on disk are all that count.
+        task = small_task()
+        part = partition_graph(task, 2, seed=5)
+        part.save(tmp_path / "part")
+        manifest = tmp_path / "part" / "partition.json"
+        meta = json.loads(manifest.read_text())
+        meta["method"] = meta["stats"]["method"] = "greedy"
+        manifest.write_text(json.dumps(meta))
+        reopened = GraphPartition.open(tmp_path / "part")
+        np.testing.assert_array_equal(reopened.node_owner, part.node_owner)
+        assert reopened.stats() == part.stats()
 
     def test_open_missing_or_foreign_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

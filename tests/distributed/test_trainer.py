@@ -63,7 +63,7 @@ class TestReferenceIdentity:
     @pytest.mark.parametrize("num_shards", [2, 4])
     def test_in_process_is_deterministic(self, task, split, num_shards):
         tr, ev = split
-        part = partition_graph(task, num_shards, method="hash", seed=11)
+        part = partition_graph(task, num_shards, seed=11)
         results = []
         models = []
         for _ in range(2):
@@ -100,19 +100,6 @@ class TestReferenceIdentity:
         )
         np.testing.assert_allclose(r1.losses, r2.losses, rtol=1e-12)
 
-    def test_greedy_partition_trains(self, task, split, dataset):
-        tr, _ = split
-        result = train_data_parallel(
-            make_model(task),
-            dataset,
-            tr,
-            dconfig(num_shards=2, epochs=1, partition_method="greedy"),
-            rng=5,
-            verbose=False,
-        )
-        assert result.epochs_run == 1
-        assert np.isfinite(result.losses).all()
-
 
 class TestResume:
     def run(self, task, tr, ev, *, epochs, ckpt_dir=None, num_shards=2, part=None):
@@ -135,7 +122,7 @@ class TestResume:
 
     def test_mid_run_resume_is_bit_identical(self, task, split, tmp_path):
         tr, ev = split
-        part = partition_graph(task, 2, method="hash", seed=11)
+        part = partition_graph(task, 2, seed=11)
         m_full, r_full = self.run(task, tr, ev, epochs=4, part=part)
         # Interrupted run: stop after 2 epochs, then resume to 4.
         self.run(task, tr, ev, epochs=2, ckpt_dir=tmp_path, part=part)
@@ -184,7 +171,7 @@ class TestGuards:
             )
         with pytest.raises(ValueError, match="empty"):
             train_data_parallel(make_model(task), dataset, [], dconfig())
-        part = partition_graph(task, 3, method="hash", seed=1)
+        part = partition_graph(task, 3, seed=1)
         with pytest.raises(ValueError, match="shards"):
             train_data_parallel(
                 make_model(task), dataset, tr, dconfig(num_shards=2), partition=part
@@ -215,7 +202,7 @@ class TestGuards:
 class TestMultiProcess:
     def test_matches_in_process_bitwise(self, task, split):
         tr, ev = split
-        part = partition_graph(task, 2, method="hash", seed=11)
+        part = partition_graph(task, 2, seed=11)
         m_ref = make_model(task)
         ref = train_data_parallel(
             m_ref, SEALDataset(task, rng=0), tr, dconfig(num_shards=2),
@@ -233,7 +220,7 @@ class TestMultiProcess:
     def test_resume_across_modes_is_bit_identical(self, task, split, tmp_path):
         """Interrupt a multi-process run, resume it, match the straight run."""
         tr, ev = split
-        part = partition_graph(task, 2, method="hash", seed=11)
+        part = partition_graph(task, 2, seed=11)
         m_full = make_model(task)
         r_full = train_data_parallel(
             m_full, SEALDataset(task, rng=0), tr, dconfig(num_shards=2, epochs=4),
@@ -258,7 +245,7 @@ class TestMultiProcess:
     def test_clean_run_never_aborts_and_every_rank_reports(
         self, task, split, monkeypatch
     ):
-        """Aborting the barrier as the final epoch barrier releases can
+        """Aborting the barrier as the final step barrier releases can
         break a worker's wait before it reports; a clean run must not."""
         import multiprocessing.synchronize as mp_sync
 
@@ -326,39 +313,3 @@ class TestPhaseSeconds:
         assert got.phase_seconds["forward"] > 0
         assert got.phase_seconds["backward"] > 0
         assert set(got.phase_seconds) == set(ref.phase_seconds)
-
-
-@pytest.mark.parametrize(
-    "trainer, config",
-    [
-        pytest.param(
-            train,
-            TrainConfig(epochs=5, batch_size=16, lr=1e-12, patience=1),
-            id="seal_train",
-        ),
-        pytest.param(
-            train_data_parallel,
-            dconfig(num_shards=2, processes=2, epochs=5, lr=1e-12, patience=1),
-            id="processes2",
-            marks=[pytest.mark.distributed, needs_multicore],
-        ),
-    ],
-)
-def test_resume_after_early_stop_trains_no_further(trainer, config, task, split, tmp_path):
-    """A learning rate too small to move the eval AUC makes ``patience=1``
-    stop the run early; rerunning it with more epochs must not resume it."""
-    tr, ev = split
-
-    def run(cfg):
-        return trainer(
-            make_model(task), SEALDataset(task, rng=0), tr, cfg,
-            eval_indices=ev, rng=5, verbose=False,
-            checkpoint=CheckpointConfig(dir=tmp_path, every=1),
-        )
-
-    first = run(config)
-    assert first.epochs_run < config.epochs
-    again = run(dataclasses.replace(config, epochs=8))
-    assert again.resumed_from_epoch == first.epochs_run
-    assert again.epochs_run == first.epochs_run
-    assert again.losses == first.losses

@@ -10,6 +10,7 @@ from repro.embeddings.skipgram import (
     walks_to_pairs,
 )
 from repro.graph.structure import Graph
+from tests.oracles import has_edge
 
 
 class TestWalks:
@@ -17,7 +18,7 @@ class TestWalks:
         walks = generate_walks(tiny_graph, num_walks=2, walk_length=6, rng=0)
         for walk in walks:
             for a, b in zip(walk[:-1], walk[1:]):
-                assert tiny_graph.has_edge(int(a), int(b))
+                assert has_edge(tiny_graph, int(a), int(b))
 
     def test_walk_count_and_starts(self, tiny_graph):
         walks = generate_walks(tiny_graph, num_walks=3, walk_length=4, rng=0)

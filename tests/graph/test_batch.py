@@ -24,7 +24,7 @@ class TestCollate:
         np.testing.assert_array_equal(batch.batch, [0, 0, 0, 1, 1])
         # Second graph's arcs offset by 3.
         assert batch.edge_index[:, 4:].min() >= 3
-        np.testing.assert_array_equal(batch.nodes_per_graph(), [3, 2])
+        np.testing.assert_array_equal(batch.plans.node().counts, [3, 2])
 
     def test_features_stacked(self):
         g1 = make_graph(2, [[0, 1]])

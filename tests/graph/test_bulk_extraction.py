@@ -45,8 +45,8 @@ def assert_matches_oracle(graph, pairs, result, *, k, mode, max_nodes=None, rng_
     """Slice each link out of the packed result and compare to the oracle."""
     assert result.num_links == pairs.shape[0]
     assert result.node_offsets[0] == 0 and result.edge_offsets[0] == 0
-    assert result.node_offsets[-1] == result.total_nodes
-    assert result.edge_offsets[-1] == result.total_edges
+    assert result.node_offsets[-1] == result.node_map.shape[0]
+    assert result.edge_offsets[-1] == result.edge_ids.shape[0]
     for i, (u, v) in enumerate(pairs):
         rng = None if rng_seed is None else np.random.default_rng(rng_seed + i)
         sub = extract_enclosing_subgraph(
@@ -204,7 +204,7 @@ class TestContract:
     def test_empty_batch(self, tiny_graph):
         result = extract_enclosing_subgraphs(tiny_graph, np.empty((0, 2), np.int64))
         assert result.num_links == 0
-        assert result.total_nodes == 0 and result.total_edges == 0
+        assert result.node_map.size == 0 and result.edge_ids.size == 0
         assert result.dist_src is not None and result.dist_src.size == 0
 
     def test_without_label_distances(self, tiny_graph):

@@ -9,6 +9,7 @@ from repro.graph.generators import dedupe_edges, erdos_renyi_edges
 from repro.graph.structure import Graph
 from repro.graph.subgraph import extract_enclosing_subgraph
 from repro.graph.traversal import bfs_distances
+from tests.oracles import has_edge
 
 
 def random_graph(n_seed):
@@ -43,7 +44,7 @@ class TestStructureProperties:
         sub, node_map = g.induced_subgraph(nodes)
         src, dst = sub.edge_index
         for a, b in zip(src, dst):
-            assert g.has_edge(int(node_map[a]), int(node_map[b]))
+            assert has_edge(g, int(node_map[a]), int(node_map[b]))
 
 
 class TestTraversalProperties:
@@ -79,7 +80,7 @@ class TestSubgraphProperties:
         # Targets first, node map valid, no target link, distances consistent.
         assert sub.node_map[0] == u and sub.node_map[1] == v
         assert len(np.unique(sub.node_map)) == sub.num_nodes
-        assert not sub.graph.has_edge(0, 1)
+        assert not has_edge(sub.graph, 0, 1)
         assert sub.dist_a[0] == 0 and sub.dist_b[1] == 0
 
     @given(st.integers(0, 60), st.integers(4, 12))

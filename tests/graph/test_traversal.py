@@ -33,18 +33,6 @@ class TestBFSDistances:
         with pytest.raises(ValueError):
             bfs_distances(path_graph, 9)
 
-    def test_blocked_edge_both_directions(self, path_graph):
-        # Blocking 1-2 cuts the path graph in two.
-        d = bfs_distances(path_graph, 0, blocked_edge=(1, 2))
-        np.testing.assert_array_equal(d, [0, 1, -1, -1, -1])
-        d2 = bfs_distances(path_graph, 4, blocked_edge=(1, 2))
-        np.testing.assert_array_equal(d2, [-1, -1, 2, 1, 0])
-
-    def test_blocked_edge_with_alternative_path(self, tiny_graph):
-        # 0-1 blocked, but 0-2-1 exists.
-        d = bfs_distances(tiny_graph, 0, blocked_edge=(0, 1))
-        assert d[1] == 2
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_networkx(self, seed):
         edges = erdos_renyi_edges(40, 0.1, rng=seed)
@@ -147,19 +135,6 @@ class TestMultiSourceBFS:
                 keys[lo:hi] - row * 50, k_hop_union(g, [int(src)], max_depth or 50)
             )
 
-    def test_blocked_per_row(self, tiny_graph):
-        indptr, indices, _ = tiny_graph.csr()
-        sources = np.array([0, 1])
-        blocked = np.array([1, 0])
-        reached = multi_source_bfs(indptr, indices, sources, blocked=blocked)
-        dist = densify(reached, 2, tiny_graph.num_nodes)
-        np.testing.assert_array_equal(
-            dist[0], bfs_distances(tiny_graph, 0, blocked_node=1)
-        )
-        np.testing.assert_array_equal(
-            dist[1], bfs_distances(tiny_graph, 1, blocked_node=0)
-        )
-
     def test_empty_sources(self, path_graph):
         indptr, indices, _ = path_graph.csr()
         keys, depth = multi_source_bfs(indptr, indices, np.empty(0, np.int64))
@@ -172,10 +147,6 @@ class TestMultiSourceBFS:
             multi_source_bfs(indptr, indices, np.array([[0, 1]]))
         with pytest.raises(ValueError):
             multi_source_bfs(indptr, indices, np.array([9]))
-        with pytest.raises(ValueError):
-            multi_source_bfs(indptr, indices, np.array([0]), blocked=np.array([0, 1]))
-        with pytest.raises(ValueError):
-            multi_source_bfs(indptr, indices, np.array([2]), blocked=np.array([2]))
 
 
 class TestKHop:

@@ -4,27 +4,14 @@ import numpy as np
 import pytest
 
 from repro.datasets.cora import load_cora_like
-from repro.heuristics.classifier import HeuristicFeaturizer, HeuristicLinkClassifier
+from repro.heuristics.classifier import HeuristicLinkClassifier, heuristic_features
 
 
 class TestFeaturizer:
     def test_feature_width(self, tiny_graph):
-        f = HeuristicFeaturizer(include_node_features=True)
-        x = f.transform(tiny_graph, np.array([[0, 1], [2, 3]]))
+        x = heuristic_features(tiny_graph, np.array([[0, 1], [2, 3]]))
         # 5 heuristics + 2×2 node features.
         assert x.shape == (2, 9)
-
-    def test_without_node_features(self, tiny_graph):
-        f = HeuristicFeaturizer(include_node_features=False)
-        assert f.transform(tiny_graph, np.array([[0, 1]])).shape == (1, 5)
-
-    def test_unknown_heuristic(self):
-        with pytest.raises(KeyError):
-            HeuristicFeaturizer(heuristics=["nope"])
-
-    def test_subset_of_heuristics(self, tiny_graph):
-        f = HeuristicFeaturizer(heuristics=["jaccard"], include_node_features=False)
-        assert f.transform(tiny_graph, np.array([[0, 1]])).shape == (1, 1)
 
 
 class TestClassifier:

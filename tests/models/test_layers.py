@@ -51,12 +51,6 @@ class TestGCNConv:
         x = Tensor(randn(4, 3), requires_grad=True)
         gradcheck(lambda a, w, b: (conv(a, ei) ** 2).sum(), [x, conv.weight, conv.bias])
 
-    def test_no_bias(self, small_graph):
-        ei, _ = small_graph
-        conv = GCNConv(3, 2, bias=False, rng=0)
-        assert conv.bias is None
-        assert conv(Tensor(np.zeros((4, 3))), ei).data.sum() == 0.0
-
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             GCNConv(0, 2)
@@ -95,13 +89,13 @@ class TestGATConv:
         to the same output regardless of the logits.
         """
         ei, ea = small_graph
-        conv = GATConv(3, 4, heads=1, edge_dim=2, edge_in_message=False, add_loops=False, rng=0)
+        conv = GATConv(3, 4, heads=1, edge_dim=2, edge_in_message=False, rng=0)
         x = Tensor(np.ones((4, 3)))  # identical features everywhere
         out1 = conv(x, ei, ea).data
         out2 = conv(x, ei, 2.0 * ea).data  # any attr change is invisible
         np.testing.assert_allclose(out1, out2, atol=1e-10)
         # With edge_in_message=True the same perturbation IS visible.
-        conv2 = GATConv(3, 4, heads=1, edge_dim=2, edge_in_message=True, add_loops=False, rng=0)
+        conv2 = GATConv(3, 4, heads=1, edge_dim=2, edge_in_message=True, rng=0)
         out3 = conv2(x, ei, ea).data
         out4 = conv2(x, ei, 2.0 * ea).data
         assert not np.allclose(out3, out4)
@@ -151,9 +145,13 @@ class TestGATConv:
     def test_attention_normalized_per_destination(self, small_graph):
         """Manual check: recompute attention and compare aggregation."""
         ei, ea = small_graph
-        conv = GATConv(3, 4, heads=1, edge_dim=2, add_loops=False, edge_in_message=False, rng=0)
+        conv = GATConv(3, 4, heads=1, edge_dim=2, edge_in_message=False, rng=0)
         x = randn(4, 3)
         out = conv(Tensor(x), ei, ea).data
+        # The layer appends one self-loop per node, with zero attributes.
+        loops = np.arange(4)
+        ei = np.concatenate([ei, np.stack([loops, loops])], axis=1)
+        ea = np.concatenate([ea, np.zeros((4, ea.shape[1]))])
 
         h = x @ conv.weight.data  # (4, 4)
         asrc = (h.reshape(4, 1, 4) * conv.att_src.data).sum(-1).ravel()

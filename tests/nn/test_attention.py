@@ -144,11 +144,12 @@ class TestBitIdentity:
         np.testing.assert_array_equal(out.data, reference.data)
 
     @pytest.mark.parametrize(
-        "heads,out_dim,edge_dim,edge_in_message,add_loops",
+        "heads,out_dim,edge_dim,edge_in_message,input_loops",
         [(2, 4, 3, True, True), (2, 4, 3, False, False), (1, 4, 0, True, True), (1, 1, 2, True, True)],
     )
-    def test_gat_conv_layer(self, heads, out_dim, edge_dim, edge_in_message, add_loops):
-        ei = edge_list(loops=False)
+    def test_gat_conv_layer(self, heads, out_dim, edge_dim, edge_in_message, input_loops):
+        # The layer appends one loop per node whether or not the input has its own.
+        ei = edge_list(loops=input_loops)
         x = randn(N, 5, seed=21)
         attr = randn(ei.shape[1], edge_dim, seed=22) if edge_dim else None
 
@@ -156,7 +157,7 @@ class TestBitIdentity:
             with compute_dtype(self.DTYPE):
                 conv = GATConv(
                     5, out_dim, heads=heads, edge_dim=edge_dim,
-                    edge_in_message=edge_in_message, add_loops=add_loops, rng=0,
+                    edge_in_message=edge_in_message, rng=0,
                 )
                 xt = Tensor(x, requires_grad=True)
                 out = conv(xt, ei, None if attr is None else attr.astype(self.DTYPE))

@@ -56,12 +56,6 @@ class TestConv1d:
         x = Tensor(randn(2, 2, 9), requires_grad=True)
         gradcheck(lambda a, w, b: (conv(a) ** 2).sum(), [x, conv.weight, conv.bias])
 
-    def test_no_bias(self):
-        conv = Conv1d(2, 2, kernel_size=2, bias=False, rng=0)
-        assert conv.bias is None
-        out = conv(Tensor(np.zeros((1, 2, 4))))
-        np.testing.assert_allclose(out.data, 0.0)
-
     def test_out_length(self):
         conv = Conv1d(1, 1, kernel_size=5, stride=1, rng=0)
         assert conv.out_length(10) == 6

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.models.layers import GATConv
 from repro.nn.dense import MLP, Dropout, Linear
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn.tensor import Tensor
@@ -29,9 +30,12 @@ class TestRegistration:
         assert m.num_parameters() == 3 * 4 + 4 + 4 * 2 + 2
 
     def test_register_none_parameter(self):
-        lin = Linear(2, 3, bias=False, rng=0)
-        assert lin.bias is None
-        assert [n for n, _ in lin.named_parameters()] == ["weight"]
+        # Without edge attributes GATConv registers its edge parameters as None.
+        conv = GATConv(2, 3, rng=0)
+        assert conv.edge_weight is None and conv.att_edge is None
+        assert [n for n, _ in conv.named_parameters()] == [
+            "weight", "att_src", "att_dst", "bias"
+        ]
 
     def test_modules_iterates_tree(self):
         m = TwoLayer()

@@ -30,6 +30,9 @@ oracles of the bit-identity tests:
   :func:`repro.graph.subgraph.extract_enclosing_subgraph`, labelled by
   :func:`drnl_labels` (one BFS pair per subgraph) and featurized by
   :func:`build_node_features`.
+* :func:`leaky_relu`, :func:`neighbors`, :func:`has_edge` and
+  :func:`edge_ids_between` — small tensor and graph queries only the
+  tests and the references above need.
 """
 
 from __future__ import annotations
@@ -49,6 +52,36 @@ from repro.nn import attention, indexing
 from repro.nn.tensor import Tensor, as_tensor
 from repro.seal.features import FeatureConfig, assemble_node_features
 from repro.seal.labeling import drnl_labels_from_distances
+
+
+def leaky_relu(x: Tensor, negative_slope: float) -> Tensor:
+    a = x.data
+    mask = a > 0
+    out = np.where(mask, a, negative_slope * a)
+    # np.where(mask, g, g * slope) rather than g * np.where(mask, 1, slope):
+    # identical floats (x * 1.0 == x), but the scalar operand stays weak
+    # so a float32 gradient is not promoted to float64.
+    return Tensor._from_op(
+        out, (x,), (lambda g: np.where(mask, g, g * negative_slope),), "leaky_relu"
+    )
+
+
+def neighbors(graph: Graph, v: int) -> np.ndarray:
+    """Out-neighbors of ``v`` (with duplicates in multigraphs)."""
+    indptr, indices, _ = graph.csr()
+    return indices[indptr[v] : indptr[v + 1]]
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    """Whether arc ``u→v`` exists."""
+    return bool(np.isin(v, neighbors(graph, u)))
+
+
+def edge_ids_between(graph: Graph, u: int, v: int) -> np.ndarray:
+    """All arc ids from ``u`` to ``v`` (empty when none)."""
+    indptr, indices, edge_ids = graph.csr()
+    lo, hi = indptr[u], indptr[u + 1]
+    return edge_ids[lo:hi][indices[lo:hi] == v]
 
 
 def gather(x, index, *, plan=None) -> Tensor:
@@ -127,7 +160,7 @@ def gat_edge_pass(
     if he is not None:
         he = he.reshape(e, heads, channels)
         logits = logits + (he * att_edge).sum(axis=2)
-    alpha = segment_softmax(logits.leaky_relu(negative_slope), dst, n)
+    alpha = segment_softmax(leaky_relu(logits, negative_slope), dst, n)
     content = gather(h, src)
     if he is not None and edge_in_message:
         content = content + he

@@ -65,31 +65,3 @@ class TestRestoreBest:
             eval_indices=te, rng=0,
         )
         assert hist.best_epoch == int(np.argmax(hist.eval_auc))
-
-
-class TestEarlyStopping:
-    def test_stops_when_no_improvement(self, setup):
-        task, ds, tr, te = setup
-        model = make_model(ds, task)
-        hist = train(
-            model, ds, tr,
-            TrainConfig(epochs=30, batch_size=8, lr=3e-3, patience=2),
-            eval_indices=te, rng=0,
-        )
-        # Stopped well before 30 epochs: exactly best_epoch + patience + 1
-        # epochs were run (or the model kept improving to the end).
-        assert len(hist.losses) < 30
-        assert len(hist.losses) - 1 - hist.best_epoch >= 2
-
-    def test_patience_requires_eval(self, setup):
-        task, ds, tr, te = setup
-        with pytest.raises(ValueError):
-            train(make_model(ds, task), ds, tr, TrainConfig(epochs=3, patience=1), rng=0)
-
-    def test_invalid_patience(self, setup):
-        task, ds, tr, te = setup
-        with pytest.raises(ValueError):
-            train(
-                make_model(ds, task), ds, tr,
-                TrainConfig(epochs=3, patience=0), eval_indices=te, rng=0,
-            )

@@ -8,6 +8,7 @@ from repro.graph.structure import Graph
 from repro.seal.dataset import LinkTask, SEALDataset, train_test_split_indices
 from repro.seal.features import FeatureConfig
 from repro.data import DataLoader, warm
+from tests.oracles import has_edge
 
 
 def make_task(num_targets=20, seed=0, **overrides):
@@ -128,8 +129,8 @@ class TestSEALDataset:
         )
         ds = SEALDataset(task, rng=0)
         sub, _ = ds.extract(0)
-        assert not sub.has_edge(0, 1)
-        assert not sub.has_edge(1, 0)
+        assert not has_edge(sub, 0, 1)
+        assert not has_edge(sub, 1, 0)
 
     def test_batch_labels_follow_indices(self):
         task = make_task()

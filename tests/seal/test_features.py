@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.subgraph import extract_enclosing_subgraph
-from repro.seal.features import FeatureConfig
+from repro.seal.features import FeatureConfig, dump_feature_config, load_feature_config
 from repro.seal.labeling import drnl_one_hot
 from tests.oracles import build_node_features, drnl_labels
 
@@ -70,3 +70,23 @@ class TestBuild:
         cfg = FeatureConfig(num_node_types=0, use_drnl=False, explicit_dim=5)
         with pytest.raises(ValueError):
             build_node_features(sub, cfg)
+
+
+class TestDumpLoad:
+    @pytest.mark.parametrize("with_embeddings", [False, True])
+    def test_round_trip(self, with_embeddings):
+        emb = np.arange(12.0).reshape(4, 3) if with_embeddings else None
+        config = FeatureConfig(
+            num_node_types=3, use_drnl=False, max_drnl_label=7, explicit_dim=2, embeddings=emb
+        )
+        meta, arrays = dump_feature_config(config)
+        assert sorted(arrays) == (["feature:embeddings"] if with_embeddings else [])
+        back = load_feature_config(meta, arrays)
+        assert (back.num_node_types, back.use_drnl, back.max_drnl_label, back.explicit_dim) == (
+            3, False, 7, 2
+        )
+        if with_embeddings:
+            np.testing.assert_array_equal(back.embeddings, emb)
+        else:
+            assert back.embeddings is None
+

@@ -158,13 +158,6 @@ class TestCacheInfo:
         info = ds.cache_info()
         assert info.hits == 1 and info.misses == 1 and info.size == 1
 
-    def test_clear_cache_resets(self):
-        task = load_primekg_like(scale=0.12, num_targets=20, rng=0)
-        ds = SEALDataset(task, rng=0)
-        warm(ds)
-        ds.clear_cache()
-        assert ds.cache_info() == CacheInfo(hits=0, misses=0, size=0, capacity=20)
-
     def test_extraction_order_independent(self):
         """The shuffled-loader bug: lazily-extracted subgraphs must not depend
         on visitation order (fresh rng each epoch used to perturb them)."""

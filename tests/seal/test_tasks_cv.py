@@ -14,6 +14,7 @@ from repro.seal import (
     make_link_prediction_task,
 )
 from repro.data import warm
+from tests.oracles import has_edge
 
 
 @pytest.fixture
@@ -30,13 +31,13 @@ class TestLinkPredictionTask:
         counts = task.class_counts()
         assert counts[0] == counts[1] == 20
         for (u, v), y in zip(task.pairs, task.labels):
-            assert medium_graph.has_edge(int(u), int(v)) == bool(y)
+            assert has_edge(medium_graph, int(u), int(v)) == bool(y)
 
     def test_edge_attr_dim_derived(self, medium_graph):
         task = make_link_prediction_task(medium_graph, 20, rng=0)
         assert task.edge_attr_dim == 3
-        task2 = make_link_prediction_task(medium_graph, 20, use_edge_attrs=False, rng=0)
-        assert task2.edge_attr_dim == 0
+        bare = Graph(medium_graph.num_nodes, medium_graph.edge_index)
+        assert make_link_prediction_task(bare, 20, rng=0).edge_attr_dim == 0
 
     def test_deterministic(self, medium_graph):
         a = make_link_prediction_task(medium_graph, 20, rng=5)

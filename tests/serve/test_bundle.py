@@ -70,7 +70,7 @@ class TestRoundTrip:
         path = bundle.save(tmp_path / "model.npz")
 
         direct = LinkScorer(bundle, task.graph, micro_batch=8).score(task.pairs[:10])
-        loaded = LinkScorer.from_path(path, task.graph, micro_batch=8).score(
+        loaded = LinkScorer(ModelBundle.load(path), task.graph, micro_batch=8).score(
             task.pairs[:10]
         )
         np.testing.assert_array_equal(direct.probs, loaded.probs)

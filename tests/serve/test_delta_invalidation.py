@@ -148,14 +148,6 @@ class TestRewarm:
         assert reg.counters["serve.cache.rewarmed_pairs"] == 6.0
         assert len(sc.store) == 6
 
-    def test_rewarm_opt_out(self, setup):
-        graph, bundle, pairs = setup
-        sc = LinkScorer(bundle, graph, micro_batch=8)
-        sc.warm(pairs[:4])
-        sc.invalidate(rewarm=False)
-        assert len(sc.store) == 0
-        assert sc.cache_info()["warm_pairs"] == 4  # still registered
-
 
 class TestSlotDiscipline:
     def test_no_slot_aliasing_after_delta_retirement(self, setup):

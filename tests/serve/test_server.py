@@ -138,7 +138,7 @@ class TestInvalidationUnderServer:
             warm = server.request(task.pairs[:3], timeout=30)
             v = scorer.invalidate()
             cold = server.request(task.pairs[:3], timeout=30)
-        assert scorer.graph_version == v
+        assert scorer.cache_info()["graph_version"] == v
         assert warm.ok and cold.ok
         assert not cold.cached.any()
         np.testing.assert_array_equal(warm.probs, cold.probs)

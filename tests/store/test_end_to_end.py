@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.datasets import load_dataset
+from repro.graph import Graph
 from repro.models import AMDGCNN
 from repro.seal import SEALDataset, TrainConfig, train, train_test_split_indices
 from repro.serve import LinkScorer, ModelBundle
@@ -75,7 +76,7 @@ class TestServingBitIdentity:
         bundle.save(bundle_path)
 
         mem = LinkScorer(bundle, task.graph, rng=0)
-        mmapped = LinkScorer.from_saved(bundle_path, directory, rng=0)
+        mmapped = LinkScorer(ModelBundle.load(bundle_path), Graph.open(directory), rng=0)
         assert mmapped.graph.is_mmap
         pairs = task.pairs[:8]
         np.testing.assert_array_equal(
@@ -89,7 +90,7 @@ class TestServingBitIdentity:
         bundle_path = tmp_path / "bundle.npz"
         bundle.save(bundle_path)
 
-        scorer = LinkScorer.from_saved(bundle_path, directory, rng=0)
+        scorer = LinkScorer(ModelBundle.load(bundle_path), Graph.open(directory), rng=0)
         pairs = task.pairs[:6]
         with obs.capture() as reg:
             assert scorer.warm(pairs) == len(pairs)

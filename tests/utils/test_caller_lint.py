@@ -1,4 +1,5 @@
-"""Lint: every library module, function and class has a caller outside ``tests/``.
+"""Lint: every library module, function, class and method has a caller outside
+``tests/``, and every import is read.
 
 A module under ``src/repro`` whose top-level names (functions, classes,
 constants) are used only by tests is code the reproduction never runs.
@@ -14,6 +15,14 @@ under ``src/repro``, private ones included, must be loaded by one of
 those files or elsewhere in its own module (outside its own body and
 ``__all__``). Dunder names (``__getattr__``, ``__dir__``) are called by
 the interpreter and are exempt.
+
+Methods and properties are matched by name, as no type information is
+at hand: each one defined in a class under ``src/repro`` must be read
+as an attribute (``x.name``, or ``getattr(x, "name")``) by one of those
+files, or by its own module outside its own body. Dunders are exempt.
+
+Last, a module-level import that its module never reads is dead too
+(package ``__init__`` re-exports and ``from __future__`` aside).
 """
 
 import ast
@@ -194,6 +203,128 @@ def modules_without_callers():
     return orphans
 
 
+def attribute_reads(tree, skip=None):
+    """Attribute names ``tree`` reads, outside the subtree ``skip``.
+
+    ``x.name`` in load context, and ``getattr``/``hasattr`` with a literal
+    name.
+    """
+    reads, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            reads.add(node.args[1].value)
+        stack.extend(ast.iter_child_nodes(node))
+    return reads
+
+
+def unused_methods(tree, read_elsewhere):
+    """``Class.method`` names of ``tree`` that neither ``read_elsewhere`` nor
+    the module itself (outside the method's body) reads as an attribute."""
+    unused = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in read_elsewhere or name in attribute_reads(tree, skip=node):
+                continue
+            unused.append(f"{cls.name}.{name}")
+    return unused
+
+
+def methods_without_callers():
+    reads = {path: attribute_reads(ast.parse(path.read_text())) for path in caller_files()}
+    orphans = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        elsewhere = set().union(*(r for p, r in reads.items() if p != path))
+        rel = path.relative_to(REPO).as_posix()
+        for method in unused_methods(ast.parse(path.read_text()), elsewhere):
+            orphans.append(f"{rel}::{method}")
+    return orphans
+
+
+def _annotation_names(tree):
+    """Names inside string annotations (``x: "Foo"``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    try:
+                        expr = ast.parse(sub.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def unread_imports(tree):
+    """Names bound by module-level imports that the module never reads.
+
+    Imports nested in a top-level ``if``/``try`` (``TYPE_CHECKING``
+    blocks, optional dependencies) count as module level; a name listed
+    in ``__all__`` counts as read.
+    """
+    bound = []
+
+    def collect(body):
+        for node in body:
+            if isinstance(node, ast.Import):
+                bound.extend(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.extend(a.asname or a.name for a in node.names)
+            elif isinstance(node, (ast.If, ast.Try)):
+                collect(node.body)
+                collect(node.orelse)
+                for handler in getattr(node, "handlers", []):
+                    collect(handler.body)
+
+    collect(tree.body)
+    reads = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    reads |= _annotation_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            reads |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [name for name in bound if name not in reads]
+
+
+def imports_never_read():
+    unread = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        rel = path.relative_to(REPO).as_posix()
+        unread.extend(f"{rel}::{name}" for name in unread_imports(ast.parse(path.read_text())))
+    return unread
+
+
 def test_every_module_has_a_caller_outside_tests():
     orphans = modules_without_callers()
     assert orphans == [], (
@@ -255,3 +386,61 @@ def test_used_names_resolves_the_import_forms():
         ("repro.graph.bulk", "multi_source_bfs"),
         ("repro.data.sibling", "helper"),
     } <= uses
+
+
+def test_every_method_has_a_caller_outside_tests():
+    orphans = methods_without_callers()
+    assert orphans == [], (
+        "methods and properties only tests read (delete them; a test that "
+        "needs one keeps an inline helper):\n" + "\n".join(orphans)
+    )
+
+
+def test_unused_methods_names_orphans_and_spares_used_names():
+    module = "\n".join(
+        [
+            "class Store:",
+            "    def orphan(self):",
+            "        return self.orphan()  # a read inside its own body is not a use",
+            "    def used_here(self):",
+            "        return 1",
+            "    def total(self):",
+            "        return self.used_here()",
+            "    def looked_up(self):",
+            "        return 2",
+            "    @property",
+            "    def size(self):",
+            "        return 3",
+            "    def __len__(self):",
+            "        return 0",
+        ]
+    )
+    caller = "\n".join(
+        ["s = Store()", "s.total()", "print(s.size)", 'getattr(s, "looked_up")()']
+    )
+    unused = unused_methods(ast.parse(module), attribute_reads(ast.parse(caller)))
+    assert unused == ["Store.orphan"]
+
+
+def test_every_import_is_read():
+    unread = imports_never_read()
+    assert unread == [], "imports their module never reads:\n" + "\n".join(unread)
+
+
+def test_unread_imports_names_dead_imports_and_spares_read_ones():
+    module = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import os",
+            "import numpy as np",
+            "import repro.graph.bulk",
+            "from typing import TYPE_CHECKING, Optional, Tuple",
+            "from repro.store import save_task",
+            "if TYPE_CHECKING:",
+            "    from repro.data.store import SubgraphStore",
+            '__all__ = ["save_task"]',
+            'def f(x: Optional[int], s: "SubgraphStore") -> int:',
+            "    return np.abs(x) + repro.graph.bulk.K",
+        ]
+    )
+    assert unread_imports(ast.parse(module)) == ["os", "Tuple"]

@@ -89,3 +89,22 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--scale", "0.05", "--datasets", "primekg"],
+            ["epochs", "--dataset", "primekg", "--scale", "0.05"],
+            ["samples", "--dataset", "primekg", "--scale", "0.05"],
+            ["profile", "--scale", "0.05", "--targets", "5000"],
+            ["serve", "--scale", "0.05", "--targets", "5000"],
+            ["stream", "--dataset", "primekg", "--scale", "0.05", "--targets", "5000"],
+        ],
+        ids=lambda v: " ".join(v),
+    )
+    def test_scale_too_small_for_the_targets_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scale: primekg at scale 0.05 is too small" in err
