@@ -2,7 +2,8 @@
 
 Benchmarks regenerate every paper table/figure at a reduced scale that
 keeps the whole suite within minutes on a laptop CPU; the full-scale
-versions are the ``python -m repro.experiments.*`` CLIs. Each benchmark
+versions are the ``python -m repro <table3|epochs|samples|ablations>``
+commands. Each benchmark
 (a) times the pipeline once via ``benchmark.pedantic`` and (b) prints the
 paper-shaped rows and asserts the paper's qualitative ordering.
 

@@ -6,12 +6,12 @@ cd "$(dirname "$0")/.."
 mkdir -p results
 rm -f results/STATUS
 
-python -m repro.experiments.table3 --scale 0.5 > results/table3_scale0.5.txt 2>&1
+python -m repro table3 --scale 0.5 > results/table3_scale0.5.txt 2>&1
 for ds in cora primekg biokg wordnet; do
-  python -m repro.experiments.epochs --dataset "$ds" --scale 0.4 > "results/epochs_$ds.txt" 2>&1
+  python -m repro epochs --dataset "$ds" --scale 0.4 > "results/epochs_$ds.txt" 2>&1
 done
 for ds in primekg biokg wordnet; do
-  python -m repro.experiments.samples --dataset "$ds" --scale 0.4 --settings tuned \
+  python -m repro samples --dataset "$ds" --scale 0.4 --settings tuned \
     > "results/samples_$ds.txt" 2>&1
 done
 echo DONE > results/STATUS

@@ -27,6 +27,7 @@ from repro.experiments.config import MODEL_NAMES, ModelHyperparams, build_model
 from repro.seal import SEALDataset, train_test_split_indices
 from repro.tuning import CBOTuner, make_seal_evaluator, paper_table1_space
 from repro.data import warm
+from repro.utils.cli import add_scale, scale_usage_errors
 
 TUNE_TARGETS = {"primekg": 300, "biokg": 200, "wordnet": 300, "cora": 200}
 
@@ -46,11 +47,11 @@ def make_evaluator(ds, task, tr, va, model_name):
     return make_seal_evaluator(ds, tr, va, builder, epochs=5, batch_size=16, rng=1)
 
 
-def main() -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--trials", type=int, default=8)
-    parser.add_argument("--scale", type=float, default=0.3)
-    parser.add_argument("--datasets", nargs="*", default=None)
+    add_scale(parser, 0.3)
+    parser.add_argument("--datasets", nargs="*", default=None, choices=dataset_names())
     parser.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -61,11 +62,12 @@ def main() -> None:
         action="store_true",
         help="ignore existing trial logs (start every pair from scratch)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     results = {}
     for name in args.datasets or dataset_names():
-        task = load_dataset(name, scale=args.scale, rng=0, num_targets=TUNE_TARGETS[name])
+        with scale_usage_errors(parser):
+            task = load_dataset(name, scale=args.scale, rng=0, num_targets=TUNE_TARGETS[name])
         ds = SEALDataset(task, rng=0)
         tr, va = train_test_split_indices(task.num_links, 0.3, labels=task.labels, rng=0)
         warm(ds)
@@ -99,7 +101,8 @@ def main() -> None:
                 flush=True,
             )
     print("\n" + json.dumps(results, indent=2))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

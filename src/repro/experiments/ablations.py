@@ -1,21 +1,20 @@
-"""CLI drivers for the ablation studies (DESIGN.md A1–A3, A6, A7).
+"""Drivers for the ablation studies (DESIGN.md A1–A3, A6, A7).
 
 Each function mirrors its benchmark counterpart at a configurable scale
 so the ablations can be reproduced standalone:
 
-``python -m repro.experiments.ablations --which subgraph_mode --scale 0.4``
+``python -m repro ablations --which subgraph_mode --scale 0.4``
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.data import warm
-from repro.datasets import load_cora_like, load_primekg_like, load_wordnet_like
+from repro.datasets import load_dataset
 from repro.experiments.config import DEFAULT_HPARAMS, build_model, train_config_for
 from repro.models import AMDGCNN
 from repro.seal import (
@@ -24,6 +23,7 @@ from repro.seal import (
     train,
     train_test_split_indices,
 )
+from repro.utils.cli import add_scale, add_targets
 
 __all__ = [
     "ablate_subgraph_mode",
@@ -67,7 +67,7 @@ def ablate_subgraph_mode(scale: float, num_targets: int) -> Dict[str, Dict[str, 
     """A1 — union vs intersection extraction (paper §III-A)."""
     out = {}
     for mode in ("union", "intersection"):
-        task = load_primekg_like(scale=scale, num_targets=num_targets, rng=0)
+        task = load_dataset("primekg", scale=scale, num_targets=num_targets, rng=0)
         task = dataclasses.replace(task, subgraph_mode=mode, max_subgraph_nodes=None)
         out[mode] = _fit_am(task)
     return out
@@ -78,7 +78,7 @@ def ablate_node2vec(scale: float, num_targets: int) -> Dict[str, Dict[str, float
     from repro.embeddings import node2vec_embeddings
 
     out = {}
-    task = load_primekg_like(scale=scale, num_targets=num_targets, rng=0)
+    task = load_dataset("primekg", scale=scale, num_targets=num_targets, rng=0)
     out["without"] = _fit_am(task)
     emb = node2vec_embeddings(task.graph, dim=16, num_walks=4, walk_length=12, epochs=2, rng=0)
     fc = dataclasses.replace(task.feature_config, embeddings=emb)
@@ -90,7 +90,7 @@ def ablate_drnl(scale: float, num_targets: int) -> Dict[str, Dict[str, float]]:
     """A3 — DRNL structural labels on/off."""
     out = {}
     for use in (True, False):
-        task = load_cora_like(scale=scale, num_targets=num_targets, rng=0)
+        task = load_dataset("cora", scale=scale, num_targets=num_targets, rng=0)
         fc = dataclasses.replace(task.feature_config, use_drnl=use)
         out["with" if use else "without"] = _fit_am(
             dataclasses.replace(task, feature_config=fc)
@@ -102,7 +102,7 @@ def ablate_edge_in_message(scale: float, num_targets: int) -> Dict[str, Dict[str
     """A6 — edge attrs in attention only vs also in messages."""
     out = {}
     for flag in (True, False):
-        task = load_wordnet_like(scale=scale, num_targets=num_targets, rng=0)
+        task = load_dataset("wordnet", scale=scale, num_targets=num_targets, rng=0)
         out["message+attention" if flag else "attention-only"] = _fit_am(
             task, edge_in_message=flag
         )
@@ -113,7 +113,7 @@ def ablate_center_pool(scale: float, num_targets: int) -> Dict[str, Dict[str, fl
     """A7 — center pooling vs pure SortPooling readout."""
     out = {}
     for flag in (True, False):
-        task = load_primekg_like(scale=scale, num_targets=num_targets, rng=0)
+        task = load_dataset("primekg", scale=scale, num_targets=num_targets, rng=0)
         out["center-pool" if flag else "sortpool-only"] = _fit_am(
             task, center_pool=flag
         )
@@ -129,19 +129,16 @@ ABLATIONS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description="Run one ablation study")
+def add_arguments(parser) -> None:
     parser.add_argument("--which", choices=sorted(ABLATIONS), required=True)
-    parser.add_argument("--scale", type=float, default=0.3)
-    parser.add_argument("--num-targets", type=int, default=300)
-    args = parser.parse_args(argv)
+    add_scale(parser, 0.3)
+    add_targets(parser, 300)
+
+
+def run(args) -> int:
     results = ABLATIONS[args.which](args.scale, args.num_targets)
     print(f"ablation: {args.which}")
     for variant, metrics in results.items():
         line = "  ".join(f"{k}={v:.3f}" for k, v in metrics.items())
         print(f"  {variant:<20} {line}")
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -9,21 +9,19 @@ Figure map: Fig 3 = Cora (auto-tuned only), Fig 4 = PrimeKG,
 Fig 5 = OGBL-BioKG, Fig 6 = WordNet-18 (each with (a) default and
 (b) auto-tuned panels).
 
-Run full size:  ``python -m repro.experiments.epochs --dataset primekg``
+Run full size:  ``python -m repro epochs --dataset primekg``
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import render_series
 from repro.experiments.runner import ExperimentRunner
-from repro.utils.cli import number_at_least, scale_usage_errors
+from repro.utils.cli import add_dataset, add_scale, add_seed
 
 __all__ = ["EPOCH_GRID", "run_epoch_sweep", "format_epoch_sweep"]
 
@@ -75,24 +73,21 @@ def format_epoch_sweep(
     return "\n\n".join(blocks)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(prog="repro epochs", description="Regenerate paper Figs 3-6")
-    parser.add_argument("--dataset", required=True, choices=dataset_names())
-    parser.add_argument("--scale", type=number_at_least(float, 0.0, strict=True), default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
+def add_arguments(parser) -> None:
+    """The flags of both sweeps, ``epochs`` and ``samples``."""
+    add_dataset(parser)
+    add_scale(parser, 0.5)
+    add_seed(parser)
     parser.add_argument(
         "--settings",
         nargs="*",
         default=["default", "tuned"],
         choices=["default", "tuned"],
     )
-    args = parser.parse_args(argv)
+
+
+def run(args) -> int:
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    with scale_usage_errors(parser):
-        curves = run_epoch_sweep(runner, args.dataset, args.settings)
+    curves = run_epoch_sweep(runner, args.dataset, args.settings)
     print(format_epoch_sweep(args.dataset, curves))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

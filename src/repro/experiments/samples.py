@@ -8,21 +8,19 @@ at every budget. Fig 7 = PrimeKG, Fig 8 = OGBL-BioKG, Fig 9 = WordNet-18
 (Cora has no samples figure in the paper), each with default/auto-tuned
 panels.
 
-Run full size:  ``python -m repro.experiments.samples --dataset primekg``
+Run full size:  ``python -m repro samples --dataset primekg`` (the same
+flags as ``epochs``).
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import render_series
 from repro.experiments.runner import ExperimentRunner
-from repro.utils.cli import number_at_least, scale_usage_errors
 
 __all__ = ["SAMPLE_FRACTIONS", "run_sample_sweep", "format_sample_sweep"]
 
@@ -76,24 +74,8 @@ def format_sample_sweep(
     return "\n\n".join(blocks)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(prog="repro samples", description="Regenerate paper Figs 7-9")
-    parser.add_argument("--dataset", required=True, choices=dataset_names())
-    parser.add_argument("--scale", type=number_at_least(float, 0.0, strict=True), default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--settings",
-        nargs="*",
-        default=["default", "tuned"],
-        choices=["default", "tuned"],
-    )
-    args = parser.parse_args(argv)
+def run(args) -> int:
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    with scale_usage_errors(parser):
-        curves = run_sample_sweep(runner, args.dataset, args.settings)
+    curves = run_sample_sweep(runner, args.dataset, args.settings)
     print(format_sample_sweep(args.dataset, curves))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -4,19 +4,18 @@ Runs each (dataset, model) pair with the per-dataset auto-tuned
 hyperparameters (the paper's second experiment regime, which Table III
 reports) and prints the table next to the paper's numbers.
 
-Run full size:  ``python -m repro.experiments.table3``
+Run full size:  ``python -m repro table3``
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.datasets.registry import dataset_names
 from repro.experiments.config import MODEL_NAMES, hyperparams_for
 from repro.experiments.report import PAPER_TABLE3, render_table
 from repro.experiments.runner import ExperimentRunner, RunResult
-from repro.utils.cli import number_at_least, scale_usage_errors
+from repro.utils.cli import add_scale, add_seed
 
 __all__ = ["run_table3", "format_table3"]
 
@@ -68,24 +67,14 @@ def format_table3(results: Dict[str, Dict[str, RunResult]]) -> str:
     return render_table(headers, rows)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(prog="repro table3", description="Regenerate paper Table III")
-    parser.add_argument(
-        "--scale",
-        type=number_at_least(float, 0.0, strict=True),
-        default=0.5,
-        help="dataset size multiplier",
-    )
-    parser.add_argument("--seed", type=int, default=0)
+def add_arguments(parser) -> None:
+    add_scale(parser, 0.5)
+    add_seed(parser)
     parser.add_argument("--datasets", nargs="*", default=None, choices=dataset_names())
     parser.add_argument("--setting", choices=["default", "tuned"], default="tuned")
-    args = parser.parse_args(argv)
+
+
+def run(args) -> int:
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    with scale_usage_errors(parser):
-        results = run_table3(runner, args.datasets, args.setting)
-    print(format_table3(results))
+    print(format_table3(run_table3(runner, args.datasets, args.setting)))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -380,17 +380,9 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # elementwise math
     # ------------------------------------------------------------------ #
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return Tensor._from_op(out, (self,), (lambda g: g * out,), "exp")
-
     def log(self) -> "Tensor":
         a = self.data
         return Tensor._from_op(np.log(a), (self,), (lambda g: g / a,), "log")
-
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return Tensor._from_op(out, (self,), (lambda g: g / (2.0 * out),), "sqrt")
 
     def tanh(self) -> "Tensor":
         out = np.tanh(self.data)
@@ -399,15 +391,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         return Tensor._from_op(self.data * mask, (self,), (lambda g: g * mask,), "relu")
-
-    def abs(self) -> "Tensor":
-        a = self.data
-        return Tensor._from_op(np.abs(a), (self,), (lambda g: g * np.sign(a),), "abs")
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        a = self.data
-        mask = (a >= low) & (a <= high)
-        return Tensor._from_op(np.clip(a, low, high), (self,), (lambda g: g * mask,), "clip")
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -467,11 +450,6 @@ class Tensor:
         else:
             inv = np.argsort(axes)
         return Tensor._from_op(out, (self,), (lambda g: np.transpose(g, inv),), "transpose")
-
-    def expand_dims(self, axis: int) -> "Tensor":
-        old = self.data.shape
-        out = np.expand_dims(self.data, axis)
-        return Tensor._from_op(out, (self,), (lambda g: g.reshape(old),), "expand_dims")
 
     def __getitem__(self, idx) -> "Tensor":
         out = self.data[idx]

@@ -48,12 +48,21 @@ regenerating, which exercises the whole mmap read path end to end.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-__all__ = ["run_profile", "metric_sections", "main"]
+from repro.utils.cli import (
+    add_dataset,
+    add_json,
+    add_scale,
+    add_seed,
+    add_targets,
+    number_at_least,
+    write_report,
+)
+
+__all__ = ["run_profile", "metric_sections", "add_arguments", "run"]
 
 #: Phases the end-to-end workload is guaranteed to exercise — the keys
 #: dashboards and the smoke test assert on.
@@ -318,39 +327,17 @@ def metric_sections(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return sections
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.datasets import dataset_names
-    from repro.utils.cli import number_at_least, scale_usage_errors
-
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile a small end-to-end SEAL workload and emit a "
-        "phase-time breakdown as JSON.",
-    )
-    parser.add_argument(
-        "--dataset", default="primekg", choices=dataset_names(), help="dataset loader name"
-    )
-    parser.add_argument(
-        "--scale",
-        type=number_at_least(float, 0.0, strict=True),
-        default=0.2,
-        help="node-count multiplier",
-    )
-    parser.add_argument(
-        "--targets",
-        dest="num_targets",
-        metavar="TARGETS",
-        type=number_at_least(int, 1),
-        default=80,
-        help="number of labeled links",
-    )
+def add_arguments(parser) -> None:
+    add_dataset(parser, "primekg")
+    add_scale(parser, 0.2)
+    add_targets(parser, 80)
     parser.add_argument(
         "--epochs", type=number_at_least(int, 1), default=2, help="training epochs"
     )
     parser.add_argument(
         "--batch-size", type=number_at_least(int, 1), default=16, help="training batch size"
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    add_seed(parser)
     parser.add_argument(
         "--shards",
         type=number_at_least(int, 0),
@@ -396,41 +383,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="trace Python allocations per leg with tracemalloc (slower); "
         "peak RSS is reported either way",
     )
-    parser.add_argument("--json", metavar="PATH", help="also write the report to PATH")
+    add_json(parser)
     parser.add_argument(
         "--csv", metavar="PATH", help="also write the metrics snapshot as CSV to PATH"
     )
-    args = parser.parse_args(argv)
+
+
+def run(args) -> int:
     if args.shards == 1:
-        parser.error("argument --shards: must be 0 (off) or >= 2, got 1")
+        raise argparse.ArgumentError(None, "argument --shards: must be 0 (off) or >= 2, got 1")
     if args.resume and args.checkpoint_dir is None:
-        parser.error("argument --resume: needs --checkpoint-dir")
+        raise argparse.ArgumentError(None, "argument --resume: needs --checkpoint-dir")
 
     # Every other flag's dest is a run_profile keyword.
     kwargs: Dict[str, Any] = dict(vars(args))
-    for flag in ("smoke", "json", "csv"):
-        del kwargs[flag]
-    if args.smoke:
+    smoke, json_path, csv_path = (kwargs.pop(flag) for flag in ("smoke", "json", "csv"))
+    if smoke:
         kwargs.update(scale=0.12, num_targets=40, epochs=1, batch_size=8)
-
-    with scale_usage_errors(parser):
-        report = run_profile(**kwargs)
+    report = run_profile(**kwargs)
 
     for warning in report["warnings"]:
         print(f"repro profile: WARNING — {warning}", file=sys.stderr)
-
-    if args.csv:
+    if csv_path:
         from repro.obs.export import write_csv
 
-        write_csv(report["snapshot"], args.csv)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    print(json.dumps(report, indent=2, sort_keys=True))
+        write_csv(report["snapshot"], csv_path)
+    write_report(report, json_path)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -22,15 +22,24 @@ speedup is a like-for-like comparison of identical answers.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["run_replay", "main"]
+from repro.utils.cli import (
+    add_dataset,
+    add_json,
+    add_scale,
+    add_seed,
+    add_targets,
+    number_at_least,
+    write_report,
+)
+
+__all__ = ["run_replay", "add_arguments", "run"]
 
 
 def run_replay(
@@ -209,33 +218,21 @@ def run_replay(
     }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.datasets import dataset_names
-    from repro.utils.cli import number_at_least, scale_usage_errors
-
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Replay a scripted concurrent workload through the "
-        "micro-batching scoring server and report latency/throughput "
-        "against a single-shot baseline.",
-    )
-    parser.add_argument(
-        "--dataset", default="primekg", choices=dataset_names(), help="dataset loader name"
-    )
-    parser.add_argument(
-        "--scale",
-        type=number_at_least(float, 0.0, strict=True),
-        default=0.12,
-        help="node-count multiplier",
-    )
-    parser.add_argument(
-        "--targets", type=number_at_least(int, 1), default=60, help="number of labeled links"
-    )
+def add_arguments(parser) -> None:
+    add_dataset(parser, "primekg")
+    add_scale(parser, 0.12)
+    add_targets(parser, 60)
     parser.add_argument(
         "--epochs", type=number_at_least(int, 1), default=1, help="training epochs (no --bundle)"
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--bundle", default=None, help="load this ModelBundle .npz")
+    add_seed(parser)
+    parser.add_argument(
+        "--bundle",
+        dest="bundle_path",
+        metavar="BUNDLE",
+        default=None,
+        help="load this ModelBundle .npz",
+    )
     parser.add_argument(
         "--save-bundle", default=None, help="write the bundle used to this path"
     )
@@ -243,10 +240,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--clients", type=number_at_least(int, 1), default=4, help="concurrent client threads"
     )
     parser.add_argument(
-        "--requests", type=number_at_least(int, 1), default=8, help="requests per client"
+        "--requests",
+        dest="requests_per_client",
+        metavar="REQUESTS",
+        type=number_at_least(int, 1),
+        default=8,
+        help="requests per client",
     )
     parser.add_argument(
-        "--pairs", type=number_at_least(int, 1), default=4, help="pairs per request"
+        "--pairs",
+        dest="pairs_per_request",
+        metavar="PAIRS",
+        type=number_at_least(int, 1),
+        default=4,
+        help="pairs per request",
     )
     parser.add_argument(
         "--micro-batch",
@@ -255,7 +262,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="at most this many rows per forward",
     )
     parser.add_argument(
-        "--queue-depth", type=number_at_least(int, 1), default=64, help="admission cap"
+        "--queue-depth",
+        dest="max_queue_depth",
+        metavar="QUEUE_DEPTH",
+        type=number_at_least(int, 1),
+        default=64,
+        help="admission cap",
     )
     parser.add_argument(
         "--deadline-ms",
@@ -266,39 +278,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--smoke", action="store_true", help="CI-sized replay; overrides size flags"
     )
-    parser.add_argument("--json", metavar="PATH", help="also write the report to PATH")
-    args = parser.parse_args(argv)
-    if args.bundle is not None and not os.path.isfile(args.bundle):
-        parser.error(f"argument --bundle: no such file: {args.bundle}")
+    add_json(parser)
 
-    kwargs: Dict[str, Any] = dict(
-        dataset=args.dataset,
-        scale=args.scale,
-        num_targets=args.targets,
-        epochs=args.epochs,
-        seed=args.seed,
-        bundle_path=args.bundle,
-        save_bundle=args.save_bundle,
-        clients=args.clients,
-        requests_per_client=args.requests,
-        pairs_per_request=args.pairs,
-        micro_batch=args.micro_batch,
-        max_queue_depth=args.queue_depth,
-        deadline_ms=args.deadline_ms,
-    )
-    if args.smoke:
+
+def run(args) -> int:
+    if args.bundle_path is not None and not os.path.isfile(args.bundle_path):
+        raise argparse.ArgumentError(None, f"argument --bundle: no such file: {args.bundle_path}")
+
+    # Every other flag's dest is a run_replay keyword.
+    kwargs: Dict[str, Any] = dict(vars(args))
+    smoke, json_path = kwargs.pop("smoke"), kwargs.pop("json")
+    if smoke:
         kwargs.update(scale=0.12, num_targets=40, clients=2, requests_per_client=4)
-
-    with scale_usage_errors(parser):
-        report = run_replay(**kwargs)
-
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    report = run_replay(**kwargs)
+    write_report(report, json_path)
     return 0 if report["bitwise_mismatches"] == 0 else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

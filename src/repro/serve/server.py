@@ -190,11 +190,6 @@ class ScoringServer:
             pairs, request_id=request_id, deadline_s=deadline_s
         ).result(timeout=timeout)
 
-    @property
-    def queue_depth(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #

@@ -17,42 +17,29 @@ Example::
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 import time
-from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.utils.cli import (
+    add_dataset,
+    add_json,
+    add_scale,
+    add_seed,
+    add_targets,
+    number_at_least,
+    write_report,
+)
 from repro.utils.rng import derive
 
-__all__ = ["main"]
+__all__ = ["add_arguments", "run"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.datasets import dataset_names
-    from repro.utils.cli import number_at_least
-
-    p = argparse.ArgumentParser(
-        prog="repro-stream",
-        description="prequential streaming evaluation over a bundled dataset",
-    )
-    p.add_argument(
-        "--dataset", default="primekg", choices=dataset_names(), help="bundled dataset name"
-    )
-    p.add_argument(
-        "--scale",
-        type=number_at_least(float, 0.0, strict=True),
-        default=0.15,
-        help="graph size factor",
-    )
-    p.add_argument(
-        "--targets",
-        type=number_at_least(int, 1),
-        default=60,
-        help="labeled links for pre-training",
-    )
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+def add_arguments(p) -> None:
+    add_dataset(p, "primekg")
+    add_scale(p, 0.15)
+    add_targets(p, 60)
+    add_seed(p)
     p.add_argument(
         "--events", type=number_at_least(int, 0), default=150, help="stream length"
     )
@@ -97,16 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist every snapshot (mmap-openable) under this directory",
     )
-    p.add_argument("--json", dest="json_path", default=None, help="write report here")
-    return p
+    add_json(p)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args) -> int:
     if args.add_fraction > 1.0:
-        parser.error(f"argument --add-fraction: must be <= 1.0, got {args.add_fraction}")
-    from repro import obs
+        raise argparse.ArgumentError(
+            None, f"argument --add-fraction: must be <= 1.0, got {args.add_fraction}"
+        )
     from repro.datasets import load_dataset
     from repro.models import AMDGCNN
     from repro.seal import SEALDataset, TrainConfig, train
@@ -116,14 +101,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         generate_events,
         run_prequential,
     )
-    from repro.utils.cli import scale_usage_errors
-
     t_start = time.perf_counter()
-    with scale_usage_errors(parser):
-        task = load_dataset(
-            args.dataset, scale=args.scale, rng=args.seed, num_targets=args.targets
-        )
-    obs.enable()  # loading records nothing; a usage error leaves obs as it was
+    task = load_dataset(
+        args.dataset, scale=args.scale, rng=args.seed, num_targets=args.num_targets
+    )
     model = AMDGCNN(
         task.feature_config.width,
         task.num_classes,
@@ -200,14 +181,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "total_s": time.perf_counter() - t_start,
         },
     }
-    text = json.dumps(report, indent=2, default=float)
-    print(text)
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"report written to {args.json_path}", file=sys.stderr)
+    write_report(report, args.json)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,11 +1,27 @@
-"""Argument parsing shared by the ``python -m repro`` subcommands."""
+"""The flags the ``python -m repro`` commands share, and their report writer.
+
+Each shared flag is defined here once; a command passes its own
+default. A flag's ``dest`` is the keyword it feeds (``--targets`` feeds
+``num_targets``), so a command can hand ``vars(args)`` to its library
+function.
+"""
 
 from __future__ import annotations
 
 import argparse
+import json
 from contextlib import contextmanager
 
-__all__ = ["number_at_least", "scale_usage_errors"]
+__all__ = [
+    "number_at_least",
+    "scale_usage_errors",
+    "add_dataset",
+    "add_scale",
+    "add_targets",
+    "add_seed",
+    "add_json",
+    "write_report",
+]
 
 
 def number_at_least(kind, low, *, strict: bool = False):
@@ -42,3 +58,53 @@ def scale_usage_errors(parser: argparse.ArgumentParser):
         yield
     except ScaleTooSmallError as exc:
         parser.error(f"argument --scale: {exc}")
+
+
+def add_dataset(parser: argparse.ArgumentParser, default: str = None) -> None:
+    """``--dataset``: one of the bundled datasets; required without a ``default``."""
+    from repro.datasets import dataset_names
+
+    parser.add_argument(
+        "--dataset",
+        default=default,
+        required=default is None,
+        choices=dataset_names(),
+        help="dataset loader name",
+    )
+
+
+def add_scale(parser: argparse.ArgumentParser, default: float) -> None:
+    parser.add_argument(
+        "--scale",
+        type=number_at_least(float, 0.0, strict=True),
+        default=default,
+        help="dataset size multiplier",
+    )
+
+
+def add_targets(parser: argparse.ArgumentParser, default: int) -> None:
+    parser.add_argument(
+        "--targets",
+        dest="num_targets",
+        metavar="TARGETS",
+        type=number_at_least(int, 1),
+        default=default,
+        help="number of labeled links",
+    )
+
+
+def add_seed(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
+
+
+def add_json(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", metavar="PATH", help="also write the report to PATH")
+
+
+def write_report(report: dict, path: str) -> None:
+    """Print ``report`` as JSON, and also write it to ``path`` when given."""
+    text = json.dumps(report, indent=2, sort_keys=True, default=float)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)

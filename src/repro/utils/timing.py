@@ -61,9 +61,3 @@ class Stopwatch:
             self.totals[name] += time.perf_counter() - start
             self.counts[name] += 1
 
-    def mean(self, name: str) -> float:
-        """Mean seconds per entry for segment ``name`` (0 if never entered)."""
-        if self.counts[name] == 0:
-            return 0.0
-        return self.totals[name] / self.counts[name]
-

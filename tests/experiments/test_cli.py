@@ -1,4 +1,4 @@
-"""Every experiments CLI starts clean under ``python -W error -m``."""
+"""Every ``python -m repro`` command starts clean under ``python -W error``."""
 
 import os
 import subprocess
@@ -10,16 +10,18 @@ import pytest
 import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
+COMMANDS = (
+    "table3", "epochs", "samples", "ablations", "datasets", "profile", "serve", "stream", "version",
+)
 
 
-@pytest.mark.parametrize("module", ["table3", "epochs", "samples", "ablations"])
-def test_help_runs_without_warnings(module):
-    # Importing the package must not import the CLI module ahead of runpy,
-    # which warns "found in sys.modules after import of package".
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_runs_without_warnings(command):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", f"repro.experiments.{module}", "--help"],
+        [sys.executable, "-W", "error", "-m", "repro", command, "--help"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert f"usage: repro {command}" in proc.stdout

@@ -85,7 +85,7 @@ class TestAdmissionControl:
         assert outcome.reason == "queue_full"
         assert outcome.request_id == "overflow"
         assert reg.counters["serve.rejected"] == 1.0
-        assert server.queue_depth == 2
+        assert len(server._queue) == 2
         server.stop()
         for f in kept:  # flushed on shutdown, never silently dropped
             assert f.result(timeout=1).reason == "shutdown"

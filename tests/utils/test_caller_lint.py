@@ -7,8 +7,7 @@ Each module must define at least one name used by a file under
 ``src/``, ``examples/``, ``benchmarks/`` or ``scripts/``. A package
 ``__init__`` re-exporting a name is not a use; a caller importing it
 through the package is. Entry points are not checked themselves:
-package ``__init__`` modules, ``__main__.py`` and modules run with
-``python -m`` (a top-level ``if __name__ == "__main__":`` block).
+package ``__init__`` modules and ``__main__.py``.
 
 The same holds one level down: every top-level ``def`` and ``class``
 under ``src/repro``, private ones included, must be loaded by one of
@@ -19,13 +18,16 @@ the interpreter and are exempt.
 Methods and properties are matched by name, as no type information is
 at hand: each one defined in a class under ``src/repro`` must be read
 as an attribute (``x.name``, or ``getattr(x, "name")``) by one of those
-files, or by its own module outside its own body. Dunders are exempt.
+files, or by its own module outside its own body. Dunders are exempt. A
+read off a name the file binds to an imported module (``np.exp``,
+``F.relu``) is a module attribute, not a method, and does not count.
 
 Last, a module-level import that its module never reads is dead too
 (package ``__init__`` re-exports and ``from __future__`` aside).
 """
 
 import ast
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
@@ -35,23 +37,17 @@ CALLER_DIRS = ("src", "examples", "benchmarks", "scripts")
 ENTRY_POINTS = ("__init__.py", "__main__.py")
 
 
-def is_script(tree):
-    """Whether the module has a top-level ``if __name__ == "__main__":`` block."""
-    return any(
-        isinstance(node, ast.If)
-        and isinstance(node.test, ast.Compare)
-        and isinstance(node.test.left, ast.Name)
-        and node.test.left.id == "__name__"
-        for node in tree.body
-    )
-
-
 def module_name(path):
     """Dotted name of ``path`` under ``src/`` (packages drop ``__init__``)."""
     parts = list(path.relative_to(SRC).with_suffix("").parts)
     if parts[-1] == "__init__":
         parts.pop()
     return ".".join(parts)
+
+
+def package_of(path):
+    """The package a caller file's relative imports resolve against."""
+    return module_name(path).rpartition(".")[0] if path.is_relative_to(SRC) else ""
 
 
 def defined_names(tree):
@@ -148,8 +144,7 @@ def callers_by_name():
     """``(module, name)`` -> the caller files that use it."""
     callers = defaultdict(set)
     for path in caller_files():
-        package = module_name(path).rpartition(".")[0] if path.is_relative_to(SRC) else ""
-        for use in used_names(ast.parse(path.read_text()), package):
+        for use in used_names(ast.parse(path.read_text()), package_of(path)):
             callers[use].add(path)
     return callers
 
@@ -190,8 +185,6 @@ def modules_without_callers():
         if path.name in ENTRY_POINTS:
             continue
         tree = ast.parse(path.read_text())
-        if is_script(tree):
-            continue
         # A name is reachable through its module or any enclosing package.
         owners = owners_of(module_name(path))
         if not any(
@@ -203,19 +196,49 @@ def modules_without_callers():
     return orphans
 
 
-def attribute_reads(tree, skip=None):
+def _is_module(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except (ImportError, ValueError):  # ``name``'s parent is not a package
+        return False
+
+
+def module_aliases(tree, package=""):
+    """Names ``tree`` binds to imported modules (``np``, ``F``, ``math``, ...).
+
+    ``import m`` and ``import m as a`` always bind a module; ``from p import
+    n`` does when ``p.n`` is one. ``package`` resolves relative imports.
+    """
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            aliases.update(
+                a.asname or a.name for a in node.names if _is_module(f"{base}.{a.name}")
+            )
+    return aliases
+
+
+def attribute_reads(tree, skip=None, package=""):
     """Attribute names ``tree`` reads, outside the subtree ``skip``.
 
     ``x.name`` in load context, and ``getattr``/``hasattr`` with a literal
-    name.
+    name; a read off an imported module (``np.exp``) is not counted.
     """
+    modules = module_aliases(tree, package)
     reads, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                reads.add(node.attr)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -228,7 +251,7 @@ def attribute_reads(tree, skip=None):
     return reads
 
 
-def unused_methods(tree, read_elsewhere):
+def unused_methods(tree, read_elsewhere, package=""):
     """``Class.method`` names of ``tree`` that neither ``read_elsewhere`` nor
     the module itself (outside the method's body) reads as an attribute."""
     unused = []
@@ -241,19 +264,23 @@ def unused_methods(tree, read_elsewhere):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in read_elsewhere or name in attribute_reads(tree, skip=node):
+            if name in read_elsewhere or name in attribute_reads(tree, node, package):
                 continue
             unused.append(f"{cls.name}.{name}")
     return unused
 
 
 def methods_without_callers():
-    reads = {path: attribute_reads(ast.parse(path.read_text())) for path in caller_files()}
+    reads = {
+        path: attribute_reads(ast.parse(path.read_text()), package=package_of(path))
+        for path in caller_files()
+    }
     orphans = []
     for path in sorted((SRC / "repro").rglob("*.py")):
         elsewhere = set().union(*(r for p, r in reads.items() if p != path))
         rel = path.relative_to(REPO).as_posix()
-        for method in unused_methods(ast.parse(path.read_text()), elsewhere):
+        tree = ast.parse(path.read_text())
+        for method in unused_methods(tree, elsewhere, package_of(path)):
             orphans.append(f"{rel}::{method}")
     return orphans
 
@@ -420,6 +447,32 @@ def test_unused_methods_names_orphans_and_spares_used_names():
     )
     unused = unused_methods(ast.parse(module), attribute_reads(ast.parse(caller)))
     assert unused == ["Store.orphan"]
+
+
+def test_reads_off_an_imported_module_are_not_method_uses():
+    module = "\n".join(
+        [
+            "class Tensor:",
+            "    def exp(self):",
+            "        return 1",
+            "    def relu(self):",
+            "        return 2",
+        ]
+    )
+    caller = "\n".join(
+        [
+            "import numpy as np",
+            "from repro.nn import functional as F",
+            "from repro.nn.tensor import Tensor",
+            "np.exp(0.0)",
+            "F.relu(x)",
+            "np.linalg.norm(x).relu()  # a read off a call result counts",
+        ]
+    )
+    reads = attribute_reads(ast.parse(caller))
+    assert {"exp", "linalg", "Tensor"}.isdisjoint(reads)
+    assert {"norm", "relu"} <= reads
+    assert unused_methods(ast.parse(module), reads) == ["Tensor.exp"]
 
 
 def test_every_import_is_read():

@@ -1,10 +1,22 @@
-"""CLI dispatcher (python -m repro)."""
+"""CLI dispatcher (python -m repro) and the tuning script's flags."""
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.__main__ import main
+
+RUN_TUNING = Path(__file__).resolve().parents[2] / "scripts" / "run_tuning.py"
+
+
+def _load_run_tuning():
+    spec = importlib.util.spec_from_file_location("run_tuning", RUN_TUNING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 class TestCli:
@@ -21,8 +33,10 @@ class TestCli:
         assert main([]) == 0
 
     def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 2
-        assert "unknown command" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_datasets_table(self, capsys):
         assert main(["datasets"]) == 0
@@ -79,6 +93,15 @@ class TestCli:
             (["epochs", "--dataset", "cora", "--scale", "-1"], "--scale: must be > 0.0"),
             (["samples", "--dataset", "cora", "--scale", "0"], "--scale: must be > 0.0"),
             (["serve", "--bundle", "no/such/bundle.npz"], "--bundle: no such file"),
+            (["ablations", "--which", "bogus"], "--which: invalid choice: 'bogus'"),
+            (["ablations", "--which", "drnl", "--scale", "-1"], "--scale: must be > 0.0"),
+            (["ablations", "--which", "drnl", "--targets", "0"], "--targets: must be >= 1"),
+            (["profile", "--scale", "-1"], "--scale: must be > 0.0"),
+            (["profile", "--targets", "0"], "--targets: must be >= 1"),
+            (["profile", "--epochs", "0"], "--epochs: must be >= 1"),
+            (["profile", "--batch-size", "0"], "--batch-size: must be >= 1"),
+            (["profile", "--shards", "1"], "--shards: must be 0 (off) or >= 2, got 1"),
+            (["profile", "--resume"], "--resume: needs --checkpoint-dir"),
             (["datasets", "--bogus"], "unrecognized arguments: --bogus"),
             (["version", "extra"], "unrecognized arguments: extra"),
         ],
@@ -99,6 +122,7 @@ class TestCli:
             ["profile", "--scale", "0.05", "--targets", "5000"],
             ["serve", "--scale", "0.05", "--targets", "5000"],
             ["stream", "--dataset", "primekg", "--scale", "0.05", "--targets", "5000"],
+            ["ablations", "--which", "subgraph_mode", "--scale", "0.05", "--targets", "5000"],
         ],
         ids=lambda v: " ".join(v),
     )
@@ -108,3 +132,25 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --scale: primekg at scale 0.05 is too small" in err
+
+    def test_stream_leaves_metrics_recording_as_it_was(self, capsys):
+        before = obs.enabled()
+        argv = ["stream", "--scale", "0.12", "--targets", "40", "--events", "20", "--window", "10"]
+        assert main([*argv, "--pretrain-epochs", "0", "--train-epochs", "0"]) == 0
+        assert obs.enabled() == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--scale", "-1"], "argument --scale: must be > 0.0"),
+        (["--scale", "nan"], "argument --scale: must be > 0.0"),
+        (["--datasets", "nope"], "--datasets: invalid choice: 'nope'"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_run_tuning_bad_arguments_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load_run_tuning().main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
