@@ -26,7 +26,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.utils import Timer
-from repro.utils.cli import scale_usage_errors
+from repro.utils.cli import add_scale, add_seed, scale_usage_errors
 
 
 def print_table2(scale: float) -> None:
@@ -76,9 +76,11 @@ def reproduce(scale: float, seed: int, datasets) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--scale", type=float, default=0.35)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--datasets", nargs="*", default=None)
+    add_scale(parser, 0.35)
+    add_seed(parser)
+    parser.add_argument(
+        "--datasets", nargs="*", choices=dataset_names(), default=None, help="datasets to run"
+    )
     args = parser.parse_args()
     with scale_usage_errors(parser):
         reproduce(args.scale, args.seed, args.datasets or dataset_names())

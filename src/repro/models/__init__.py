@@ -9,7 +9,7 @@ from repro.models.dgcnn import DGCNNBackbone, VanillaDGCNN
 from repro.models.layers import GATConv, GCNConv
 from repro.models.rgcn import RGCNConv, RGCNDGCNN
 from repro.models.sage import SAGEConv
-from repro.models.sort_pool import SortPooling, sort_pool
+from repro.models.sort_pool import SortPooling
 from repro.models.wlnm import WLNMClassifier, encode_subgraph, wl_order
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "SAGEConv",
     "RGCNConv",
     "SortPooling",
-    "sort_pool",
     "DGCNNBackbone",
     "VanillaDGCNN",
     "AMDGCNN",

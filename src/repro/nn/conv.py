@@ -4,12 +4,14 @@ DGCNN reads out a graph as a fixed-length sequence of sorted node
 embeddings and applies two 1-D convolutions with a max-pool in between
 (Zhang et al., AAAI'18). The first convolution has kernel size and stride
 equal to the per-node feature width, so it acts as a learned per-node
-projection; the second slides over the resulting node axis.
+projection; it runs fused with SortPooling, on the node rows before they
+are pooled (:class:`repro.models.sort_pool.PooledProjection`), not through
+:class:`Conv1d`. The second slides over the resulting node axis.
 
-Both layers read their windows as a strided view of the input, never a
-gather. ``Conv1d`` copies the view into its im2col matrix at most once (not
-at all for DGCNN's first conv, one channel with kernel == stride) and applies
-one matmul; ``MaxPool1d`` takes the maximum tap by tap over the view.
+Both layers here read their windows as a strided view of the input, never
+a gather. ``Conv1d`` copies the view into its im2col matrix at most once
+(not at all with one channel and kernel == stride) and applies one matmul;
+``MaxPool1d`` takes the maximum tap by tap over the view.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def _col2im(windows: np.ndarray, length: int, stride: int, dtype) -> np.ndarray:
     groups from the last tap to the first adds each position's windows
     in window order — the order ``np.add.at`` visits them — and starting
     from zeros turns a lone ``-0.0`` into ``+0.0`` just as it does. With
-    ``kernel <= stride`` (DGCNN's first conv and its pool) there is one
-    group: a single strided write.
+    ``kernel <= stride`` (DGCNN's max-pool) there is one group: a single
+    strided write.
     """
     b, c, l_out, kernel = windows.shape
     groups = -(-kernel // stride)
