@@ -22,7 +22,7 @@ def run_mode(mode: str):
     ds = SEALDataset(task, rng=0)
     tr, te = train_test_split_indices(task.num_links, 0.25, labels=task.labels, rng=0)
     warm(ds)
-    sizes = np.array([ds.extract(i)[0].num_nodes for i in range(len(ds))])
+    sizes = ds.store.node_count.copy()
     model = build_model(
         "am_dgcnn", ds.feature_width, task.num_classes, task.edge_attr_dim,
         DEFAULT_HPARAMS, rng=1,

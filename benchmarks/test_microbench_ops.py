@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_primekg_like
-from repro.graph import collate, extract_enclosing_subgraph
+from repro.graph import extract_enclosing_subgraphs
 from repro.models.layers import GATConv
 from repro.models.sort_pool import PooledProjection, SortPooling
 from repro.nn.dtype import compute_dtype
@@ -81,19 +81,17 @@ def test_gat_forward_backward(benchmark, dtype):
 
 
 def test_subgraph_extraction_rate(benchmark):
+    """One batched extraction sweep over 32 PrimeKG-like pairs."""
     task = load_primekg_like(scale=0.4, num_targets=64, rng=0)
 
     def extract_all():
-        sizes = []
-        for u, v in task.pairs[:32]:
-            sub = extract_enclosing_subgraph(
-                task.graph, int(u), int(v), k=2, mode="intersection", max_nodes=100, rng=0
-            )
-            sizes.append(sub.num_nodes)
-        return sizes
+        return extract_enclosing_subgraphs(
+            task.graph, task.pairs[:32], k=2, mode="intersection", max_nodes=100,
+            rng_factory=lambda pos: pos,
+        )
 
-    sizes = benchmark(extract_all)
-    assert len(sizes) == 32
+    subs = benchmark(extract_all)
+    assert subs.num_links == 32
 
 
 @pytest.mark.parametrize("f,k", [(129, 110), (385, 35)], ids=["am_dgcnn", "vanilla"])
@@ -126,22 +124,9 @@ def test_sort_pool_throughput(benchmark, grad, f, k):
     assert out.shape == (graphs, 16, k)
 
 
-def test_collate_throughput(benchmark):
-    """Block-diagonal collation of 64 cached subgraphs (preallocated fill)."""
-    from repro.seal import SEALDataset
-
-    task = load_primekg_like(scale=0.25, num_targets=64, rng=0)
-    ds = SEALDataset(task, rng=0)
-    warm(ds)
-    extracted = [ds.extract(i) for i in range(64)]
-    graphs = [g for g, _ in extracted]
-    feats = [f for _, f in extracted]
-    out = benchmark(lambda: collate(graphs, feats, edge_attr_dim=task.edge_attr_dim))
-    assert out.num_graphs == 64
-
-
 def test_store_collate_throughput(benchmark):
-    """Same batch served straight from the packed SubgraphStore slices."""
+    """Block-diagonal collation of 64 cached subgraphs from the packed
+    SubgraphStore slices."""
     from repro.data import collate_from_store
     from repro.seal import SEALDataset
 

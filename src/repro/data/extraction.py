@@ -1,18 +1,20 @@
 """Batched subgraph + feature construction for SEAL samples.
 
-:func:`build_packed_samples` turns a batch of link indices into packed
-SEAL samples (enclosing subgraph + node-attribute matrix) through the
+:func:`build_packed_samples` turns a batch of link indices into one
+:class:`~repro.data.store.PackedBatch` (enclosing subgraphs + node
+attribute matrices, flat arrays with per-link offsets) through the
 batched extraction engine (:mod:`repro.graph.bulk`) — one multi-source
-BFS sweep and one columnar induce/label/pack pass instead of per-link
-Python.
+BFS sweep and one columnar induce/label/pack pass, no per-link Python.
+:func:`ensure_extracted` is the one way links enter a
+:class:`~repro.data.store.SubgraphStore`: the dataset, the loader, the
+shard workers and the online scorer all call it.
 
 The extraction stream of link ``i`` is derived from the dataset seed
 *and the link index*, never from shared mutable state, so the same link
 produces bit-identical arrays no matter which process builds it, in
 what order, or in which batch grouping — so a loader, a scorer and a
 shard worker all extract the same subgraph for the same link. The
-samples are also bit-identical to per-link extraction with
-:func:`~repro.graph.subgraph.extract_enclosing_subgraph` (the oracle in
+arrays are also bit-identical to per-link extraction (the oracle in
 ``tests/oracles.py``).
 
 This module deliberately avoids importing :mod:`repro.seal.dataset`
@@ -22,18 +24,18 @@ fields listed in :func:`build_packed_samples`.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.data.store import PackedSubgraph
+from repro.data.store import PackedBatch, SubgraphStore
 from repro.graph.bulk import extract_enclosing_subgraphs
 from repro.seal.features import assemble_node_features
 from repro.seal.labeling import drnl_labels_from_distances
 from repro.utils.rng import RngLike, derive
 
-__all__ = ["build_packed_samples"]
+__all__ = ["build_packed_samples", "ensure_extracted"]
 
 
 def _link_rng(task, seed: RngLike, index: int):
@@ -51,10 +53,8 @@ def _link_rng(task, seed: RngLike, index: int):
     return derive(seed, "seal-extract", task.name, key)
 
 
-def build_packed_samples(
-    task, seed: RngLike, indices: Sequence[int]
-) -> List[PackedSubgraph]:
-    """Extract a batch of links into :class:`PackedSubgraph` samples.
+def build_packed_samples(task, seed: RngLike, indices: Sequence[int]) -> PackedBatch:
+    """Extract a batch of links into one :class:`PackedBatch`.
 
     ``task`` is any object with the :class:`repro.seal.LinkTask` fields
     ``graph``, ``pairs``, ``name``, ``num_hops``, ``subgraph_mode``,
@@ -63,9 +63,6 @@ def build_packed_samples(
     sweep plus a single fused labeling/feature pass over the packed rows.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return []
-
     graph = task.graph
     config = task.feature_config
     bulk = extract_enclosing_subgraphs(
@@ -80,12 +77,6 @@ def build_packed_samples(
 
     with obs.trace("extract.pack"):
         node_map = bulk.node_map
-        node_type = graph.node_type[node_map]
-        node_features = (
-            None if graph.node_features is None else graph.node_features[node_map]
-        )
-        edge_type = graph.edge_type[bulk.edge_ids]
-        edge_attr = None if graph.edge_attr is None else graph.edge_attr[bulk.edge_ids]
         labels = None
         if config.use_drnl:
             src_rows = bulk.node_offsets[:-1]
@@ -94,31 +85,48 @@ def build_packed_samples(
             )
         features = assemble_node_features(
             config,
-            node_type=node_type,
+            node_type=graph.node_type[node_map],
             drnl=labels,
-            node_features=node_features,
+            node_features=(
+                None if graph.node_features is None else graph.node_features[node_map]
+            ),
             node_map=node_map,
         )
+        edge_attr = None if graph.edge_attr is None else graph.edge_attr[bulk.edge_ids]
+    return PackedBatch(
+        indices=indices,
+        features=features,
+        edge_index=bulk.edge_index,
+        edge_attr=edge_attr,
+        node_offsets=bulk.node_offsets,
+        edge_offsets=bulk.edge_offsets,
+    )
 
-        samples: List[PackedSubgraph] = []
-        no = bulk.node_offsets
-        eo = bulk.edge_offsets
-        for pos, index in enumerate(indices):
-            ns, ne = int(no[pos]), int(no[pos + 1])
-            es, ee = int(eo[pos]), int(eo[pos + 1])
-            samples.append(
-                PackedSubgraph(
-                    index=int(index),
-                    num_nodes=ne - ns,
-                    num_edges=ee - es,
-                    edge_index=bulk.edge_index[:, es:ee],
-                    features=features[ns:ne],
-                    node_type=node_type[ns:ne],
-                    edge_type=edge_type[es:ee],
-                    edge_attr=None if edge_attr is None else edge_attr[es:ee],
-                    node_features=(
-                        None if node_features is None else node_features[ns:ne]
-                    ),
-                )
-            )
-    return samples
+
+def ensure_extracted(
+    store: SubgraphStore, task, seed: RngLike, indices: Sequence[int]
+) -> int:
+    """Make sure every link of ``indices`` is in ``store``; returns the misses.
+
+    The links not yet stored are extracted together
+    (:func:`build_packed_samples`) and appended in one
+    :meth:`SubgraphStore.put`. Every index already stored (or repeated
+    within the call) counts as a cache hit, every extracted one as a
+    miss. An index outside ``[0, store.capacity)`` raises ``IndexError``
+    whatever the store already holds.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    outside = (indices < 0) | (indices >= store.capacity)
+    if outside.any():
+        raise IndexError(
+            f"link index {indices[outside][0]} out of range for {store.capacity} links"
+        )
+    missing = store.missing(indices)
+    hits = int(indices.size) - int(missing.size)
+    if hits:
+        obs.count("seal.cache.hits", float(hits))
+    if missing.size:
+        obs.count("seal.cache.misses", float(missing.size))
+        with obs.trace("extraction"):
+            store.put(build_packed_samples(task, seed, missing))
+    return int(missing.size)

@@ -65,9 +65,9 @@ def collate_from_store(
 ) -> GraphBatch:
     """Fuse stored subgraphs into one block-diagonal batch by slice-copy.
 
-    Equivalent to :func:`repro.graph.batch.collate` over the materialized
-    graphs, but reads the packed arrays directly: output buffers are
-    preallocated once and filled per graph with O(1)-lookup slices.
+    Output buffers are preallocated once and filled per graph with
+    O(1)-lookup slices of the store's packed arrays. Raises ``KeyError``
+    if a link of ``indices`` is not stored.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
@@ -77,6 +77,9 @@ def collate_from_store(
             f"stored edge_attr width {store.edge_attr_dim} != requested {edge_attr_dim}"
         )
     with obs.trace("collate"):
+        n_starts = store.node_start[indices]
+        if (n_starts < 0).any():
+            raise KeyError(f"link {indices[n_starts < 0][0]} not in store")
         n_counts = store.node_count[indices]
         e_counts = store.edge_count[indices]
         n_total = int(n_counts.sum())
@@ -92,7 +95,7 @@ def collate_from_store(
         no = 0
         eo = 0
         for j, i in enumerate(indices):
-            ns, nc = int(store.node_start[i]), int(n_counts[j])
+            ns, nc = int(n_starts[j]), int(n_counts[j])
             es, ec = int(store.edge_start[i]), int(e_counts[j])
             edge_index[:, eo : eo + ec] = store.edge_index[:, es : es + ec] + node_off[j]
             node_features[no : no + nc] = store.features[ns : ns + nc]

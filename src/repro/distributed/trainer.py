@@ -130,14 +130,8 @@ def _shard_step_grads(
     t0 = time.perf_counter()
     grads, loss_val = None, 0.0
     if mine.size:
-        from repro.data.loader import collate_from_store
-
         watch = watch or Stopwatch()
-        dataset.ensure_many(mine)
-        batch = collate_from_store(
-            dataset.store, mine, edge_attr_dim=dataset.task.edge_attr_dim
-        )
-        labels = dataset.task.labels[mine]
+        batch, labels = dataset.batch(mine)
         with watch.segment("forward"), obs.trace("forward"):
             model.zero_grad()
             logits = model(batch)

@@ -59,7 +59,7 @@ def _fit_am(task, epochs=8, **model_overrides) -> Dict[str, float]:
         )
     train(model, ds, tr, train_config_for(DEFAULT_HPARAMS, epochs=epochs), rng=1)
     res = evaluate(model, ds, te)
-    sizes = [ds.extract(i)[0].num_nodes for i in range(len(ds))]
+    sizes = ds.store.node_count
     return {"auc": res.auc, "ap": res.ap, "mean_subgraph_nodes": float(np.mean(sizes))}
 
 

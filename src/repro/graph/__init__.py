@@ -1,6 +1,11 @@
-"""Graph substrate: containers, traversal, enclosing subgraphs, batching."""
+"""Graph substrate: containers, traversal, enclosing subgraphs, batching.
 
-from repro.graph.batch import GraphBatch, collate
+Enclosing subgraphs are extracted a batch at a time
+(:func:`extract_enclosing_subgraphs`, packed flat arrays with per-link
+offsets); there is no per-link extractor.
+"""
+
+from repro.graph.batch import GraphBatch
 from repro.graph.bulk import BulkSubgraphs, extract_enclosing_subgraphs
 from repro.graph.generators import (
     barabasi_albert_edges,
@@ -19,7 +24,6 @@ from repro.graph.stats import (
     num_connected_components,
 )
 from repro.graph.structure import Graph
-from repro.graph.subgraph import EnclosingSubgraph, extract_enclosing_subgraph
 from repro.graph.traversal import (
     bfs_distances,
     k_hop_union,
@@ -29,12 +33,9 @@ from repro.graph.traversal import (
 __all__ = [
     "Graph",
     "GraphBatch",
-    "collate",
     "bfs_distances",
     "k_hop_union",
     "multi_source_bfs",
-    "EnclosingSubgraph",
-    "extract_enclosing_subgraph",
     "BulkSubgraphs",
     "extract_enclosing_subgraphs",
     "erdos_renyi_edges",

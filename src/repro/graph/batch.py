@@ -5,22 +5,21 @@ whose adjacency is block-diagonal: node ids are offset per graph and a
 ``batch`` vector records which graph each node belongs to. One forward
 pass over the batched graph then processes the whole mini-batch — the
 standard PyG trick, essential here because enclosing subgraphs are tiny
-and per-graph Python dispatch would dominate runtime.
+and per-graph Python dispatch would dominate runtime. Batches are built
+from the packed subgraph store by
+:func:`repro.data.loader.collate_from_store`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro import obs
-from repro.graph.structure import Graph
-from repro.nn.dtype import get_compute_dtype
 from repro.nn.kernels import PlanCache
 
-__all__ = ["GraphBatch", "collate"]
+__all__ = ["GraphBatch"]
 
 
 @dataclass
@@ -74,87 +73,3 @@ class GraphBatch:
                 num_graphs=self.num_graphs,
             )
         return self._plan_cache
-
-
-def collate(
-    graphs: Sequence[Graph],
-    node_feature_matrices: Sequence[np.ndarray],
-    *,
-    edge_attr_dim: int = 0,
-) -> GraphBatch:
-    """Fuse ``graphs`` (with externally supplied node features) into a batch.
-
-    Parameters
-    ----------
-    graphs:
-        Member graphs. Their own ``node_features`` are ignored — SEAL
-        builds per-subgraph feature matrices (DRNL ‖ type one-hot ‖ ...)
-        outside the graph container, passed via
-        ``node_feature_matrices``.
-    node_feature_matrices:
-        One ``(n_i, F)`` matrix per graph; all must share ``F``.
-    edge_attr_dim:
-        Width of edge attributes. Graphs lacking ``edge_attr`` contribute
-        zero rows of this width (models with edge-attr inputs stay
-        shape-stable across datasets without edge features).
-    """
-    if len(graphs) == 0:
-        raise ValueError("cannot collate an empty list of graphs")
-    if len(graphs) != len(node_feature_matrices):
-        raise ValueError("need exactly one feature matrix per graph")
-    with obs.trace("collate"):
-        return _collate(graphs, node_feature_matrices, edge_attr_dim)
-
-
-def _collate(
-    graphs: Sequence[Graph],
-    node_feature_matrices: Sequence[np.ndarray],
-    edge_attr_dim: int,
-) -> GraphBatch:
-    feat_dims = {m.shape[1] for m in node_feature_matrices}
-    if len(feat_dims) != 1:
-        raise ValueError(f"inconsistent node feature widths: {sorted(feat_dims)}")
-
-    node_counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    edge_counts = np.array([g.num_edges for g in graphs], dtype=np.int64)
-    n_total = int(node_counts.sum())
-    e_total = int(edge_counts.sum())
-
-    # Preallocate every output once and fill per-graph slices: concatenating
-    # dozens of tiny arrays per batch used to dominate collation time.
-    edge_index = np.empty((2, e_total), dtype=np.int64)
-    # Float payloads materialize directly in the active compute dtype, so
-    # a float32 policy never allocates (then casts away) float64 batches.
-    float_dtype = get_compute_dtype()
-    node_features = np.empty((n_total, feat_dims.pop()), dtype=float_dtype)
-    edge_attr = np.zeros((e_total, edge_attr_dim), dtype=float_dtype)
-    batch = np.repeat(np.arange(len(graphs), dtype=np.int64), node_counts)
-
-    node_offset = 0
-    edge_offset = 0
-    for gi, g in enumerate(graphs):
-        if node_feature_matrices[gi].shape[0] != g.num_nodes:
-            raise ValueError(f"feature matrix {gi} rows != graph {gi} nodes")
-        ne = g.num_edges
-        edge_index[:, edge_offset : edge_offset + ne] = g.edge_index + node_offset
-        node_features[node_offset : node_offset + g.num_nodes] = node_feature_matrices[gi]
-        if edge_attr_dim and g.edge_attr is not None:
-            if g.edge_attr.shape[1] != edge_attr_dim:
-                raise ValueError(
-                    f"graph {gi} edge_attr width {g.edge_attr.shape[1]} != {edge_attr_dim}"
-                )
-            edge_attr[edge_offset : edge_offset + ne] = g.edge_attr
-        node_offset += g.num_nodes
-        edge_offset += ne
-
-    out = GraphBatch(
-        edge_index=edge_index,
-        node_features=node_features,
-        edge_attr=edge_attr,
-        batch=batch,
-        num_graphs=len(graphs),
-    )
-    obs.count("graph.collate.batches")
-    obs.count("graph.collate.graphs", float(out.num_graphs))
-    obs.count("graph.collate.nodes", float(out.num_nodes))
-    return out

@@ -1,10 +1,17 @@
 """Batched enclosing-subgraph extraction: one multi-source sweep per batch.
 
-:func:`extract_enclosing_subgraphs` is the vectorized counterpart of
-:func:`repro.graph.subgraph.extract_enclosing_subgraph`: it processes
-every link of a batch at once instead of running ~6 independent BFS
-traversals and an O(E) induced-subgraph scan per link. The sweep has
-three stages, each traced through :mod:`repro.obs`:
+For a target pair ``(a, b)`` the enclosing subgraph is built from the
+k-hop neighborhoods of both endpoints combined with either a **union**
+(the original SEAL recipe) or an **intersection** (the paper's choice
+for PrimeKG, §III-A, which keeps only nodes on short a↔b paths and
+shrinks dense biomedical neighborhoods). The target link itself is
+removed — keeping it would leak the label the model is asked to
+classify.
+
+:func:`extract_enclosing_subgraphs` is the only extractor of the
+library: it processes every link of a batch at once instead of running
+~6 independent BFS traversals and an O(E) induced-subgraph scan per
+link. The sweep has three stages, each traced through :mod:`repro.obs`:
 
 1. **extract.bfs** — one :func:`~repro.graph.traversal.multi_source_bfs`
    over the dataset's cached global CSR gives every (deduplicated) batch
@@ -33,13 +40,13 @@ to compact id and a local-id lookup table of at most ``_LOOKUP_CELLS``
 cells, filled one slice of links at a time. Memory therefore grows
 linearly with the batch, and a batch of any size runs as one sweep.
 
-The batched path is **bit-identical** to the per-link one — same node
-order (including the ``max_nodes`` rng tie-break), same edge order, same
-distances — which ``tests/graph/test_bulk_extraction.py`` asserts
-property-style. It is the only extraction path of the SEAL data layer
-(:func:`repro.data.extraction.build_packed_samples`); the per-link
-function stays as the oracle and for models that work on one subgraph
-at a time (:mod:`repro.models.wlnm`).
+The batched path is **bit-identical** to straightforward per-link
+extraction (``tests/oracles.py``) — same node order (including the
+``max_nodes`` rng tie-break), same edge order, same distances — which
+``tests/graph/test_bulk_extraction.py`` asserts property-style. Its
+callers are the SEAL data layer
+(:func:`repro.data.extraction.build_packed_samples`) and WLNM
+(:mod:`repro.models.wlnm`).
 """
 
 from __future__ import annotations
@@ -73,8 +80,8 @@ class BulkSubgraphs:
 
     Link ``i`` owns node rows ``node_offsets[i]:node_offsets[i+1]`` and
     edge columns ``edge_offsets[i]:edge_offsets[i+1]``. Node ids in
-    ``edge_index`` are subgraph-local (targets are 0 and 1, the
-    :mod:`repro.graph.subgraph` convention); ``edge_ids`` maps each
+    ``edge_index`` are subgraph-local (targets are 0 and 1, the rest
+    ordered by closeness to the targets, then by id); ``edge_ids`` maps each
     column back to its arc in the parent graph so edge types/attributes
     can be gathered without copying them here.
 
@@ -114,13 +121,21 @@ def extract_enclosing_subgraphs(
     ----------
     graph: the full knowledge graph (symmetric arcs).
     pairs: ``(B, 2)`` target endpoints (negatives welcome; ``u != v``).
-    k, mode, max_nodes:
-        Exactly as in :func:`~repro.graph.subgraph.extract_enclosing_subgraph`.
+    k: neighborhood radius (paper uses k=2).
+    mode:
+        ``"union"`` keeps nodes within ``k`` hops of either endpoint;
+        ``"intersection"`` keeps nodes within ``k`` hops of *both*
+        (plus the endpoints themselves), per paper §III-A.
+    max_nodes:
+        Optional cap on subgraph size. When exceeded, non-target nodes
+        are kept shell by shell in closeness order and the cut shell is
+        subsampled uniformly — the budget guard the paper's "subgraphs
+        too big to process" remark motivates.
     rng_factory:
         ``rng_factory(i)`` supplies the subsampling rng of pair ``i``
-        (consumed only when its subgraph exceeds ``max_nodes``). Passing
-        the same per-link streams the per-link path uses makes the two
-        paths bit-identical through the cap's random tie-break.
+        (consumed only when its subgraph exceeds ``max_nodes``). Keying
+        it on the link, not on a shared generator, makes a link's
+        subgraph independent of the batch it rides in.
     with_label_distances:
         Compute the fused DRNL distances (stage 3). Skippable when the
         caller does not label (e.g. ``FeatureConfig.use_drnl`` off).
@@ -322,8 +337,8 @@ def _induce_edges(
     links at a time, so it never holds more than ``_LOOKUP_CELLS`` cells
     (or one row): memory grows with the selected nodes and their arcs,
     not with ``links * selected``. Arcs between the two targets (local
-    ``0 <-> 1``, every multiplicity) are dropped, matching the
-    target-link removal of the per-link path.
+    ``0 <-> 1``, every multiplicity) are dropped: the link being
+    classified must not be visible in its own subgraph.
     """
     n_counts = np.diff(node_offsets)
     node_rows = np.repeat(np.arange(num_links, dtype=np.int64), n_counts)

@@ -1,14 +1,13 @@
 """BFS traversal primitives: bounded shortest distances and k-hop sets.
 
-These are the hot inner loops of SEAL's subgraph extraction (one BFS per
-target node per link), so they run on the cached CSR arrays with
-frontier-at-a-time vectorization: each BFS level is expanded with one
-ragged gather over ``indptr``/``indices`` instead of per-node Python
-work. :func:`multi_source_bfs` generalizes the sweep to many sources at
-once through a composite ``(source, node)`` frontier — the primitive the
-batched extraction engine (:mod:`repro.graph.bulk`) amortizes a whole
-batch's endpoint BFS runs with. It keeps only the keys the frontier
-reaches, sorted, so its cost follows the balls it explores rather than
+They run on the cached CSR arrays with frontier-at-a-time vectorization:
+each BFS level is expanded with one ragged gather over
+``indptr``/``indices`` instead of per-node Python work.
+:func:`multi_source_bfs` runs the sweep for many sources at once through
+a composite ``(source, node)`` frontier — the primitive the batched
+extraction engine (:mod:`repro.graph.bulk`) amortizes a whole batch's
+endpoint BFS runs with. It keeps only the keys the frontier reaches,
+sorted, so its cost follows the balls it explores rather than
 ``sources * N``.
 """
 
@@ -63,8 +62,6 @@ def bfs_distances(
     graph: Graph,
     source: int,
     max_depth: Optional[int] = None,
-    *,
-    blocked_node: Optional[int] = None,
 ) -> np.ndarray:
     """Unweighted shortest distances from ``source`` to every node.
 
@@ -75,17 +72,9 @@ def bfs_distances(
     graph: the graph (directed arcs; symmetric graphs behave undirected).
     source: start node.
     max_depth: stop expanding beyond this many hops when given.
-    blocked_node:
-        Optional node treated as having no arcs at all (never entered,
-        never expanded; its distance stays ``-1``). Equivalent to — but
-        much cheaper than — BFS over a copy of the graph with every arc
-        touching the node dropped, which is what DRNL's
-        "distance with the other target removed" used to allocate.
     """
     if not 0 <= source < graph.num_nodes:
         raise ValueError("source out of range")
-    if blocked_node is not None and blocked_node == source:
-        raise ValueError("cannot block the BFS source")
     indptr, indices, _ = graph.csr()
     dist = np.full(graph.num_nodes, -1, dtype=np.int64)
     dist[source] = 0
@@ -93,8 +82,6 @@ def bfs_distances(
     depth = 0
     while frontier.size and (max_depth is None or depth < max_depth):
         nxt = _expand_frontier(indptr, indices, frontier)
-        if blocked_node is not None:
-            nxt = nxt[nxt != blocked_node]
         nxt = nxt[dist[nxt] < 0]
         if nxt.size == 0:
             break

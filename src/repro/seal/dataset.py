@@ -19,7 +19,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.data.store import SubgraphStore
 from repro.graph.batch import GraphBatch
 from repro.graph.structure import Graph
@@ -212,7 +211,6 @@ class SEALDataset:
             task.num_links,
             task.feature_config.width,
             edge_attr_dim=0 if g.edge_attr is None else g.edge_attr.shape[1],
-            node_feature_dim=0 if g.node_features is None else g.node_features.shape[1],
         )
         self._hits = 0
         self._misses = 0
@@ -235,49 +233,18 @@ class SEALDataset:
     def ensure_many(self, indices: Sequence[int]) -> None:
         """Make sure every link of ``indices`` is in the store.
 
-        Cache misses are extracted together through the batched engine
-        (:func:`repro.data.extraction.build_packed_samples` — one
-        multi-source BFS sweep per batch instead of per-link traversals),
-        producing arrays bit-identical to per-link extraction. Every index
-        already stored (or repeated within the call) counts as a cache
-        hit, every extracted one as a miss.
+        Cache misses are extracted together and appended to the store in
+        one write (:func:`repro.data.extraction.ensure_extracted`). Every
+        index already stored (or repeated within the call) counts as a
+        cache hit, every extracted one as a miss. An index outside
+        ``[0, len(self))`` raises ``IndexError``.
         """
+        from repro.data.extraction import ensure_extracted  # import cycle guard
+
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return
-        missing = self.store.missing(indices)
-        hits = int(indices.size) - int(missing.size)
-        if hits:
-            self._hits += hits
-            obs.count("seal.cache.hits", float(hits))
-        if missing.size == 0:
-            return
-        from repro.data.extraction import build_packed_samples
-
-        self._misses += int(missing.size)
-        obs.count("seal.cache.misses", float(missing.size))
-        with obs.trace("extraction"):
-            samples = build_packed_samples(self.task, self._rng_seed, missing)
-        for sample in samples:
-            self.store.put(sample)
-
-    def extract(self, i: int) -> Tuple[Graph, np.ndarray]:
-        """Subgraph and node-feature matrix of link ``i`` (cached).
-
-        Materializes a :class:`Graph` view over the packed store slices —
-        use the store/loader directly in hot loops.
-        """
-        self.ensure_many([int(i)])
-        s = self.store.get(int(i))
-        g = Graph(
-            s.num_nodes,
-            s.edge_index,
-            node_type=s.node_type,
-            node_features=s.node_features,
-            edge_type=s.edge_type,
-            edge_attr=s.edge_attr,
-        )
-        return g, s.features
+        misses = ensure_extracted(self.store, self.task, self._rng_seed, indices)
+        self._misses += misses
+        self._hits += int(indices.size) - misses
 
     def cache_info(self) -> CacheInfo:
         """Hits/misses/occupancy of the subgraph cache.

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
+from repro.data.extraction import ensure_extracted
 from repro.data.loader import collate_from_store
 from repro.data.store import SubgraphStore
 from repro.graph.structure import Graph
@@ -162,7 +163,7 @@ class _ServeTask:
     """Duck-typed task the extraction engine runs against.
 
     Looks like a :class:`~repro.seal.LinkTask` to
-    :func:`repro.data.extraction.build_packed_samples` but its pair
+    :func:`repro.data.extraction.ensure_extracted` but its pair
     table grows as the scorer meets new pairs, and ``link_key`` keys
     each pair's extraction stream on its content (``"u:v"``) so the
     subgraph — and hence the score — is independent of arrival order.
@@ -281,9 +282,6 @@ class LinkScorer:
             self._capacity,
             bundle.feature_config.width,
             edge_attr_dim=0 if graph.edge_attr is None else graph.edge_attr.shape[1],
-            node_feature_dim=(
-                0 if graph.node_features is None else graph.node_features.shape[1]
-            ),
             float_dtype=self.compute_dtype,
         )
         self._slots: Dict[Tuple[int, int], int] = {}
@@ -436,19 +434,8 @@ class LinkScorer:
         return slot
 
     def _ensure_extracted(self, slots: np.ndarray) -> None:
-        missing = self.store.missing(slots)
-        hits = int(slots.size) - int(missing.size)
-        if hits:
-            obs.count("seal.cache.hits", float(hits))
-        if missing.size == 0:
-            return
-        from repro.data.extraction import build_packed_samples
-
-        obs.count("seal.cache.misses", float(missing.size))
-        with obs.trace("extraction"), _dtype.compute_dtype(self.compute_dtype):
-            samples = build_packed_samples(self._task, self._seed, missing)
-        for sample in samples:
-            self.store.put(sample)
+        with _dtype.compute_dtype(self.compute_dtype):
+            ensure_extracted(self.store, self._task, self._seed, slots)
 
     # ------------------------------------------------------------------ #
     # scoring

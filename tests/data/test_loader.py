@@ -6,8 +6,9 @@ import pytest
 from repro.data import DataLoader, collate_from_store, epoch_batches, warm
 from repro.datasets.primekg import load_primekg_like
 from repro.distributed import partition_graph, shard_task
-from repro.graph.batch import collate
+from repro.graph.structure import Graph
 from repro.seal.dataset import SEALDataset
+from tests.oracles import build_packed_sample, collate
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +59,16 @@ class TestCollateFromStore:
     def test_matches_object_collate(self, task):
         ds = fresh_dataset(task)
         idx = np.arange(12)
-        extracted = [ds.extract(int(i)) for i in idx]
+        samples = [build_packed_sample(task, ds.rng_seed, int(i)) for i in idx]
         expected = collate(
-            [g for g, _ in extracted],
-            [f for _, f in extracted],
+            [
+                Graph(s.features.shape[0], s.edge_index, edge_attr=s.edge_attr)
+                for s in samples
+            ],
+            [s.features for s in samples],
             edge_attr_dim=task.edge_attr_dim,
         )
+        ds.ensure_many(idx[::-1])
         got = collate_from_store(ds.store, idx, edge_attr_dim=task.edge_attr_dim)
         np.testing.assert_array_equal(expected.edge_index, got.edge_index)
         np.testing.assert_array_equal(expected.node_features, got.node_features)
@@ -181,11 +186,10 @@ class TestEpochBatches:
             mine = batch[mask[batch]]
             if not mine.size:
                 continue
-            local.ensure_many(mine)
-            full.ensure_many(mine)
-            for i in mine:
-                a, b = local.store.get(int(i)), full.store.get(int(i))
-                np.testing.assert_array_equal(a.features, b.features)
-                np.testing.assert_array_equal(a.edge_index, b.edge_index)
+            a, _ = local.batch(mine)
+            b, _ = full.batch(mine)
+            np.testing.assert_array_equal(a.node_features, b.node_features)
+            np.testing.assert_array_equal(a.edge_index, b.edge_index)
+            np.testing.assert_array_equal(a.edge_attr, b.edge_attr)
             served += mine.size
         assert served == shard.owned_links.size

@@ -24,6 +24,7 @@ from repro.graph import Graph, bfs_distances, k_hop_union
 from repro.graph.generators import erdos_renyi_edges
 from repro.seal.dataset import LinkTask, sample_negative_pairs
 from repro.seal.features import FeatureConfig
+from tests.oracles import packed_link
 
 
 def small_task(num_nodes=80, num_pos=40, *, embeddings=False, rng=7):
@@ -155,9 +156,9 @@ class TestShardExtractionBitIdentity:
             local = shard_task(task, shard)
             assert local.name == task.name  # same extraction stream keys
             samples = build_packed_samples(local, 0, list(shard.owned_links))
-            for gi, sample in zip(shard.owned_links, samples):
-                ref = full[gi]
-                np.testing.assert_array_equal(ref.node_features, sample.node_features)
+            for pos, gi in enumerate(shard.owned_links):
+                ref, sample = packed_link(full, gi), packed_link(samples, pos)
+                np.testing.assert_array_equal(ref.features, sample.features)
                 np.testing.assert_array_equal(ref.edge_index, sample.edge_index)
                 np.testing.assert_array_equal(ref.edge_attr, sample.edge_attr)
 
@@ -200,9 +201,8 @@ class TestPersistence:
         after = build_packed_samples(
             shard_task(task, reopened.shards[0]), 0, list(shard.owned_links)
         )
-        for x, y in zip(before, after):
-            np.testing.assert_array_equal(x.node_features, y.node_features)
-            np.testing.assert_array_equal(x.edge_index, y.edge_index)
+        for name, x, y in zip(before._fields, before, after):
+            np.testing.assert_array_equal(x, y, err_msg=name)
 
     def test_manifest_naming_a_partition_method_still_opens(self, tmp_path):
         # Manifests written before hash became the only partitioner carry

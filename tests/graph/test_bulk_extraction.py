@@ -2,7 +2,7 @@
 
 Every test compares :func:`repro.graph.bulk.extract_enclosing_subgraphs`
 (one multi-source sweep per batch) against per-link
-:func:`repro.graph.subgraph.extract_enclosing_subgraph` calls — same node
+:func:`tests.oracles.extract_enclosing_subgraph` calls — same node
 order, same edge order, same DRNL distances — across modes, radii,
 disconnected pairs, multi-edges between targets, the ``max_nodes``
 rng tie-break and a 10^5-node sparse graph with hubs. ``TestMemory``
@@ -18,8 +18,7 @@ from repro.graph import bulk
 from repro.graph.bulk import extract_enclosing_subgraphs
 from repro.graph.generators import barabasi_albert_edges, erdos_renyi_edges
 from repro.graph.structure import Graph
-from repro.graph.subgraph import extract_enclosing_subgraph
-from repro.graph.traversal import bfs_distances
+from tests.oracles import _distances_without, extract_enclosing_subgraph
 
 
 def make_graph(num_nodes, edges):
@@ -66,10 +65,10 @@ def assert_matches_oracle(graph, pairs, result, *, k, mode, max_nodes=None, rng_
         )
         if result.dist_src is not None:
             np.testing.assert_array_equal(
-                result.dist_src[ns], bfs_distances(sub.graph, 0, blocked_node=1)
+                result.dist_src[ns], _distances_without(sub.graph, 0, 1)
             )
             np.testing.assert_array_equal(
-                result.dist_dst[ns], bfs_distances(sub.graph, 1, blocked_node=0)
+                result.dist_dst[ns], _distances_without(sub.graph, 1, 0)
             )
 
 

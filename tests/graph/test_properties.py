@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from repro.graph.generators import dedupe_edges, erdos_renyi_edges
 from repro.graph.structure import Graph
-from repro.graph.subgraph import extract_enclosing_subgraph
 from repro.graph.traversal import bfs_distances
-from tests.oracles import has_edge
+from tests.oracles import extract_enclosing_subgraph, has_edge
 
 
 def random_graph(n_seed):

@@ -1,13 +1,12 @@
-"""Enclosing-subgraph extraction invariants."""
+"""Enclosing-subgraph extraction invariants of the per-link oracle."""
 
 import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi_edges
 from repro.graph.structure import Graph
-from repro.graph.subgraph import extract_enclosing_subgraph
 from repro.graph.traversal import bfs_distances
-from tests.oracles import has_edge
+from tests.oracles import extract_enclosing_subgraph, has_edge
 
 
 @pytest.fixture

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi_edges
 from repro.graph.structure import Graph
+from repro.graph.bulk import _disjoint_bfs
 from repro.graph.traversal import (
     _take_ragged,
     bfs_distances,
     k_hop_union,
     multi_source_bfs,
 )
+from tests.oracles import _distances_without
 
 
 class TestBFSDistances:
@@ -76,32 +78,40 @@ class TestTakeRagged:
 
 
 class TestBlockedNode:
+    """The oracle's target-blocked BFS (DRNL's distances in ``tests/oracles.py``)."""
+
     def test_blocked_node_unreachable(self, path_graph):
         # Blocking node 2 severs the path at it.
-        d = bfs_distances(path_graph, 0, blocked_node=2)
+        d = _distances_without(path_graph, 0, 2)
         np.testing.assert_array_equal(d, [0, 1, -1, -1, -1])
 
     def test_blocked_node_with_detour(self, tiny_graph):
         # 0-1 direct hop survives blocking 2; routes through 2 do not.
-        d = bfs_distances(tiny_graph, 0, blocked_node=2)
+        d = _distances_without(tiny_graph, 0, 2)
         assert d[2] == -1
         assert d[1] == 1
 
     def test_cannot_block_source(self, path_graph):
         with pytest.raises(ValueError):
-            bfs_distances(path_graph, 1, blocked_node=1)
+            _distances_without(path_graph, 1, 1)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_equals_bfs_on_pruned_graph(self, seed):
-        # blocked_node= must equal BFS over a copy with every arc
-        # touching the node dropped — the allocation it replaces.
+        # Blocking a node must equal BFS over a graph rebuilt without
+        # every edge touching it, and must match the library's blocked
+        # sweep (the bulk extractor's DRNL distances) on that graph.
         edges = erdos_renyi_edges(30, 0.12, rng=seed)
         g = Graph.from_undirected(30, edges)
         src, blocked = 0, 5
         mask = (edges == blocked).any(axis=1)
         pruned = Graph.from_undirected(30, edges[~mask])
-        got = bfs_distances(g, src, blocked_node=blocked)
+        got = _distances_without(g, src, blocked)
         np.testing.assert_array_equal(got, bfs_distances(pruned, src))
+        indptr, indices, _ = g.csr()
+        library = _disjoint_bfs(
+            indptr, indices, np.array([src]), np.array([blocked]), g.num_nodes
+        )
+        np.testing.assert_array_equal(library, got)
 
 
 def densify(reached, num_rows, num_nodes):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.batch import collate
+from tests.oracles import collate
 from repro.graph.structure import Graph
 from repro.models import AMDGCNN, VanillaDGCNN
 from repro.nn.losses import cross_entropy

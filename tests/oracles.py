@@ -30,10 +30,18 @@ oracles of the bit-identity tests:
   into every ``repro`` module that imported the library versions, so a
   whole layer, model or training run can be replayed on the reference
   path.
+* :func:`extract_enclosing_subgraph` — per-link enclosing-subgraph
+  extraction (two BFS runs and an induced-subgraph scan per link), the
+  reference of :func:`repro.graph.bulk.extract_enclosing_subgraphs`.
 * :func:`build_packed_sample` — per-link SEAL extraction through
-  :func:`repro.graph.subgraph.extract_enclosing_subgraph`, labelled by
-  :func:`drnl_labels` (one BFS pair per subgraph) and featurized by
-  :func:`build_node_features`.
+  :func:`extract_enclosing_subgraph`, labelled by :func:`drnl_labels`
+  (one BFS pair per subgraph over a copy without the other target's
+  arcs, :func:`_distances_without`) and featurized by
+  :func:`build_node_features`: the reference of one link's rows of
+  :func:`repro.data.extraction.build_packed_samples`.
+* :func:`collate` — block-diagonal batching of a list of ``Graph``
+  objects with their feature matrices, the reference of
+  :func:`repro.data.loader.collate_from_store`.
 * :func:`leaky_relu`, :func:`neighbors`, :func:`has_edge` and
   :func:`edge_ids_between` — small tensor and graph queries only the
   tests and the references above need.
@@ -43,21 +51,23 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.data.extraction import _link_rng
-from repro.data.store import PackedSubgraph
+from repro.graph.batch import GraphBatch
 from repro.graph.structure import Graph
-from repro.graph.subgraph import EnclosingSubgraph, extract_enclosing_subgraph
 from repro.graph.traversal import bfs_distances
 from repro.nn import attention, indexing
 from repro.nn.conv import Conv1d
+from repro.nn.dtype import get_compute_dtype
 from repro.nn.kernels import SegmentPlan
 from repro.nn.tensor import Tensor, as_tensor
 from repro.seal.features import FeatureConfig, assemble_node_features
 from repro.seal.labeling import drnl_labels_from_distances
+from repro.utils.rng import ensure_rng
 
 
 def leaky_relu(x: Tensor, negative_slope: float) -> Tensor:
@@ -321,12 +331,124 @@ def reference_ops() -> Iterator[None]:
             setattr(module, name, op)
 
 
-def build_packed_sample(task, seed, index: int) -> PackedSubgraph:
-    """Link ``index`` of ``task`` extracted on its own, as a packed sample.
+@dataclass
+class EnclosingSubgraph:
+    """An extracted enclosing subgraph around one target link.
+
+    ``graph`` is the induced subgraph (target link removed), nodes
+    relabeled ``0..n-1`` with the two target nodes first; ``node_map``
+    the original id of each node; ``src``/``dst`` the target ids (always
+    0 and 1); ``dist_a``/``dist_b`` every node's hop distance to each
+    target within the subgraph (-1 = unreachable).
+    """
+
+    graph: Graph
+    node_map: np.ndarray
+    src: int
+    dst: int
+    dist_a: np.ndarray
+    dist_b: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.num_nodes
+
+
+def extract_enclosing_subgraph(
+    graph: Graph,
+    u: int,
+    v: int,
+    *,
+    k: int = 2,
+    mode: str = "union",
+    max_nodes: Optional[int] = None,
+    rng=None,
+) -> EnclosingSubgraph:
+    """Extract the k-hop enclosing subgraph of the pair ``(u, v)`` on its own.
+
+    Same contract as one link of
+    :func:`repro.graph.bulk.extract_enclosing_subgraphs`: targets first,
+    the rest ordered by (closeness, id), a ``max_nodes`` cap that keeps
+    whole closer shells and draws the cut shell from ``rng``, every arc
+    between the targets removed.
+    """
+    if u == v:
+        raise ValueError("target endpoints must be distinct")
+    if mode not in ("union", "intersection"):
+        raise ValueError("mode must be 'union' or 'intersection'")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+    dist_u = bfs_distances(graph, u, max_depth=k)
+    dist_v = bfs_distances(graph, v, max_depth=k)
+    in_u = dist_u >= 0
+    in_v = dist_v >= 0
+    keep = in_u | in_v if mode == "union" else in_u & in_v
+    keep[u] = True
+    keep[v] = True
+    nodes = np.nonzero(keep)[0]
+
+    rest = nodes[(nodes != u) & (nodes != v)]
+    du = np.where(dist_u[rest] >= 0, dist_u[rest], k + 1)
+    dv = np.where(dist_v[rest] >= 0, dist_v[rest], k + 1)
+    closeness = du + dv
+    order = np.lexsort((rest, closeness))
+    rest = rest[order]
+
+    if max_nodes is not None and 2 + len(rest) > max_nodes:
+        budget = max(max_nodes - 2, 0)
+        if budget > 0:
+            cls_sorted = closeness[order]
+            cutoff = cls_sorted[budget - 1]
+            firm = rest[cls_sorted < cutoff]
+            tied = rest[cls_sorted == cutoff]
+            picked = ensure_rng(rng).choice(tied, size=budget - len(firm), replace=False)
+            rest = np.concatenate([firm, np.sort(picked)])
+        else:
+            rest = rest[:0]
+
+    ordered = np.concatenate([[u, v], rest]).astype(np.int64)
+    sub, node_map = graph.induced_subgraph(ordered)
+    src_arr, dst_arr = sub.edge_index
+    target_mask = ((src_arr == 0) & (dst_arr == 1)) | ((src_arr == 1) & (dst_arr == 0))
+    if target_mask.any():
+        sub = sub.without_edges(target_mask)
+    return EnclosingSubgraph(
+        graph=sub,
+        node_map=node_map,
+        src=0,
+        dst=1,
+        dist_a=bfs_distances(sub, 0),
+        dist_b=bfs_distances(sub, 1),
+    )
+
+
+class PackedSample(NamedTuple):
+    """One link's stored arrays, as the store's collation reads them."""
+
+    features: np.ndarray
+    edge_index: np.ndarray
+    edge_attr: Optional[np.ndarray]
+
+
+def packed_link(batch, pos: int) -> PackedSample:
+    """The arrays of the link at position ``pos`` of a
+    :class:`~repro.data.store.PackedBatch` (views into it)."""
+    ns, ne = batch.node_offsets[pos], batch.node_offsets[pos + 1]
+    es, ee = batch.edge_offsets[pos], batch.edge_offsets[pos + 1]
+    return PackedSample(
+        features=batch.features[ns:ne],
+        edge_index=batch.edge_index[:, es:ee],
+        edge_attr=None if batch.edge_attr is None else batch.edge_attr[es:ee],
+    )
+
+
+def build_packed_sample(task, seed, index: int) -> PackedSample:
+    """Link ``index`` of ``task`` extracted on its own.
 
     Uses the same per-link rng stream as
-    :func:`repro.data.extraction.build_packed_samples`, which must return
-    bit-identical samples.
+    :func:`repro.data.extraction.build_packed_samples`, whose rows for
+    the link must be bit-identical.
     """
     u, v = task.pairs[index]
     sub = extract_enclosing_subgraph(
@@ -338,28 +460,20 @@ def build_packed_sample(task, seed, index: int) -> PackedSubgraph:
         max_nodes=task.max_subgraph_nodes,
         rng=_link_rng(task, seed, index),
     )
-    g = sub.graph
-    return PackedSubgraph(
-        index=int(index),
-        num_nodes=g.num_nodes,
-        num_edges=g.num_edges,
-        edge_index=g.edge_index,
+    return PackedSample(
         features=build_node_features(sub, task.feature_config),
-        node_type=g.node_type,
-        edge_type=g.edge_type,
-        edge_attr=g.edge_attr,
-        node_features=g.node_features,
+        edge_index=sub.graph.edge_index,
+        edge_attr=sub.graph.edge_attr,
     )
 
 
 def _distances_without(graph: Graph, source: int, removed: int) -> np.ndarray:
-    """BFS distances from ``source`` with node ``removed`` cut out.
-
-    ``blocked_node`` skips the node during traversal directly — this used
-    to build a pruned ``Graph`` copy (edge mask + fresh CSR) per call,
-    twice per link, just to drop one node's arcs.
-    """
-    return bfs_distances(graph, source, blocked_node=removed)
+    """BFS distances from ``source`` over a copy of ``graph`` without the
+    arcs touching node ``removed`` (whose distance is therefore -1)."""
+    if removed == source:
+        raise ValueError("cannot remove the BFS source")
+    touching = (graph.edge_index == removed).any(axis=0)
+    return bfs_distances(graph.without_edges(touching), source)
 
 
 def drnl_labels(sub: EnclosingSubgraph) -> np.ndarray:
@@ -383,4 +497,49 @@ def build_node_features(sub: EnclosingSubgraph, config: FeatureConfig) -> np.nda
         drnl=drnl_labels(sub) if config.use_drnl else None,
         node_features=g.node_features,
         node_map=sub.node_map,
+    )
+
+
+def collate(
+    graphs: Sequence[Graph],
+    node_feature_matrices: Sequence[np.ndarray],
+    *,
+    edge_attr_dim: int = 0,
+) -> GraphBatch:
+    """Fuse ``graphs`` with their ``(n_i, F)`` feature matrices into a batch.
+
+    Each graph's own ``node_features`` are ignored; graphs lacking
+    ``edge_attr`` contribute zero rows of width ``edge_attr_dim``.
+    """
+    if len(graphs) == 0:
+        raise ValueError("cannot collate an empty list of graphs")
+    if len(graphs) != len(node_feature_matrices):
+        raise ValueError("need exactly one feature matrix per graph")
+    feat_dims = {m.shape[1] for m in node_feature_matrices}
+    if len(feat_dims) != 1:
+        raise ValueError(f"inconsistent node feature widths: {sorted(feat_dims)}")
+    float_dtype = get_compute_dtype()
+    edge_index, node_features, edge_attr = [], [], []
+    offset = 0
+    for gi, g in enumerate(graphs):
+        if node_feature_matrices[gi].shape[0] != g.num_nodes:
+            raise ValueError(f"feature matrix {gi} rows != graph {gi} nodes")
+        edge_index.append(g.edge_index + offset)
+        node_features.append(node_feature_matrices[gi].astype(float_dtype))
+        if edge_attr_dim and g.edge_attr is not None:
+            if g.edge_attr.shape[1] != edge_attr_dim:
+                raise ValueError(
+                    f"graph {gi} edge_attr width {g.edge_attr.shape[1]} != {edge_attr_dim}"
+                )
+            edge_attr.append(g.edge_attr.astype(float_dtype))
+        else:
+            edge_attr.append(np.zeros((g.num_edges, edge_attr_dim), dtype=float_dtype))
+        offset += g.num_nodes
+    counts = [g.num_nodes for g in graphs]
+    return GraphBatch(
+        edge_index=np.concatenate(edge_index, axis=1).astype(np.int64),
+        node_features=np.concatenate(node_features),
+        edge_attr=np.concatenate(edge_attr),
+        batch=np.repeat(np.arange(len(graphs), dtype=np.int64), counts),
+        num_graphs=len(graphs),
     )

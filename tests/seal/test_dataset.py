@@ -96,17 +96,34 @@ class TestSplit:
 class TestSEALDataset:
     def test_extract_shapes(self):
         ds = SEALDataset(make_task(), rng=0)
-        g, feats = ds.extract(0)
-        assert feats.shape == (g.num_nodes, ds.feature_width)
+        batch, _ = ds.batch([0])
+        assert batch.num_nodes == ds.store.node_count[0]
+        assert batch.node_features.shape == (batch.num_nodes, ds.feature_width)
+        assert batch.num_edges == ds.store.edge_count[0]
+        assert batch.edge_attr.shape == (batch.num_edges, 3)
 
     def test_caching_extracts_once(self):
         ds = SEALDataset(make_task(), rng=0)
-        g1, f1 = ds.extract(3)
-        g2, f2 = ds.extract(3)
+        b1, _ = ds.batch([3])
+        b2, _ = ds.batch([3])
         info = ds.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        np.testing.assert_array_equal(g1.edge_index, g2.edge_index)
-        np.testing.assert_array_equal(f1, f2)
+        np.testing.assert_array_equal(b1.edge_index, b2.edge_index)
+        np.testing.assert_array_equal(b1.node_features, b2.node_features)
+
+    @pytest.mark.parametrize("bad", [-1, -20, 20, 21])
+    def test_out_of_range_index_raises_on_cold_and_warm_store(self, bad):
+        # A negative index must never alias a stored link (-1 -> the
+        # last one), whatever the store already holds.
+        ds = SEALDataset(make_task(), rng=0)
+        with pytest.raises(IndexError, match=f"link index {bad} "):
+            ds.batch([bad, 0])
+        assert len(ds.store) == 0
+        warm(ds)
+        with pytest.raises(IndexError, match=f"link index {bad} "):
+            ds.batch([bad, 0])
+        with pytest.raises(IndexError, match=f"link index {bad} "):
+            ds.ensure_many([0, bad])
 
     def test_warm_fills_store(self):
         ds = SEALDataset(make_task(num_targets=5), rng=0)
@@ -128,7 +145,9 @@ class TestSEALDataset:
             feature_config=FeatureConfig(num_node_types=1, use_drnl=True),
         )
         ds = SEALDataset(task, rng=0)
-        sub, _ = ds.extract(0)
+        batch, _ = ds.batch([0])
+        sub = Graph(batch.num_nodes, batch.edge_index)
+        assert batch.num_nodes == 4
         assert not has_edge(sub, 0, 1)
         assert not has_edge(sub, 1, 0)
 

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph.subgraph import extract_enclosing_subgraph
 from repro.seal.features import FeatureConfig, dump_feature_config, load_feature_config
 from repro.seal.labeling import drnl_one_hot
-from tests.oracles import build_node_features, drnl_labels
+from tests.oracles import build_node_features, drnl_labels, extract_enclosing_subgraph
 
 
 @pytest.fixture
@@ -59,8 +58,6 @@ class TestBuild:
             build_node_features(sub, cfg)
 
     def test_explicit_missing_raises(self, path_graph):
-        from repro.graph.subgraph import extract_enclosing_subgraph
-
         s = extract_enclosing_subgraph(path_graph, 0, 2, k=2)
         cfg = FeatureConfig(num_node_types=0, use_drnl=False, explicit_dim=2)
         with pytest.raises(ValueError):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.structure import Graph
-from repro.graph.subgraph import extract_enclosing_subgraph
 from repro.seal.labeling import DEFAULT_MAX_LABEL, drnl_one_hot, drnl_value
-from tests.oracles import drnl_labels
+from tests.oracles import drnl_labels, extract_enclosing_subgraph
 
 
 class TestDrnlValue:

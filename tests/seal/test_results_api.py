@@ -153,8 +153,8 @@ class TestCacheInfo:
         task = load_primekg_like(scale=0.12, num_targets=20, rng=0)
         ds = SEALDataset(task, rng=0)
         assert ds.cache_info() == CacheInfo(hits=0, misses=0, size=0, capacity=20)
-        ds.extract(0)
-        ds.extract(0)
+        ds.ensure_many([0])
+        ds.ensure_many([0])
         info = ds.cache_info()
         assert info.hits == 1 and info.misses == 1 and info.size == 1
 
@@ -165,14 +165,14 @@ class TestCacheInfo:
         forward = SEALDataset(task, rng=0)
         backward = SEALDataset(task, rng=0)
         for i in range(20):
-            forward.extract(i)
+            forward.ensure_many([i])
         for i in reversed(range(20)):
-            backward.extract(i)
+            backward.ensure_many([i])
         for i in range(20):
-            g1, f1 = forward.extract(i)
-            g2, f2 = backward.extract(i)
-            np.testing.assert_array_equal(g1.edge_index, g2.edge_index)
-            np.testing.assert_array_equal(f1, f2)
+            b1, _ = forward.batch([i])
+            b2, _ = backward.batch([i])
+            np.testing.assert_array_equal(b1.edge_index, b2.edge_index)
+            np.testing.assert_array_equal(b1.node_features, b2.node_features)
 
     def test_no_reextraction_across_shuffled_epochs(self):
         task = load_primekg_like(scale=0.12, num_targets=20, rng=0)

@@ -94,6 +94,15 @@ class TestTrain:
 
 
 class TestEvaluate:
+    def test_negative_index_raises_on_a_warm_store(self, small_setup):
+        # With every link stored, index -1 used to alias the last link.
+        task, ds, tr, te = small_setup
+        model = small_model(ds, task)
+        with pytest.raises(IndexError, match="link index -1 "):
+            evaluate(model, ds, np.array([-1, 0]))
+        with pytest.raises(IndexError, match=f"link index {task.num_links} "):
+            train(model, ds, np.array([0, task.num_links]), TrainConfig(epochs=1), rng=0)
+
     def test_probs_shape_and_normalization(self, small_setup):
         task, ds, tr, te = small_setup
         model = small_model(ds, task)
