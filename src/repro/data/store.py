@@ -59,6 +59,20 @@ def _doubled(cap: int, need: int) -> int:
     return cap
 
 
+def _moved(buf: np.ndarray, used: int, cap: int, axis: int = 0) -> np.ndarray:
+    """``buf``'s first ``used`` slots along ``axis`` in a fresh ``cap``-slot buffer.
+
+    Slots past ``used`` stay unwritten (``np.empty``), so growing a
+    buffer touches only the rows in use, not the whole new capacity.
+    """
+    shape = list(buf.shape)
+    shape[axis] = cap
+    out = np.empty(shape, dtype=buf.dtype)
+    head = (slice(None),) * axis + (slice(0, used),)
+    out[head] = buf[head]
+    return out
+
+
 class StoreInfo(NamedTuple):
     """Occupancy and memory report of one :class:`SubgraphStore`."""
 
@@ -207,8 +221,7 @@ class SubgraphStore:
         cap = self.features.shape[0]
         if need <= cap:
             return
-        new_cap = _doubled(cap, need)
-        self.features = np.resize(self.features, (new_cap, self.feature_dim))
+        self.features = _moved(self.features, self._node_tail, _doubled(cap, need))
 
     def _grow_edges(self, extra: int) -> None:
         need = self._edge_tail + extra
@@ -216,11 +229,9 @@ class SubgraphStore:
         if need <= cap:
             return
         new_cap = _doubled(cap, need)
-        ei = np.empty((2, new_cap), dtype=np.int64)
-        ei[:, : self._edge_tail] = self.edge_index[:, : self._edge_tail]
-        self.edge_index = ei
+        self.edge_index = _moved(self.edge_index, self._edge_tail, new_cap, axis=1)
         if self.edge_attr is not None:
-            self.edge_attr = np.resize(self.edge_attr, (new_cap, self.edge_attr_dim))
+            self.edge_attr = _moved(self.edge_attr, self._edge_tail, new_cap)
 
     def put(self, batch: PackedBatch) -> None:
         """Append a batch of extracted links in one write.

@@ -16,16 +16,15 @@ Node owners come from a stateless multiplicative hash of the node id
 platforms (pure uint64 arithmetic), O(N), and independent of the graph
 structure.
 
-Shards persist through the existing :class:`repro.store.GraphStorage`
-mmap format (:meth:`GraphPartition.save` / :meth:`GraphPartition.open`),
-so worker processes open their shard zero-copy and pickling a shard
-graph ships only its path.
+Shards persist as saved graphs (:meth:`Graph.save
+<repro.graph.Graph.save>`; :meth:`GraphPartition.save` /
+:meth:`GraphPartition.open`), so worker processes memory-map their shard
+zero-copy and pickling a shard graph ships only its path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +36,7 @@ import repro.obs as obs
 from repro.graph.structure import Graph
 from repro.graph.traversal import k_hop_union
 from repro.seal.dataset import LinkTask
+from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 
 __all__ = [
     "PARTITION_FORMAT",
@@ -145,26 +145,26 @@ class GraphPartition:
         """Persist the partition under ``directory``.
 
         Layout: ``assignment.npz`` (owner vectors), one
-        ``shard_NNN/`` per shard — the shard graph in
-        :class:`~repro.store.GraphStorage` mmap format plus a
+        ``shard_NNN/`` per shard — the shard graph as saved by
+        :meth:`Graph.save <repro.graph.Graph.save>` plus a
         ``members.npz`` with ``node_map``/``owned_links`` — and
         ``partition.json`` written *last* as the completeness marker
-        (mirroring ``GraphStorage.save``'s meta-last protocol).
+        (the graph's own meta-last protocol). Every file is written
+        atomically and an earlier manifest is dropped first, so a
+        directory with a manifest is complete.
         """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        np.savez(
+        (directory / _PARTITION_FILE).unlink(missing_ok=True)
+        save_arrays(
             directory / _ASSIGNMENT_FILE,
-            node_owner=self.node_owner,
-            link_owner=self.link_owner,
+            {"node_owner": self.node_owner, "link_owner": self.link_owner},
         )
         for shard in self.shards:
             sub = directory / f"shard_{shard.index:03d}"
             shard.graph.save(sub)
-            np.savez(
+            save_arrays(
                 sub / _MEMBERS_FILE,
-                node_map=shard.node_map,
-                owned_links=shard.owned_links,
+                {"node_map": shard.node_map, "owned_links": shard.owned_links},
             )
         meta = {
             "format": "repro-partition",
@@ -174,7 +174,7 @@ class GraphPartition:
             "seed": self.seed,
             "stats": self.stats(),
         }
-        (directory / _PARTITION_FILE).write_text(json.dumps(meta, indent=2))
+        save_json(directory / _PARTITION_FILE, meta)
         self.path = directory
         return directory
 
@@ -187,35 +187,30 @@ class GraphPartition:
             raise FileNotFoundError(
                 f"no partition at {directory} (missing {_PARTITION_FILE})"
             )
-        meta = json.loads(meta_path.read_text())
+        meta = load_json(meta_path)
         if meta.get("format") != "repro-partition":
             raise ValueError(f"{meta_path} is not a repro partition manifest")
         if meta.get("version") != PARTITION_FORMAT:
             raise ValueError(
                 f"unsupported partition version {meta.get('version')!r}"
             )
-        with np.load(directory / _ASSIGNMENT_FILE) as npz:
-            node_owner = npz["node_owner"].copy()
-            link_owner = npz["link_owner"].copy()
+        assignment = load_arrays(directory / _ASSIGNMENT_FILE)
         shards = []
         for index in range(int(meta["num_shards"])):
             sub = directory / f"shard_{index:03d}"
-            graph = Graph.open(sub, mmap=mmap)
-            with np.load(sub / _MEMBERS_FILE) as npz:
-                node_map = npz["node_map"].copy()
-                owned_links = npz["owned_links"].copy()
+            members = load_arrays(sub / _MEMBERS_FILE)
             shards.append(
                 Shard(
                     index=index,
-                    graph=graph,
-                    node_map=node_map,
-                    owned_links=owned_links,
+                    graph=Graph.open(sub, mmap=mmap),
+                    node_map=members["node_map"],
+                    owned_links=members["owned_links"],
                 )
             )
         return cls(
             shards=shards,
-            node_owner=node_owner,
-            link_owner=link_owner,
+            node_owner=assignment["node_owner"],
+            link_owner=assignment["link_owner"],
             num_hops=int(meta["num_hops"]),
             seed=int(meta["seed"]),
             cut_edges=int(meta.get("stats", {}).get("cut_edges", 0)),

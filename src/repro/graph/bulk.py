@@ -189,9 +189,9 @@ def extract_enclosing_subgraphs(
             )
 
     obs.count("extraction.batched.links", float(num_links))
-    if getattr(graph, "is_mmap", False):
+    if graph.is_mmap:
         # Visibility into the zero-copy path: these sweeps read the
-        # graph straight off shared mapped pages (repro.store).
+        # graph straight off shared mapped pages (Graph.open).
         obs.count("store.mmap.extracted_links", float(num_links))
     return BulkSubgraphs(
         num_links=num_links,

@@ -12,27 +12,42 @@ dense feature matrix. Per edge: an integer ``edge_type`` and an optional
 dense attribute matrix (the paper's edge attributes, e.g. the 2-d
 positive/negative one-hot of PrimeKG).
 
-Since the :mod:`repro.store` refactor the arrays themselves live in a
-:class:`~repro.store.GraphStorage` — ``Graph`` validates on
-construction and exposes the arrays as read-only-by-convention
-properties. The storage can be written to disk (:meth:`Graph.save`) and
-mapped back (:meth:`Graph.open`), after which every array — the CSR
-included — is a read-only numpy memmap shared across processes, and
-pickling the graph ships only the directory path.
+A graph can be written to disk (:meth:`Graph.save`: one ``.npy`` per
+array, the CSR included, then a ``meta.json`` manifest) and mapped back
+(:meth:`Graph.open`), after which every array is a read-only numpy
+memmap shared across processes, and pickling the graph ships only the
+directory path.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.nn.dtype import FLOAT64
-
-from repro.store.graph_storage import GraphStorage
 from repro.utils.arrays import sorted_unique
+from repro.utils.serialization import load_json, save_json, save_npy
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "is_saved_graph"]
+
+#: Manifest of a saved graph directory, written after every array.
+_META_FILE = "meta.json"
+_FORMAT = "repro-graph-storage"
+#: On-disk format version; bumped on any layout change.
+_FORMAT_VERSION = 1
+_CSR_ARRAYS = ("csr_indptr", "csr_indices", "csr_edge_ids")
+
+
+def is_saved_graph(directory) -> bool:
+    """Whether ``directory`` holds a complete graph written by :meth:`Graph.save`.
+
+    The manifest is written last, so its presence means every array is
+    in place.
+    """
+    return (Path(directory) / _META_FILE).exists()
 
 
 class Graph:
@@ -75,7 +90,7 @@ class Graph:
             raise ValueError("edge_index references nodes outside [0, num_nodes)")
         n = int(num_nodes)
         e = int(edge_index.shape[1])
-        self._storage = GraphStorage(
+        self._bind(
             n,
             edge_index,
             node_type=self._check_count_arr(node_type, n, "node_type"),
@@ -83,6 +98,29 @@ class Graph:
             node_features=self._check_2d(node_features, n, "node_features"),
             edge_attr=self._check_2d(edge_attr, e, "edge_attr"),
         )
+
+    def _bind(
+        self,
+        num_nodes: int,
+        edge_index: np.ndarray,
+        *,
+        node_type: np.ndarray,
+        edge_type: np.ndarray,
+        node_features: Optional[np.ndarray],
+        edge_attr: Optional[np.ndarray],
+        csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+        path: Optional[Path] = None,
+    ) -> "Graph":
+        self.num_nodes = int(num_nodes)
+        self.edge_index = edge_index
+        self.node_type = node_type
+        self.edge_type = edge_type
+        self.node_features = node_features
+        self.edge_attr = edge_attr
+        self._csr = csr
+        # The directory an mmap-opened graph maps; None for in-memory arrays.
+        self._path = path
+        return self
 
     # ------------------------------------------------------------------ #
     # validation helpers
@@ -144,66 +182,118 @@ class Graph:
         )
 
     @classmethod
-    def from_storage(cls, storage: GraphStorage) -> "Graph":
-        """Wrap an existing :class:`~repro.store.GraphStorage` (no revalidation).
+    def trusted(
+        cls,
+        num_nodes: int,
+        edge_index: np.ndarray,
+        *,
+        node_type: np.ndarray,
+        edge_type: np.ndarray,
+        node_features: Optional[np.ndarray],
+        edge_attr: Optional[np.ndarray],
+        csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> "Graph":
+        """Wrap arrays already known to be valid: no checks, no copies, O(1).
 
-        The storage is trusted — it either came out of a validated graph
-        or out of a manifest that graph wrote (:meth:`open`).
+        For arrays that came out of a validated graph (a stream snapshot's
+        spliced state). ``csr`` must be exactly what :meth:`csr` would
+        build from ``edge_index``.
         """
-        g = cls.__new__(cls)
-        g._storage = storage
-        return g
+        return cls.__new__(cls)._bind(
+            num_nodes, edge_index, node_type=node_type, edge_type=edge_type,
+            node_features=node_features, edge_attr=edge_attr, csr=csr,
+        )
 
     @classmethod
     def open(cls, directory, *, mmap: bool = True) -> "Graph":
-        """Open a graph saved by :meth:`save`.
+        """Open a graph saved by :meth:`save`, trusting its manifest.
 
-        With ``mmap=True`` every array is a read-only memmap: opening is
-        O(1) in graph size, worker processes share the pages, and
-        pickling the graph ships only the path. All queries and
-        transforms answer bit-identically to the in-memory original.
+        With ``mmap=True`` (the default) every array — CSR included — is
+        a read-only memmap: opening is O(1) in graph size, nothing is
+        read until touched, worker processes share the pages, and
+        pickling the graph ships only the path. With ``mmap=False`` the
+        arrays are fully loaded. All queries and transforms answer
+        bit-identically to the in-memory original.
         """
-        return cls.from_storage(GraphStorage.open(directory, mmap=mmap))
+        directory = Path(directory)
+        if not is_saved_graph(directory):
+            raise FileNotFoundError(f"{directory} is not a saved graph directory")
+        meta = load_json(directory / _META_FILE)
+        if meta.get("format") != _FORMAT:
+            raise ValueError(f"{directory} manifest has unknown format")
+        if meta.get("version") != _FORMAT_VERSION:
+            raise ValueError(
+                f"saved graph version {meta.get('version')} unsupported "
+                f"(this build reads version {_FORMAT_VERSION})"
+            )
+        mode = "r" if mmap else None
 
-    # ------------------------------------------------------------------ #
-    # storage delegation
-    # ------------------------------------------------------------------ #
+        def load(name: str) -> np.ndarray:
+            return np.load(directory / f"{name}.npy", mmap_mode=mode)
+
+        graph = cls.__new__(cls)._bind(
+            meta["num_nodes"],
+            load("edge_index"),
+            node_type=load("node_type"),
+            edge_type=load("edge_type"),
+            node_features=load("node_features") if meta["has_node_features"] else None,
+            edge_attr=load("edge_attr") if meta["has_edge_attr"] else None,
+            csr=tuple(load(name) for name in _CSR_ARRAYS),
+            path=directory if mmap else None,
+        )
+        obs.count("store.mmap.opens" if mmap else "store.full.opens")
+        return graph
+
+    def save(self, directory) -> Path:
+        """Write every array (CSR included) under ``directory``.
+
+        One ``.npy`` per array — the layout ``np.load(mmap_mode="r")``
+        can map directly (``.npz`` members cannot be mapped). Every file
+        is written atomically and ``meta.json`` last, so a directory
+        with a manifest is complete (:func:`is_saved_graph`); saving over
+        an earlier save drops its manifest first. The CSR is the one
+        :meth:`csr` builds, so opened graphs never pay its sort. Returns
+        ``directory``.
+        """
+        directory = Path(directory)
+        (directory / _META_FILE).unlink(missing_ok=True)
+        arrays = {
+            "edge_index": self.edge_index,
+            "node_type": self.node_type,
+            "edge_type": self.edge_type,
+            **dict(zip(_CSR_ARRAYS, self.csr())),
+        }
+        if self.node_features is not None:
+            arrays["node_features"] = self.node_features
+        if self.edge_attr is not None:
+            arrays["edge_attr"] = self.edge_attr
+        for name, arr in arrays.items():
+            save_npy(directory / f"{name}.npy", arr)
+        save_json(
+            directory / _META_FILE,
+            {
+                "format": _FORMAT,
+                "version": _FORMAT_VERSION,
+                "num_nodes": self.num_nodes,
+                "num_edges": self.num_edges,
+                "has_node_features": self.node_features is not None,
+                "has_edge_attr": self.edge_attr is not None,
+            },
+        )
+        obs.count("store.graph.saves")
+        return directory
+
     @property
     def is_mmap(self) -> bool:
         """Whether the arrays are read-only on-disk memmaps."""
-        return self._storage.mmap
+        return self._path is not None
 
-    @property
-    def num_nodes(self) -> int:
-        return self._storage.num_nodes
-
-    @property
-    def edge_index(self) -> np.ndarray:
-        return self._storage.edge_index
-
-    @property
-    def node_type(self) -> np.ndarray:
-        return self._storage.node_type
-
-    @property
-    def node_features(self) -> Optional[np.ndarray]:
-        return self._storage.node_features
-
-    @property
-    def edge_type(self) -> np.ndarray:
-        return self._storage.edge_type
-
-    @property
-    def edge_attr(self) -> Optional[np.ndarray]:
-        return self._storage.edge_attr
-
-    def save(self, directory):
-        """Write the graph's arrays (CSR included) under ``directory``.
-
-        Marks the graph as path-backed: pickling it (to a shard worker
-        process, say) then ships the path instead of a copy of the arrays.
-        """
-        return self._storage.save(directory)
+    def __reduce_ex__(self, protocol):
+        # An mmap-backed graph pickles as its path: workers re-open the
+        # maps instead of receiving (and duplicating) the array payload.
+        if self._path is not None:
+            return (Graph.open, (str(self._path),))
+        return super().__reduce_ex__(protocol)
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -211,7 +301,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of stored (directed) arcs."""
-        return self._storage.num_edges
+        return int(self.edge_index.shape[1])
 
     @property
     def num_node_types(self) -> int:
@@ -226,10 +316,19 @@ class Graph:
 
         ``indices[indptr[v]:indptr[v+1]]`` are out-neighbors of ``v`` and
         ``edge_ids`` maps each CSR slot back to its arc in ``edge_index``.
-        Built once and cached in the storage (saved graphs load it from
-        disk); edge mutation invalidates via :meth:`copy`.
+        Built once (a stable argsort of the source row) and cached; saved
+        graphs load the one :meth:`save` wrote. Transforms return new
+        graphs, so a cached CSR never goes stale.
         """
-        return self._storage.csr()
+        if self._csr is None:
+            src, dst = self.edge_index
+            order = np.argsort(src, kind="stable")
+            sorted_src = src[order]
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.add.at(indptr, sorted_src + 1, 1)
+            np.cumsum(indptr, out=indptr)
+            self._csr = (indptr, dst[order], order)
+        return self._csr
 
     def degree(self) -> np.ndarray:
         """Out-degree of each node."""
@@ -238,17 +337,6 @@ class Graph:
     # ------------------------------------------------------------------ #
     # transforms
     # ------------------------------------------------------------------ #
-    def copy(self) -> "Graph":
-        """Deep copy into fresh in-memory storage (fresh CSR cache)."""
-        return Graph(
-            self.num_nodes,
-            self.edge_index.copy(),
-            node_type=self.node_type.copy(),
-            node_features=None if self.node_features is None else self.node_features.copy(),
-            edge_type=self.edge_type.copy(),
-            edge_attr=None if self.edge_attr is None else self.edge_attr.copy(),
-        )
-
     def without_edges(self, edge_mask: np.ndarray) -> "Graph":
         """A copy with arcs where ``edge_mask`` is True removed."""
         edge_mask = np.asarray(edge_mask, dtype=bool)

@@ -1,7 +1,7 @@
 """Persist a whole :class:`~repro.seal.LinkTask` next to its saved graph.
 
-:func:`save_task` writes the task's graph through
-:meth:`GraphStorage.save` and everything else (pairs, labels, class
+:func:`save_task` writes the task's graph with :meth:`Graph.save
+<repro.graph.Graph.save>` and everything else (pairs, labels, class
 names, extraction settings, the feature recipe) as one atomic
 ``task.npz`` in the meta-npz format checkpoints and model bundles use
 (:func:`repro.utils.serialization.write_meta_npz`). :func:`load_task`
@@ -9,11 +9,6 @@ rebuilds the task with the graph mmap-opened, so
 ``python -m repro profile --graph-dir DIR`` (and any other caller) can
 run a large workload against on-disk arrays instead of regenerating —
 and re-pickling — synthetics every run.
-
-The graph and SEAL imports are deferred inside the functions: this
-module is re-exported from :mod:`repro.store`, which
-:mod:`repro.graph.structure` must be importable *before* (the storage
-layer sits below the graph).
 """
 
 from __future__ import annotations
@@ -22,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.graph.structure import Graph, is_saved_graph
+from repro.seal.dataset import LinkTask
+from repro.seal.features import dump_feature_config, load_feature_config
 from repro.utils.serialization import read_meta_npz, write_meta_npz
 
 __all__ = ["TASK_FILE", "has_task", "load_task", "save_task"]
@@ -35,14 +33,18 @@ _TASK_VERSION = 1
 def has_task(directory) -> bool:
     """Whether ``directory`` holds a complete saved task (graph + manifest)."""
     directory = Path(directory)
-    return (directory / TASK_FILE).exists() and (directory / "meta.json").exists()
+    return (directory / TASK_FILE).exists() and is_saved_graph(directory)
 
 
 def save_task(directory, task) -> Path:
-    """Write ``task`` (graph arrays + task manifest) under ``directory``."""
-    from repro.seal.features import dump_feature_config
+    """Write ``task`` (graph arrays + task manifest) under ``directory``.
 
+    An earlier ``task.npz`` is dropped first, so a save that dies part-way
+    leaves no task (:func:`has_task` is false) rather than an old manifest
+    beside a new graph.
+    """
     directory = Path(directory)
+    (directory / TASK_FILE).unlink(missing_ok=True)
     task.graph.save(directory)
     arrays = {
         "pairs": np.asarray(task.pairs, dtype=np.int64),
@@ -74,10 +76,6 @@ def load_task(directory, *, mmap: bool = True):
     The graph comes back through :meth:`Graph.open` — mmap-backed by
     default, so the task is ready for zero-copy worker payloads.
     """
-    from repro.graph.structure import Graph
-    from repro.seal.dataset import LinkTask
-    from repro.seal.features import load_feature_config
-
     directory = Path(directory)
     arrays, meta = read_meta_npz(directory / TASK_FILE)
     if meta.get("kind") != "link-task":

@@ -9,9 +9,10 @@ new ones; the CSR drops the removed slots and inserts each new arc at
 the end of its source row, stably; ``edge_ids`` shift down past the
 removed ids and ``indptr`` adds each row's count change. That is
 byte-for-byte the CSR a stable argsort of the new storage builds, so
-``snapshot()`` is O(1): it wraps the read-only arrays in a
-:class:`repro.store.GraphStorage` with the CSR precomputed, and a
-snapshot handed out never changes under its holder.
+``snapshot()`` is O(1): it wraps the read-only arrays, CSR included, in
+a :class:`~repro.graph.Graph` without revalidating them
+(:meth:`Graph.trusted <repro.graph.Graph.trusted>`), and a snapshot
+handed out never changes under its holder.
 
 Keeping the storage in insertion order is load-bearing for serving:
 surviving arcs keep the relative order of their arc *ids*. Subgraph
@@ -24,9 +25,9 @@ results.
 Every snapshot carries a :class:`GraphDelta` — the exact added/removed
 undirected pairs since the previous snapshot — which is what
 ``repro.serve`` consumes for delta-aware cache invalidation. Each
-snapshot is a full citizen of the ``repro.store`` format:
-``save()``/``open(mmap=True)`` work unchanged, so old epochs stay
-zero-copy readable while the stream moves on.
+snapshot is a full citizen of the saved-graph format:
+``Graph.save()``/``Graph.open(mmap=True)`` work unchanged, so old epochs
+stay zero-copy readable while the stream moves on.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from repro import obs
-from repro.graph.structure import Graph
-from repro.store.graph_storage import GraphStorage
+from repro.graph.structure import Graph, is_saved_graph
 from repro.stream.events import EventBatch
 from repro.utils.arrays import sorted_unique
 
@@ -354,12 +354,11 @@ class StreamingGraph:
             # offline path, not merely CSR-equivalent.
             graph = self._base
         else:
-            storage = GraphStorage(
+            graph = Graph.trusted(
                 self.num_nodes, self._edge_index, node_type=self._node_type,
                 edge_type=self._edge_type, node_features=self._node_features,
                 edge_attr=self._edge_attr, csr=self._csr,
             )
-            graph = Graph.from_storage(storage)
         none = np.empty((0, 2), dtype=np.int64)
         delta = GraphDelta(
             from_version=from_version,
@@ -370,7 +369,7 @@ class StreamingGraph:
         path = None
         if self.snapshot_dir is not None:
             path = self.snapshot_dir / f"snapshot_{self._version:06d}"
-            if not (path / "meta.json").exists():
+            if not is_saved_graph(path):
                 graph.save(path)
             graph = Graph.open(path, mmap=True)
         snap = Snapshot(version=self._version, graph=graph, delta=delta, path=path)

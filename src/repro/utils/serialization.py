@@ -10,11 +10,11 @@ model bundles and saved tasks share.
 
 Two robustness guarantees back the checkpoint/resume layer:
 
-* **Atomic writes.** :func:`save_arrays`, :func:`save_json` and
-  :func:`write_meta_npz` write to a temporary sibling file and
-  ``os.replace`` it into place, so a crash mid-write can never leave a
-  truncated archive where a reader (or a resuming training run) expects
-  a valid one.
+* **Atomic writes.** :func:`save_arrays`, :func:`save_npy`,
+  :func:`save_json` and :func:`write_meta_npz` write to a temporary
+  sibling file and ``os.replace`` it into place, so a crash mid-write
+  can never leave a truncated file where a reader (or a resuming
+  training run) expects a valid one.
 * **Strict JSON.** ``json.dumps`` happily emits ``NaN``/``Infinity``,
   which is *not* JSON — strict parsers (``jq``, browsers, most non-Python
   tooling) reject it. :func:`to_jsonable` coerces non-finite floats to
@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "save_arrays",
     "load_arrays",
+    "save_npy",
     "save_json",
     "load_json",
     "to_jsonable",
@@ -76,6 +77,20 @@ def load_arrays(path: PathLike) -> Dict[str, np.ndarray]:
     """Read an ``.npz`` archive back into a plain dict of arrays."""
     with np.load(Path(path)) as data:
         return {k: data[k] for k in data.files}
+
+
+def save_npy(path: PathLike, arr: np.ndarray) -> None:
+    """Write one array as a C-ordered ``.npy`` file, atomically.
+
+    Unlike an ``.npz`` member, the file can be memory-mapped back with
+    ``np.load(path, mmap_mode="r")``.
+    """
+
+    def writer(tmp: Path) -> None:
+        with open(tmp, "wb") as fh:
+            np.save(fh, np.ascontiguousarray(arr))
+
+    _atomic_write_bytes(Path(path), writer)
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -146,6 +146,24 @@ class TestGrowth:
         assert whole.edge_index.shape == single.edge_index.shape == (2, 2048)
         assert whole.cache_info().nbytes == single.cache_info().nbytes
 
+    def test_write_spanning_two_doublings_keeps_stored_bytes(self):
+        # Growth moves the used rows of all three buffers into fresh
+        # ones: links written before and by the growing write collate to
+        # the same bytes, and the buffers are exactly 4x their initial size.
+        store = SubgraphStore(6, 4, edge_attr_dim=3)
+        first = make_batch([5, 1], [(20, 40), (30, 50)], edge_attr_dim=3, seed=1)
+        store.put(first)
+        second = make_batch([0, 3, 2], [(300, 600), (250, 500), (200, 400)],
+                            edge_attr_dim=3, seed=2)  # 800 / 1590 rows in use
+        store.put(second)
+        assert store.features.shape == (1024, 4)
+        assert store.edge_index.shape == (2, 2048)
+        assert store.edge_attr.shape == (2048, 3)
+        assert store.cache_info().nbytes == 4 * 6 * 8 + (1024 * 4 + 2 * 2048 + 2048 * 3) * 8
+        links = {i: packed_link(first, p) for p, i in enumerate([5, 1])}
+        links.update({i: packed_link(second, p) for p, i in enumerate([0, 3, 2])})
+        assert_collates_to(store, links, edge_attr_dim=3)
+
     def test_one_batch_larger_than_the_buffers(self):
         store = SubgraphStore(3, 4)
         batch = make_batch([2, 0, 1], [(300, 700), (1, 0), (10, 20)])

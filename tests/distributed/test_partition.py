@@ -218,6 +218,41 @@ class TestPersistence:
         np.testing.assert_array_equal(reopened.node_owner, part.node_owner)
         assert reopened.stats() == part.stats()
 
+    @pytest.mark.parametrize("over_earlier_save", [False, True])
+    def test_save_failing_inside_a_shard_leaves_no_manifest(
+        self, tmp_path, monkeypatch, over_earlier_save
+    ):
+        # The second shard's members.npz write dies half-way, in a fresh
+        # directory or over an earlier save: no manifest, no truncated or
+        # temporary file, and open() finds no partition.
+        directory = tmp_path / "part"
+        if over_earlier_save:
+            partition_graph(small_task(), 3, seed=1).save(directory)
+        part = partition_graph(small_task(), 2, seed=5)
+        real_savez = np.savez
+        member_writes = []
+
+        def savez(file, **arrays):
+            if "node_map" in arrays:
+                member_writes.append(file)
+                if len(member_writes) == 2:
+                    file.write(b"PK\x03\x04")
+                    raise OSError("disk full")
+            return real_savez(file, **arrays)
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="disk full"):
+            part.save(directory)
+        monkeypatch.undo()
+        assert not (directory / "partition.json").exists()
+        assert not list(directory.rglob("*.tmp"))
+        assert (directory / "shard_001" / "members.npz").exists() == over_earlier_save
+        for archive in directory.rglob("*.npz"):
+            with np.load(archive) as npz:  # a truncated archive raises here
+                assert npz.files
+        with pytest.raises(FileNotFoundError):
+            GraphPartition.open(directory)
+
     def test_open_missing_or_foreign_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             GraphPartition.open(tmp_path / "nope")

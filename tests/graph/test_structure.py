@@ -97,11 +97,6 @@ class TestQueries:
 
 
 class TestTransforms:
-    def test_copy_independent(self, tiny_graph):
-        c = tiny_graph.copy()
-        c.edge_type[:] = 99
-        assert tiny_graph.edge_type.max() == 2
-
     def test_without_edges(self, tiny_graph):
         mask = np.zeros(tiny_graph.num_edges, dtype=bool)
         ids = edge_ids_between(tiny_graph, 0, 1)

@@ -1,1 +1,1 @@
-"""Tests for the zero-copy storage layer (repro.store)."""
+"""Tests for on-disk graphs, tasks and partitions (``Graph.save``/``open``, repro.store)."""

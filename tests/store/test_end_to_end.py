@@ -1,8 +1,8 @@
 """mmap-backed graphs are bit-identical to in-memory across the stack.
 
-The refactor's core guarantee: routing every array through
-``GraphStorage`` — whether the bytes live on the heap or on mapped
-pages — changes nothing downstream. Training produces the same weights
+The core guarantee of ``Graph.save`` / ``Graph.open``: whether a
+graph's bytes live on the heap or on mapped pages changes nothing
+downstream. Training produces the same weights
 and losses, and the scorer produces the same probabilities.
 """
 

@@ -1,6 +1,7 @@
-"""GraphStorage + mmap-backed Graph: round-trips, bit-identity, pickling.
+"""Saved and mmap-backed graphs: round-trips, bit-identity, pickling.
 
-The storage contract the loader/serve layers lean on:
+``Graph.save`` / ``Graph.open`` are the contract the loader/serve layers
+lean on:
 
 * a saved graph reopens (mmap or full) with bit-identical arrays *and*
   bit-identical CSR — derived structure included;
@@ -9,7 +10,7 @@ The storage contract the loader/serve layers lean on:
   the property that makes worker spawn payloads O(1);
 * derived graphs (``without_edges`` / ``induced_subgraph``) built from an
   mmap graph equal their in-memory counterparts and own fresh writable
-  storage with an independently computed CSR.
+  arrays with an independently computed CSR.
 """
 
 import pickle
@@ -18,8 +19,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import stochastic_block_edges
-from repro.graph.structure import Graph
-from repro.store import STORAGE_VERSION, GraphStorage
+from repro.graph.structure import Graph, is_saved_graph
 from tests.oracles import edge_ids_between, neighbors
 
 
@@ -74,22 +74,46 @@ class TestSaveOpen:
         # loaded back must be the stable-argsort construction bit for bit.
         indptr, indices, order = graph.csr()
         graph.save(tmp_path)
-        storage = GraphStorage.open(tmp_path, mmap=True)
-        np.testing.assert_array_equal(storage.csr()[0], indptr)
-        np.testing.assert_array_equal(storage.csr()[1], indices)
-        np.testing.assert_array_equal(storage.csr()[2], order)
+        saved = Graph.open(tmp_path, mmap=True).csr()
+        assert all(isinstance(a, np.memmap) for a in saved)  # loaded, not rebuilt
+        np.testing.assert_array_equal(saved[0], indptr)
+        np.testing.assert_array_equal(saved[1], indices)
+        np.testing.assert_array_equal(saved[2], order)
 
     def test_meta_versioned(self, graph, tmp_path):
         import json
 
         graph.save(tmp_path)
         meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta["version"] == STORAGE_VERSION
+        assert (meta["format"], meta["version"]) == ("repro-graph-storage", 1)
         assert meta["num_nodes"] == graph.num_nodes
 
     def test_open_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             Graph.open(tmp_path / "nope")
+
+    def test_failed_save_over_a_saved_graph_leaves_it_incomplete(
+        self, graph, tmp_path, monkeypatch
+    ):
+        # A save that dies part-way must not leave the earlier manifest
+        # vouching for a mix of old and new arrays.
+        Graph.from_undirected(120, np.array([[0, 1], [1, 2]])).save(tmp_path)
+        real_save = np.save
+        writes = []
+
+        def save(file, arr, *args, **kwargs):
+            writes.append(file)
+            if len(writes) == 3:
+                raise OSError("disk full")
+            return real_save(file, arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", save)
+        with pytest.raises(OSError, match="disk full"):
+            graph.save(tmp_path)
+        monkeypatch.undo()
+        assert not is_saved_graph(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            Graph.open(tmp_path)
 
 
 class TestMmapSemantics:
@@ -119,16 +143,19 @@ class TestMmapSemantics:
         assert_graphs_equal(graph, clone)
 
     def test_save_then_reopen_marks_path(self, graph, tmp_path):
-        assert graph._storage.path is None and not graph.is_mmap
+        # Saving leaves an in-memory graph in memory; only an mmap open
+        # backs a graph by its directory, and that is what pickles.
         graph.save(tmp_path)
-        assert graph._storage.path == tmp_path
+        assert not graph.is_mmap
+        assert str(tmp_path).encode() not in pickle.dumps(graph)
+        assert not Graph.open(tmp_path, mmap=False).is_mmap
         g = Graph.open(tmp_path, mmap=True)
-        assert g._storage.path == tmp_path
+        assert g.is_mmap and str(tmp_path).encode() in pickle.dumps(g)
 
 
 class TestDerivedGraphsFromMmap:
     """Satellite: graph surgery on an mmap-opened graph must behave
-    exactly like on the in-memory original — fresh writable storage,
+    exactly like on the in-memory original — fresh writable arrays,
     independently recomputed CSR, no read-only leakage."""
 
     @pytest.fixture()
@@ -142,8 +169,8 @@ class TestDerivedGraphsFromMmap:
         drop[::7] = True
         a, b = mem.without_edges(drop), mm.without_edges(drop)
         assert_graphs_equal(a, b)
-        # Derived graph owns fresh in-memory storage: writable, no path.
-        assert not b.is_mmap and b._storage.path is None
+        # Derived graph owns fresh in-memory arrays: writable, no path.
+        assert not b.is_mmap
         b.edge_index[0, 0] = b.edge_index[0, 0]  # must not raise
 
     def test_induced_subgraph_matches_in_memory(self, pair):
@@ -154,7 +181,7 @@ class TestDerivedGraphsFromMmap:
         np.testing.assert_array_equal(amap, bmap)
         assert_graphs_equal(a, b)
         assert not b.is_mmap
-        b.node_type[0] = b.node_type[0]  # fresh storage is writable
+        b.node_type[0] = b.node_type[0]  # fresh arrays are writable
 
     def test_edge_ids_between_matches_in_memory(self, pair):
         mem, mm = pair

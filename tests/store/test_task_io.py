@@ -113,6 +113,19 @@ class TestRoundtrip:
         save_task(tmp_path, task)
         assert has_task(tmp_path)
 
+    def test_failed_save_over_a_saved_task_leaves_no_task(self, tasks, tmp_path, monkeypatch):
+        # The graph is written, then the task.npz write dies: the earlier
+        # task.npz must not pair itself with the new graph.
+        save_task(tmp_path, tasks["primekg"])
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.store.task_io.write_meta_npz", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_task(tmp_path, tasks["wordnet"])
+        assert not has_task(tmp_path)
+
     def test_rejects_foreign_npz(self, task, tmp_path):
         task.graph.save(tmp_path)
         write_meta_npz(tmp_path / TASK_FILE, {}, {"kind": "something-else"})

@@ -1,4 +1,9 @@
-"""StreamingGraph: incremental CSR snapshots vs from-scratch rebuilds."""
+"""StreamingGraph: incremental CSR snapshots vs from-scratch rebuilds.
+
+A snapshot is a ``Graph`` wrapped around the stream's spliced arrays
+(``Graph.trusted``, no validation pass); with a ``snapshot_dir`` it is
+written by ``Graph.save`` and reopened memory-mapped by ``Graph.open``.
+"""
 
 import numpy as np
 import pytest
@@ -234,7 +239,7 @@ class Oracle:
     Adds append both arc directions; an invalidation of ``(u, v)`` kills
     the first live ``u->v`` and the first other live ``v->u`` arc, or
     nothing when either is missing. :meth:`graph` builds a fresh
-    ``Graph`` whose CSR comes from ``GraphStorage.csr()``'s argsort.
+    ``Graph`` whose CSR comes from ``Graph.csr()``'s argsort.
     """
 
     def __init__(self, base):
