@@ -127,10 +127,6 @@ class PlantedKGConfig:
         edge-attribute-blind model can partially exploit — the realistic
         mid-range signal of OGBL-BioKG, where relation types correlate
         with protein hub-ness.
-    target_relation_offset:
-        Relation ids assigned to target links when they are inserted as
-        graph edges: class ``c`` maps to relation
-        ``(target_relation_offset + c) % num_relations``.
     """
 
     num_nodes: int = 1000
@@ -148,7 +144,6 @@ class PlantedKGConfig:
     num_classes: int = 6
     class_rule: str = "pair"
     label_noise: float = 0.05
-    target_relation_offset: int = 0
     degree_skew: float = 0.0
     name: str = "planted-kg"
 

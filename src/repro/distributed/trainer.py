@@ -3,7 +3,7 @@
 :func:`train_data_parallel` runs :func:`repro.seal.train`'s own loop
 (:func:`repro.seal.trainer.train_with_step`) with a sharded gradient
 step in place of the local one. The loop keeps everything but the batch
-gradient — Adam, guard, clipping, evaluation, callbacks, checkpoints,
+gradient — Adam, guard, clipping, evaluation, logging, checkpoints,
 resume — so those rules are the same for both
 trainers by construction. Each global mini-batch comes from the *same*
 shuffle stream :func:`repro.seal.train` uses. The sharded step groups
@@ -60,7 +60,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from threading import BrokenBarrierError
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from repro.data.loader import epoch_batches, usable_cores
 from repro.nn.dtype import resolve_dtype, set_compute_dtype
 from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
-from repro.obs.callbacks import TrainingLogger
 from repro.seal.checkpoint import CheckpointConfig
 from repro.seal.dataset import SEALDataset
 from repro.seal.results import TrainResult
@@ -407,13 +406,12 @@ def train_data_parallel(
     partition: Optional[GraphPartition] = None,
     eval_indices: Optional[Sequence[int]] = None,
     rng: RngLike = 0,
-    callbacks: Optional[Iterable[TrainingLogger]] = None,
-    verbose: Union[bool, None] = None,
+    verbose: bool = True,
     checkpoint: Optional[CheckpointConfig] = None,
 ) -> TrainResult:
     """Train ``model`` data-parallel over ``config.num_shards`` shards.
 
-    Runs :func:`repro.seal.train`'s loop (guards, callbacks, eval
+    Runs :func:`repro.seal.train`'s loop (guards, logging, eval
     cadence, checkpointing) with the gradient work
     sharded. See the module docstring for the bit-identity contract.
 
@@ -477,7 +475,6 @@ def train_data_parallel(
             step,
             eval_indices=eval_indices,
             rng=rng,
-            callbacks=callbacks,
             verbose=verbose,
             checkpoint=checkpoint,
         )

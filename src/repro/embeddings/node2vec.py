@@ -1,14 +1,13 @@
-"""node2vec biased random walks (Grover & Leskovec, KDD'16).
+"""node2vec random walks (Grover & Leskovec, KDD'16).
 
 SEAL's node information matrix optionally includes node2vec embeddings;
 the paper observed they "did not enhance prediction accuracy for
-knowledge graphs" and dropped them (§III-B). The full component is
+knowledge graphs" and dropped them (§III-B). The component is
 implemented here anyway so the with/without ablation is runnable.
 
-Walk generation implements the 2nd-order bias: the unnormalized
-transition weight from ``v`` to candidate ``x`` given the previous node
-``t`` is ``1/p`` if ``x == t`` (return), ``1`` if ``x`` neighbors ``t``
-(BFS-like), else ``1/q`` (DFS-like).
+Walks use node2vec's default return and in-out parameters, ``p = q = 1``,
+under which its 2nd-order bias weighs every neighbor alike: each step
+moves to a uniformly drawn neighbor of the current node.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-
-from repro.nn.dtype import FLOAT64
 
 from repro.graph.structure import Graph
 from repro.utils.rng import RngLike, ensure_rng
@@ -29,23 +26,17 @@ def generate_walks(
     graph: Graph,
     num_walks: int = 10,
     walk_length: int = 20,
-    p: float = 1.0,
-    q: float = 1.0,
     rng: RngLike = None,
 ) -> List[np.ndarray]:
-    """Biased random walks from every node.
+    """``num_walks`` random walks from every node.
 
     Returns a list of integer arrays (one per walk, length ≤
-    ``walk_length``; shorter if a dead end is reached). ``p`` is the
-    return parameter, ``q`` the in-out parameter.
+    ``walk_length``; shorter if a dead end is reached).
     """
     if num_walks <= 0 or walk_length <= 1:
         raise ValueError("need num_walks >= 1 and walk_length >= 2")
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
     gen = ensure_rng(rng)
     indptr, indices, _ = graph.csr()
-    nbr_sets = [set(indices[indptr[v] : indptr[v + 1]].tolist()) for v in range(graph.num_nodes)]
 
     walks: List[np.ndarray] = []
     for _ in range(num_walks):
@@ -58,21 +49,6 @@ def generate_walks(
                 if hi == lo:
                     break
                 nbrs = indices[lo:hi]
-                if len(walk) == 1 or (p == 1.0 and q == 1.0):
-                    nxt = int(nbrs[gen.integers(0, len(nbrs))])
-                else:
-                    prev = walk[-2]
-                    prev_nbrs = nbr_sets[prev]
-                    weights = np.empty(len(nbrs), dtype=FLOAT64)
-                    for i, x in enumerate(nbrs):
-                        if x == prev:
-                            weights[i] = 1.0 / p
-                        elif int(x) in prev_nbrs:
-                            weights[i] = 1.0
-                        else:
-                            weights[i] = 1.0 / q
-                    weights /= weights.sum()
-                    nxt = int(nbrs[gen.choice(len(nbrs), p=weights)])
-                walk.append(nxt)
+                walk.append(int(nbrs[gen.integers(0, len(nbrs))]))
             walks.append(np.array(walk, dtype=np.int64))
     return walks

@@ -19,15 +19,20 @@ from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["walks_to_pairs", "train_skipgram", "node2vec_embeddings"]
 
+#: context half-width of a (center, context) pair, in walk steps
+WINDOW = 5
+#: negatives per positive pair, SGD step and pairs per mini-batch (word2vec's)
+NEGATIVES = 5
+LR = 0.025
+BATCH_SIZE = 1024
 
-def walks_to_pairs(walks: Sequence[np.ndarray], window: int = 5) -> np.ndarray:
-    """(center, context) pairs from walks within a symmetric window."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+
+def walks_to_pairs(walks: Sequence[np.ndarray]) -> np.ndarray:
+    """(center, context) pairs from walks within a symmetric ``WINDOW``."""
     pairs: List[np.ndarray] = []
     for walk in walks:
         n = len(walk)
-        for offset in range(1, window + 1):
+        for offset in range(1, WINDOW + 1):
             if n <= offset:
                 continue
             left = walk[:-offset]
@@ -48,9 +53,6 @@ def train_skipgram(
     num_nodes: int,
     dim: int = 32,
     epochs: int = 3,
-    negatives: int = 5,
-    lr: float = 0.025,
-    batch_size: int = 1024,
     rng: RngLike = None,
 ) -> np.ndarray:
     """Train SGNS; returns the input embedding matrix ``(num_nodes, dim)``.
@@ -58,7 +60,7 @@ def train_skipgram(
     Negatives are sampled from the context distribution raised to the 3/4
     power (the word2vec heuristic).
     """
-    if dim <= 0 or epochs <= 0 or negatives < 1:
+    if dim <= 0 or epochs <= 0:
         raise ValueError("invalid skip-gram hyperparameters")
     gen = ensure_rng(rng)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -73,11 +75,11 @@ def train_skipgram(
 
     for _ in range(epochs):
         order = gen.permutation(len(pairs))
-        for start in range(0, len(order), batch_size):
-            batch = pairs[order[start : start + batch_size]]
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = pairs[order[start : start + BATCH_SIZE]]
             centers, contexts = batch[:, 0], batch[:, 1]
             b = len(batch)
-            negs = gen.choice(num_nodes, size=(b, negatives), p=noise)
+            negs = gen.choice(num_nodes, size=(b, NEGATIVES), p=noise)
 
             zc = z_in[centers]  # (B, D)
             zo = z_out[contexts]  # (B, D)
@@ -92,9 +94,9 @@ def train_skipgram(
             grad_zo = g_pos[:, None] * zc
             grad_zn = g_neg[..., None] * zc[:, None, :]
 
-            np.add.at(z_in, centers, -lr * grad_zc)
-            np.add.at(z_out, contexts, -lr * grad_zo)
-            np.add.at(z_out, negs, -lr * grad_zn)
+            np.add.at(z_in, centers, -LR * grad_zc)
+            np.add.at(z_out, contexts, -LR * grad_zo)
+            np.add.at(z_out, negs, -LR * grad_zn)
     return z_in
 
 
@@ -103,9 +105,6 @@ def node2vec_embeddings(
     dim: int = 32,
     num_walks: int = 10,
     walk_length: int = 20,
-    window: int = 5,
-    p: float = 1.0,
-    q: float = 1.0,
     epochs: int = 3,
     rng: RngLike = None,
 ) -> np.ndarray:
@@ -113,8 +112,6 @@ def node2vec_embeddings(
     from repro.embeddings.node2vec import generate_walks
 
     gen = ensure_rng(rng)
-    walks = generate_walks(
-        graph, num_walks=num_walks, walk_length=walk_length, p=p, q=q, rng=gen
-    )
-    pairs = walks_to_pairs(walks, window=window)
+    walks = generate_walks(graph, num_walks=num_walks, walk_length=walk_length, rng=gen)
+    pairs = walks_to_pairs(walks)
     return train_skipgram(pairs, graph.num_nodes, dim=dim, epochs=epochs, rng=gen)

@@ -35,7 +35,11 @@ __all__ = [
 ]
 
 
-def _fit_am(task, epochs=8, **model_overrides) -> Dict[str, float]:
+#: training epochs of every ablation cell
+_EPOCHS = 8
+
+
+def _fit_am(task, **model_overrides) -> Dict[str, float]:
     ds = SEALDataset(task, rng=0)
     tr, te = train_test_split_indices(task.num_links, 0.25, labels=task.labels, rng=0)
     warm(ds)
@@ -57,7 +61,7 @@ def _fit_am(task, epochs=8, **model_overrides) -> Dict[str, float]:
             "am_dgcnn", ds.feature_width, task.num_classes, task.edge_attr_dim,
             DEFAULT_HPARAMS, rng=1,
         )
-    train(model, ds, tr, train_config_for(DEFAULT_HPARAMS, epochs=epochs), rng=1)
+    train(model, ds, tr, train_config_for(DEFAULT_HPARAMS, epochs=_EPOCHS), rng=1)
     res = evaluate(model, ds, te)
     sizes = ds.store.node_count
     return {"auc": res.auc, "ap": res.ap, "mean_subgraph_nodes": float(np.mean(sizes))}

@@ -9,8 +9,7 @@ with per-epoch evaluation, and result bundling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from repro.experiments.config import (
     build_model,
     train_config_for,
 )
-from repro.seal.checkpoint import CheckpointConfig
 from repro.seal.dataset import SEALDataset, train_test_split_indices
 from repro.seal.evaluator import EvalResult, evaluate
 from repro.seal.trainer import TrainResult, train
@@ -31,6 +29,9 @@ from repro.utils.rng import derive
 __all__ = ["RunResult", "ExperimentRunner"]
 
 logger = get_logger("experiments.runner")
+
+#: held-out fraction of every dataset's links (stratified by class)
+TEST_FRACTION = 0.25
 
 
 @dataclass
@@ -70,30 +71,11 @@ class ExperimentRunner:
         ``1.0`` (or more) for full-size runs.
     seed: master seed — datasets, splits, model init and shuffling all
         derive their streams from it.
-    test_fraction: held-out fraction (stratified by class).
-    checkpoint: crash-safety policy shared by every run. Each
-        ``run(...)`` trains under its own subdirectory of
-        ``checkpoint.dir`` (keyed by dataset/model/epochs/fraction), so
-        a killed sweep rerun with the same arguments resumes each job
-        from its last completed epoch instead of starting over. A plain
-        directory path is accepted as shorthand for the default policy.
     """
 
-    def __init__(
-        self,
-        scale: float = 0.5,
-        seed: int = 0,
-        test_fraction: float = 0.25,
-        checkpoint: Optional[Union[CheckpointConfig, str, Path]] = None,
-    ):
-        if not 0 < test_fraction < 1:
-            raise ValueError("test_fraction must be in (0, 1)")
+    def __init__(self, scale: float = 0.5, seed: int = 0):
         self.scale = scale
         self.seed = seed
-        self.test_fraction = test_fraction
-        if checkpoint is not None and not isinstance(checkpoint, CheckpointConfig):
-            checkpoint = CheckpointConfig(dir=Path(checkpoint))
-        self.checkpoint = checkpoint
         self._bundles: Dict[Tuple[str, float], _DatasetBundle] = {}
 
     def bundle(self, dataset_name: str, num_targets: Optional[int] = None) -> _DatasetBundle:
@@ -105,7 +87,7 @@ class ExperimentRunner:
             ds = SEALDataset(task, rng=self.seed)
             tr, te = train_test_split_indices(
                 task.num_links,
-                self.test_fraction,
+                TEST_FRACTION,
                 labels=task.labels,
                 rng=derive(self.seed, "split", dataset_name),
             )
@@ -155,24 +137,13 @@ class ExperimentRunner:
             hparams,
             rng=derive(self.seed, "init", dataset_name, model_name),
         )
-        config = train_config_for(hparams, epochs)
-        run_ckpt = None
-        if self.checkpoint is not None:
-            # One directory per distinct job so sweep cells never collide.
-            job = (
-                f"{dataset_name}_{model_name}_e{config.epochs}"
-                f"_tf{train_fraction:.4f}"
-                + ("" if num_targets is None else f"_nt{num_targets}")
-            )
-            run_ckpt = self.checkpoint.for_subdir(job)
         history = train(
             model,
             b.dataset,
             tr,
-            config,
+            train_config_for(hparams, epochs),
             eval_indices=b.test_idx if eval_each_epoch else None,
             rng=derive(self.seed, "train", dataset_name, model_name),
-            checkpoint=run_ckpt,
         )
         final = evaluate(model, b.dataset, b.test_idx)
         return RunResult(

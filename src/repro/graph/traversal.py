@@ -58,20 +58,15 @@ def _expand_frontier(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarr
     return _take_ragged(indices, starts, counts)
 
 
-def bfs_distances(
-    graph: Graph,
-    source: int,
-    max_depth: Optional[int] = None,
-) -> np.ndarray:
+def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """Unweighted shortest distances from ``source`` to every node.
 
-    Unreachable nodes (or nodes beyond ``max_depth``) get ``-1``.
+    Unreachable nodes get ``-1``.
 
     Parameters
     ----------
     graph: the graph (directed arcs; symmetric graphs behave undirected).
     source: start node.
-    max_depth: stop expanding beyond this many hops when given.
     """
     if not 0 <= source < graph.num_nodes:
         raise ValueError("source out of range")
@@ -80,7 +75,7 @@ def bfs_distances(
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     depth = 0
-    while frontier.size and (max_depth is None or depth < max_depth):
+    while frontier.size:
         nxt = _expand_frontier(indptr, indices, frontier)
         nxt = nxt[dist[nxt] < 0]
         if nxt.size == 0:
@@ -104,7 +99,7 @@ def multi_source_bfs(
     Returns ``(keys, depth)``: the sorted, unique int64 composite keys
     ``row * N + node`` of every ``(source row, node)`` pair reached, and
     the int32 hop count of each. Row ``i`` holds exactly the nodes that
-    ``bfs_distances(graph, sources[i], max_depth)`` reaches, with the same
+    ``bfs_distances(graph, sources[i])`` reaches within ``max_depth``, with the same
     distances; its slice is ``np.searchsorted(keys, [i * N, (i + 1) * N])``.
 
     All sources advance level by level together on a composite

@@ -28,6 +28,10 @@ from repro.utils.rng import RngLike
 
 __all__ = ["heuristic_features", "HeuristicLinkClassifier"]
 
+#: the logistic regression's Adam step and coupled L2 decay
+LR = 0.1
+WEIGHT_DECAY = 1e-4
+
 HEURISTICS = (
     "common_neighbors",
     "jaccard",
@@ -72,17 +76,13 @@ class HeuristicLinkClassifier:
     def __init__(
         self,
         num_classes: int,
-        lr: float = 0.1,
         epochs: int = 300,
-        weight_decay: float = 1e-4,
         rng: RngLike = 0,
     ):
         if num_classes < 2:
             raise ValueError("need at least two classes")
         self.num_classes = num_classes
-        self.lr = lr
         self.epochs = epochs
-        self.weight_decay = weight_decay
         self.rng = rng
         self.linear: Optional[Linear] = None
         self._state: Optional[_FitState] = None
@@ -101,7 +101,7 @@ class HeuristicLinkClassifier:
         xn = (x - mean) / std
 
         self.linear = Linear(xn.shape[1], self.num_classes, rng=self.rng)
-        opt = Adam(self.linear.parameters(), lr=self.lr, weight_decay=self.weight_decay)
+        opt = Adam(self.linear.parameters(), lr=LR, weight_decay=WEIGHT_DECAY)
         xt = Tensor(xn)
         for _ in range(self.epochs):
             opt.zero_grad()

@@ -17,6 +17,15 @@ from repro.graph.structure import Graph
 
 __all__ = ["katz_index", "rooted_pagerank", "simrank", "GLOBAL_HEURISTICS"]
 
+#: longest walk the truncated Katz series sums
+KATZ_MAX_POWER = 6
+#: rooted PageRank's continue probability and power-iteration rounds
+PAGERANK_ALPHA = 0.85
+PAGERANK_ITERS = 50
+#: SimRank's decay and iteration rounds
+SIMRANK_C = 0.8
+SIMRANK_ITERS = 5
+
 
 def _adjacency(graph: Graph) -> sp.csr_matrix:
     src, dst = graph.edge_index
@@ -31,12 +40,11 @@ def katz_index(
     graph: Graph,
     pairs: np.ndarray,
     beta: float = 0.005,
-    max_power: int = 6,
 ) -> np.ndarray:
     """Truncated Katz index ``Σ_l β^l (A^l)_{uv}`` for each pair.
 
     ``β`` must be below ``1/λ_max`` for the full series to converge; the
-    truncation at ``max_power`` keeps the computation exact per term and
+    truncation at ``KATZ_MAX_POWER`` keeps the computation exact per term and
     is itself a γ-decaying approximation (paper §II-B).
     """
     if beta <= 0:
@@ -53,27 +61,21 @@ def katz_index(
     walk = basis @ a
     scores_rows = beta * walk.toarray()
     factor = beta
-    for _ in range(1, max_power):
+    for _ in range(1, KATZ_MAX_POWER):
         walk = walk @ a
         factor *= beta
         scores_rows += factor * walk.toarray()
     return scores_rows[inverse, pairs[:, 1]]
 
 
-def rooted_pagerank(
-    graph: Graph,
-    pairs: np.ndarray,
-    alpha: float = 0.85,
-    iters: int = 50,
-) -> np.ndarray:
+def rooted_pagerank(graph: Graph, pairs: np.ndarray) -> np.ndarray:
     """Rooted (personalized) PageRank score ``π_u[v] + π_v[u]``.
 
     Power iteration on the column-stochastic transition matrix with
-    restart probability ``1 - alpha`` at the root. The symmetric sum is
-    the usual link-prediction variant.
+    restart probability ``1 - PAGERANK_ALPHA`` at the root. The
+    symmetric sum is the usual link-prediction variant.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
+    alpha = PAGERANK_ALPHA
     pairs = np.asarray(pairs, dtype=np.int64)
     a = _adjacency(graph)
     deg = np.asarray(a.sum(axis=1)).ravel()
@@ -84,7 +86,7 @@ def rooted_pagerank(
     restart = np.zeros((len(roots), graph.num_nodes))
     restart[np.arange(len(roots)), roots] = 1.0
     pi = restart.copy()
-    for _ in range(iters):
+    for _ in range(PAGERANK_ITERS):
         # pi_{t+1} = alpha * pi_t P + (1-alpha) e_root, rows batched.
         pi = alpha * (trans.T @ pi.T).T + (1 - alpha) * restart
     lookup = {int(r): i for i, r in enumerate(roots)}
@@ -93,21 +95,14 @@ def rooted_pagerank(
     return pi[u_idx, pairs[:, 1]] + pi[v_idx, pairs[:, 0]]
 
 
-def simrank(
-    graph: Graph,
-    pairs: np.ndarray,
-    c: float = 0.8,
-    iters: int = 5,
-) -> np.ndarray:
+def simrank(graph: Graph, pairs: np.ndarray) -> np.ndarray:
     """SimRank similarity (Jeh & Widom, 2002) via full-matrix iteration.
 
-    ``S = max(c · P^T S P, I)`` with ``P`` the column-normalized
-    adjacency. O(n²) memory — intended for the small graphs used in
+    ``S = max(c · P^T S P, I)`` with ``c = SIMRANK_C`` and ``P`` the
+    column-normalized adjacency. O(n²) memory — intended for the small graphs used in
     tests/benchmarks (the γ-decaying theory says the GNN approximates it
     from local subgraphs anyway).
     """
-    if not 0 < c < 1:
-        raise ValueError("c must be in (0, 1)")
     n = graph.num_nodes
     if n > 3000:
         raise ValueError("simrank is O(n^2); graph too large")
@@ -115,8 +110,8 @@ def simrank(
     deg = a.sum(axis=0)
     p = np.divide(a, deg, out=np.zeros_like(a), where=deg > 0)  # column-normalized
     s = np.eye(n)
-    for _ in range(iters):
-        s = c * (p.T @ s @ p)
+    for _ in range(SIMRANK_ITERS):
+        s = SIMRANK_C * (p.T @ s @ p)
         np.fill_diagonal(s, 1.0)
     pairs = np.asarray(pairs, dtype=np.int64)
     return s[pairs[:, 0], pairs[:, 1]]

@@ -14,7 +14,7 @@ Implemented from first principles (no sklearn in the environment):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ def multiclass_auc(
     y_true: np.ndarray,
     probs: np.ndarray,
     *,
-    positive_class: Optional[int] = None,
     rng: RngLike = None,
 ) -> float:
     """One-vs-rest AUC for multi-class link classification.
@@ -81,21 +80,18 @@ def multiclass_auc(
     y_true: ``(B,)`` integer labels.
     probs: ``(B, C)`` class scores (probabilities or logits — AUC is
         invariant to monotone transforms per class).
-    positive_class:
-        When given, compute AUC for that class vs the rest (the paper's
-        "randomly choose one class" protocol picks it at random — pass
-        ``rng`` instead to do the same). When omitted and no ``rng`` is
-        given, the macro average over all classes present is returned.
-    rng: picks the positive class at random (paper protocol).
+    rng: when given, picks one present class at random and returns its
+        AUC against the rest (the paper's "randomly choose one class"
+        protocol); when omitted, the macro average over all classes
+        present is returned.
     """
     y_true = np.asarray(y_true)
     probs = np.asarray(probs, dtype=FLOAT64)
     if probs.ndim != 2 or probs.shape[0] != y_true.shape[0]:
         raise ValueError("probs must be (B, C) matching y_true")
     present = np.unique(y_true)
-    if positive_class is None and rng is not None:
+    if rng is not None:
         positive_class = int(ensure_rng(rng).choice(present))
-    if positive_class is not None:
         return roc_auc((y_true == positive_class).astype(int), probs[:, positive_class])
     aucs = [
         roc_auc((y_true == c).astype(int), probs[:, c])

@@ -22,7 +22,7 @@ models is exactly the modification the paper proposes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -42,6 +42,12 @@ __all__ = ["DGCNNBackbone", "VanillaDGCNN"]
 # Layer factory signature: (in_dim, out_dim, rng) -> Module
 ConvFactory = Callable[[int, int, np.random.Generator], Module]
 
+#: widths of the two 1-D convolutions, the second's kernel and the dense
+#: classifier's hidden width: the DGCNN defaults SEAL uses
+CONV1D_CHANNELS = (16, 32)
+CONV1D_KERNEL2 = 5
+DENSE_DIM = 128
+
 
 class DGCNNBackbone(Module):
     """DGCNN with a pluggable graph-convolution layer.
@@ -55,8 +61,6 @@ class DGCNNBackbone(Module):
         options: 16/32/64/128).
     num_conv_layers: hidden layer count before the 1-channel sort layer.
     sort_k: SortPooling retained-node count (paper Table I: 5..150).
-    conv1d_channels: widths of the two 1-D convolutions (DGCNN: 16, 32).
-    dense_dim: classifier hidden width (DGCNN: 128).
     dropout: classifier dropout probability (DGCNN: 0.5).
     center_pool:
         Concatenate the embeddings of the two *target* nodes (always the
@@ -79,9 +83,6 @@ class DGCNNBackbone(Module):
         hidden_dim: int = 32,
         num_conv_layers: int = 3,
         sort_k: int = 30,
-        conv1d_channels: Sequence[int] = (16, 32),
-        conv1d_kernel2: int = 5,
-        dense_dim: int = 128,
         dropout: float = 0.5,
         center_pool: bool = True,
         rng: RngLike = None,
@@ -98,24 +99,23 @@ class DGCNNBackbone(Module):
         self.sort_pool = SortPooling(sort_k)
         self.sort_k = sort_k
 
-        c1, c2 = conv1d_channels
+        c1, c2 = CONV1D_CHANNELS
         self.conv1 = PooledProjection(self.total_dim, c1, rng=gen)
         self.pool = MaxPool1d(2)
         # Guard: the second conv needs enough pooled length.
         pooled_len = self.pool.out_length(sort_k)
         if pooled_len < 1:
             raise ValueError(f"sort_k={sort_k} pools to nothing in MaxPool1d(2); need sort_k >= 2")
-        if pooled_len < conv1d_kernel2:
-            conv1d_kernel2 = pooled_len
-        self.conv2 = Conv1d(c1, c2, kernel_size=conv1d_kernel2, stride=1, rng=gen)
+        kernel2 = min(CONV1D_KERNEL2, pooled_len)
+        self.conv2 = Conv1d(c1, c2, kernel_size=kernel2, stride=1, rng=gen)
         flat = c2 * self.conv2.out_length(pooled_len)
 
         self.center_pool = center_pool
         if center_pool:
             flat += 2 * self.total_dim  # target-node embeddings appended
-        self.lin1 = Linear(flat, dense_dim, rng=gen)
+        self.lin1 = Linear(flat, DENSE_DIM, rng=gen)
         self.drop = Dropout(dropout, rng=gen)
-        self.lin2 = Linear(dense_dim, num_classes, rng=gen)
+        self.lin2 = Linear(DENSE_DIM, num_classes, rng=gen)
         self.num_classes = num_classes
 
     def node_embeddings(self, batch: GraphBatch) -> Tensor:

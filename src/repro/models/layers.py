@@ -116,7 +116,6 @@ class GATConv(Module):
     heads: number of attention heads.
     edge_dim: width of edge-attribute vectors (0 disables the edge path).
     edge_in_message: add the projected edge attribute to message contents.
-    negative_slope: LeakyReLU slope in the attention logits (paper: 0.2).
     """
 
     def __init__(
@@ -126,7 +125,6 @@ class GATConv(Module):
         heads: int = 1,
         edge_dim: int = 0,
         edge_in_message: bool = True,
-        negative_slope: float = 0.2,
         rng: RngLike = None,
     ):
         super().__init__()
@@ -142,7 +140,6 @@ class GATConv(Module):
         self.channels = out_dim // heads
         self.edge_dim = edge_dim
         self.edge_in_message = edge_in_message
-        self.negative_slope = negative_slope
 
         gen = ensure_rng(rng)
         self.weight = Parameter(init.xavier_uniform((in_dim, out_dim), rng=gen))
@@ -198,7 +195,6 @@ class GATConv(Module):
             he=he,
             att_edge=self.att_edge,
             edge_in_message=self.edge_in_message,
-            negative_slope=self.negative_slope,
         )
         out = out + self.bias
         return out

@@ -28,7 +28,7 @@ Implementation notes
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,10 +43,15 @@ from repro.utils.rng import RngLike, ensure_rng, derive
 
 __all__ = ["wl_order", "encode_subgraph", "WLNMClassifier"]
 
+#: refinement rounds before palette-WL stops even if colors still split
+WL_MAX_ITERS = 20
+#: the dense network's hidden widths, Adam step and mini-batch size
+HIDDEN = (64, 32)
+LR = 1e-3
+BATCH_SIZE = 32
 
-def wl_order(
-    edge_index: np.ndarray, dist_a: np.ndarray, dist_b: np.ndarray, max_iters: int = 20
-) -> np.ndarray:
+
+def wl_order(edge_index: np.ndarray, dist_a: np.ndarray, dist_b: np.ndarray) -> np.ndarray:
     """Palette-WL vertex ordering of an enclosing subgraph.
 
     The subgraph has ``len(dist_a)`` nodes with targets 0 and 1,
@@ -67,7 +72,7 @@ def wl_order(
     _, colors = np.unique(seed, return_inverse=True)
 
     indptr, indices, _ = Graph(n, edge_index).csr()
-    for _ in range(max_iters):
+    for _ in range(WL_MAX_ITERS):
         # Order-preserving refinement: new colors are the lexicographic
         # ranks of (own color, sorted neighbor colors), so the initial
         # distance-based priority survives refinement (palette-WL).
@@ -118,27 +123,21 @@ class WLNMClassifier:
     Parameters
     ----------
     k: fixed vertex budget of the encoded subgraph (original paper: 10).
-    hidden: MLP hidden widths.
+    epochs: passes over the training links.
     """
 
     def __init__(
         self,
         num_classes: int,
         k: int = 10,
-        hidden: Tuple[int, ...] = (64, 32),
-        lr: float = 1e-3,
         epochs: int = 60,
-        batch_size: int = 32,
         rng: RngLike = 0,
     ):
         if num_classes < 2:
             raise ValueError("need at least two classes")
         self.num_classes = num_classes
         self.k = k
-        self.hidden = hidden
-        self.lr = lr
         self.epochs = epochs
-        self.batch_size = batch_size
         self.rng = rng
         self.mlp: Optional[MLP] = None
 
@@ -173,14 +172,14 @@ class WLNMClassifier:
         x = self._encode_links(task, train_indices)
         y = task.labels[train_indices]
         self.mlp = MLP(
-            [self.input_dim, *self.hidden, self.num_classes], rng=derive(self.rng, "wlnm")
+            [self.input_dim, *HIDDEN, self.num_classes], rng=derive(self.rng, "wlnm")
         )
-        opt = Adam(self.mlp.parameters(), lr=self.lr)
+        opt = Adam(self.mlp.parameters(), lr=LR)
         order_rng = ensure_rng(derive(self.rng, "wlnm-shuffle"))
         for _ in range(self.epochs):
             perm = order_rng.permutation(len(x))
-            for start in range(0, len(perm), self.batch_size):
-                sel = perm[start : start + self.batch_size]
+            for start in range(0, len(perm), BATCH_SIZE):
+                sel = perm[start : start + BATCH_SIZE]
                 opt.zero_grad()
                 loss = cross_entropy(self.mlp(Tensor(x[sel])), y[sel])
                 loss.backward()

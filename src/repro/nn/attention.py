@@ -40,6 +40,9 @@ from repro.nn.tensor import Tensor
 
 __all__ = ["gat_edge_pass"]
 
+#: LeakyReLU slope of the attention logits (GAT and the paper: 0.2)
+NEGATIVE_SLOPE = 0.2
+
 
 def gat_edge_pass(
     h: Tensor,
@@ -52,7 +55,6 @@ def gat_edge_pass(
     he: Optional[Tensor] = None,
     att_edge: Optional[Tensor] = None,
     edge_in_message: bool = True,
-    negative_slope: float = 0.2,
 ) -> Tensor:
     """Attention-weighted aggregation of ``h`` over ``edge_index``.
 
@@ -73,7 +75,8 @@ def gat_edge_pass(
     he: optional ``(E, H*C)`` projected edge attributes; they enter the
         logits through ``att_edge`` and, with ``edge_in_message``, the
         messages.
-    negative_slope: LeakyReLU slope of the logits.
+
+    The logits pass through a LeakyReLU of slope ``NEGATIVE_SLOPE``.
 
     Returns
     -------
@@ -96,7 +99,7 @@ def gat_edge_pass(
         a_edge = att_edge.data
         logits += (he3 * a_edge).sum(axis=2)
     positive = logits > 0
-    alpha = dst_plan.segment_softmax(np.where(positive, logits, negative_slope * logits))
+    alpha = dst_plan.segment_softmax(np.where(positive, logits, NEGATIVE_SLOPE * logits))
 
     content = np.take(h3, src, axis=0)  # (E, H, C)
     if he3 is not None and edge_in_message:
@@ -114,7 +117,7 @@ def gat_edge_pass(
         # segment_softmax VJP, then LeakyReLU's.
         g_logits = g_alpha - dst_plan.segment_sum(g_alpha * alpha)[dst]
         g_logits *= alpha
-        g_logits = np.where(positive, g_logits, g_logits * negative_slope)
+        g_logits = np.where(positive, g_logits, g_logits * NEGATIVE_SLOPE)
         g_node_src = src_plan.segment_sum(g_logits)[..., None]  # (N, H, 1)
         g_node_dst = dst_plan.segment_sum(g_logits)[..., None]
         grads: Dict[int, np.ndarray] = {}

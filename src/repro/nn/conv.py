@@ -16,7 +16,6 @@ a gather. ``Conv1d`` copies the view into its im2col matrix at most once
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,26 +134,25 @@ class MaxPool1d(Module):
     PyTorch's default floor behaviour used by the DGCNN reference).
     """
 
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
+    def __init__(self, kernel_size: int):
         super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        if min(kernel_size, self.stride) <= 0:
+        if kernel_size <= 0:
             raise ValueError("pool dimensions must be positive")
+        self.kernel_size = kernel_size
 
     def out_length(self, length: int) -> int:
         """Output length for an input of ``length``."""
-        return (length - self.kernel_size) // self.stride + 1
+        return length // self.kernel_size
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
         if x.ndim != 3:
             raise ValueError("MaxPool1d expects (batch, channels, length)")
-        length = x.shape[2]
-        windows = _windows(x.data, self.kernel_size, self.stride)  # (B, C, L_out, K)
+        length, kernel = x.shape[2], self.kernel_size
+        windows = _windows(x.data, kernel, kernel)  # (B, C, L_out, K)
         # argmax's tap: the first maximum or NaN; a tie (-0.0 then +0.0) keeps the first.
         out = windows[..., 0]
-        for k in range(1, self.kernel_size):
+        for k in range(1, kernel):
             tap = windows[..., k]
             out = np.where((tap > out) | (np.isnan(tap) & ~np.isnan(out)), tap, out)
 
@@ -162,11 +160,11 @@ class MaxPool1d(Module):
             # Route each window's gradient to its argmax tap, then fold
             # the windows back like Conv1d's im2col adjoint.
             arg = windows.argmax(axis=-1)  # (B, C, L_out)
-            g4 = np.zeros(arg.shape + (self.kernel_size,), dtype=windows.dtype)
+            g4 = np.zeros(arg.shape + (kernel,), dtype=windows.dtype)
             np.put_along_axis(g4, arg[..., None], g[..., None], axis=-1)
-            return _col2im(g4, length, self.stride, windows.dtype)
+            return _col2im(g4, length, kernel, windows.dtype)
 
         return Tensor._from_op(out, (x,), (vjp,), "maxpool1d")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MaxPool1d(kernel_size={self.kernel_size}, stride={self.stride})"
+        return f"MaxPool1d(kernel_size={self.kernel_size})"

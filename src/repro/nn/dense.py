@@ -59,18 +59,13 @@ class Dropout(Module):
 
 
 class MLP(Module):
-    """Multi-layer perceptron with ReLU activations and optional dropout.
+    """Multi-layer perceptron with ReLU activations.
 
     ``dims = [in, h1, ..., out]``; the final layer is linear (no activation)
     so the output can be used as logits.
     """
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        dropout: float = 0.0,
-        rng: RngLike = None,
-    ):
+    def __init__(self, dims: Sequence[int], rng: RngLike = None):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
@@ -78,7 +73,6 @@ class MLP(Module):
         self.layers = ModuleList(
             [Linear(dims[i], dims[i + 1], rng=gen) for i in range(len(dims) - 1)]
         )
-        self.dropout = Dropout(dropout, rng=gen) if dropout > 0 else None
         self.dims: List[int] = list(dims)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -87,6 +81,4 @@ class MLP(Module):
             x = layer(x)
             if i != last:
                 x = F.relu(x)
-                if self.dropout is not None:
-                    x = self.dropout(x)
         return x

@@ -146,8 +146,6 @@ def segment_softmax(
     logits: Tensor,
     index: np.ndarray,
     num_segments: int,
-    *,
-    plan: Optional[SegmentPlan] = None,
 ) -> Tensor:
     """Softmax normalized within each segment (GAT attention normalizer).
 
@@ -158,10 +156,9 @@ def segment_softmax(
     ----------
     logits: Tensor of shape ``(E,)`` or ``(E, H)`` (multi-head).
     index: segment (destination node) of each row, shape ``(E,)``.
-    num_segments: number of segments ``N``.
-    plan: optional :class:`SegmentPlan` over ``(index, N)`` — the max
-        shift, the normalizer and the backward reduction all reuse it
-        (built once here when omitted).
+    num_segments: number of segments ``N``; one :class:`SegmentPlan`
+        over ``(index, N)`` serves the max shift, the normalizer and the
+        backward reduction.
 
     Returns
     -------
@@ -171,7 +168,7 @@ def segment_softmax(
     logits = as_tensor(logits)
     index = _check_index(index)
     data = logits.data
-    plan = _plan(plan, index, num_segments)
+    plan = SegmentPlan(index, num_segments)
     # Fused sorted-domain kernel (bit-identical — see SegmentPlan).
     out = plan.segment_softmax(data)
 

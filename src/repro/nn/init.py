@@ -32,10 +32,10 @@ def _fans(shape: Sequence[int]) -> Tuple[int, int]:
     return fan_in, fan_out
 
 
-def xavier_uniform(shape: Sequence[int], gain: float = 1.0, rng: RngLike = None) -> np.ndarray:
-    """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
+def xavier_uniform(shape: Sequence[int], rng: RngLike = None) -> np.ndarray:
+    """Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return ensure_rng(rng).uniform(-bound, bound, size=tuple(shape))
 
 

@@ -412,14 +412,13 @@ class PlanCache:
             obs.count("kernels.plan_cache.hits")
         return self._loop_edge_index
 
-    def gcn_coeff(self, dtype=None) -> np.ndarray:
+    def gcn_coeff(self) -> np.ndarray:
         """Per-arc ``D̂^{-1/2} Â D̂^{-1/2}`` weights over the loop edges.
 
-        Cached per compute dtype (``dtype=None`` resolves to the active
-        policy); the float32 entry is the float64 computation narrowed
-        once, not a reduced-precision recomputation.
+        Cached per active compute dtype; the float32 entry is the float64
+        computation narrowed once, not a reduced-precision recomputation.
         """
-        dtype = np.dtype(dtype) if dtype is not None else get_compute_dtype()
+        dtype = get_compute_dtype()
         coeff = self._gcn_coeff.get(dtype.str)
         if coeff is None:
             obs.count("kernels.plan_cache.misses")

@@ -38,6 +38,10 @@ from repro.nn.module import Parameter
 
 __all__ = ["Adam", "clip_grad_norm"]
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
 ParamsLike = Iterable[Union[Parameter, Tuple[str, Parameter]]]
 
 
@@ -53,8 +57,6 @@ class Adam:
         self,
         params: ParamsLike,
         lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params: List[Parameter] = []
@@ -74,10 +76,6 @@ class Adam:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        self.eps = eps
         self.weight_decay = weight_decay
         self._t = 0
         #: name → slot dict (``{"m", "v"}`` plus ``"master"``), lazily filled.
@@ -151,7 +149,7 @@ class Adam:
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self._t
         bc2 = 1.0 - b2**self._t
         for name, p in zip(self._names, self.params):
@@ -171,7 +169,7 @@ class Adam:
             m = b1 * m + (1 - b1) * g if m is not None else (1 - b1) * g
             v = b2 * v + (1 - b2) * (g * g) if v is not None else (1 - b2) * (g * g)
             slots["m"], slots["v"] = m, v
-            target -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            target -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if reduced:
                 p.data = target.astype(p.data.dtype)
 

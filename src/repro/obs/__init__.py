@@ -19,11 +19,6 @@ end-to-end workload under :class:`capture` and prints the phase-time
 breakdown; :mod:`repro.obs.export` serializes any registry to CSV.
 """
 
-from repro.obs.callbacks import (
-    ConsoleLogger,
-    TrainingCallback,
-    TrainingLogger,
-)
 from repro.obs.export import to_csv, write_csv
 from repro.obs.registry import (
     HISTOGRAM_RELATIVE_ERROR,
@@ -59,7 +54,4 @@ __all__ = [
     "capture",
     "to_csv",
     "write_csv",
-    "TrainingLogger",
-    "TrainingCallback",
-    "ConsoleLogger",
 ]

@@ -58,6 +58,7 @@ from repro.utils.cli import (
     add_scale,
     add_seed,
     add_targets,
+    directory,
     number_at_least,
     write_report,
 )
@@ -354,6 +355,7 @@ def add_arguments(parser) -> None:
     parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
+        type=directory,
         default=None,
         help="write epoch checkpoints under DIR (crash-safe training leg)",
     )
@@ -365,6 +367,7 @@ def add_arguments(parser) -> None:
     parser.add_argument(
         "--graph-dir",
         metavar="DIR",
+        type=directory,
         default=None,
         help="run against the saved task in DIR (mmap-backed); generates and "
         "saves it there on first use instead of regenerating every run",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -59,6 +59,9 @@ PathLike = Union[str, Path]
 
 _CKPT_RE = re.compile(r"^ckpt_(\d+)\.npz$")
 
+#: bundles a directory keeps after each write, newest first
+KEEP_LAST = 2
+
 #: TrainResult fields serialized into / restored from the meta document.
 _RESULT_FIELDS = (
     "losses",
@@ -82,27 +85,19 @@ class CheckpointConfig:
         first write).
     every: write a bundle every this many completed epochs (the final
         epoch and a ``KeyboardInterrupt`` always write, regardless of
-        cadence).
-    keep_last: retain at most this many newest bundles; older ones are
-        pruned after each write. ``None`` keeps everything.
+        cadence). After each write only the ``KEEP_LAST`` newest bundles
+        are kept.
     resume: when a bundle already exists in ``dir``, restore it and
         continue from its epoch instead of starting over.
     """
 
     dir: PathLike
     every: int = 1
-    keep_last: Optional[int] = 2
     resume: bool = True
 
     def __post_init__(self) -> None:
         if self.every < 1:
             raise ValueError("every must be >= 1")
-        if self.keep_last is not None and self.keep_last < 1:
-            raise ValueError("keep_last must be >= 1 (or None to keep all)")
-
-    def for_subdir(self, name: str) -> "CheckpointConfig":
-        """Same policy, rooted at ``dir/name`` (per-fold / per-run dirs)."""
-        return replace(self, dir=Path(self.dir) / name)
 
 
 @dataclass
@@ -242,12 +237,9 @@ def latest_checkpoint(directory: PathLike) -> Optional[Path]:
     return found[-1] if found else None
 
 
-def prune_checkpoints(directory: PathLike, keep_last: Optional[int]) -> List[Path]:
-    """Delete all but the ``keep_last`` newest bundles; returns removals."""
-    if keep_last is None:
-        return []
-    found = list_checkpoints(directory)
-    stale = found[:-keep_last] if keep_last > 0 else found
+def prune_checkpoints(directory: PathLike) -> List[Path]:
+    """Delete all but the ``KEEP_LAST`` newest bundles; returns removals."""
+    stale = list_checkpoints(directory)[:-KEEP_LAST]
     for path in stale:
         path.unlink()
         obs.count("checkpoint.pruned")

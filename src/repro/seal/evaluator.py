@@ -11,6 +11,7 @@ traced under the ``eval`` phase when :mod:`repro.obs` is enabled.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.nn.tensor import no_grad
 from repro.seal.dataset import SEALDataset
 from repro.seal.results import EvalResult
 
-__all__ = ["EvalResult", "predict_proba", "evaluate"]
+__all__ = ["EvalResult", "predict_proba", "metric_suite", "evaluate"]
 
 
 def predict_proba(
@@ -53,6 +54,28 @@ def predict_proba(
     return np.concatenate(chunks, axis=0)
 
 
+def metric_suite(labels: np.ndarray, probs: np.ndarray, num_classes: int) -> EvalResult:
+    """The paper's metric suite over ``probs`` ``(M, C)`` and ``labels`` ``(M,)``.
+
+    Macro one-vs-rest AUC, AP, accuracy, the random-class AUC and the
+    confusion matrix; ``timings`` holds ``metrics_s``, the suite's own
+    time. The offline evaluator and the prequential stream both build
+    their results here, so equal inputs give equal results.
+    """
+    t0 = time.perf_counter()
+    preds = probs.argmax(axis=1)
+    return EvalResult(
+        auc=multiclass_auc(labels, probs),
+        ap=average_precision(labels, preds, num_classes),
+        accuracy=accuracy(labels, preds),
+        auc_random_class=multiclass_auc(labels, probs, rng=0),
+        confusion=confusion_matrix(labels, preds, num_classes),
+        probs=probs,
+        labels=labels,
+        timings={"metrics_s": time.perf_counter() - t0},
+    )
+
+
 def evaluate(
     model: Module,
     dataset: SEALDataset,
@@ -73,21 +96,13 @@ def evaluate(
     with obs.trace("eval"):
         t0 = time.perf_counter()
         probs = predict_proba(model, dataset, indices, batch_size=batch_size)
-        t1 = time.perf_counter()
-        labels = dataset.task.labels[indices]
-        preds = probs.argmax(axis=1)
-        n_classes = dataset.task.num_classes
-        result = EvalResult(
-            auc=multiclass_auc(labels, probs),
-            ap=average_precision(labels, preds, n_classes),
-            accuracy=accuracy(labels, preds),
-            auc_random_class=multiclass_auc(labels, probs, rng=0),
-            confusion=confusion_matrix(labels, preds, n_classes),
-            probs=probs,
-            labels=labels,
+        predict_s = time.perf_counter() - t0
+        result = metric_suite(dataset.task.labels[indices], probs, dataset.task.num_classes)
+        result = replace(
+            result,
             timings={
-                "predict_s": t1 - t0,
-                "metrics_s": time.perf_counter() - t1,
+                "predict_s": predict_s,
+                **result.timings,
                 "total_s": time.perf_counter() - t0,
             },
         )

@@ -83,9 +83,8 @@ class CVResult:
 class TrainResult:
     """Per-epoch traces and phase wall-times collected during training.
 
-    Mutable by design: :func:`repro.seal.train` grows the traces epoch by
-    epoch and hands the in-progress object to callbacks, so a pruning
-    callback sees the same object it will eventually receive back.
+    :func:`repro.seal.train` grows the traces epoch by epoch and returns
+    the object.
 
     ``phase_seconds`` is the trainer's own wall-time breakdown
     (``forward`` / ``backward`` / ``optimizer`` / ``data`` / ``eval`` /

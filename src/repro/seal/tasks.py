@@ -12,8 +12,6 @@ into a :class:`~repro.seal.dataset.LinkTask`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.graph.structure import Graph
@@ -37,10 +35,6 @@ def make_link_prediction_task(
     graph: Graph,
     num_samples: int,
     *,
-    feature_config: Optional[FeatureConfig] = None,
-    num_hops: int = 2,
-    subgraph_mode: str = "union",
-    max_subgraph_nodes: Optional[int] = 100,
     name: str = "link-prediction",
     rng: RngLike = 0,
 ) -> LinkTask:
@@ -49,7 +43,9 @@ def make_link_prediction_task(
     ``num_samples // 2`` positives are drawn uniformly from the graph's
     undirected edges (each is removed from its own enclosing subgraph at
     extraction time — the standard SEAL leakage guard); the rest are
-    sampled non-edges. Class 1 = link exists.
+    sampled non-edges. Class 1 = link exists. Node features follow the
+    graph (type one-hot when typed, DRNL, explicit rows when present);
+    extraction takes :class:`~repro.seal.dataset.LinkTask`'s defaults.
     """
     if num_samples < 2:
         raise ValueError("need at least two samples")
@@ -75,11 +71,8 @@ def make_link_prediction_task(
         pairs=pairs[perm],
         labels=labels[perm],
         num_classes=2,
-        feature_config=feature_config or _default_features(graph),
+        feature_config=_default_features(graph),
         class_names=["no-link", "link"],
         name=name,
-        subgraph_mode=subgraph_mode,
-        num_hops=num_hops,
-        max_subgraph_nodes=max_subgraph_nodes,
         edge_attr_dim=0 if graph.edge_attr is None else graph.edge_attr.shape[1],
     )

@@ -5,10 +5,9 @@ classes, a fixed number of epochs (the paper sweeps 2..12 and settles on
 10), shuffled mini-batches. Optionally evaluates on a held-out set after
 every epoch — that per-epoch AUC trace is exactly what Figs. 3–6 plot.
 
-Progress reporting goes through the :class:`~repro.obs.TrainingLogger`
-callback protocol (``callbacks=``); ``verbose=`` is a thin shim that
-attaches the default console callback. The forward/backward/optimizer
-phases are timed into the returned :class:`TrainResult` and traced via
+Each epoch logs one progress line to the ``repro.seal.trainer`` logger
+(``verbose=False`` silences it). The forward/backward/optimizer phases
+are timed into the returned :class:`TrainResult` and traced via
 :mod:`repro.obs` when enabled.
 
 One loop
@@ -26,11 +25,11 @@ Fault tolerance
 Two mechanisms keep the long multi-run sweeps (epoch traces, tuning
 loops) alive:
 
-* ``checkpoint=CheckpointConfig(dir, every, keep_last)`` writes a
-  resumable :class:`~repro.seal.checkpoint.Checkpoint` bundle every N
-  completed epochs — and always on the final epoch, or when an
-  exception (``KeyboardInterrupt``, a non-finite abort, a failed
-  shard worker) ends the run. A rerun with the same config finds the
+* ``checkpoint=CheckpointConfig(dir, every)`` writes a resumable
+  :class:`~repro.seal.checkpoint.Checkpoint` bundle every N completed
+  epochs (keeping the newest ``KEEP_LAST``) — and always on the final
+  epoch, or when an exception (``KeyboardInterrupt``, a non-finite
+  abort, a failed shard worker) ends the run. A rerun with the same config finds the
   newest bundle and continues **bit-identically** to an uninterrupted
   run: same losses, same eval AUC/AP trace, same final weights (model,
   name-keyed optimizer moments and the shuffle RNG stream are all
@@ -39,16 +38,16 @@ loops) alive:
   A NaN/inf step is *skipped* (the optimizer's moments never see the
   poison), counted into ``TrainResult.nonfinite_steps`` and the
   ``train.nonfinite_steps`` obs counter, and after
-  ``TrainConfig.max_nonfinite_steps`` consecutive bad steps the run
-  aborts with :class:`NonFiniteLossError` instead of silently corrupting
-  weights — writing a final checkpoint first when checkpointing is on.
+  ``MAX_NONFINITE_STEPS`` consecutive bad steps the run aborts with
+  :class:`NonFiniteLossError` instead of silently corrupting weights —
+  writing a final checkpoint first when checkpointing is on.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +57,6 @@ from repro.nn.dtype import FLOAT64, cast_module, compute_dtype, resolve_dtype
 from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.obs.callbacks import ConsoleLogger, TrainingLogger
 from repro.seal.checkpoint import (
     Checkpoint,
     CheckpointConfig,
@@ -91,6 +89,14 @@ __all__ = [
 
 logger = get_logger("seal.trainer")
 
+#: global gradient-norm clip applied before every optimizer step
+GRAD_CLIP = 5.0
+#: links per no-grad batch of the per-epoch held-out evaluation
+EVAL_BATCH_SIZE = 64
+#: abort with NonFiniteLossError after this many *consecutive* optimizer
+#: steps skipped by the non-finite loss/gradient guard
+MAX_NONFINITE_STEPS = 5
+
 
 class NonFiniteLossError(RuntimeError):
     """Training aborted: too many consecutive non-finite loss/grad steps."""
@@ -108,15 +114,9 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 1e-3
-    weight_decay: float = 0.0
-    grad_clip: Optional[float] = 5.0
     class_weights: Optional[np.ndarray] = None
-    eval_batch_size: int = 64
     restore_best: bool = False  # reload the best-AUC epoch's weights at the end
     num_workers: int = 0  # only 0; kept for benchmarks/e2e/workloads.py until it drops it
-    #: abort with NonFiniteLossError after this many *consecutive*
-    #: optimizer steps skipped by the non-finite loss/gradient guard
-    max_nonfinite_steps: int = 5
     #: compute-dtype policy for forward/backward ("float64" or "float32").
     #: "float32" casts the model's working copies down and activates the
     #: reduced-precision tape; Adam keeps float64 master weights, so
@@ -234,8 +234,7 @@ def train(
     *,
     eval_indices: Optional[Sequence[int]] = None,
     rng: RngLike = 0,
-    callbacks: Optional[Iterable[TrainingLogger]] = None,
-    verbose: Union[bool, None] = None,
+    verbose: bool = True,
     checkpoint: Optional[CheckpointConfig] = None,
 ) -> TrainResult:
     """Train ``model`` in place; returns the :class:`TrainResult`.
@@ -253,13 +252,9 @@ def train(
         ``train_indices`` in ``config.batch_size`` chunks
         (:func:`~repro.data.loader.epoch_batches`), the paper's shuffled
         mini-batches.
-    callbacks: :class:`~repro.obs.TrainingLogger` implementations driven
-        at train begin / epoch end / train end — loggers, metric sinks,
-        tuner pruners.
-    verbose: ``None`` (default) attaches the standard console callback
-        routed through the ``repro.seal.trainer`` logger; ``True`` routes
-        it to stdout via ``print``; ``False`` attaches no console
-        callback at all.
+    verbose: log one line per epoch, and the best epoch at the end, to
+        the ``repro.seal.trainer`` logger (visible after
+        ``utils.logging.set_verbosity("INFO")``); ``False`` logs none.
     checkpoint: crash-safety policy. When set, resumable bundles are
         written into ``checkpoint.dir`` every ``checkpoint.every``
         epochs (and on interrupt/abort), and — unless
@@ -282,7 +277,6 @@ def train(
         _LocalStep(model, dataset, config),
         eval_indices=eval_indices,
         rng=rng,
-        callbacks=callbacks,
         verbose=verbose,
         checkpoint=checkpoint,
     )
@@ -297,14 +291,13 @@ def train_with_step(
     *,
     eval_indices: Optional[Sequence[int]] = None,
     rng: RngLike = 0,
-    callbacks: Optional[Iterable[TrainingLogger]] = None,
-    verbose: Union[bool, None] = None,
+    verbose: bool = True,
     checkpoint: Optional[CheckpointConfig] = None,
 ) -> TrainResult:
     """The training loop around ``step``; arguments as in :func:`train`.
 
     Owns everything but the batch gradient: validation, the dtype
-    policy, Adam, callbacks, RNG registration, resume, the non-finite
+    policy, Adam, progress logging, RNG registration, resume, the non-finite
     guard with clipping and the optimizer step, evaluation, checkpoints
     and ``restore_best``.
     """
@@ -314,7 +307,7 @@ def train_with_step(
     with compute_dtype(policy):
         return _train_loop(
             model, dataset, train_indices, config, step,
-            eval_indices, rng, callbacks, verbose, checkpoint,
+            eval_indices, rng, verbose, checkpoint,
         )
 
 
@@ -326,33 +319,21 @@ def _train_loop(
     step: GradientStep,
     eval_indices: Optional[Sequence[int]],
     rng: RngLike,
-    callbacks: Optional[Iterable[TrainingLogger]],
-    verbose: Union[bool, None],
+    verbose: bool,
     checkpoint: Optional[CheckpointConfig],
 ) -> TrainResult:
     """Loop body of :func:`train_with_step`; runs under the active dtype policy."""
     if config.epochs <= 0:
         raise ValueError("epochs must be positive")
-    if config.max_nonfinite_steps < 1:
-        raise ValueError("max_nonfinite_steps must be >= 1")
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size == 0:
         raise ValueError(
             "train_indices is empty — an epoch over zero batches would "
             "silently record a 0.0 loss"
         )
-    optimizer = Adam(
-        model.named_parameters(), lr=config.lr, weight_decay=config.weight_decay
-    )
+    optimizer = Adam(model.named_parameters(), lr=config.lr)
     if config.restore_best and eval_indices is None:
         raise ValueError("restore_best requires eval_indices")
-    cbs = list(callbacks) if callbacks is not None else []
-    if verbose is True:
-        cbs.append(ConsoleLogger(emit=print))
-    elif verbose is None:
-        # Default behavior: epoch lines through the repro logger (visible
-        # after utils.logging.set_verbosity("INFO"), silent otherwise).
-        cbs.append(ConsoleLogger())
     shuffle_rng = derive(rng, "shuffle")
     gens = _training_generators(model, shuffle_rng)
     result = TrainResult()
@@ -401,18 +382,15 @@ def _train_loop(
     epochs = range(start_epoch, config.epochs)
 
     model.train()
-    for cb in cbs:
-        cb.on_train_begin(config, result)
 
     def write_snapshot(snap: Checkpoint) -> None:
         nonlocal last_written
         save_checkpoint(checkpoint_path(checkpoint.dir, snap.epoch), snap)
-        prune_checkpoints(checkpoint.dir, checkpoint.keep_last)
+        prune_checkpoints(checkpoint.dir)
         last_written = snap.epoch
 
     bad_streak = 0
     params = model.parameters()
-    max_norm = config.grad_clip if config.grad_clip is not None else np.inf
     try:
         if epochs:
             step.start(train_indices, shuffle_rng, start_epoch)
@@ -427,7 +405,7 @@ def _train_loop(
                         step_ok = bool(np.isfinite(loss_val))
                         grad_norm = None
                         if step_ok:
-                            grad_norm = clip_grad_norm(params, max_norm)
+                            grad_norm = clip_grad_norm(params, GRAD_CLIP)
                             step_ok = bool(np.isfinite(grad_norm))
                         if step_ok:
                             optimizer.step()
@@ -442,7 +420,7 @@ def _train_loop(
                                 "grad_norm=%s; %d consecutive)",
                                 epoch + 1, loss_val, grad_norm, bad_streak,
                             )
-                            if bad_streak >= config.max_nonfinite_steps:
+                            if bad_streak >= MAX_NONFINITE_STEPS:
                                 abort = NonFiniteLossError(
                                     f"{bad_streak} consecutive non-finite steps "
                                     f"at epoch {epoch + 1} (last loss={loss_val}, "
@@ -463,7 +441,7 @@ def _train_loop(
                         model,
                         dataset,
                         eval_indices,
-                        batch_size=config.eval_batch_size,
+                        batch_size=EVAL_BATCH_SIZE,
                     )
                 result.eval_auc.append(epoch_eval.auc)
                 result.eval_ap.append(epoch_eval.ap)
@@ -496,15 +474,17 @@ def _train_loop(
                         "epochs": config.epochs,
                         "batch_size": config.batch_size,
                         "lr": config.lr,
-                        "weight_decay": config.weight_decay,
                         "compute_dtype": config.compute_dtype,
                         **step.checkpoint_tags,
                     },
                 )
                 if (epoch + 1) % checkpoint.every == 0 or epoch + 1 == config.epochs:
                     write_snapshot(snapshot)
-            for cb in cbs:
-                cb.on_epoch_end(epoch, result)
+            if verbose:
+                line = f"epoch {epoch + 1} loss={result.losses[-1]:.4f}"
+                if result.eval_auc:
+                    line += f" auc={result.eval_auc[-1]:.4f} ap={result.eval_ap[-1]:.4f}"
+                logger.info(line)
             step.after_epoch(epoch + 1 == config.epochs)
     finally:
         step.close()
@@ -513,8 +493,11 @@ def _train_loop(
         # instead of starting over.
         if checkpoint is not None and snapshot is not None and snapshot.epoch > last_written:
             write_snapshot(snapshot)
-    for cb in cbs:
-        cb.on_train_end(result)
+    if verbose and result.best_epoch is not None:
+        logger.info(
+            "done: best epoch %d auc=%.4f",
+            result.best_epoch + 1, result.eval_auc[result.best_epoch],
+        )
     if config.restore_best and best_state is not None:
         model.load_state_dict(best_state)
         logger.info("restored best epoch %d (auc=%.4f)", result.best_epoch + 1, result.best_auc)

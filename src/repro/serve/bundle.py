@@ -20,7 +20,7 @@ round-tripped bundle reproduces the original probabilities exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -170,24 +170,17 @@ class ModelBundle:
     def from_model(
         cls,
         model: Module,
-        task=None,
+        task,
         *,
-        feature_config: Optional[FeatureConfig] = None,
-        class_names: Optional[Sequence[str]] = None,
-        num_hops: Optional[int] = None,
-        subgraph_mode: Optional[str] = None,
-        max_subgraph_nodes: Union[int, None, str] = "unset",
-        edge_attr_dim: Optional[int] = None,
         extraction_seed: int = 0,
         task_name: Optional[str] = None,
         compute_dtype: str = "float64",
     ) -> "ModelBundle":
-        """Capture ``model`` (and optionally its training ``task``) as a bundle.
+        """Capture ``model`` and its training ``task`` as a bundle.
 
         The class count is derived from the model's output head — never
-        from a label array — and, when ``task`` is given, validated
-        against the task's label space. Extraction/feature settings come
-        from ``task`` unless overridden by the keyword arguments.
+        from a label array — and validated against the task's label
+        space. Extraction and feature settings come from ``task``.
         """
         name = type(model).__name__
         capture = _CAPTURE.get(name)
@@ -196,40 +189,24 @@ class ModelBundle:
                 f"cannot bundle a {name}; supported classes: {sorted(_CAPTURE)}"
             )
         head = int(model.lin2.out_features)
-        if task is not None and int(task.num_classes) != head:
+        if int(task.num_classes) != head:
             raise BundleError(
                 f"task declares {task.num_classes} classes but the model head "
                 f"is {head} wide"
             )
-        if feature_config is None:
-            if task is None:
-                raise BundleError("need a task or an explicit feature_config")
-            feature_config = task.feature_config
-        defaults = {
-            "class_names": list(task.class_names) if task is not None else [],
-            "num_hops": task.num_hops if task is not None else 2,
-            "subgraph_mode": task.subgraph_mode if task is not None else "union",
-            "max_subgraph_nodes": task.max_subgraph_nodes if task is not None else 100,
-            "edge_attr_dim": task.edge_attr_dim if task is not None else 0,
-            "task_name": task.name if task is not None else "serve",
-        }
         return cls(
             model_class=name,
             model_kwargs=capture(model),
             model_state=model.state_dict(),
-            feature_config=feature_config,
+            feature_config=task.feature_config,
             num_classes=head,
-            class_names=list(class_names) if class_names is not None else defaults["class_names"],
-            num_hops=num_hops if num_hops is not None else defaults["num_hops"],
-            subgraph_mode=subgraph_mode if subgraph_mode is not None else defaults["subgraph_mode"],
-            max_subgraph_nodes=(
-                defaults["max_subgraph_nodes"]
-                if max_subgraph_nodes == "unset"
-                else max_subgraph_nodes
-            ),
-            edge_attr_dim=edge_attr_dim if edge_attr_dim is not None else defaults["edge_attr_dim"],
+            class_names=list(task.class_names),
+            num_hops=task.num_hops,
+            subgraph_mode=task.subgraph_mode,
+            max_subgraph_nodes=task.max_subgraph_nodes,
+            edge_attr_dim=task.edge_attr_dim,
             extraction_seed=extraction_seed,
-            task_name=task_name if task_name is not None else defaults["task_name"],
+            task_name=task.name if task_name is None else task_name,
             compute_dtype=compute_dtype,
         )
 

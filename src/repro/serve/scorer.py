@@ -40,7 +40,6 @@ from repro.graph.structure import Graph
 from repro.graph.traversal import k_hop_union
 from repro.nn import dtype as _dtype
 from repro.nn import functional as F
-from repro.nn.module import Module
 from repro.nn.tensor import no_grad
 from repro.serve.bundle import ModelBundle
 from repro.seal.features import FeatureConfig
@@ -230,17 +229,16 @@ class LinkScorer:
     bundle: the trained-model artifact (weights + recipe + settings).
     graph: the knowledge graph to serve; validated against the bundle
         up front (:class:`CompatibilityError` on any disagreement).
-    model: optional pre-built module sharing the bundle's weights —
-        skips :meth:`ModelBundle.build_model` (the live-training case).
     micro_batch: at most this many subgraphs per forward pass. It bounds
         a forward's memory, not its results: scores are bitwise the same
         at any width.
     cache_scores: memoize probabilities per ``(pair, graph_version)``.
     rng: override for the bundle's extraction seed (``None`` = bundle's).
-    compute_dtype: precision policy for extraction + forward passes
-        (``None`` = the bundle's recorded policy). Under ``"float32"``
-        the model weights, the subgraph store and every forward run
-        reduced; returned probabilities are always float64.
+
+    Extraction and forward passes run under the bundle's recorded
+    precision policy. Under ``"float32"`` the model weights, the subgraph
+    store and every forward run reduced; returned probabilities are
+    always float64.
     """
 
     def __init__(
@@ -248,29 +246,19 @@ class LinkScorer:
         bundle: ModelBundle,
         graph: Graph,
         *,
-        model: Optional[Module] = None,
         micro_batch: int = 16,
         cache_scores: bool = True,
         rng: Optional[RngLike] = None,
-        compute_dtype: Optional[str] = None,
     ):
         if micro_batch < 1:
             raise ValueError("micro_batch must be >= 1")
         _validate_compatibility(bundle, graph)
         self.bundle = bundle
         self.graph = graph
-        self.compute_dtype = _dtype.resolve_dtype(
-            bundle.compute_dtype if compute_dtype is None else compute_dtype
-        )
-        self.model = bundle.build_model() if model is None else model
+        self.compute_dtype = _dtype.resolve_dtype(bundle.compute_dtype)
+        self.model = bundle.build_model()
         if self.compute_dtype != _dtype.FLOAT64:
             _dtype.cast_module(self.model, self.compute_dtype)
-        head = int(self.model.lin2.out_features)
-        if head != bundle.num_classes:
-            raise CompatibilityError(
-                f"model output head is {head} wide but the bundle declares "
-                f"{bundle.num_classes} classes"
-            )
         self.micro_batch = int(micro_batch)
         self.cache_scores = bool(cache_scores)
         self._seed: RngLike = bundle.extraction_seed if rng is None else rng
@@ -459,7 +447,7 @@ class LinkScorer:
                     out[lo : lo + len(chunk)] = F.softmax(self.model(batch), axis=-1).data
         return out
 
-    def score(self, pairs, *, request_id: Optional[str] = None) -> ScoreResult:
+    def score(self, pairs) -> ScoreResult:
         """Class probabilities for ``pairs`` (any ``(M, 2)`` array).
 
         Duplicate pairs are scored once; cached pairs are answered from
@@ -536,7 +524,6 @@ class LinkScorer:
                 "forward_s": forward_s,
                 "total_s": total_s,
             },
-            request_id=request_id,
         )
 
     def cache_info(self) -> Dict[str, int]:

@@ -33,6 +33,11 @@ __all__ = ["DriftReport", "DriftTracker"]
 #: Degree histogram buckets: log2(deg + 1) clipped into this many bins.
 _DEGREE_BUCKETS = 24
 
+#: EWMA smoothing factors of the accuracy-decay signal's short and long
+#: averages (higher = more reactive)
+SHORT_ALPHA = 0.5
+LONG_ALPHA = 0.05
+
 
 def _tv(p: np.ndarray, q: np.ndarray) -> float:
     """Total-variation distance between two histograms (normalized)."""
@@ -72,17 +77,12 @@ class DriftReport:
 class DriftTracker:
     """Accumulate drift signals across prequential windows.
 
-    ``short_alpha``/``long_alpha`` are the EWMA smoothing factors for
-    the accuracy-decay signal (higher = more reactive). All comparisons
-    are against the *previous* window/snapshot, so the tracker is O(1)
-    in stream length.
+    Accuracy decay compares EWMAs of window accuracy with factors
+    ``SHORT_ALPHA`` and ``LONG_ALPHA``. All comparisons are against the
+    *previous* window/snapshot, so the tracker is O(1) in stream length.
     """
 
-    def __init__(self, *, short_alpha: float = 0.5, long_alpha: float = 0.05):
-        if not (0 < short_alpha <= 1 and 0 < long_alpha <= 1):
-            raise ValueError("EWMA alphas must be in (0, 1]")
-        self.short_alpha = float(short_alpha)
-        self.long_alpha = float(long_alpha)
+    def __init__(self):
         self._prev_label_hist: Optional[np.ndarray] = None
         self._prev_degree_hist: Optional[np.ndarray] = None
         self._prev_attr_mean: Optional[np.ndarray] = None
@@ -132,8 +132,8 @@ class DriftTracker:
             if np.isnan(self._acc_short):
                 self._acc_short = self._acc_long = acc
             else:
-                self._acc_short += self.short_alpha * (acc - self._acc_short)
-                self._acc_long += self.long_alpha * (acc - self._acc_long)
+                self._acc_short += SHORT_ALPHA * (acc - self._acc_short)
+                self._acc_long += LONG_ALPHA * (acc - self._acc_long)
 
         report = DriftReport(
             window=len(self.reports),

@@ -111,28 +111,22 @@ def events_from_links(
     pairs: np.ndarray,
     labels: np.ndarray,
     *,
-    times: Optional[np.ndarray] = None,
-    edge_type: Optional[np.ndarray] = None,
     edge_attr: Optional[np.ndarray] = None,
-    kind: int = ADD_EDGE,
 ) -> EventBatch:
-    """Wrap an existing link table as an event stream.
+    """Wrap an existing link table as a stream of add events.
 
     The workhorse for replaying an offline task's links prequentially:
-    pairs arrive in index order at unit-spaced timestamps. ``edge_type``
-    defaults to the labels (the convention of the bundled datasets).
+    pairs arrive in index order at unit-spaced timestamps, and each
+    edge's type is its label (the convention of the bundled datasets).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     labels = np.asarray(labels, dtype=np.int64).ravel()
     m = len(pairs)
-    if times is None:
-        times = np.arange(m, dtype=FLOAT64)
-    etype = labels.copy() if edge_type is None else np.asarray(edge_type, np.int64)
     return EventBatch(
-        times=np.asarray(times, dtype=FLOAT64),
-        kinds=np.full(m, kind, dtype=np.int8),
+        times=np.arange(m, dtype=FLOAT64),
+        kinds=np.full(m, ADD_EDGE, dtype=np.int8),
         pairs=pairs,
-        edge_type=etype,
+        edge_type=labels.copy(),
         labels=labels,
         edge_attr=None if edge_attr is None else np.asarray(edge_attr),
     )
@@ -145,9 +139,7 @@ def generate_events(
     rng: RngLike = 0,
     add_fraction: float = 0.85,
     num_classes: Optional[int] = None,
-    rate: float = 1.0,
     class_drift: float = 0.0,
-    start_time: float = 0.0,
 ) -> EventBatch:
     """Draw a seeded temporal event stream over ``graph``.
 
@@ -159,7 +151,7 @@ def generate_events(
     edge drawn uniformly from the *currently live* set (base edges plus
     earlier adds, minus earlier retractions), so every invalidation in
     the stream is matchable. Inter-arrival times are exponential with
-    the given ``rate``.
+    rate 1, starting from time 0.
 
     Edge attributes are one-hot in the graph's ``edge_attr`` width when
     the graph carries attributes (the bundled datasets' convention),
@@ -169,6 +161,8 @@ def generate_events(
         raise ValueError("num_events must be non-negative")
     if not 0.0 <= add_fraction <= 1.0:
         raise ValueError("add_fraction must be in [0, 1]")
+    if not np.isfinite(class_drift):
+        raise ValueError(f"class_drift must be finite, got {class_drift}")
     gen = ensure_rng(rng)
     n = graph.num_nodes
     if n < 2:
@@ -188,7 +182,7 @@ def generate_events(
         for (u, v), t in zip(und, graph.edge_type[_first_arc_ids(graph, und)])
     ]
 
-    times = start_time + np.cumsum(gen.exponential(1.0 / max(rate, 1e-12), num_events))
+    times = np.cumsum(gen.exponential(1.0, num_events))
     kinds = np.empty(num_events, dtype=np.int8)
     pairs = np.empty((num_events, 2), dtype=np.int64)
     etypes = np.empty(num_events, dtype=np.int64)

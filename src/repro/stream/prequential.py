@@ -31,14 +31,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
-from repro.metrics.classification import (
-    accuracy,
-    average_precision,
-    confusion_matrix,
-)
-from repro.metrics.ranking import multiclass_auc
+from repro.metrics.classification import accuracy
 from repro.seal.dataset import LinkTask, SEALDataset
-from repro.seal.evaluator import predict_proba
+from repro.seal.evaluator import metric_suite, predict_proba
 from repro.seal.results import EvalResult
 from repro.seal.trainer import TrainConfig, train
 from repro.stream.drift import DriftTracker
@@ -67,7 +62,6 @@ class StreamConfig:
     batch_size: int = 16
     lr: float = 1e-3
     mutate_graph: bool = True
-    compute_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:
@@ -179,7 +173,6 @@ def run_prequential(
     *,
     rng: RngLike = 0,
     extraction_rng: RngLike = 0,
-    drift: Optional[DriftTracker] = None,
 ) -> PrequentialResult:
     """Drive ``model`` prequentially over ``events``.
 
@@ -193,10 +186,12 @@ def run_prequential(
     rng: seed material for the per-window training shuffles.
     extraction_rng: seed material of the extraction streams — match the
         offline ``SEALDataset`` seed to reproduce it bit for bit.
-    drift: optional externally owned tracker (default: a fresh one).
+
+    ``PrequentialResult.drift`` is a fresh :class:`DriftTracker` fed one
+    update per window.
     """
     config = config or StreamConfig()
-    tracker = drift or DriftTracker()
+    tracker = DriftTracker()
     result = PrequentialResult(drift=tracker)
 
     links_seen = 0
@@ -258,7 +253,6 @@ def run_prequential(
                     epochs=config.train_epochs,
                     batch_size=config.batch_size,
                     lr=config.lr,
-                    compute_dtype=config.compute_dtype,
                 )
                 t0 = time.perf_counter()
                 train(
@@ -297,24 +291,8 @@ def run_prequential(
             obs.count("stream.windows")
 
     if all_probs:
-        t0 = time.perf_counter()
-        probs = np.concatenate(all_probs, axis=0)
-        labels = np.concatenate(all_labels)
-        preds = probs.argmax(axis=1)
-        n_classes = template.num_classes
-        result.probs = probs
-        result.labels = labels
+        result.probs = np.concatenate(all_probs, axis=0)
+        result.labels = np.concatenate(all_labels)
         result.pairs = np.concatenate(all_pairs, axis=0)
-        # The offline evaluator's exact metric suite over the streamed
-        # links, so a zero-mutation run is comparable field by field.
-        result.final = EvalResult(
-            auc=multiclass_auc(labels, probs),
-            ap=average_precision(labels, preds, n_classes),
-            accuracy=accuracy(labels, preds),
-            auc_random_class=multiclass_auc(labels, probs, rng=0),
-            confusion=confusion_matrix(labels, preds, n_classes),
-            probs=probs,
-            labels=labels,
-            timings={"metrics_s": time.perf_counter() - t0},
-        )
+        result.final = metric_suite(result.labels, result.probs, template.num_classes)
     return result

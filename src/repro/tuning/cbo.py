@@ -104,7 +104,6 @@ class CBOTuner:
     space: the search space (e.g. ``paper_table1_space()``).
     n_initial: random-exploration trials before the surrogate kicks in.
     candidate_pool: random candidates scored by EI per iteration.
-    xi: EI exploration bonus.
     """
 
     def __init__(
@@ -112,7 +111,6 @@ class CBOTuner:
         space: SearchSpace,
         n_initial: int = 5,
         candidate_pool: int = 256,
-        xi: float = 0.01,
         rng: RngLike = 0,
     ):
         if n_initial < 1:
@@ -122,7 +120,6 @@ class CBOTuner:
         self.space = space
         self.n_initial = n_initial
         self.candidate_pool = candidate_pool
-        self.xi = xi
         self._gen = ensure_rng(rng)
 
     def suggest(self, trials: List[Trial]) -> Dict[str, Value]:
@@ -135,7 +132,7 @@ class CBOTuner:
         candidates = [self.space.sample(self._gen) for _ in range(self.candidate_pool)]
         enc = np.stack([self.space.encode(c) for c in candidates])
         mean, std = gp.predict(enc)
-        ei = expected_improvement(mean, std, best=float(y.max()), xi=self.xi)
+        ei = expected_improvement(mean, std, best=float(y.max()))
         return candidates[int(np.argmax(ei))]
 
     def run(

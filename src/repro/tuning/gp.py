@@ -18,6 +18,11 @@ from scipy.linalg import cho_factor, cho_solve
 
 __all__ = ["matern52_kernel", "GaussianProcess"]
 
+#: observation noise variance on the kernel diagonal (also a jitter guard)
+NOISE = 1e-4
+#: length scales the fit chooses among by marginal likelihood
+LENGTH_SCALES = (0.1, 0.2, 0.3, 0.5, 1.0)
+
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances ``(len(a), len(b))``."""
@@ -34,30 +39,17 @@ def matern52_kernel(a: np.ndarray, b: np.ndarray, length_scale: float = 0.3) -> 
 
 
 class GaussianProcess:
-    """Exact GP regression with observation noise.
+    """Exact GP regression with observation noise ``NOISE``; the kernel's
+    length scale is the one of ``LENGTH_SCALES`` with the highest
+    marginal likelihood at fit time."""
 
-    Parameters
-    ----------
-    noise: observation noise variance added to the kernel diagonal
-        (also acts as jitter for stability).
-    length_scales: grid searched by marginal likelihood at fit time.
-    """
-
-    def __init__(
-        self,
-        noise: float = 1e-4,
-        length_scales: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.5, 1.0),
-    ):
-        if noise <= 0:
-            raise ValueError("noise must be positive")
-        self.noise = noise
-        self.length_scales = length_scales
+    def __init__(self):
         self._x: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
         self._chol = None
         self._mean = 0.0
         self._std = 1.0
-        self.length_scale = length_scales[0]
+        self.length_scale = LENGTH_SCALES[0]
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         """Fit on observations (targets standardized internally)."""
@@ -72,8 +64,8 @@ class GaussianProcess:
         yn = (y - self._mean) / self._std
 
         best = (-np.inf, None, None, None)
-        for ls in self.length_scales:
-            k = matern52_kernel(x, x, ls) + self.noise * np.eye(len(x))
+        for ls in LENGTH_SCALES:
+            k = matern52_kernel(x, x, ls) + NOISE * np.eye(len(x))
             try:
                 chol = cho_factor(k, lower=True)
             except np.linalg.LinAlgError:  # pragma: no cover - jitter guard

@@ -116,10 +116,10 @@ def to_jsonable(obj: Any) -> Any:
     return obj
 
 
-def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> None:
-    """Serialize ``obj`` (NumPy-friendly) to pretty-printed JSON, atomically."""
+def save_json(path: PathLike, obj: Any) -> None:
+    """Serialize ``obj`` (NumPy-friendly) to JSON indented by 2, atomically."""
     path = Path(path)
-    text = json.dumps(to_jsonable(obj), indent=indent, allow_nan=False) + "\n"
+    text = json.dumps(to_jsonable(obj), indent=2, allow_nan=False) + "\n"
 
     def writer(tmp: Path) -> None:
         tmp.write_text(text)

@@ -20,11 +20,11 @@ from repro.distributed import (
     partition_graph,
     shard_task,
 )
-from repro.graph import Graph, bfs_distances, k_hop_union
+from repro.graph import Graph, k_hop_union
 from repro.graph.generators import erdos_renyi_edges
 from repro.seal.dataset import LinkTask, sample_negative_pairs
 from repro.seal.features import FeatureConfig
-from tests.oracles import packed_link
+from tests.oracles import bfs_within, packed_link
 
 
 def small_task(num_nodes=80, num_pos=40, *, embeddings=False, rng=7):
@@ -68,7 +68,7 @@ class TestKHopUnion:
         for k in (0, 1, 2, 3):
             expect = np.unique(
                 np.concatenate(
-                    [np.flatnonzero(bfs_distances(task.graph, int(s), k) >= 0) for s in seeds]
+                    [np.flatnonzero(bfs_within(task.graph, int(s), k) >= 0) for s in seeds]
                 )
             )
             got = k_hop_union(task.graph, seeds, k)

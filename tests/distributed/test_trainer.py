@@ -15,7 +15,7 @@ import pytest
 import repro.distributed.trainer as trainer_mod
 from repro.seal.checkpoint import CheckpointConfig, latest_checkpoint, load_checkpoint
 from repro.seal.dataset import SEALDataset
-from repro.seal.trainer import NonFiniteLossError, TrainConfig, train
+from repro.seal.trainer import MAX_NONFINITE_STEPS, NonFiniteLossError, TrainConfig, train
 from repro.distributed import (
     DistributedConfig,
     partition_graph,
@@ -150,7 +150,8 @@ class TestGuards:
                 model,
                 dataset,
                 tr,
-                dconfig(num_shards=2, max_nonfinite_steps=2),
+                # At least one step per epoch: the abort comes within the run.
+                dconfig(num_shards=2, epochs=MAX_NONFINITE_STEPS),
                 rng=5,
                 verbose=False,
                 checkpoint=CheckpointConfig(dir=tmp_path, every=1),

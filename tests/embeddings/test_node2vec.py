@@ -5,6 +5,7 @@ import pytest
 
 from repro.embeddings.node2vec import generate_walks
 from repro.embeddings.skipgram import (
+    WINDOW,
     node2vec_embeddings,
     train_skipgram,
     walks_to_pairs,
@@ -33,46 +34,30 @@ class TestWalks:
         by_start = {int(w[0]): w for w in walks}
         assert len(by_start[1]) == 1  # stuck immediately
 
-    def test_return_parameter_biases_backtracking(self, path_graph):
-        # p << 1 encourages returning to the previous node.
-        gen_return, gen_avoid = 0, 0
-        walks_ret = generate_walks(path_graph, 20, 10, p=0.05, q=1.0, rng=1)
-        walks_avd = generate_walks(path_graph, 20, 10, p=20.0, q=1.0, rng=1)
-
-        def backtrack_rate(walks):
-            back = total = 0
-            for w in walks:
-                for i in range(2, len(w)):
-                    total += 1
-                    back += int(w[i] == w[i - 2])
-            return back / max(total, 1)
-
-        assert backtrack_rate(walks_ret) > backtrack_rate(walks_avd)
-
     def test_invalid_params(self, tiny_graph):
         with pytest.raises(ValueError):
             generate_walks(tiny_graph, num_walks=0)
         with pytest.raises(ValueError):
             generate_walks(tiny_graph, walk_length=1)
-        with pytest.raises(ValueError):
-            generate_walks(tiny_graph, p=0.0)
 
 
 class TestPairs:
     def test_window_pairs(self):
-        pairs = walks_to_pairs([np.array([1, 2, 3])], window=1)
+        # Positions up to WINDOW apart pair up, in both directions.
+        pairs = walks_to_pairs([np.arange(WINDOW + 2)])
         as_set = {tuple(p) for p in pairs.tolist()}
-        assert as_set == {(1, 2), (2, 1), (2, 3), (3, 2)}
+        assert (0, WINDOW) in as_set and (WINDOW, 0) in as_set
+        assert (0, WINDOW + 1) not in as_set and (WINDOW + 1, 0) not in as_set
+        assert len(pairs) == len(as_set)
 
     def test_window_two(self):
-        pairs = walks_to_pairs([np.array([0, 1, 2])], window=2)
+        pairs = walks_to_pairs([np.array([0, 1, 2])])
         as_set = {tuple(p) for p in pairs.tolist()}
-        assert (0, 2) in as_set and (2, 0) in as_set
+        assert as_set == {(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}
 
     def test_empty_and_invalid(self):
-        assert walks_to_pairs([], window=2).shape == (0, 2)
-        with pytest.raises(ValueError):
-            walks_to_pairs([], window=0)
+        assert walks_to_pairs([]).shape == (0, 2)
+        assert walks_to_pairs([np.array([4])]).shape == (0, 2)  # one-node walk
 
 
 class TestSkipgram:

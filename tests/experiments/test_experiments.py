@@ -89,10 +89,6 @@ class TestRunner:
         with pytest.raises(ValueError):
             runner.run("cora", "am_dgcnn", hp, train_fraction=0.0)
 
-    def test_invalid_test_fraction(self):
-        with pytest.raises(ValueError):
-            ExperimentRunner(test_fraction=0.0)
-
 
 class TestReport:
     def test_render_table(self):

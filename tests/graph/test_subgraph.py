@@ -6,7 +6,7 @@ import pytest
 from repro.graph.generators import erdos_renyi_edges
 from repro.graph.structure import Graph
 from repro.graph.traversal import bfs_distances
-from tests.oracles import extract_enclosing_subgraph, has_edge
+from tests.oracles import bfs_within, extract_enclosing_subgraph, has_edge
 
 
 @pytest.fixture
@@ -64,14 +64,14 @@ class TestModes:
 
     def test_union_contains_k_hop(self, random_graph):
         sub = extract_enclosing_subgraph(random_graph, 3, 17, k=1, mode="union")
-        d3 = bfs_distances(random_graph, 3, max_depth=1)
+        d3 = bfs_within(random_graph, 3, 1)
         expected = set(np.nonzero(d3 >= 0)[0].tolist())
         assert expected <= set(sub.node_map.tolist())
 
     def test_intersection_nodes_close_to_both(self, random_graph):
         sub = extract_enclosing_subgraph(random_graph, 3, 17, k=2, mode="intersection")
-        du = bfs_distances(random_graph, 3, max_depth=2)
-        dv = bfs_distances(random_graph, 17, max_depth=2)
+        du = bfs_within(random_graph, 3, 2)
+        dv = bfs_within(random_graph, 17, 2)
         for node in sub.node_map[2:]:
             assert du[node] >= 0 and dv[node] >= 0
 
@@ -86,8 +86,8 @@ class TestMaxNodesCap:
     def test_cap_keeps_closest_shells(self, random_graph):
         capped = extract_enclosing_subgraph(random_graph, 3, 17, k=2, max_nodes=12, rng=0)
         full = extract_enclosing_subgraph(random_graph, 3, 17, k=2)
-        du = bfs_distances(random_graph, 3, max_depth=2)
-        dv = bfs_distances(random_graph, 17, max_depth=2)
+        du = bfs_within(random_graph, 3, 2)
+        dv = bfs_within(random_graph, 17, 2)
 
         def closeness(n):
             a = du[n] if du[n] >= 0 else 3

@@ -15,7 +15,7 @@ from repro.graph.traversal import (
     k_hop_union,
     multi_source_bfs,
 )
-from tests.oracles import _distances_without
+from tests.oracles import _distances_without, bfs_within
 
 
 class TestBFSDistances:
@@ -27,9 +27,10 @@ class TestBFSDistances:
         np.testing.assert_array_equal(bfs_distances(g, 0), [0, 1, -1, -1])
 
     def test_max_depth_truncates(self, path_graph):
-        np.testing.assert_array_equal(
-            bfs_distances(path_graph, 0, max_depth=2), [0, 1, 2, -1, -1]
-        )
+        indptr, indices, _ = path_graph.csr()
+        keys, depth = multi_source_bfs(indptr, indices, np.array([0]), max_depth=2)
+        np.testing.assert_array_equal(keys, [0, 1, 2])
+        np.testing.assert_array_equal(depth, [0, 1, 2])
 
     def test_source_out_of_range(self, path_graph):
         with pytest.raises(ValueError):
@@ -138,7 +139,7 @@ class TestMultiSourceBFS:
         dist = densify((keys, depth), 5, 50)
         for row, src in enumerate(sources):
             np.testing.assert_array_equal(
-                dist[row], bfs_distances(g, int(src), max_depth=max_depth)
+                dist[row], bfs_within(g, int(src), max_depth)
             )
             lo, hi = np.searchsorted(keys, [row * 50, (row + 1) * 50])
             np.testing.assert_array_equal(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.ranking import multiclass_auc, roc_auc
+from repro.utils.rng import ensure_rng
 
 
 def brute_force_auc(y, s):
@@ -76,8 +77,9 @@ class TestMulticlassAuc:
     def test_fixed_positive_class(self):
         y = np.array([0, 1, 1, 0])
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.3, 0.7], [0.6, 0.4]])
-        auc1 = multiclass_auc(y, probs, positive_class=1)
-        assert auc1 == roc_auc((y == 1).astype(int), probs[:, 1])
+        # The seed fixes the positive class: the AUC is that class's vs the rest.
+        c = int(ensure_rng(3).choice(np.unique(y)))
+        assert multiclass_auc(y, probs, rng=3) == roc_auc((y == c).astype(int), probs[:, c])
 
     def test_random_class_protocol_deterministic(self):
         gen = np.random.default_rng(4)

@@ -69,7 +69,6 @@ def call(op, ei, edge_in_message, tensors):
         he=tensors.get("he"),
         att_edge=tensors.get("att_edge"),
         edge_in_message=edge_in_message,
-        negative_slope=0.2,
     )
 
 

@@ -84,12 +84,9 @@ class TestMaxPool1d:
         np.testing.assert_allclose(out, [[[3.0, 5.0]]])  # remainder dropped
 
     def test_stride_defaults_to_kernel(self):
-        assert MaxPool1d(3).stride == 3
-
-    def test_overlapping_stride(self):
-        pool = MaxPool1d(2, stride=1)
-        x = np.array([[[1.0, 4.0, 2.0]]])
-        np.testing.assert_allclose(pool(Tensor(x)).data, [[[4.0, 4.0]]])
+        # Windows tile the input without overlap: one output per kernel span.
+        x = np.arange(9.0).reshape(1, 1, 9)
+        np.testing.assert_array_equal(MaxPool1d(3)(Tensor(x)).data, [[[2.0, 5.0, 8.0]]])
 
     def test_gradient_routes_to_argmax(self):
         pool = MaxPool1d(2)
@@ -105,10 +102,10 @@ class TestMaxPool1d:
     def test_out_length(self):
         assert MaxPool1d(2).out_length(9) == 4
 
-    @pytest.mark.parametrize("kernel,stride", [(2, 0), (2, -1), (0, None), (-1, 2)])
-    def test_nonpositive_geometry_raises(self, kernel, stride):
+    @pytest.mark.parametrize("kernel", [0, -1])
+    def test_nonpositive_geometry_raises(self, kernel):
         with pytest.raises(ValueError):
-            MaxPool1d(kernel, stride=stride)
+            MaxPool1d(kernel)
 
     def test_kernel_too_large_raises(self):
         with pytest.raises(ValueError, match="does not fit input length 3"):
@@ -182,14 +179,15 @@ class TestWindowViewForward:
                 assert_bytes_equal(got, want)
 
     def test_maxpool1d(self, kernel, stride, length, dtype, kind):
+        # The pool's windows never overlap: its stride is its kernel.
         with compute_dtype(dtype):
-            pool = MaxPool1d(kernel, stride=stride)
+            pool = MaxPool1d(kernel)
             x = Tensor(window_inputs(kind, (2, 3, length), seed=length), requires_grad=True)
             out = pool(x)
-            assert_bytes_equal(out.data, oracles.maxpool1d(x.data, kernel, stride))
+            assert_bytes_equal(out.data, oracles.maxpool1d(x.data, kernel, kernel))
             g = signed_zeros(randn(*out.shape, seed=3), seed=4).astype(dtype)
             out.backward(g)
-            assert_bytes_equal(x.grad, oracles.maxpool1d_grad(x.data, g, kernel, stride))
+            assert_bytes_equal(x.grad, oracles.maxpool1d_grad(x.data, g, kernel, kernel))
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -228,10 +226,10 @@ class TestScatterFreeBackward:
 
     def test_maxpool1d_input_grad(self, kernel, stride, length, dtype):
         with compute_dtype(dtype):
-            pool = MaxPool1d(kernel, stride=stride)
-            # Rounded values force ties, so overlapping windows share maxima.
+            pool = MaxPool1d(kernel)
+            # Rounded values force ties within a window.
             x = Tensor(np.round(randn(2, 3, length, seed=length)), requires_grad=True)
             g = signed_zeros(randn(2, 3, pool.out_length(length), seed=3), seed=4)
             g = g.astype(dtype)
             pool(x).backward(g)
-            assert_bytes_equal(x.grad, oracles.maxpool1d_grad(x.data, g, kernel, stride))
+            assert_bytes_equal(x.grad, oracles.maxpool1d_grad(x.data, g, kernel, kernel))

@@ -13,11 +13,6 @@ class TestXavier:
         assert w.shape == (100, 200)
         assert np.abs(w).max() <= bound
 
-    def test_gain_scales(self):
-        w1 = init.xavier_uniform((50, 50), gain=1.0, rng=0)
-        w2 = init.xavier_uniform((50, 50), gain=2.0, rng=0)
-        np.testing.assert_allclose(w2, 2.0 * w1)
-
     def test_deterministic_per_seed(self):
         np.testing.assert_allclose(
             init.xavier_uniform((5, 5), rng=7), init.xavier_uniform((5, 5), rng=7)

@@ -51,10 +51,6 @@ class TestMechanics:
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], lr=0.0)
 
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.ones(1))], betas=(1.0, 0.9))
-
     def test_zero_grad(self):
         x = Parameter(np.ones(2))
         x.grad = np.ones(2)

@@ -42,9 +42,9 @@ oracles of the bit-identity tests:
 * :func:`collate` — block-diagonal batching of a list of ``Graph``
   objects with their feature matrices, the reference of
   :func:`repro.data.loader.collate_from_store`.
-* :func:`leaky_relu`, :func:`neighbors`, :func:`has_edge` and
-  :func:`edge_ids_between` — small tensor and graph queries only the
-  tests and the references above need.
+* :func:`leaky_relu`, :func:`neighbors`, :func:`has_edge`,
+  :func:`edge_ids_between` and :func:`bfs_within` — small tensor and
+  graph queries only the tests and the references above need.
 """
 
 from __future__ import annotations
@@ -80,6 +80,14 @@ def leaky_relu(x: Tensor, negative_slope: float) -> Tensor:
     return Tensor._from_op(
         out, (x,), (lambda g: np.where(mask, g, g * negative_slope),), "leaky_relu"
     )
+
+
+def bfs_within(graph: Graph, source: int, k: Optional[int]) -> np.ndarray:
+    """``bfs_distances`` from ``source`` cut at ``k`` hops (``-1`` beyond)."""
+    dist = bfs_distances(graph, source)
+    if k is not None:
+        dist[dist > k] = -1
+    return dist
 
 
 def neighbors(graph: Graph, v: int) -> np.ndarray:
@@ -379,8 +387,8 @@ def extract_enclosing_subgraph(
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    dist_u = bfs_distances(graph, u, max_depth=k)
-    dist_v = bfs_distances(graph, v, max_depth=k)
+    dist_u = bfs_within(graph, u, k)
+    dist_v = bfs_within(graph, v, k)
     in_u = dist_u >= 0
     in_v = dist_v >= 0
     keep = in_u | in_v if mode == "union" else in_u & in_v

@@ -1,4 +1,4 @@
-"""Classifying unlabeled pairs with a caller-held model via LinkScorer."""
+"""Classifying unlabeled pairs with a bundled model via LinkScorer."""
 
 import numpy as np
 import pytest
@@ -20,19 +20,18 @@ def held():
 
 class TestClassifyPairs:
     def test_restores_mode(self, held):
-        """Scoring evaluates the caller's own model and hands it back in train mode."""
+        """Scoring evaluates the scorer's model and hands it back in train mode."""
         task, model, bundle = held
-        scorer = LinkScorer(bundle, task.graph, model=model, cache_scores=False)
-        assert scorer.model is model
-        model.train()
+        scorer = LinkScorer(bundle, task.graph, cache_scores=False)
+        scorer.model.train()
         probs = scorer.score(task.pairs[:3]).probs
-        assert model.training
-        model.eval()
+        assert scorer.model.training
+        scorer.model.eval()
         np.testing.assert_array_equal(scorer.score(task.pairs[:3]).probs, probs)
 
     def test_pair_shape_validation(self, held):
         task, model, bundle = held
-        scorer = LinkScorer(bundle, task.graph, model=model)
+        scorer = LinkScorer(bundle, task.graph)
         for bad in (np.array([1, 2, 3]), np.zeros((2, 3), dtype=np.int64)):
             with pytest.raises(ValueError):
                 scorer.score(bad)

@@ -1,5 +1,7 @@
 """ModelBundle: capture, persistence, exact round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,7 @@ class TestCapture:
     def test_class_names_length_validated(self, task):
         model = _model(task)
         with pytest.raises(BundleError):
-            ModelBundle.from_model(model, task, class_names=["just_one"])
+            dataclasses.replace(ModelBundle.from_model(model, task), class_names=["just_one"])
 
     @pytest.mark.parametrize("cls", [VanillaDGCNN, AMDGCNN, RGCNDGCNN])
     def test_build_model_reproduces_every_architecture(self, task, cls):

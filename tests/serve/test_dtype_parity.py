@@ -6,6 +6,8 @@ full-precision path to far better than any decision threshold cares
 about.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,9 @@ class TestScorerDtypeParity:
         bundle = make_bundle(task)
         pairs = task.pairs[:12]
         p64 = LinkScorer(bundle, task.graph, micro_batch=8).score(pairs).probs
-        sc32 = LinkScorer(bundle, task.graph, micro_batch=8, compute_dtype="float32")
+        sc32 = LinkScorer(
+            dataclasses.replace(bundle, compute_dtype="float32"), task.graph, micro_batch=8
+        )
         p32 = sc32.score(pairs).probs
         # published probabilities are always float64, whatever the policy
         assert p64.dtype == np.dtype("float64")
@@ -65,9 +69,3 @@ class TestScorerDtypeParity:
             assert p.data.dtype == np.dtype("float32")
         result = sc.score(task.pairs[:4])
         assert result.ok and result.probs.dtype == np.dtype("float64")
-
-    def test_explicit_override_beats_bundle(self, task):
-        bundle = make_bundle(task, compute_dtype="float32")
-        sc = LinkScorer(bundle, task.graph, micro_batch=8, compute_dtype="float64")
-        assert sc.compute_dtype == np.dtype("float64")
-        assert sc.store.float_dtype == np.dtype("float64")

@@ -187,15 +187,6 @@ class TestCompatibilityGate:
         with pytest.raises(CompatibilityError):
             LinkScorer(bundle, shifted)
 
-    def test_head_mismatch_with_supplied_model(self, bundle, task):
-        other = AMDGCNN(
-            task.feature_config.width, task.num_classes + 2,
-            edge_dim=task.edge_attr_dim, heads=2, hidden_dim=16,
-            num_conv_layers=2, sort_k=10, rng=2,
-        )
-        with pytest.raises(CompatibilityError):
-            LinkScorer(bundle, task.graph, model=other)
-
     def test_micro_batch_floor(self, bundle, task):
         with pytest.raises(ValueError):
             LinkScorer(bundle, task.graph, micro_batch=0)

@@ -49,7 +49,7 @@ class TestAttrDrift:
 
 class TestAccuracyDecay:
     def test_falling_accuracy_yields_positive_decay(self):
-        t = DriftTracker(short_alpha=0.5, long_alpha=0.05)
+        t = DriftTracker()
         last = None
         for acc in [0.9, 0.9, 0.9, 0.5, 0.4, 0.3]:
             last = t.update(accuracy=acc)
@@ -62,12 +62,6 @@ class TestAccuracyDecay:
         for _ in range(5):
             r = t.update(accuracy=0.8)
         assert r.accuracy_decay == pytest.approx(0.0)
-
-    def test_bad_alphas_rejected(self):
-        with pytest.raises(ValueError):
-            DriftTracker(short_alpha=0.0)
-        with pytest.raises(ValueError):
-            DriftTracker(long_alpha=1.5)
 
 
 class TestExportAndSummary:

@@ -84,6 +84,9 @@ class TestGenerate:
             generate_events(graph, -1)
         with pytest.raises(ValueError):
             generate_events(graph, 5, add_fraction=1.5)
+        for drift in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="class_drift must be finite"):
+                generate_events(graph, 5, class_drift=drift)
 
 
 class TestEventBatch:

@@ -5,6 +5,8 @@ A snapshot is a ``Graph`` wrapped around the stream's spliced arrays
 written by ``Graph.save`` and reopened memory-mapped by ``Graph.open``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,12 @@ from repro.stream import (
 from tests.oracles import neighbors
 
 pytestmark = pytest.mark.stream
+
+
+def retractions(pairs, labels, edge_attr=None):
+    """``events_from_links`` of the same links as invalidate events."""
+    events = events_from_links(pairs, labels, edge_attr=edge_attr)
+    return dataclasses.replace(events, kinds=np.full(len(events), INVALIDATE_EDGE, np.int8))
 
 
 def make_graph(n=150, seed=0):
@@ -74,8 +82,8 @@ class TestVersionZero:
         sg.apply(churn)
         sg.snapshot()
         sg.apply(
-            events_from_links(
-                np.array([[0, 99]]), np.array([1]), kind=1,
+            retractions(
+                np.array([[0, 99]]), np.array([1]),
                 edge_attr=np.eye(4)[[1]],
             )
         )
@@ -162,8 +170,8 @@ class TestApply:
 
         sg = StreamingGraph(tiny_graph)
         before = sg.live_edges
-        ghost = events_from_links(
-            np.array([[0, 5]]), np.array([0]), kind=1,
+        ghost = retractions(
+            np.array([[0, 5]]), np.array([0]),
             edge_attr=np.eye(tiny_graph.edge_attr.shape[1])[[0]],
         )
         with obs.capture() as reg:
@@ -196,10 +204,9 @@ class TestPhysicalRemoval:
         g = make_graph()
         sg = StreamingGraph(g)
         src, dst = g.edge_index
-        kill = events_from_links(
+        kill = retractions(
             np.stack([src[:8:2], dst[:8:2]], axis=1),
             np.zeros(4, np.int64),
-            kind=INVALIDATE_EDGE,
             edge_attr=np.eye(4)[np.zeros(4, np.int64)],
         )
         sg.apply(kill.slice(0, 2))
@@ -221,12 +228,12 @@ class TestPhysicalRemoval:
         g = Graph(3, [[0, 1, 2], [1, 2, 1]])
         sg = StreamingGraph(g)
         with obs.capture() as reg:
-            sg.apply(events_from_links(np.array([[0, 1]]), np.array([0]), kind=INVALIDATE_EDGE))
+            sg.apply(retractions(np.array([[0, 1]]), np.array([0])))
         s1 = sg.snapshot()
         assert reg.counters["stream.events.unmatched_invalidate"] == 1.0
         assert len(s1.delta.added) == len(s1.delta.removed) == 0
         np.testing.assert_array_equal(s1.graph.edge_index, g.edge_index)
-        sg.apply(events_from_links(np.array([[1, 2]]), np.array([0]), kind=INVALIDATE_EDGE))
+        sg.apply(retractions(np.array([[1, 2]]), np.array([0])))
         s2 = sg.snapshot()
         np.testing.assert_array_equal(s2.delta.removed, [[1, 2]])
         np.testing.assert_array_equal(s2.graph.edge_index, [[0], [1]])

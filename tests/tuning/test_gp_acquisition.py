@@ -32,7 +32,7 @@ class TestGaussianProcess:
         gen = np.random.default_rng(0)
         x = gen.random((10, 2))
         y = np.sin(3 * x[:, 0]) + x[:, 1]
-        gp = GaussianProcess(noise=1e-6).fit(x, y)
+        gp = GaussianProcess().fit(x, y)
         mean, std = gp.predict(x)
         np.testing.assert_allclose(mean, y, atol=1e-2)
         assert std.max() < 0.1
@@ -60,10 +60,6 @@ class TestGaussianProcess:
         gp = GaussianProcess().fit(x, np.full(5, 2.0))
         mean, _ = gp.predict(x)
         np.testing.assert_allclose(mean, 2.0, atol=1e-6)
-
-    def test_invalid_noise(self):
-        with pytest.raises(ValueError):
-            GaussianProcess(noise=0.0)
 
 
 class TestExpectedImprovement:
