@@ -71,7 +71,8 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def main() -> int:
+    """Run the command ``sys.argv`` names; return its exit status."""
     parser = argparse.ArgumentParser(
         prog="repro", description="AM-DGCNN reproduction: the paper's experiments and workloads."
     )
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
         if add_arguments is not None:
             add_arguments(sub)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args()
     except SystemExit as exc:
         if exc.code:  # a usage error
             raise

@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.graph.structure import Graph
+
+
+@pytest.fixture
+def repro_main(monkeypatch):
+    """``python -m repro ARGV...`` in process: ``main`` reads ``sys.argv``."""
+
+    def run(argv):
+        monkeypatch.setattr(sys, "argv", ["repro", *argv])
+        return main()
+
+    return run
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.__main__ import main
 from repro.obs.profile import CORE_PHASES, run_profile
 
 
@@ -174,10 +173,10 @@ class TestProfileCheckpoint:
 
 
 class TestCliSmoke:
-    def test_profile_smoke_emits_breakdown(self, capsys, tmp_path):
+    def test_profile_smoke_emits_breakdown(self, capsys, tmp_path, repro_main):
         json_path = str(tmp_path / "report.json")
         csv_path = str(tmp_path / "report.csv")
-        assert main(["profile", "--smoke", "--json", json_path, "--csv", csv_path]) == 0
+        assert repro_main(["profile", "--smoke", "--json", json_path, "--csv", csv_path]) == 0
         report = json.loads(capsys.readouterr().out)
         for phase in CORE_PHASES:
             assert phase in report["phases"], phase
@@ -187,8 +186,8 @@ class TestCliSmoke:
         with open(csv_path) as fh:
             assert fh.readline().strip() == "kind,name,field,value"
 
-    def test_profile_in_help(self, capsys):
-        assert main(["--help"]) == 0
+    def test_profile_in_help(self, capsys, repro_main):
+        assert repro_main(["--help"]) == 0
         assert "profile" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -207,8 +206,8 @@ class TestCliSmoke:
             "batch-size", "epochs", "workers", "scale", "scale-nan", "targets", "shards", "resume",
         ],
     )
-    def test_bad_arguments_are_usage_errors(self, argv, message, capsys):
+    def test_bad_arguments_are_usage_errors(self, argv, message, capsys, repro_main):
         with pytest.raises(SystemExit) as exc:
-            main(["profile", *argv])
+            repro_main(["profile", *argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
